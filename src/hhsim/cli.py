@@ -15,14 +15,13 @@ import io
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import hubbard, lattice, oracle, pairs, phases, rydberg, stark
-from .constants import M_K40, M_RB87, nk_to_hz
+from . import __version__, hubbard, lattice, oracle, pairs, phases, rydberg, stark
+from .constants import A_BOHR, M_K40, M_RB87, nk_to_hz
 
 DEFAULTS = {
     "a": 1.73,          # um, lattice constant
@@ -98,7 +97,7 @@ class OutputSink:
     def finish(self):
         if self.out_dir and self.manifest:
             manifest = {
-                "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                "version": __version__,
                 "files": sorted(self.manifest, key=lambda m: m["file"]),
             }
             (self.out_dir / "manifest.json").write_text(
@@ -253,7 +252,7 @@ def cmd_params(args, sink):
     w_ph = _cfg(args, "w_ph")
     D = _cfg(args, "D")
     scale = _cfg(args, "V0_ph_scale")
-    a_s_um = _cfg(args, "a_s0") * 5.29177210903e-5  # 1 a0 = 5.2918e-5 um
+    a_s_um = _cfg(args, "a_s0") * A_BOHR * 1e6
     pattern = _make_pattern("holstein", a, 100.0, w_ph, D)
     emap = rydberg.effective_interaction(pattern, spec, a)
 
@@ -383,8 +382,6 @@ def build_parser():
     p.add_argument("--config", help="YAML config file with default overrides")
     p.add_argument("--out", help="output directory (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; sweeps run single-threaded for determinism")
     p.add_argument("--explain-defaults", action="store_true",
                    help="print the built-in physical defaults and exit")
     sub = p.add_subparsers(dest="cmd")

@@ -6,12 +6,15 @@ m = kappa**2.  This matters because common libraries disagree
 
 The AGM iteration converges quadratically; with double input the result
 is accurate to better than 1e-12 relative.  The same routine runs on
-``mpmath.mpf`` inputs for extended-precision work.
+``mpmath.mpf`` inputs for extended-precision work, and element-wise on
+float arrays through :func:`elliptic_KE_kprime`, which takes the
+complementary modulus k' = sqrt(1 - kappa**2) that seeds the iteration.
 """
 
 import math
 
 import mpmath
+import numpy as np
 
 
 class EllipticDomainError(ValueError):
@@ -28,6 +31,43 @@ def _eps_like(x):
     return 4 * mpmath.mp.eps if isinstance(x, mpmath.mpf) else 1e-15
 
 
+def elliptic_KE_kprime(kprime):
+    """Return (K, E) from the complementary modulus 0 < k' <= 1.
+
+    Accepts a float or mpf scalar, or a float ndarray (element-wise).
+    Taking k' rather than kappa keeps full relative accuracy as
+    kappa -> 1, where 1 - kappa**2 cannot be recovered from a rounded
+    kappa.  Array elements leave the iteration as they converge, so an
+    element's result does not depend on the rest of the array.
+    """
+    vector = isinstance(kprime, np.ndarray)
+    if vector:
+        shape, kprime = kprime.shape, kprime.ravel()
+        a_out, csum_out = np.empty_like(kprime), np.empty_like(kprime)
+        live = np.arange(kprime.size)
+    a, b = kprime * 0 + 1, kprime
+    # E via the classical c_n sum: E = K * (1 - sum 2^(n-1) c_n^2), c_0 = kappa.
+    csum = (1 - b) * (1 + b) / 2
+    power = 1
+    eps = _eps_like(kprime)
+    for _ in range(200):
+        a, b, c = (a + b) / 2, (a * b) ** 0.5, (a - b) / 2
+        power *= 2
+        csum = csum + power / 2 * (c * c)
+        done = c <= eps * a
+        if not vector:
+            if done:
+                break
+        elif np.count_nonzero(done):
+            a_out[live[done]], csum_out[live[done]] = a[done], csum[done]
+            live, a, b, csum = live[~done], a[~done], b[~done], csum[~done]
+            if not live.size:
+                a, csum = a_out.reshape(shape), csum_out.reshape(shape)
+                break
+    K = _pi_like(kprime) / (2 * a)
+    return K, K * (1 - csum)
+
+
 def elliptic_KE(kappa):
     """Return (K(kappa), E(kappa)) for modulus 0 <= kappa <= 1.
 
@@ -36,23 +76,9 @@ def elliptic_KE(kappa):
     """
     if kappa < 0 or kappa > 1:
         raise EllipticDomainError(f"modulus must lie in [0, 1], got {kappa}")
-    pi = _pi_like(kappa)
     if kappa == 1:
         raise EllipticDomainError("K(kappa) diverges at kappa = 1")
-    one = kappa * 0 + 1
-    a, b, c = one, (one - kappa * kappa) ** 0.5, kappa
-    # E via the classical c_n sum: E = K * (1 - sum 2^(n-1) c_n^2).
-    csum = c * c / 2
-    power = one
-    eps = _eps_like(kappa)
-    for _ in range(200):
-        a, b, c = (a + b) / 2, (a * b) ** 0.5, (a - b) / 2
-        power = power * 2
-        csum = csum + power * c * c / 2
-        if abs(c) <= eps * abs(a):
-            break
-    K = pi / (2 * a)
-    return K, K * (1 - csum)
+    return elliptic_KE_kprime((1 - kappa * kappa) ** 0.5)
 
 
 def elliptic_K(kappa):

@@ -19,6 +19,8 @@ model, the strong-coupling pair dispersion, and the pair effective mass.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .greens import (
     GAMMA1,
     GAMMA2,
@@ -95,7 +97,10 @@ class LFParams:
 
 
 def det_diagonal(E, U, V, t_prime):
-    """2x2 determinant whose roots below -8t' are pair energies."""
+    """2x2 determinant whose roots below -8t' are pair energies.
+
+    E may be a scalar or an array of energies.
+    """
     M = greens_M_all(E, t_prime)
     a11 = U * M[(0, 0)] + 1.0
     a12 = 2.0 * V * M[(1, 1)]
@@ -105,7 +110,10 @@ def det_diagonal(E, U, V, t_prime):
 
 
 def det_full(E, U, V1, V2, t_prime):
-    """3x3 determinant for the both-diagonals model, expanded explicitly."""
+    """3x3 determinant for the both-diagonals model, expanded explicitly.
+
+    E may be a scalar or an array of energies.
+    """
     M = greens_M_all(E, t_prime)
     m00, m10, m11 = M[(0, 0)], M[(1, 0)], M[(1, 1)]
     m20, m21, m22 = M[(2, 0)], M[(2, 1)], M[(2, 2)]
@@ -140,41 +148,35 @@ def pair_energies(model, n_scan=_SCAN_POINTS):
     The determinant changes sign across each root; roots are located by
     a sign scan over s = ln(|E|/8t' - 1) (which resolves the
     logarithmic band-edge region) followed by bisection to 1e-12 t'.
+    The scan is one determinant call on the whole grid, and each
+    bisection step is one call on the midpoints of all open brackets.
     """
     tp = model.t_prime
     f = _determinant_for(model)
 
     def E_of_s(s):
-        return -8.0 * tp * (1.0 + math.exp(s))
+        return -8.0 * tp * (1.0 + np.exp(s))
 
     s_hi = math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)
     s_lo = math.log(_EDGE_EPS / 8.0)
-    grid = [s_lo + (s_hi - s_lo) * i / (n_scan - 1) for i in range(n_scan)]
-    vals = [f(E_of_s(s)) for s in grid]
+    grid = s_lo + (s_hi - s_lo) * np.arange(n_scan) / (n_scan - 1)
+    vals = f(E_of_s(grid))
 
-    roots = []
-    for i in range(n_scan - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(E_of_s(grid[i]))
-            continue
-        if va * vb >= 0.0:
-            continue
-        sa, sb = grid[i], grid[i + 1]
-        fa = va
-        while E_of_s(sa) - E_of_s(sb) > _ROOT_TOL * tp:
-            sm = 0.5 * (sa + sb)
-            fm = f(E_of_s(sm))
-            if fm == 0.0:
-                sa = sb = sm
-                break
-            if fa * fm < 0.0:
-                sb = sm
-            else:
-                sa, fa = sm, fm
-        roots.append(E_of_s(0.5 * (sa + sb)))
-    roots.sort()
-    return [PairState(E=E, k=(0.0, 0.0), branch=i) for i, E in enumerate(roots)]
+    exact = grid[:-1][vals[:-1] == 0.0]
+    bracket = vals[:-1] * vals[1:] < 0.0
+    sa, sb, fa = grid[:-1][bracket], grid[1:][bracket], vals[:-1][bracket]
+    active = E_of_s(sa) - E_of_s(sb) > _ROOT_TOL * tp
+    while active.any():
+        sm = 0.5 * (sa[active] + sb[active])
+        fm = f(E_of_s(sm))
+        left = fa[active] * fm < 0.0
+        # an exact zero closes its bracket onto the midpoint
+        sa[active] = np.where(left, sa[active], sm)
+        sb[active] = np.where(left | (fm == 0.0), sm, sb[active])
+        fa[active] = np.where(left, fa[active], fm)
+        active &= E_of_s(sa) - E_of_s(sb) > _ROOT_TOL * tp
+    roots = np.sort(np.concatenate([E_of_s(exact), E_of_s(0.5 * (sa + sb))]))
+    return [PairState(E=E, k=(0.0, 0.0), branch=i) for i, E in enumerate(roots.tolist())]
 
 
 def pair_energies_diagonal(U, V, t_prime):

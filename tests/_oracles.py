@@ -1,9 +1,10 @@
 """Independent numerical oracles used by the test suite.
 
-These deliberately avoid the closed forms under test: the lattice
-integrals are done by adaptive-refinement trapezoid quadrature in
-extended precision, the elliptic reference by its defining power
-series, and curvatures by Richardson-extrapolated finite differences.
+These deliberately avoid the code under test: the lattice integrals
+are done by adaptive-refinement trapezoid quadrature in extended
+precision, or by their closed forms in mpmath's elliptic integrals at
+40 or more digits; the elliptic reference is its defining power series,
+and curvatures come from Richardson-extrapolated finite differences.
 """
 
 import math
@@ -50,6 +51,33 @@ def quad_M(E, t_prime, rel_tol=1e-10, n_start=64, n_max=16384):
         prev = vals
         n *= 2
     raise RuntimeError("quadrature did not converge")
+
+
+def closed_form_M(E, t_prime, dps=40):
+    """All six M_nl from their closed forms in K and E, in mpmath.
+
+    The working precision is raised by 8 digits for each decade by which
+    the modulus kappa falls below 1, because the K and E terms of M22
+    cancel to O(kappa^8) of their size.  The modulus comes from the exact float E, so
+    the band edge needs no special care.
+    """
+    absE, Wp = mpmath.mpf(abs(E)), 4 * mpmath.mpf(t_prime)
+    extra = max(0, math.ceil(-math.log10(8.0 * t_prime / abs(E))))
+    with mpmath.workdps(dps + 8 * extra):
+        m = (2 * Wp / absE) ** 2
+        K, Eint, pi = mpmath.ellipk(m), mpmath.ellipe(m), mpmath.pi
+        M = {
+            (0, 0): 2 / (pi * absE) * K,
+            (1, 0): K / (pi * Wp) - 1 / (2 * Wp),
+            (1, 1): absE / (2 * pi * Wp**2) * ((2 - m) * K - 2 * Eint),
+            (2, 0): 2 / (pi * absE) * K + absE / Wp**2 * (2 * Eint / pi - 1),
+            (2, 1): ((absE**2 / (pi * Wp**3) - 3 / (pi * Wp)) * K
+                     - absE**2 / (pi * Wp**3) * Eint + 1 / (2 * Wp)),
+            (2, 2): ((2 / (pi * absE) - 8 * absE / (3 * pi * Wp**2)
+                      + 2 * absE**3 / (3 * pi * Wp**4)) * K
+                     + (4 * absE / (3 * pi * Wp**2) - 2 * absE**3 / (3 * pi * Wp**4)) * Eint),
+        }
+        return {nl: float(v) for nl, v in M.items()}
 
 
 def series_elliptic_K(kappa, dps=50):

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 import yaml
@@ -39,14 +40,19 @@ def test_stark_unknown_species():
         main(["stark", "--species", "Na-23"])
 
 
-def test_output_deterministic(tmp_path):
+def test_output_deterministic(tmp_path, monkeypatch):
     args = ["binding", "--model", "diagonal", "--steps", "11"]
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(["--out", str(d1)] + args) == 0
+    # a day later by the wall clock: a timestamp in any output would differ
+    later, gmtime = time.time() + 86400.0, time.gmtime
+    monkeypatch.setattr(time, "time", lambda: later)
+    monkeypatch.setattr(time, "gmtime", lambda secs=None: gmtime(later if secs is None else secs))
     assert main(["--out", str(d2)] + args) == 0
     f1 = {m["file"]: m["sha256"] for m in _manifest(d1)["files"]}
     f2 = {m["file"]: m["sha256"] for m in _manifest(d2)["files"]}
     assert f1 == f2
+    assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
 
 
 def test_json_format(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hhsim.greens import (
@@ -13,9 +14,20 @@ from hhsim.greens import (
     greens_C_threshold,
     greens_M,
     greens_M_all,
+    greens_M_table,
 )
 
-from _oracles import quad_M
+from _oracles import closed_form_M, quad_M
+
+# Energies in units of t', from kappa = 2W'/|E| = 1e-4 up to 1 - 1e-12:
+# a geometric sweep, points either side of the series/closed-form
+# crossover at kappa = 0.7, and points within 1e-7 t' of the band edge.
+KAPPAS = np.concatenate([
+    np.geomspace(1e-4, 0.95, 25),
+    0.7 * (1.0 + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])),
+    1.0 - np.geomspace(1e-2, 1e-12, 11),
+])
+TABLE_E = np.concatenate([-8.0 / KAPPAS, -8.0 - np.array([1e-7, 1e-8, 1e-10])])
 
 
 @pytest.mark.parametrize("E", [-8.01, -8.5, -10.0, -20.0, -100.0])
@@ -109,3 +121,29 @@ def test_large_energy_limit():
     assert M[(0, 0)] == pytest.approx(1e-5, rel=1e-3)
     for nl in SUPPORTED_NL[1:]:
         assert abs(M[nl]) < 0.1 * M[(0, 0)]
+
+
+@pytest.mark.parametrize("t_prime", [1.0, 0.37])
+def test_table_matches_extended_precision_closed_forms(t_prime):
+    E = TABLE_E * t_prime
+    M = greens_M_table(E, t_prime)
+    assert M.shape == (len(SUPPORTED_NL), len(E))
+    for i, e in enumerate(E):
+        ref = closed_form_M(float(e), t_prime)
+        for j, nl in enumerate(SUPPORTED_NL):
+            assert M[j, i] == pytest.approx(ref[nl], rel=1e-11, abs=0.0), (e, nl)
+
+
+def test_array_call_equals_scalar_calls_bit_for_bit():
+    E = np.random.default_rng(5).permutation(TABLE_E)
+    M = greens_M_table(E, 1.0)
+    scalar = np.array([greens_M_table(float(e), 1.0) for e in E]).T
+    assert np.array_equal(M, scalar)
+    assert np.array_equal(greens_M_table(E.reshape(4, -1), 1.0), M.reshape(6, 4, -1))
+    assert greens_M_all(E[0], 1.0) == {nl: M[j, 0] for j, nl in enumerate(SUPPORTED_NL)}
+
+
+@pytest.mark.parametrize("bad", [-8.0, -7.9, 1.0, math.nan])
+def test_domain_error_if_any_element_is_outside(bad):
+    with pytest.raises(GreensDomainError):
+        greens_M_table(np.array([-20.0, -9.0, bad, -8.5]), 1.0)

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhsim import pairs
 from hhsim.pairs import (
@@ -47,6 +50,25 @@ def test_determinants_are_roots_of_pair_energies():
     assert states
     for s in states:
         assert abs(det_full(s.E, -6.0, -2.0, -1.0, 1.0)) < 1e-8
+
+
+def test_determinants_accept_energy_arrays():
+    E = -8.0 - np.geomspace(1e-9, 30.0, 7)
+    assert np.array_equal(det_full(E, -6.0, -2.0, -1.0, 1.0),
+                          [det_full(e, -6.0, -2.0, -1.0, 1.0) for e in E])
+    assert np.array_equal(det_diagonal(E, -6.0, -3.0, 1.0),
+                          [det_diagonal(e, -6.0, -3.0, 1.0) for e in E])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(U=st.floats(-14.0, 2.0), dU=st.floats(0.05, 8.0),
+       V1=st.floats(-4.0, 4.0), V2=st.floats(-4.0, 4.0), tp=st.floats(0.5, 2.0))
+def test_root_count_monotone_in_attraction(U, dU, V1, V2, tp):
+    # a more attractive on-site U lowers the Hamiltonian, so no bound
+    # pair can be lost
+    weaker = pair_energies_full(U * tp, V1 * tp, V2 * tp, tp)
+    stronger = pair_energies_full((U - dU) * tp, V1 * tp, V2 * tp, tp)
+    assert len(stronger) >= len(weaker)
 
 
 def test_full_reduces_to_pure_onsite():
