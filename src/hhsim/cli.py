@@ -306,6 +306,8 @@ def cmd_pair(args, sink):
 
 def cmd_oracle(args, sink):
     if args.model == "diagonal":
+        if args.V2:
+            raise SystemExit("oracle --model diagonal takes its V from --V1; --V2 must be 0")
         model = pairs.UVModel.diagonal(args.U, args.V1, args.t_prime)
     else:
         model = pairs.UVModel.full(args.U, args.V1, args.V2, args.t_prime)
@@ -449,8 +451,9 @@ def build_parser():
     s = sub.add_parser("oracle", help="finite-lattice exact two-body energies")
     s.add_argument("--model", choices=("diagonal", "full"), default="diagonal")
     s.add_argument("--U", type=float, required=True)
-    s.add_argument("--V1", type=float, default=0.0)
-    s.add_argument("--V2", type=float, default=0.0)
+    s.add_argument("--V1", type=float, default=0.0,
+                   help="NN potential of the full model; the diagonal model's V")
+    s.add_argument("--V2", type=float, default=0.0, help="NNN potential of the full model")
     s.add_argument("--t-prime", type=float, default=1.0)
     s.add_argument("--sizes", default="16,24,32")
     s.add_argument("--n-states", type=int, default=4)

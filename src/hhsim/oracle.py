@@ -8,11 +8,13 @@ potential on the interaction shells.  Only the inversion-symmetric
 two-body wavefunction of the determinant formulation.
 
 A brute-force builder of the full two-particle Hamiltonian on tiny
-lattices validates the reduction itself.
+lattices validates the reduction itself.  Both builders share one
+periodic adjacency matrix, one symmetric-sector basis and the shell
+table of ``UVModel.shells()``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,74 +32,60 @@ class FiniteLattice:
             raise ValueError("L must be an even integer >= 4")
 
 
-def _site_potential_map(model, L):
-    """Dict relative displacement -> diagonal potential."""
-    pot = {(0, 0): model.U}
-    if model.variant == "diagonal":
-        V = model.V
-        for d in ((1, 1), (-1, -1)):
-            pot[tuple(x % L for x in d)] = V
-    else:
-        for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            pot[tuple(x % L for x in d)] = model.V1
-        for d in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            pot[tuple(x % L for x in d)] = model.V2
-    return pot
+def _adjacency(L):
+    """Periodic nearest-neighbor matrix of the L x L lattice (site x*L + y)."""
+    site = np.arange(L * L).reshape(L, L)
+    rows = np.tile(site.ravel(), 4)
+    cols = np.concatenate([np.roll(site, s, axis=a).ravel() for a in (0, 1) for s in (1, -1)])
+    return sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(L * L, L * L)).tocsr()
+
+
+def _shell_potential(model, L):
+    """Potential at every relative displacement, the shells folded mod L."""
+    pot = np.zeros((L, L))
+    for (dx, dy), v in model.shells().items():
+        pot[dx % L, dy % L] = v
+    return pot.ravel()
+
+
+def _symmetric_basis(perm):
+    """Orthonormal columns spanning the vectors that the involution perm fixes.
+
+    One column per orbit {i, perm[i]}, ordered by the orbit's smaller index.
+    """
+    i = np.arange(len(perm))
+    lead = np.minimum(i, perm)
+    col = np.cumsum(i == lead) - 1   # col[j]: column of the orbit whose smaller index is j
+    vals = np.where(i == perm, 1.0, 1.0 / math.sqrt(2.0))
+    return sp.coo_matrix((vals, (i, col[lead])), shape=(len(perm), col[-1] + 1)).tocsr()
+
+
+def _lowest(H, P, n_states):
+    """Lowest n_states eigenvalues of H in the sector spanned by P, ascending."""
+    Hs = (P.T @ H @ P).tocsr()
+    k = min(n_states, Hs.shape[0] - 2)
+    v0 = np.ones(Hs.shape[0]) / math.sqrt(Hs.shape[0])
+    vals = eigsh(Hs, k=k, which="SA", v0=v0, tol=1e-12,
+                 return_eigenvectors=False)
+    return sorted(float(v) for v in vals)
 
 
 def relative_hamiltonian(model, L):
     """Sparse H on the L x L relative coordinate at zero total momentum.
 
     Kinetic term: hops of amplitude -2t' to the four neighbors (each
-    particle's hopping adds at K = 0); potential: U at r = 0 plus the
-    V shells of the model variant.
+    particle's hopping adds at K = 0); potential: the shells of
+    ``model.shells()`` on the diagonal.
     """
-    lat = FiniteLattice(L)
-    L = lat.L
-    n = L * L
-    tp = model.t_prime
-
-    def idx(x, y):
-        return (x % L) * L + (y % L)
-
-    rows, cols, vals = [], [], []
-    pot = _site_potential_map(model, L)
-    for x in range(L):
-        for y in range(L):
-            i = idx(x, y)
-            d = pot.get((x, y), 0.0)
-            if d:
-                rows.append(i); cols.append(i); vals.append(d)
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                rows.append(i); cols.append(idx(x + dx, y + dy)); vals.append(-2.0 * tp)
-    H = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return H
+    L = FiniteLattice(L).L
+    H = -2.0 * model.t_prime * _adjacency(L) + sp.diags(_shell_potential(model, L))
+    return H.tocsr()
 
 
 def inversion_projector(L):
     """Sparse basis matrix of the r -> -r symmetric sector (columns orthonormal)."""
-    seen = {}
-    cols = []
-    for x in range(L):
-        for y in range(L):
-            i = x * L + y
-            xm, ym = (-x) % L, (-y) % L
-            j = xm * L + ym
-            key = min(i, j)
-            if key in seen:
-                continue
-            seen[key] = True
-            if i == j:
-                cols.append(([i], [1.0]))
-            else:
-                s = 1.0 / math.sqrt(2.0)
-                cols.append(([i, j], [s, s]))
-    n = L * L
-    rows, cidx, vals = [], [], []
-    for k, (ii, vv) in enumerate(cols):
-        for i, v in zip(ii, vv):
-            rows.append(i); cidx.append(k); vals.append(v)
-    return sp.coo_matrix((vals, (rows, cidx)), shape=(n, len(cols))).tocsr()
+    minus = -np.arange(L) % L
+    return _symmetric_basis((minus[:, None] * L + minus).ravel())
 
 
 @dataclass
@@ -114,78 +102,36 @@ def ground_energies(model, L, n_states=4, bound_margin=5.0):
     A state counts as bound if E < -8t' - bound_margin/L^2 * t' (the
     margin absorbs the finite-size shift of the band edge).
     """
-    H = relative_hamiltonian(model, L)
-    P = inversion_projector(L)
-    Hs = (P.T @ H @ P).tocsr()
-    k = min(n_states, Hs.shape[0] - 2)
-    v0 = np.ones(Hs.shape[0]) / math.sqrt(Hs.shape[0])
-    vals = eigsh(Hs, k=k, which="SA", v0=v0, tol=1e-12,
-                 return_eigenvectors=False)
-    energies = sorted(float(v) for v in vals)
+    energies = _lowest(relative_hamiltonian(model, L), inversion_projector(L), n_states)
     edge = -8.0 * model.t_prime - bound_margin / L**2 * model.t_prime
     bound = sum(1 for e in energies if e < edge)
     return TwoBodySpectrum(L=L, model=model, energies=energies, bound_count=bound)
 
 
+def _pair_hamiltonian(model, L):
+    """T x 1 + 1 x T + V(r1 - r2) on the L^4 two-particle states, T = -t' A."""
+    n = L * L
+    T = -model.t_prime * _adjacency(L)
+    one = sp.identity(n, format="csr")
+    x, y = np.divmod(np.arange(n), L)
+    rel = ((x[:, None] - x) % L) * L + (y[:, None] - y) % L
+    H = sp.kron(T, one) + sp.kron(one, T) + sp.diags(_shell_potential(model, L)[rel.ravel()])
+    return H.tocsr()
+
+
 def brute_force_two_body(model, L, n_states=4):
     """Full two-particle spectrum on L x L (spatially symmetric sector).
 
-    Dimension grows as L^4; intended for L <= 6 to validate the
-    relative-coordinate reduction.  Returns the lowest eigenvalues over
-    all total momenta (the ground state sits at K = 0 for attractive
-    couplings).
+    The sector is the one even under particle exchange.  Dimension grows
+    as L^4; intended for L <= 6 to validate the relative-coordinate
+    reduction.  Returns the lowest eigenvalues over all total momenta
+    (the ground state sits at K = 0 for attractive couplings).
     """
+    L = FiniteLattice(L).L
     if L > 8:
         raise ValueError("brute force is for tiny lattices only")
-    n = L * L
-    tp = model.t_prime
-    pot = _site_potential_map(model, L)
-
-    def sidx(x, y):
-        return (x % L) * L + (y % L)
-
-    dim = n * n
-    rows, cols, vals = [], [], []
-    for x1 in range(L):
-        for y1 in range(L):
-            for x2 in range(L):
-                for y2 in range(L):
-                    i = sidx(x1, y1) * n + sidx(x2, y2)
-                    d = pot.get(((x1 - x2) % L, (y1 - y2) % L), 0.0)
-                    if d:
-                        rows.append(i); cols.append(i); vals.append(d)
-                    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                        j = sidx(x1 + dx, y1 + dy) * n + sidx(x2, y2)
-                        rows.append(i); cols.append(j); vals.append(-tp)
-                        j = sidx(x1, y1) * n + sidx(x2 + dx, y2 + dy)
-                        rows.append(i); cols.append(j); vals.append(-tp)
-    H = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    # spatially symmetric sector under particle exchange
-    seen = set()
-    cols_ = []
-    for p in range(n):
-        for q in range(n):
-            i = p * n + q
-            j = q * n + p
-            key = min(i, j)
-            if key in seen:
-                continue
-            seen.add(key)
-            if i == j:
-                cols_.append(([i], [1.0]))
-            else:
-                s = 1.0 / math.sqrt(2.0)
-                cols_.append(([i, j], [s, s]))
-    rws, cdx, vls = [], [], []
-    for k, (ii, vv) in enumerate(cols_):
-        for i, v in zip(ii, vv):
-            rws.append(i); cdx.append(k); vls.append(v)
-    P = sp.coo_matrix((vls, (rws, cdx)), shape=(dim, len(cols_))).tocsr()
-    Hs = (P.T @ H @ P).tocsr()
-    v0 = np.ones(Hs.shape[0]) / math.sqrt(Hs.shape[0])
-    vals_ = eigsh(Hs, k=n_states, which="SA", v0=v0, tol=1e-12,
-                  return_eigenvectors=False)
-    return sorted(float(v) for v in vals_)
+    exchange = np.arange(L**4).reshape(L * L, L * L).T.ravel()
+    return _lowest(_pair_hamiltonian(model, L), _symmetric_basis(exchange), n_states)
 
 
 @dataclass
@@ -203,6 +149,8 @@ def extrapolate_energy(Ls, energies):
     logarithmically and are flagged unreliable when the sequence is not
     monotone.
     """
+    if len(Ls) != len(energies):
+        raise ValueError("need one energy per size")
     if len(Ls) < 3:
         raise ValueError("need at least three sizes")
     x = np.array([1.0 / L**2 for L in Ls])

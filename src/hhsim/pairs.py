@@ -68,6 +68,19 @@ class UVModel:
             raise AttributeError("V is defined for the diagonal variant only")
         return self.V2
 
+    def shells(self):
+        """Relative displacement (dx, dy) -> potential, on-site U included.
+
+        The one table of which displacement carries U, V1 or V2;
+        ``det_diagonal`` and ``det_full`` expand the same layout by hand.
+        """
+        if self.variant == "diagonal":
+            return {(0, 0): self.U, (1, 1): self.V, (-1, -1): self.V}
+        table = {(0, 0): self.U}
+        table.update({d: self.V1 for d in ((1, 0), (-1, 0), (0, 1), (0, -1))})
+        table.update({d: self.V2 for d in ((1, 1), (1, -1), (-1, 1), (-1, -1))})
+        return table
+
 
 @dataclass
 class PairState:

@@ -92,6 +92,11 @@ def test_oracle_subcommand_with_compare(tmp_path):
     assert rec["E_inf"] < -8.0
 
 
+def test_oracle_diagonal_rejects_V2(tmp_path):
+    with pytest.raises(SystemExit, match="--V1"):
+        main(["--out", str(tmp_path / "or"), "oracle", "--U", "-8", "--V2", "-8"])
+
+
 def test_pair_and_params_subcommands(tmp_path):
     out = tmp_path / "pp"
     assert main(["--out", str(out), "pair", "--U", "-6", "--steps", "5"]) == 0

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hhsim import oracle
 from hhsim.oracle import (
@@ -26,10 +29,53 @@ def test_relative_hamiltonian_is_symmetric():
     assert (abs(H - H.T)).max() == 0.0
 
 
+@pytest.mark.parametrize("model", [
+    UVModel.diagonal(-5.0, -2.0, 0.7),
+    UVModel.full(-4.0, -1.0, -0.5, 1.0),
+])
+def test_relative_hamiltonian_hops_and_shells(model):
+    L = 6
+    D = relative_hamiltonian(model, L).toarray()
+    x, y = np.divmod(np.arange(L * L), L)
+    for i in range(L * L):
+        hops = {((x[i] + dx) % L) * L + (y[i] + dy) % L
+                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+        assert set(np.flatnonzero(D[i] != 0.0)) - {i} == hops
+        assert all(D[i, j] == -2.0 * model.t_prime for j in hops)
+    pot = np.zeros((L, L))
+    for (dx, dy), v in model.shells().items():
+        pot[dx % L, dy % L] = v
+    assert np.array_equal(np.diag(D), pot.ravel())
+
+
+def _inversion_sector():
+    L = 6
+    H = relative_hamiltonian(UVModel.diagonal(-5.0, -2.0, 1.0), L)
+    minus = [(-x % L) * L + (-y % L) for x in range(L) for y in range(L)]
+    return H.toarray(), inversion_projector(L).toarray(), minus
+
+
+def _exchange_sector():
+    L = 4
+    n = L * L
+    H = oracle._pair_hamiltonian(UVModel.full(-5.0, -1.0, -0.5, 1.0), L)
+    swap = [q * n + p for p in range(n) for q in range(n)]
+    return H.toarray(), oracle._symmetric_basis(np.array(swap)).toarray(), swap
+
+
 def test_projector_columns_orthonormal():
-    P = inversion_projector(6)
-    G = (P.T @ P).toarray()
-    assert abs(G - __import__("numpy").eye(G.shape[0])).max() < 1e-14
+    for sector in (_inversion_sector, _exchange_sector):
+        _, P, perm = sector()
+        assert abs(P.T @ P - np.eye(P.shape[1])).max() < 1e-14
+        # every column is even under the symmetry, and there is one per orbit
+        assert np.array_equal(P[perm], P)
+        assert P.shape[1] == (len(perm) + np.sum(np.array(perm) == np.arange(len(perm)))) // 2
+
+
+@pytest.mark.parametrize("sector", [_inversion_sector, _exchange_sector])
+def test_hamiltonian_leaves_symmetric_sector_invariant(sector):
+    H, P, _ = sector()
+    assert np.linalg.norm(H @ P - P @ (P.T @ H @ P)) <= 1e-12
 
 
 @pytest.mark.parametrize("model", [
@@ -46,8 +92,10 @@ def test_reduction_matches_brute_force(model):
 
 
 def test_brute_force_size_guard():
-    with pytest.raises(ValueError):
-        brute_force_two_body(UVModel.diagonal(-5.0, 0.0, 1.0), 10)
+    # L = 2 folds the +/-x hops onto one site; odd L has no reduced oracle
+    for L in (2, 5, 10):
+        with pytest.raises(ValueError):
+            brute_force_two_body(UVModel.diagonal(-5.0, 0.0, 1.0), L)
 
 
 def test_bound_count_deep_vs_free():
@@ -65,6 +113,8 @@ def test_extrapolation_exact_on_synthetic_data():
     assert ex.reliable
     with pytest.raises(ValueError):
         extrapolate_energy([16, 24], [-10.0, -10.1])
+    with pytest.raises(ValueError):
+        extrapolate_energy(Ls, [-10.0])
 
 
 def test_extrapolation_flags_non_monotone():
@@ -81,3 +131,19 @@ def test_extrapolated_energy_matches_determinant_root():
         es = [ground_energies(model, L, n_states=3).energies[branch] for L in Ls]
         ex = extrapolate_energy(Ls, es)
         assert ex.E_inf == pytest.approx(roots[branch].E, abs=1e-3)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(tp=st.floats(0.5, 2.0), u=st.floats(-11.0, -9.0), v1=st.floats(-2.0, -1.0),
+       v2=st.floats(-2.0, -1.0), diagonal=st.booleans())
+def test_extrapolated_ground_matches_determinant_on_gapped_models(tp, u, v1, v2, diagonal):
+    # gapped (lowest root below -9t'): the finite-size error falls off as 1/L^2
+    if diagonal:
+        model = UVModel.diagonal(u * tp, v1 * tp, tp)
+    else:
+        model = UVModel.full(u * tp, v1 * tp, v2 * tp, tp)
+    roots = pair_energies(model)
+    assume(roots and roots[0].E < -9.0 * tp)
+    Ls = [16, 24, 32, 48]
+    ex = extrapolate_energy(Ls, [ground_energies(model, L).energies[0] for L in Ls])
+    assert abs(ex.E_inf - roots[0].E) <= 1e-3 * tp
