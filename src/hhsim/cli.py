@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import __version__, hubbard, lattice, oracle, pairs, phases, rydberg, stark
-from .constants import A_BOHR, M_K40, M_RB87, nk_to_hz
+from .constants import A_BOHR, M_RB87
 
 DEFAULTS = {
     "a": 1.73,          # um, lattice constant
@@ -55,14 +55,22 @@ DEFAULT_NOTES = {
 
 
 class OutputSink:
-    """Writes named CSV/JSON artifacts to a directory or stdout."""
+    """Writes named CSV/JSON artifacts to a directory or stdout.
 
-    def __init__(self, out_dir=None, fmt="csv"):
+    Every file name gets ``suffix`` appended to its stem; ``suffixed``
+    gives a view with another suffix that shares the manifest.
+    """
+
+    def __init__(self, out_dir=None, fmt="csv", suffix="", manifest=None):
         self.out_dir = Path(out_dir) if out_dir else None
         self.fmt = fmt
-        self.manifest = []
+        self.suffix = suffix
+        self.manifest = {} if manifest is None else manifest   # file -> sha256
         if self.out_dir:
             self.out_dir.mkdir(parents=True, exist_ok=True)
+
+    def suffixed(self, suffix):
+        return OutputSink(self.out_dir, self.fmt, suffix, self.manifest)
 
     def emit_table(self, name, header, rows):
         if self.fmt == "json":
@@ -78,19 +86,17 @@ class OutputSink:
                 w.writerow([_fmt_cell(x) for x in r])
             payload = buf.getvalue()
             ext = "csv"
-        self._write(f"{name}.{ext}", payload)
+        self._write(f"{name}{self.suffix}.{ext}", payload)
 
     def emit_record(self, name, record):
         payload = json.dumps(record, indent=2, sort_keys=True, default=_jsonable) + "\n"
-        self._write(f"{name}.json", payload)
+        self._write(f"{name}{self.suffix}.json", payload)
 
     def _write(self, fname, payload):
         if self.out_dir:
             path = self.out_dir / fname
             path.write_text(payload)
-            digest = hashlib.sha256(payload.encode()).hexdigest()
-            self.manifest = [m for m in self.manifest if m["file"] != fname]
-            self.manifest.append({"file": fname, "sha256": digest})
+            self.manifest[fname] = hashlib.sha256(payload.encode()).hexdigest()
         else:
             sys.stdout.write(f"# --- {fname} ---\n{payload}")
 
@@ -98,7 +104,7 @@ class OutputSink:
         if self.out_dir and self.manifest:
             manifest = {
                 "version": __version__,
-                "files": sorted(self.manifest, key=lambda m: m["file"]),
+                "files": [{"file": f, "sha256": self.manifest[f]} for f in sorted(self.manifest)],
             }
             (self.out_dir / "manifest.json").write_text(
                 json.dumps(manifest, indent=2) + "\n"
@@ -124,8 +130,6 @@ def _jsonable(x):
 
 
 def _load_config(path):
-    if not path:
-        return {}
     with open(path) as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
@@ -137,23 +141,9 @@ def _cfg(args, key):
     val = getattr(args, key.replace("-", "_"), None)
     if val is not None:
         return val
-    if key in args.config_data:
-        return args.config_data[key]
+    if key in args.config:
+        return args.config[key]
     return DEFAULTS.get(key)
-
-
-def _make_pattern(name, a, V0_ph, w_ph, D, b=None):
-    if name == "holstein":
-        return lattice.holstein_reference(a, V0_ph, w_ph, D, b=b)
-    if name == "offset-parallel":
-        return lattice.offset_parallel(a, V0_ph, w_ph, D, b if b is not None else 0.5 * a * math.sqrt(2.0))
-    if name == "offset-parallel-rotated":
-        return lattice.offset_parallel_rotated(a, V0_ph, w_ph, D, b if b is not None else 0.5 * a * math.sqrt(2.0))
-    if name == "crossed":
-        return lattice.crossed(a, V0_ph, w_ph, D)
-    if name == "bipartite-parallel":
-        return lattice.bipartite_parallel(a, V0_ph, w_ph, D)
-    raise SystemExit(f"unknown pattern {name!r}")
 
 
 def _spec_from_args(args):
@@ -177,6 +167,8 @@ def cmd_stark(args, sink):
     lo = args.wl_min if args.wl_min else atom.lambda_D2 - 3.0
     hi = args.wl_max if args.wl_max else atom.lambda_D1 + 3.0
     n = args.steps
+    if n < 2:
+        raise SystemExit("stark --steps must be at least 2 (the sweep includes both ends)")
     rows = []
     for i in range(n):
         wl = lo + (hi - lo) * i / (n - 1)
@@ -185,17 +177,14 @@ def cmd_stark(args, sink):
         except stark.ResonanceError:
             continue
         rows.append((wl, v))
-    suffix = ""
-    if getattr(args, "name_suffix", False):
-        suffix = "_" + atom.species_name.lower().replace("-", "")
-    sink.emit_table(f"stark_sweep{suffix}", ["wavelength_nm", "V_nK"], rows)
+    sink.emit_table("stark_sweep", ["wavelength_nm", "V_nK"], rows)
     summary = {"species": atom.species_name}
     try:
         summary["lambda_zero_nm"] = stark.find_stark_zero(atom, cfg)
     except stark.NoZeroCrossingError as exc:
         summary["lambda_zero_nm"] = None
         summary["error"] = str(exc)
-    sink.emit_record(f"stark_zeros{suffix}", summary)
+    sink.emit_record("stark_zeros", summary)
     return 0
 
 
@@ -204,7 +193,7 @@ def cmd_phonon(args, sink):
     V0_ph = args.v0_ph
     w_ph = _cfg(args, "w_ph")
     D = _cfg(args, "D")
-    pattern = _make_pattern(args.pattern, a, V0_ph, w_ph, D, b=args.b)
+    pattern = lattice.PATTERN_CONSTRUCTORS[args.pattern](a, V0_ph, w_ph, D, b=args.b)
     site = pattern.sites[len(pattern.sites) // 2]
     mat = lattice.dynamical_matrix(pattern, site)
     modes = lattice.phonon_modes(mat, M_RB87)
@@ -228,8 +217,8 @@ def cmd_phi_map(args, sink):
     spec = _spec_from_args(args)
     w_ph = _cfg(args, "w_ph")
     D = _cfg(args, "D")
-    b = args.b_over_aprime * a * math.sqrt(2.0) if args.b_over_aprime else None
-    pattern = _make_pattern(args.pattern, a, 100.0, w_ph, D, b=b)
+    b = None if args.b_over_aprime is None else args.b_over_aprime * a * math.sqrt(2.0)
+    pattern = lattice.PATTERN_CONSTRUCTORS[args.pattern](a, 100.0, w_ph, D, b=b)
     emap = rydberg.effective_interaction(pattern, spec, a)
     rows = [(n, l, emap.values[(n, l)]) for (n, l) in emap.displacements]
     sink.emit_table("phi_map", ["dx", "dy", "phi_ratio"], rows)
@@ -247,26 +236,18 @@ def cmd_phi_map(args, sink):
 
 def cmd_params(args, sink):
     a = _cfg(args, "a")
-    V0s = np.linspace(args.v0_min, args.v0_max, args.steps)
     spec = _spec_from_args(args)
     w_ph = _cfg(args, "w_ph")
     D = _cfg(args, "D")
     scale = _cfg(args, "V0_ph_scale")
-    a_s_um = _cfg(args, "a_s0") * A_BOHR * 1e6
-    pattern = _make_pattern("holstein", a, 100.0, w_ph, D)
-    emap = rydberg.effective_interaction(pattern, spec, a)
-
-    # recoil convention of this sweep family: 2pi/a wavevector inside the
-    # band-structure estimates, pi/a inside the interaction integral
-    E_rec = hubbard.recoil_energy(a, M_K40, k_lat=2.0 * math.pi / a)
+    emap = rydberg.effective_interaction(lattice.holstein_reference(a, 100.0, w_ph, D), spec, a)
+    V0s = [float(V0) for V0 in np.linspace(args.v0_min, args.v0_max, args.steps)]
     rows = []
-    for V0 in V0s:
-        V0_hz = nk_to_hz(float(V0))
-        t = hubbard.hopping_t(V0_hz, E_rec)
-        U = hubbard.hubbard_U(math.pi / a, a_s_um, E_rec, V0_hz)
-        omega = lattice.two_spot_frequency(scale * float(V0), w_ph, D, M_RB87)
-        lam = rydberg.lambda_dimensionless(emap.phi00, 4.0 * t, M_RB87, omega)
-        rows.append((float(V0), t, U, 4.0 * t * lam))
+    for r in hubbard.parameter_sweep(V0s, a, a_s_um=_cfg(args, "a_s0") * A_BOHR * 1e6):
+        W = 4.0 * r["t_Hz"]
+        omega = lattice.two_spot_frequency(scale * r["V0_nK"], w_ph, D, M_RB87)
+        lam = rydberg.lambda_dimensionless(emap.phi00, W, M_RB87, omega)
+        rows.append((r["V0_nK"], r["t_Hz"], r["U_Hz"], W * lam))
     sink.emit_table("params_sweep", ["V0_nK", "t_Hz", "U_Hz", "W_lambda_Hz"], rows)
     return 0
 
@@ -349,31 +330,28 @@ def cmd_phase(args, sink):
     return 0
 
 
+# The bundles of ``figures``: (file-name suffix, subcommand argv).  Each
+# argv goes through the same parser as on the command line, so the
+# subcommand defaults apply.
+FIGURES = (
+    ("_k40", ["stark", "--species", "K-40"]),
+    ("_rb87", ["stark", "--species", "Rb-87"]),
+    ("", ["phonon", "--pattern", "offset-parallel", "--steps", "401"]),
+    ("_holstein", ["phi-map", "--pattern", "holstein"]),
+    ("_offset_parallel", ["phi-map", "--pattern", "offset-parallel", "--sweep-b"]),
+    ("_crossed", ["phi-map", "--pattern", "crossed"]),
+    ("_bipartite_parallel", ["phi-map", "--pattern", "bipartite-parallel"]),
+    ("", ["params"]),
+    ("", ["binding"]),
+    ("", ["phase"]),
+)
+
+
 def cmd_figures(args, sink):
-    ns = argparse.Namespace(**vars(args))
-    ns.gf, ns.mf, ns.ellipticity = 0.0, 0.0, 0.0
-    ns.wl_min = ns.wl_max = None
-    ns.steps = 401
-    ns.name_suffix = True
-    for species in ("K-40", "Rb-87"):
-        ns.species = species
-        cmd_stark(ns, sink)
-    ns.pattern, ns.v0_ph, ns.b = "offset-parallel", 250.0, None
-    cmd_phonon(ns, sink)
-    ns.b_over_aprime, ns.sweep_b = None, True
-    for pat in ("holstein", "offset-parallel", "crossed", "bipartite-parallel"):
-        ns.pattern = pat
-        cmd_phi_map(ns, sink)
-        ns.sweep_b = False
-    ns.v0_min, ns.v0_max, ns.steps = 100.0, 600.0, 26
-    cmd_params(ns, sink)
-    ns.model, ns.t_prime, ns.t = "diagonal", 1.0, 1.0
-    ns.v_min, ns.v_max, ns.steps, ns.renormalized = 0.0, 20.0, 41, True
-    cmd_binding(ns, sink)
-    ns.T = 20.0
-    ns.v0_steps, ns.lam_steps = 21, 26
-    ns.lam_min, ns.lam_max = 0.05, 5.0
-    cmd_phase(ns, sink)
+    for suffix, argv in FIGURES:
+        # argparse keeps attributes the namespace already has: the loaded YAML
+        bundle = args.parser.parse_args(argv, argparse.Namespace(config=args.config))
+        bundle.func(bundle, sink.suffixed(suffix))
     return 0
 
 
@@ -381,7 +359,8 @@ def build_parser():
     p = argparse.ArgumentParser(prog="hhsim",
                                 description="Painted-lattice Hubbard-Holstein "
                                             "simulator design toolkit")
-    p.add_argument("--config", help="YAML config file with default overrides")
+    p.add_argument("--config", type=_load_config, default={},
+                   help="YAML config file with default overrides")
     p.add_argument("--out", help="output directory (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--explain-defaults", action="store_true",
@@ -399,8 +378,9 @@ def build_parser():
     s.add_argument("--prefactor", type=float)
     s.set_defaults(func=cmd_stark)
 
+    patterns = sorted(lattice.PATTERN_CONSTRUCTORS)
     s = sub.add_parser("phonon", help="phonon-site potential and normal modes")
-    s.add_argument("--pattern", default="offset-parallel")
+    s.add_argument("--pattern", choices=patterns, default="offset-parallel")
     s.add_argument("--v0-ph", type=float, default=250.0)
     s.add_argument("--w-ph", dest="w_ph", type=float)
     s.add_argument("--D", type=float)
@@ -410,7 +390,7 @@ def build_parser():
     s.set_defaults(func=cmd_phonon)
 
     s = sub.add_parser("phi-map", help="effective interaction map")
-    s.add_argument("--pattern", default="offset-parallel")
+    s.add_argument("--pattern", choices=patterns, default="offset-parallel")
     s.add_argument("--b-over-aprime", type=float)
     s.add_argument("--sweep-b", action="store_true")
     s.add_argument("--a", type=float)
@@ -472,7 +452,7 @@ def build_parser():
     s.set_defaults(func=cmd_phase)
 
     s = sub.add_parser("figures", help="emit all reproduction bundles")
-    s.set_defaults(func=cmd_figures)
+    s.set_defaults(func=cmd_figures, parser=p)
     return p
 
 
@@ -486,13 +466,10 @@ def main(argv=None):
     if not getattr(args, "cmd", None):
         parser.print_usage()
         return 2
-    args.config_data = _load_config(args.config)
     sink = OutputSink(args.out, args.format)
     try:
         status = args.func(args, sink)
-    except (ValueError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            raise
+    except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     sink.finish()

@@ -72,25 +72,49 @@ class SpotPattern:
 
 
 def two_spot_site(center, axis, D, polarizations=None):
-    """Standalone two-spot phonon site with its soft axis as polarization."""
-    if polarizations is None:
-        polarizations = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
-    return _two_spot_site(center, axis, D, polarizations)
+    """Two-spot phonon site, spots at +-D along ``axis``.
 
-
-def _two_spot_site(center, axis, D, polarizations):
+    The polarization defaults to the normalized soft axis.
+    """
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    disp = np.array([axis * D, -axis * D])
+    if polarizations is None:
+        polarizations = axis
     return PhononSite(center=np.asarray(center, dtype=float),
-                      displacements=disp,
+                      displacements=np.array([axis * D, -axis * D]),
                       polarizations=np.atleast_2d(polarizations).astype(float))
 
 
+# The patterns pass these axes as the polarization itself: renormalizing
+# _DIAG1 (norm 1 - 1e-16) would change its last bit.
 _DIAG1 = np.array([1.0, 1.0]) / math.sqrt(2.0)
 _DIAG2 = np.array([1.0, -1.0]) / math.sqrt(2.0)
 _XHAT = np.array([1.0, 0.0])
 _YHAT = np.array([0.0, 1.0])
+
+
+def _tiled(pattern_id, V0_ph, w_ph, D, b, extent, site_at):
+    """SpotPattern with the site ``site_at(i, j)`` for every |i|, |j| <= extent."""
+    span = range(-extent, extent + 1)
+    sites = [site_at(i, j) for i in span for j in span]
+    return SpotPattern(pattern_id, V0_ph, w_ph, D, b=b, sites=sites)
+
+
+def _offset(pattern_id, axis, a, V0_ph, w_ph, D, b, extent):
+    if b is None:
+        b = 0.5 * a * math.sqrt(2.0)
+    if not (0.0 < b < a * math.sqrt(2.0)):
+        raise ValueError("offset must satisfy 0 < b < a*sqrt(2)")
+    return _tiled(pattern_id, V0_ph, w_ph, D, b, extent, lambda i, j: two_spot_site(
+        np.array([i * a, j * a]) + b * axis, axis, D, axis))
+
+
+def _centred(pattern_id, a, V0_ph, w_ph, D, b, extent, site_at):
+    """Sites at the plaquette centres (i + 1/2, j + 1/2) a, so b is fixed at a'/2."""
+    if b is not None:
+        raise ValueError(f"{pattern_id} sites sit at the plaquette centres; b must be None")
+    return _tiled(pattern_id, V0_ph, w_ph, D, 0.5 * a * math.sqrt(2.0), extent,
+                  lambda i, j: site_at(i, j, np.array([(i + 0.5) * a, (j + 0.5) * a])))
 
 
 def holstein_reference(a, V0_ph, w_ph, D, b=None, extent=5):
@@ -101,74 +125,44 @@ def holstein_reference(a, V0_ph, w_ph, D, b=None, extent=5):
     """
     if b is None:
         b = 0.1 * a
-    sites = []
-    n = extent
-    for i in range(-n, n + 1):
-        for j in range(-n, n + 1):
-            center = np.array([i * a + b, j * a])
-            sites.append(_two_spot_site(center, _XHAT, D, _XHAT))
-    return SpotPattern("HolsteinReference", V0_ph, w_ph, D, b=b, sites=sites)
+    return _tiled("HolsteinReference", V0_ph, w_ph, D, b, extent, lambda i, j: two_spot_site(
+        np.array([i * a + b, j * a]), _XHAT, D, _XHAT))
 
 
-def offset_parallel(a, V0_ph, w_ph, D, b, extent=5):
+def offset_parallel(a, V0_ph, w_ph, D, b=None, extent=5):
     """One phonon site per fermion site, offset b along the (1,1) diagonal.
 
-    Soft axis along the diagonal; b = 0.5 a' (a' = a*sqrt(2)) puts the
-    sites at the plaquette centers (the centered parallel arrangement).
+    Soft axis along the diagonal; the default b = 0.5 a' (a' = a*sqrt(2))
+    puts the sites at the plaquette centers (the centered parallel
+    arrangement).
     """
-    a_prime = a * math.sqrt(2.0)
-    if not (0.0 < b < a_prime):
-        raise ValueError("offset must satisfy 0 < b < a*sqrt(2)")
-    sites = []
-    n = extent
-    for i in range(-n, n + 1):
-        for j in range(-n, n + 1):
-            center = np.array([i * a, j * a]) + b * _DIAG1
-            sites.append(_two_spot_site(center, _DIAG1, D, _DIAG1))
-    return SpotPattern("OffsetParallel", V0_ph, w_ph, D, b=b, sites=sites)
+    return _offset("OffsetParallel", _DIAG1, a, V0_ph, w_ph, D, b, extent)
 
 
-def offset_parallel_rotated(a, V0_ph, w_ph, D, b, extent=5):
-    """offset_parallel rotated by 90 degrees (soft axis along (1,-1))."""
-    a_prime = a * math.sqrt(2.0)
-    if not (0.0 < b < a_prime):
-        raise ValueError("offset must satisfy 0 < b < a*sqrt(2)")
-    sites = []
-    n = extent
-    for i in range(-n, n + 1):
-        for j in range(-n, n + 1):
-            center = np.array([i * a, j * a]) + b * _DIAG2
-            sites.append(_two_spot_site(center, _DIAG2, D, _DIAG2))
-    return SpotPattern("OffsetParallelRotated", V0_ph, w_ph, D, b=b, sites=sites)
+def offset_parallel_rotated(a, V0_ph, w_ph, D, b=None, extent=5):
+    """offset_parallel mirrored y -> -y (soft axis and offset along (1,-1))."""
+    return _offset("OffsetParallelRotated", _DIAG2, a, V0_ph, w_ph, D, b, extent)
 
 
-def crossed(a, V0_ph, w_ph, D, extent=5):
+def crossed(a, V0_ph, w_ph, D, b=None, extent=5):
     """Four-spot crossed sites at the plaquette centers, two equal modes."""
-    b = 0.5 * a * math.sqrt(2.0)
-    sites = []
-    n = extent
-    for i in range(-n, n + 1):
-        for j in range(-n, n + 1):
-            center = np.array([(i + 0.5) * a, (j + 0.5) * a])
-            disp = np.array([_DIAG1 * D, -_DIAG1 * D, _DIAG2 * D, -_DIAG2 * D])
-            sites.append(PhononSite(center=center, displacements=disp,
-                                    polarizations=np.array([_DIAG1, _DIAG2])))
-    return SpotPattern("Crossed", V0_ph, w_ph, D, b=b, sites=sites)
+    return _centred("Crossed", a, V0_ph, w_ph, D, b, extent, lambda i, j, center: PhononSite(
+        center=center,
+        displacements=np.array([_DIAG1 * D, -_DIAG1 * D, _DIAG2 * D, -_DIAG2 * D]),
+        polarizations=np.array([_DIAG1, _DIAG2])))
 
 
-def bipartite_parallel(a, V0_ph, w_ph, D, extent=5):
+def bipartite_parallel(a, V0_ph, w_ph, D, b=None, extent=5):
     """Two-spot sites at plaquette centers, soft axis x / y on a checkerboard."""
-    b = 0.5 * a * math.sqrt(2.0)
-    sites = []
-    n = extent
-    for i in range(-n, n + 1):
-        for j in range(-n, n + 1):
-            center = np.array([(i + 0.5) * a, (j + 0.5) * a])
-            axis = _XHAT if (i + j) % 2 == 0 else _YHAT
-            sites.append(_two_spot_site(center, axis, D, axis))
-    return SpotPattern("BipartiteParallel", V0_ph, w_ph, D, b=b, sites=sites)
+    def site_at(i, j, center):
+        axis = _XHAT if (i + j) % 2 == 0 else _YHAT
+        return two_spot_site(center, axis, D, axis)
+    return _centred("BipartiteParallel", a, V0_ph, w_ph, D, b, extent, site_at)
 
 
+# Pattern names of the command line (``--pattern``).  Every constructor
+# takes (a, V0_ph, w_ph, D, b=None, extent=5); b=None is each pattern's
+# own geometry, and the plaquette-centred ones accept no other b.
 PATTERN_CONSTRUCTORS = {
     "holstein": holstein_reference,
     "offset-parallel": offset_parallel,

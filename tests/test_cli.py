@@ -1,11 +1,16 @@
+import argparse
 import csv
 import json
 import time
 
+import numpy as np
 import pytest
 import yaml
 
-from hhsim.cli import DEFAULTS, main
+from hhsim import hubbard
+from hhsim.cli import DEFAULTS, FIGURES, build_parser, main
+from hhsim.constants import A_BOHR
+from hhsim.lattice import PATTERN_CONSTRUCTORS
 
 
 def _manifest(out_dir):
@@ -38,6 +43,12 @@ def test_stark_writes_tables_and_manifest(tmp_path):
 def test_stark_unknown_species():
     with pytest.raises(SystemExit):
         main(["stark", "--species", "Na-23"])
+
+
+@pytest.mark.parametrize("steps", ["1", "0"])
+def test_stark_needs_two_steps(steps):
+    with pytest.raises(SystemExit, match="at least 2"):
+        main(["stark", "--steps", steps])
 
 
 def test_output_deterministic(tmp_path, monkeypatch):
@@ -83,6 +94,27 @@ def test_phonon_subcommand(tmp_path):
     assert all(m["omega_rad_s"] >= 0.0 for m in rec["modes"])
 
 
+def test_pattern_choices_are_the_registry():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for cmd in ("phonon", "phi-map"):
+        action = next(a for a in commands.choices[cmd]._actions if a.dest == "pattern")
+        assert list(action.choices) == sorted(PATTERN_CONSTRUCTORS)
+    with pytest.raises(SystemExit):
+        main(["phi-map", "--pattern", "no-such-pattern"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi-map", "--pattern", "crossed", "--b-over-aprime", "0.3"],
+    ["phi-map", "--pattern", "bipartite-parallel", "--b-over-aprime", "0.5"],
+    ["phonon", "--pattern", "crossed", "--b", "0.5"],
+    ["phonon", "--pattern", "bipartite-parallel", "--b", "0.2"],
+])
+def test_offset_on_plaquette_centred_pattern_is_an_error(argv, capsys):
+    assert main(argv) == 1
+    assert "plaquette" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_oracle_subcommand_with_compare(tmp_path):
     out = tmp_path / "or"
     assert main(["--out", str(out), "oracle", "--U", "-8", "--V1", "-8",
@@ -112,3 +144,54 @@ def test_phase_subcommand(tmp_path):
     rows = list(csv.reader((out / "phase_grid.csv").open()))
     assert len(rows) == 1 + 5 * 6
     assert (out / "phase_contour.csv").exists()
+
+
+def test_params_t_and_U_come_from_parameter_sweep(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"a": 1.6123, "a_s0": 85.0}))
+    out = tmp_path / "params"
+    assert main(["--config", str(cfg), "--out", str(out), "--format", "json",
+                 "params", "--v0-min", "120", "--v0-max", "480", "--steps", "7"]) == 0
+    rows = json.loads((out / "params_sweep.json").read_text())
+    ref = hubbard.parameter_sweep(np.linspace(120.0, 480.0, 7), 1.6123,
+                                  a_s_um=85.0 * A_BOHR * 1e6)
+    assert [(r["V0_nK"], r["t_Hz"], r["U_Hz"]) for r in rows] == [
+        (r["V0_nK"], r["t_Hz"], r["U_Hz"]) for r in ref]
+
+
+def _files(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def figures_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("figures")
+    cfg = root / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"a": 1.6123, "n_ryd": 29, "prefactor": 1.1}))
+    assert main(["--config", str(cfg), "--out", str(root / "fig"), "figures"]) == 0
+    return root, cfg
+
+
+def test_figures_bundles_equal_standalone_runs(figures_run):
+    root, cfg = figures_run
+    figures = _files(root / "fig")
+    expected = {"manifest.json"}
+    for k, (suffix, argv) in enumerate(FIGURES):
+        alone = root / f"alone{k}"
+        assert main(["--config", str(cfg), "--out", str(alone)] + argv) == 0
+        for name, payload in _files(alone).items():
+            if name == "manifest.json":
+                continue
+            stem, ext = name.rsplit(".", 1)
+            assert figures[f"{stem}{suffix}.{ext}"] == payload, (argv, name)
+            expected.add(f"{stem}{suffix}.{ext}")
+    assert set(figures) == expected
+    assert {f"phi_map_{p}.csv" for p in ("holstein", "offset_parallel", "crossed",
+                                         "bipartite_parallel")} <= expected
+    assert "phi_nnn_sweep_offset_parallel.csv" in expected
+
+
+def test_figures_output_deterministic(figures_run):
+    root, cfg = figures_run
+    assert main(["--config", str(cfg), "--out", str(root / "again"), "figures"]) == 0
+    assert _files(root / "again") == _files(root / "fig")

@@ -14,6 +14,7 @@ from hhsim.lattice import (
     dynamical_matrix,
     holstein_reference,
     offset_parallel,
+    offset_parallel_rotated,
     painted_potential,
     phonon_modes,
     site_potential,
@@ -56,6 +57,43 @@ def test_pattern_constructors_registry():
         "holstein", "offset-parallel", "offset-parallel-rotated",
         "crossed", "bipartite-parallel",
     }
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_CONSTRUCTORS))
+def test_registry_tiles_every_pattern_with_its_default_offset(name):
+    a = 1.6123
+    # the (0, 0) site with b=None: 0.1a along x for Holstein, a plaquette centre otherwise
+    middle = {"holstein": (0.1 * a, 0.0), "offset-parallel-rotated": (0.5 * a, -0.5 * a)}
+    for extent in (0, 1, 3):
+        pat = PATTERN_CONSTRUCTORS[name](a, 250.0, 0.6, 0.25, extent=extent)
+        assert len(pat.sites) == (2 * extent + 1) ** 2
+        assert pat.b == (0.1 * a if name == "holstein" else 0.5 * a * math.sqrt(2.0))
+        centre = pat.sites[len(pat.sites) // 2].center
+        assert np.allclose(centre, middle.get(name, (0.5 * a, 0.5 * a)), rtol=0, atol=1e-15)
+
+
+def test_plaquette_centred_patterns_take_no_offset():
+    a_half_prime = 0.5 * 1.73 * math.sqrt(2.0)
+    for ctor in (crossed, bipartite_parallel):
+        for b in (0.3, a_half_prime):
+            with pytest.raises(ValueError, match="plaquette"):
+                ctor(1.73, 250.0, 0.6, 0.25, b=b, extent=1)
+
+
+@pytest.mark.parametrize("b", [None, 0.3 * 1.73 * math.sqrt(2.0)])
+def test_offset_parallel_rotated_is_offset_parallel_mirrored(b):
+    # y -> -y maps site (i, j) onto site (i, -j), bit for bit
+    extent, flip = 2, np.array([1.0, -1.0])
+    m = 2 * extent + 1
+    par = offset_parallel(1.73, 250.0, 0.6, 0.25, b=b, extent=extent)
+    rot = offset_parallel_rotated(1.73, 250.0, 0.6, 0.25, b=b, extent=extent)
+    assert rot.b == par.b
+    for k, site in enumerate(par.sites):
+        i, j = divmod(k, m)
+        twin = rot.sites[i * m + (m - 1 - j)]
+        assert np.array_equal(twin.center, site.center * flip)
+        assert np.array_equal(twin.displacements, site.displacements * flip)
+        assert np.array_equal(twin.polarizations, site.polarizations * flip)
 
 
 def test_holstein_offset_default():
