@@ -8,8 +8,11 @@ determinant equations in the integrals
 taken over the Brillouin zone, with E < -8t' strictly below the
 two-particle band bottom.  The six combinations needed here,
 (n,l) in {00, 10, 11, 20, 21, 22}, are evaluated together, in float and
-element-wise over an array of energies, by :func:`greens_M_table`.  With
-the elliptic modulus kappa = 2W'/|E|, W' = 4t', it uses two methods:
+element-wise over an array of energies, by :func:`greens_M_table`, the
+one energy-dependent function of the module; callers index its rows by
+the order of SUPPORTED_NL.  :func:`greens_C_threshold` gives the
+band-edge limits of the differences C_nl = M_00 - M_nl.  With the
+elliptic modulus kappa = 2W'/|E|, W' = 4t', the table uses two methods:
 
 * kappa < 0.7: the moment series |E| M_nl = sum_k (W'/|E|)^k c_k,nl,
   128 terms, with c_k,nl = <(cos qx + cos qy)^k cos(n qx) cos(l qy)>.
@@ -123,30 +126,6 @@ def greens_M_table(E, t_prime):
     return M
 
 
-def greens_M_all(E, t_prime):
-    """Dict of all six M_nl at energy (or array of energies) E < -8t'."""
-    return dict(zip(SUPPORTED_NL, greens_M_table(E, t_prime)))
-
-
-def _index(n, l):
-    if (n, l) not in SUPPORTED_NL:
-        raise ValueError(f"unsupported index pair ({n}, {l}); supported: {SUPPORTED_NL}")
-    return SUPPORTED_NL.index((n, l))
-
-
-def greens_M(n, l, E, t_prime):
-    """M_nl(E) for (n, l) in the supported table."""
-    i = _index(n, l)
-    return greens_M_table(E, t_prime)[i]
-
-
-def greens_C(n, l, E, t_prime):
-    """Difference C_nl = M_00 - M_nl at energy E < -8t'."""
-    i = _index(n, l)
-    M = greens_M_table(E, t_prime)
-    return M[0] - M[i]
-
-
 def greens_C_threshold(n, l, t_prime):
     """Analytic limit of C_nl as E approaches the band bottom -8t'.
 
@@ -166,26 +145,3 @@ def greens_C_threshold(n, l, t_prime):
         raise ValueError(f"no threshold value tabulated for ({n}, {l})")
     return table[(n, l)] / t_prime
 
-
-class GreensIntegrals:
-    """Bundle of M_nl and C_nl tables at a single energy.
-
-    Attributes
-    ----------
-    E : float
-        Pair energy, E < -8t'.
-    t_prime, W_prime : float
-        Hopping and half-bandwidth W' = 4t'.
-    kappa : float
-        Elliptic modulus 2W'/|E|.
-    M, C : dict
-        Tables keyed by (n, l).
-    """
-
-    def __init__(self, E, t_prime):
-        self.M = greens_M_all(E, t_prime)
-        self.E = float(E)
-        self.t_prime = float(t_prime)
-        self.W_prime = 4.0 * self.t_prime
-        self.kappa = 2.0 * self.W_prime / abs(self.E)
-        self.C = {nl: self.M[(0, 0)] - self.M[nl] for nl in SUPPORTED_NL}

@@ -22,6 +22,8 @@ from scipy.sparse.linalg import eigsh
 
 from .pairs import UVModel
 
+_BOUND_MARGIN = 5.0   # band-edge margin of a bound state, in t' / L^2
+
 
 @dataclass
 class FiniteLattice:
@@ -96,14 +98,14 @@ class TwoBodySpectrum:
     bound_count: int = 0
 
 
-def ground_energies(model, L, n_states=4, bound_margin=5.0):
+def ground_energies(model, L, n_states=4):
     """Lowest eigenvalues in the symmetric sector, sorted ascending.
 
-    A state counts as bound if E < -8t' - bound_margin/L^2 * t' (the
-    margin absorbs the finite-size shift of the band edge).
+    A state counts as bound if E < -8t' - 5/L^2 * t' (the margin absorbs
+    the finite-size shift of the band edge).
     """
     energies = _lowest(relative_hamiltonian(model, L), inversion_projector(L), n_states)
-    edge = -8.0 * model.t_prime - bound_margin / L**2 * model.t_prime
+    edge = -8.0 * model.t_prime - _BOUND_MARGIN / L**2 * model.t_prime
     bound = sum(1 for e in energies if e < edge)
     return TwoBodySpectrum(L=L, model=model, energies=energies, bound_count=bound)
 

@@ -8,8 +8,12 @@ total pair momentum:
 * ``full``: on-site U, V1 on the four nearest-neighbor vectors and V2 on
   the four next-nearest (both diagonals).
 
-Pair energies are roots of 2x2 / 3x3 determinant equations in the
-lattice Green's integrals M_nl; binding thresholds follow from the
+Both layouts are one table of orbits: the sets of relative displacements
+that carry one potential.  Pair energies are the roots of det(I + G V)
+over the symmetric amplitudes, one row and column per orbit; entry
+(i, j) sums the lattice Green's integrals M_nl from the first member of
+orbit i to every member of orbit j.  The oracle reads the same table
+through ``UVModel.shells()``.  Binding thresholds follow from the
 E -> -8t' limit where M_00 diverges logarithmically and only the
 coefficient multiplying it needs to vanish.  The module also carries the
 Lang--Firsov parameter maps that turn a phonon-coupled model into a UV
@@ -21,17 +25,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import (
-    GAMMA1,
-    GAMMA2,
-    GAMMA3,
-    greens_C_threshold,
-    greens_M_all,
-)
+from .greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_M_table
 
 _EDGE_EPS = 1e-10   # offset of the search bracket from the band edge, in t'
 _ROOT_TOL = 1e-12   # bisection energy tolerance, in t'
-_SCAN_POINTS = 240
+_SCAN_POINTS = 240  # sign-scan grid points over the search bracket
+
+# The orbits of each variant, in determinant order: the UVModel field
+# that carries the potential, and the displacements that carry it.
+_ORBITS = {
+    "diagonal": (("U", ((0, 0),)),
+                 ("V2", ((1, 1), (-1, -1)))),
+    "full": (("U", ((0, 0),)),
+             ("V1", ((1, 0), (-1, 0), (0, 1), (0, -1))),
+             ("V2", ((1, 1), (1, -1), (-1, 1), (-1, -1)))),
+}
+
+
+def _orbit_counts(r, orbits):
+    """counts[k, j]: members s of orbit j with r - s of type SUPPORTED_NL[k].
+
+    M_nl is even in each component and symmetric in (n, l), so the type
+    of a displacement is its sorted absolute components.
+    """
+    counts = np.zeros((len(SUPPORTED_NL), len(orbits)))
+    for j, (_, members) in enumerate(orbits):
+        for sx, sy in members:
+            nl = tuple(sorted((abs(r[0] - sx), abs(r[1] - sy)), reverse=True))
+            counts[SUPPORTED_NL.index(nl), j] += 1
+    return counts
+
+
+# N[k, i, j] of each variant, with row i taken at the first member of orbit i
+_COUNTS = {variant: np.stack([_orbit_counts(members[0], orbits) for _, members in orbits], axis=1)
+           for variant, orbits in _ORBITS.items()}
 
 
 @dataclass
@@ -49,10 +76,15 @@ class UVModel:
     variant: str = "full"
 
     def __post_init__(self):
+        for name in ("t_prime", "U", "V1", "V2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_prime <= 0:
             raise ValueError("t_prime must be positive")
-        if self.variant not in ("diagonal", "full"):
+        if self.variant not in _ORBITS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.variant == "diagonal" and self.V1 != 0.0:
+            raise ValueError(f"the diagonal variant has no V1 (its V is V2), got V1 = {self.V1}")
 
     @classmethod
     def diagonal(cls, U, V, t_prime):
@@ -71,15 +103,10 @@ class UVModel:
     def shells(self):
         """Relative displacement (dx, dy) -> potential, on-site U included.
 
-        The one table of which displacement carries U, V1 or V2;
-        ``det_diagonal`` and ``det_full`` expand the same layout by hand.
+        Read from the orbit table that ``det_diagonal`` and ``det_full``
+        are built from.
         """
-        if self.variant == "diagonal":
-            return {(0, 0): self.U, (1, 1): self.V, (-1, -1): self.V}
-        table = {(0, 0): self.U}
-        table.update({d: self.V1 for d in ((1, 0), (-1, 0), (0, 1), (0, -1))})
-        table.update({d: self.V2 for d in ((1, 1), (1, -1), (-1, 1), (-1, -1))})
-        return table
+        return {d: getattr(self, field) for field, members in _ORBITS[self.variant] for d in members}
 
 
 @dataclass
@@ -109,40 +136,29 @@ class LFParams:
     U_fesh: float = 0.0
 
 
+def _orbit_det(E, t_prime, variant, potentials):
+    """det(I + sum_k M_k N_k diag(v)) over the orbits of the variant."""
+    N = _COUNTS[variant]
+    k, n = N.shape[:2]
+    M = greens_M_table(E, t_prime)
+    A = (M.reshape(k, -1).T @ N.reshape(k, n * n)).reshape(M.shape[1:] + (n, n))
+    return np.linalg.det(A * potentials + np.eye(n))
+
+
 def det_diagonal(E, U, V, t_prime):
-    """2x2 determinant whose roots below -8t' are pair energies.
+    """Determinant whose roots below -8t' are the diagonal model's pair energies.
 
     E may be a scalar or an array of energies.
     """
-    M = greens_M_all(E, t_prime)
-    a11 = U * M[(0, 0)] + 1.0
-    a12 = 2.0 * V * M[(1, 1)]
-    a21 = U * M[(1, 1)]
-    a22 = V * (M[(0, 0)] + M[(2, 2)]) + 1.0
-    return a11 * a22 - a12 * a21
+    return _orbit_det(E, t_prime, "diagonal", (U, V))
 
 
 def det_full(E, U, V1, V2, t_prime):
-    """3x3 determinant for the both-diagonals model, expanded explicitly.
+    """Determinant whose roots below -8t' are the full model's pair energies.
 
     E may be a scalar or an array of energies.
     """
-    M = greens_M_all(E, t_prime)
-    m00, m10, m11 = M[(0, 0)], M[(1, 0)], M[(1, 1)]
-    m20, m21, m22 = M[(2, 0)], M[(2, 1)], M[(2, 2)]
-    # Secular system for the (on-site, NN, NNN) amplitudes of the
-    # relative wavefunction; entry (i, j) couples amplitude class j into
-    # the equation for class i through the lattice sum of M integrals.
-    a = [
-        [U * m00 + 1.0, 2.0 * V1 * m10, 2.0 * V2 * m11],
-        [2.0 * U * m10, V1 * (m00 + m20 + 2.0 * m11) + 1.0, 2.0 * V2 * (m10 + m21)],
-        [2.0 * U * m11, 2.0 * V1 * (m10 + m21), V2 * (m00 + m22 + 2.0 * m20) + 1.0],
-    ]
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
+    return _orbit_det(E, t_prime, "full", (U, V1, V2))
 
 
 def _determinant_for(model):
@@ -155,11 +171,11 @@ def _search_bracket_depth(model):
     return abs(model.U) + 8.0 * abs(model.V1) + 8.0 * abs(model.V2) + 8.0 * model.t_prime + 4.0 * model.t_prime
 
 
-def pair_energies(model, n_scan=_SCAN_POINTS):
+def pair_energies(model):
     """All bound-pair energies E < -8t' of the model, ascending.
 
     The determinant changes sign across each root; roots are located by
-    a sign scan over s = ln(|E|/8t' - 1) (which resolves the
+    a 240-point sign scan over s = ln(|E|/8t' - 1) (which resolves the
     logarithmic band-edge region) followed by bisection to 1e-12 t'.
     The scan is one determinant call on the whole grid, and each
     bisection step is one call on the midpoints of all open brackets.
@@ -172,7 +188,7 @@ def pair_energies(model, n_scan=_SCAN_POINTS):
 
     s_hi = math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)
     s_lo = math.log(_EDGE_EPS / 8.0)
-    grid = s_lo + (s_hi - s_lo) * np.arange(n_scan) / (n_scan - 1)
+    grid = s_lo + (s_hi - s_lo) * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
     vals = f(E_of_s(grid))
 
     exact = grid[:-1][vals[:-1] == 0.0]
@@ -228,35 +244,6 @@ def threshold_full(V1, V2, t_prime):
     return BindingThreshold(U_cr=U_cr, no_solution=(V1 >= 0.0 and V2 >= 0.0 and U_cr >= 0.0))
 
 
-def binding_condition_full(U, V1, V2, t_prime):
-    """Band-edge binding condition of the both-diagonals model, long form.
-
-    Evaluates the E -> -8t' coefficient of the divergent M_00 directly
-    from the threshold values of the C_nl differences.  Equal (to
-    rounding) to the reduced form
-    g1*U*V1*V2 + t'*U*V1/2 + g2*t'*U*V2 + g3*t'*V1*V2
-    + t'^2*(U + 4V1 + 4V2); a pair binds when this expression is
-    negative.
-    """
-    c10 = greens_C_threshold(1, 0, t_prime)
-    c11 = greens_C_threshold(1, 1, t_prime)
-    c20 = greens_C_threshold(2, 0, t_prime)
-    c21 = greens_C_threshold(2, 1, t_prime)
-    c22 = greens_C_threshold(2, 2, t_prime)
-    return (
-        (U + 4.0 * V1 + 4.0 * V2)
-        + U * V1 * (8.0 * c10 - 2.0 * c11 - c20)
-        + U * V2 * (8.0 * c11 - 2.0 * c20 - c22)
-        + V1 * V2 * (16.0 * c10 + 16.0 * c21 - 8.0 * c11 - 12.0 * c20 - 4.0 * c22)
-        + U * V1 * V2 * (
-            2.0 * c20**2 - 4.0 * c10**2 - 32.0 * c11**2 - 4.0 * c21**2
-            + 48.0 * c10 * c11 - 16.0 * c10 * c20 + 8.0 * c10 * c21
-            - 4.0 * c11 * c20 - 8.0 * c10 * c22 + 16.0 * c11 * c21
-            + 2.0 * c11 * c22 + c20 * c22
-        )
-    )
-
-
 def lf_map_main(params: LFParams):
     """Lang--Firsov map, phonon-frequency-resolved hopping variant.
 
@@ -297,6 +284,13 @@ def threshold_physical(lam, t, renormalized):
     (rational function with coefficients 0.1133, 2.9440, 0.5451,
     0.0142), and the corresponding critical Feshbach interaction
     U_Fesh_cr = U_cr + 8 t lam.
+
+    This is the printed form of ``threshold_full`` composed with
+    ``lf_map_physical``, its coefficients rounded to 4 decimals:
+    g3*0.16*0.896 = 0.11334, 4*(0.896 - 0.16) = 2.944,
+    0.5*(-0.16) + g2*0.896 = 0.54510 and g1*0.16*0.896 = 0.01417.  The
+    renormalized pole of the composition lies at lam = 1.0774, the
+    printed one at lam = 1.0769.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")

@@ -5,13 +5,18 @@ are done by adaptive-refinement trapezoid quadrature in extended
 precision, or by their closed forms in mpmath's elliptic integrals at
 40 or more digits; the elliptic reference is its defining power series,
 curvatures come from Richardson-extrapolated finite differences, and
-the light shift is built from reduced dipole matrix elements.
+the light shift is built from reduced dipole matrix elements.  The pair
+determinants and the band-edge binding condition are written out by
+hand; they take M_nl and the C_nl limits from ``hhsim.greens`` and
+check how ``hhsim.pairs`` assembles them.
 """
 
 import math
 
 import mpmath
 import numpy as np
+
+from hhsim.greens import SUPPORTED_NL, greens_C_threshold, greens_M_table
 
 
 def quad_M(E, t_prime, rel_tol=1e-10, n_start=64, n_max=16384):
@@ -196,3 +201,68 @@ def dipole_tune_out(lambda_D1, lambda_D2, Gamma_1, Gamma_2, dps=40):
             else:
                 hi = mid
         return float((lo + hi) / 2)
+
+
+def _M_dict(E, t_prime):
+    return dict(zip(SUPPORTED_NL, greens_M_table(E, t_prime)))
+
+
+def det_diagonal_by_hand(E, U, V, t_prime):
+    """2x2 determinant of the single-diagonal model, expanded by hand."""
+    M = _M_dict(E, t_prime)
+    a11 = U * M[(0, 0)] + 1.0
+    a12 = 2.0 * V * M[(1, 1)]
+    a21 = U * M[(1, 1)]
+    a22 = V * (M[(0, 0)] + M[(2, 2)]) + 1.0
+    return a11 * a22 - a12 * a21
+
+
+def det_full_by_hand(E, U, V1, V2, t_prime):
+    """3x3 determinant of the both-diagonals model, expanded by hand.
+
+    Rows and columns are the (on-site, NN, NNN) amplitude classes; the
+    NN and NNN rows are scaled by 2 and their columns by 1/2, which
+    leaves the determinant unchanged.
+    """
+    M = _M_dict(E, t_prime)
+    m00, m10, m11 = M[(0, 0)], M[(1, 0)], M[(1, 1)]
+    m20, m21, m22 = M[(2, 0)], M[(2, 1)], M[(2, 2)]
+    a = [
+        [U * m00 + 1.0, 2.0 * V1 * m10, 2.0 * V2 * m11],
+        [2.0 * U * m10, V1 * (m00 + m20 + 2.0 * m11) + 1.0, 2.0 * V2 * (m10 + m21)],
+        [2.0 * U * m11, 2.0 * V1 * (m10 + m21), V2 * (m00 + m22 + 2.0 * m20) + 1.0],
+    ]
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
+def binding_condition_full(U, V1, V2, t_prime):
+    """Band-edge binding condition of the both-diagonals model, long form.
+
+    Evaluates the E -> -8t' coefficient of the divergent M_00 directly
+    from the threshold values of the C_nl differences.  Equal (to
+    rounding) to the reduced form
+    g1*U*V1*V2 + t'*U*V1/2 + g2*t'*U*V2 + g3*t'*V1*V2
+    + t'^2*(U + 4V1 + 4V2); a pair binds when this expression is
+    negative.
+    """
+    c10 = greens_C_threshold(1, 0, t_prime)
+    c11 = greens_C_threshold(1, 1, t_prime)
+    c20 = greens_C_threshold(2, 0, t_prime)
+    c21 = greens_C_threshold(2, 1, t_prime)
+    c22 = greens_C_threshold(2, 2, t_prime)
+    return (
+        (U + 4.0 * V1 + 4.0 * V2)
+        + U * V1 * (8.0 * c10 - 2.0 * c11 - c20)
+        + U * V2 * (8.0 * c11 - 2.0 * c20 - c22)
+        + V1 * V2 * (16.0 * c10 + 16.0 * c21 - 8.0 * c11 - 12.0 * c20 - 4.0 * c22)
+        + U * V1 * V2 * (
+            2.0 * c20**2 - 4.0 * c10**2 - 32.0 * c11**2 - 4.0 * c21**2
+            + 48.0 * c10 * c11 - 16.0 * c10 * c20 + 8.0 * c10 * c21
+            - 4.0 * c11 * c20 - 8.0 * c10 * c22 + 16.0 * c11 * c21
+            + 2.0 * c11 * c22 + c20 * c22
+        )
+    )

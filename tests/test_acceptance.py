@@ -14,7 +14,7 @@ import pytest
 
 from hhsim import hubbard, lattice, oracle, pairs, phases, rydberg, stark
 from hhsim.constants import A_BOHR, M_K40, M_RB87, nk_to_hz
-from hhsim.greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_C_threshold, greens_M_all
+from hhsim.greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_C_threshold, greens_M_table
 
 from _oracles import fd_second_derivative, quad_M
 
@@ -61,9 +61,9 @@ def test_criterion_03_greens_identity_suite():
     worst = 0.0
     for E in energies:
         ref = quad_M(float(E), 1.0)
-        vals = greens_M_all(float(E), 1.0)
-        for nl in SUPPORTED_NL:
-            worst = max(worst, abs(vals[nl] - ref[nl]) / abs(ref[nl]))
+        vals = greens_M_table(float(E), 1.0)
+        for j, nl in enumerate(SUPPORTED_NL):
+            worst = max(worst, abs(vals[j] - ref[nl]) / abs(ref[nl]))
     elapsed = time.time() - t0
     ok = worst <= 1e-8 and elapsed < 30.0
     _report(3, "closed forms vs 2D quadrature", ok,

@@ -8,12 +8,8 @@ from hhsim.greens import (
     GAMMA2,
     GAMMA3,
     GreensDomainError,
-    GreensIntegrals,
     SUPPORTED_NL,
-    greens_C,
     greens_C_threshold,
-    greens_M,
-    greens_M_all,
     greens_M_table,
 )
 
@@ -33,50 +29,37 @@ TABLE_E = np.concatenate([-8.0 / KAPPAS, -8.0 - np.array([1e-7, 1e-8, 1e-10])])
 @pytest.mark.parametrize("E", [-8.01, -8.5, -10.0, -20.0, -100.0])
 def test_closed_forms_match_quadrature(E):
     ref = quad_M(E, 1.0)
-    vals = greens_M_all(E, 1.0)
-    for nl in SUPPORTED_NL:
-        assert vals[nl] == pytest.approx(ref[nl], rel=1e-9)
+    vals = greens_M_table(E, 1.0)
+    for j, nl in enumerate(SUPPORTED_NL):
+        assert vals[j] == pytest.approx(ref[nl], rel=1e-9)
 
 
 def test_t_prime_scaling():
     # M_nl(E; t') = M_nl(E/s; t'/s) / s for any scale s
-    base = greens_M_all(-9.0, 1.0)
-    scaled = greens_M_all(-4.5, 0.5)
-    for nl in SUPPORTED_NL:
-        assert scaled[nl] == pytest.approx(2.0 * base[nl], rel=1e-12)
+    base = greens_M_table(-9.0, 1.0)
+    scaled = greens_M_table(-4.5, 0.5)
+    assert scaled == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_domain_errors():
     with pytest.raises(GreensDomainError):
-        greens_M_all(-8.0, 1.0)
+        greens_M_table(-8.0, 1.0)
     with pytest.raises(GreensDomainError):
-        greens_M_all(-7.9, 1.0)
+        greens_M_table(-7.9, 1.0)
     with pytest.raises(ValueError):
-        greens_M_all(-9.0, -1.0)
-
-
-def test_unsupported_index_pair():
-    with pytest.raises(ValueError):
-        greens_M(3, 0, -9.0, 1.0)
-    with pytest.raises(ValueError):
-        greens_C(0, 3, -9.0, 1.0)
-
-
-def test_C_differences_consistent_with_M():
-    E = -9.3
-    M = greens_M_all(E, 1.0)
-    for nl in SUPPORTED_NL:
-        assert greens_C(*nl, E, 1.0) == pytest.approx(M[(0, 0)] - M[nl], abs=1e-14)
+        greens_M_table(-9.0, -1.0)
 
 
 def test_C_converges_to_threshold_values():
     # C_nl(E) tends to its tabulated band-edge limit as E -> -8t'; the
     # approach is logarithmically slow, so only a loose check is possible
     tp = 1.0
-    for nl in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]:
+    M_near = greens_M_table(-8.0 * tp - 1e-9, tp)
+    M_far = greens_M_table(-8.0 * tp - 1e-3, tp)
+    for j, nl in enumerate(SUPPORTED_NL[1:], start=1):
         limit = greens_C_threshold(*nl, tp)
-        near = greens_C(*nl, -8.0 * tp - 1e-9, tp)
-        far = greens_C(*nl, -8.0 * tp - 1e-3, tp)
+        near = M_near[0] - M_near[j]
+        far = M_far[0] - M_far[j]
         assert abs(near - limit) < abs(far - limit)
         assert near == pytest.approx(limit, rel=2e-3)
 
@@ -107,20 +90,11 @@ def test_gamma_constants():
     assert GAMMA3 == pytest.approx((64.0 - 18.0 * math.pi) / (3.0 * math.pi), abs=1e-15)
 
 
-def test_bundle_class():
-    g = GreensIntegrals(-10.0, 1.0)
-    assert g.W_prime == 4.0
-    assert g.kappa == pytest.approx(0.8)
-    assert g.C[(0, 0)] == 0.0
-    assert g.C[(1, 1)] == pytest.approx(g.M[(0, 0)] - g.M[(1, 1)], abs=1e-14)
-
-
 def test_large_energy_limit():
     # all M_nl with (n, l) != (0, 0) die off faster than M_00 ~ 1/|E|
-    M = greens_M_all(-1e5, 1.0)
-    assert M[(0, 0)] == pytest.approx(1e-5, rel=1e-3)
-    for nl in SUPPORTED_NL[1:]:
-        assert abs(M[nl]) < 0.1 * M[(0, 0)]
+    M = greens_M_table(-1e5, 1.0)
+    assert M[0] == pytest.approx(1e-5, rel=1e-3)
+    assert np.all(np.abs(M[1:]) < 0.1 * M[0])
 
 
 @pytest.mark.parametrize("t_prime", [1.0, 0.37])
@@ -140,7 +114,6 @@ def test_array_call_equals_scalar_calls_bit_for_bit():
     scalar = np.array([greens_M_table(float(e), 1.0) for e in E]).T
     assert np.array_equal(M, scalar)
     assert np.array_equal(greens_M_table(E.reshape(4, -1), 1.0), M.reshape(6, 4, -1))
-    assert greens_M_all(E[0], 1.0) == {nl: M[j, 0] for j, nl in enumerate(SUPPORTED_NL)}
 
 
 @pytest.mark.parametrize("bad", [-8.0, -7.9, 1.0, math.nan])

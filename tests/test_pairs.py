@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhsim import pairs
+from hhsim.greens import GAMMA1, GAMMA2, greens_M_table
 from hhsim.pairs import (
     LFParams,
     UVModel,
-    binding_condition_full,
     det_diagonal,
     det_full,
     lf_map_main,
@@ -27,7 +27,12 @@ from hhsim.pairs import (
     threshold_physical_poles,
 )
 
-from _oracles import fd_second_derivative
+from _oracles import (
+    binding_condition_full,
+    det_diagonal_by_hand,
+    det_full_by_hand,
+    fd_second_derivative,
+)
 
 
 def test_uvmodel_validation():
@@ -39,6 +44,56 @@ def test_uvmodel_validation():
     assert m.V == -2.0
     with pytest.raises(AttributeError):
         UVModel.full(-4.0, 0.0, -2.0, 1.0).V
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["t_prime", "U", "V1", "V2"])
+def test_uvmodel_rejects_non_finite_fields(field, bad):
+    fields = {"t_prime": 1.0, "U": -4.0, "V1": -1.0, "V2": -1.0}
+    fields[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        UVModel(**fields)
+
+
+@pytest.mark.parametrize("V1", [-2.0, 0.5, 1e-300])
+def test_diagonal_uvmodel_rejects_V1(V1):
+    with pytest.raises(ValueError, match="V1"):
+        UVModel(t_prime=1.0, U=-4.0, V1=V1, V2=-1.0, variant="diagonal")
+
+
+def test_shells_are_the_literal_tables():
+    assert list(UVModel.diagonal(-4.0, -2.0, 1.0).shells().items()) == [
+        ((0, 0), -4.0), ((1, 1), -2.0), ((-1, -1), -2.0)]
+    assert list(UVModel.full(-6.0, -1.5, -0.5, 1.0).shells().items()) == [
+        ((0, 0), -6.0),
+        ((1, 0), -1.5), ((-1, 0), -1.5), ((0, 1), -1.5), ((0, -1), -1.5),
+        ((1, 1), -0.5), ((1, -1), -0.5), ((-1, 1), -0.5), ((-1, -1), -0.5)]
+
+
+@pytest.mark.parametrize("variant", sorted(pairs._ORBITS))
+def test_every_orbit_member_has_the_count_row_of_the_first(variant):
+    # the determinant takes row i at the first member of orbit i, which
+    # is exact only if every member sees the same M_nl counts
+    orbits = pairs._ORBITS[variant]
+    for i, (_, members) in enumerate(orbits):
+        for r in members:
+            assert np.array_equal(pairs._orbit_counts(r, orbits),
+                                  pairs._COUNTS[variant][:, i, :]), (i, r)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(U=st.floats(-14.0, 4.0), V1=st.floats(-6.0, 6.0), V2=st.floats(-6.0, 6.0),
+       tp=st.floats(0.5, 2.0))
+def test_determinants_equal_hand_expansions(U, V1, V2, tp):
+    # relative to the size of the determinant's terms: no entry exceeds
+    # 1 + 4|v| M_00, so near a root the tolerance does not collapse to 0
+    U, V1, V2 = U * tp, V1 * tp, V2 * tp
+    E = tp * (-8.0 - np.geomspace(1e-9, 30.0, 25))
+    M00 = greens_M_table(E, tp)[0]
+    for got, ref, vs in ((det_diagonal(E, U, V2, tp), det_diagonal_by_hand(E, U, V2, tp), (U, V2)),
+                         (det_full(E, U, V1, V2, tp), det_full_by_hand(E, U, V1, V2, tp), (U, V1, V2))):
+        scale = (1.0 + 4.0 * max(abs(v) for v in vs) * M00) ** len(vs)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), scale))
 
 
 def test_determinants_are_roots_of_pair_energies():
@@ -113,7 +168,7 @@ def test_threshold_full_matches_long_form_binding_condition():
 
 
 def test_binding_condition_equals_reduced_polynomial():
-    from hhsim.greens import GAMMA1, GAMMA2, GAMMA3
+    from hhsim.greens import GAMMA3
 
     rng = random.Random(11)
     for _ in range(8):
@@ -161,6 +216,22 @@ def test_threshold_physical_pole_location():
     poles = threshold_physical_poles(1.0, renormalized=True)
     assert len(poles) == 1
     assert abs(poles[0] - 1.08) < 0.02
+
+
+@pytest.mark.parametrize("renormalized", [True, False])
+def test_threshold_physical_is_the_rounded_composition(renormalized):
+    # the printed denominator tp^2 + 0.5451 t tp lam - 0.0142 t^2 lam^2
+    # is threshold_full's composed with lf_map_physical, its coefficients
+    # 0.5*(-0.16) + g2*0.896 and g1*0.16*0.896 rounded to 4 decimals
+    t = 1.3
+    for lam in np.linspace(0.0, 2.0, 81):
+        m = lf_map_physical(LFParams(t_bare=t, lam=float(lam)))
+        tp = m.t_prime if renormalized else t
+        composed = GAMMA1 * m.V1 * m.V2 + 0.5 * tp * m.V1 + GAMMA2 * tp * m.V2 + tp * tp
+        printed = threshold_physical(float(lam), t, renormalized)
+        assert printed["t_prime"] == tp
+        rounding = 5e-5 * (t * tp * lam + t * t * lam**2)
+        assert abs(printed["denominator"] - composed) <= rounding + 1e-14 * tp * tp
 
 
 def test_threshold_physical_bare_is_smooth():
