@@ -205,9 +205,9 @@ def cmd_phonon(args, sink):
         "two_spot_closed_form_rad_s": lattice.two_spot_frequency(V0_ph, w_ph, D, M_RB87),
     })
     xs = np.linspace(-w_ph, w_ph, args.steps)
-    rows = [(float(x), float(lattice.site_potential(pattern, site,
-                                                   site.center + np.array([x, 0.0]))))
-            for x in xs]
+    points = site.center + np.stack([xs, np.zeros_like(xs)], axis=-1)
+    rows = [(float(x), float(v))
+            for x, v in zip(xs, lattice.site_potential(pattern, site, points))]
     sink.emit_table("phonon_cross_section", ["x_um", "V_nK"], rows)
     return 0
 

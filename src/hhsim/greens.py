@@ -10,9 +10,8 @@ two-particle band bottom.  The six combinations needed here,
 (n,l) in {00, 10, 11, 20, 21, 22}, are evaluated together, in float and
 element-wise over an array of energies, by :func:`greens_M_table`, the
 one energy-dependent function of the module; callers index its rows by
-the order of SUPPORTED_NL.  :func:`greens_C_threshold` gives the
-band-edge limits of the differences C_nl = M_00 - M_nl.  With the
-elliptic modulus kappa = 2W'/|E|, W' = 4t', the table uses two methods:
+the order of SUPPORTED_NL.  With the elliptic modulus kappa = 2W'/|E|,
+W' = 4t', the table uses two methods:
 
 * kappa < 0.7: the moment series |E| M_nl = sum_k (W'/|E|)^k c_k,nl,
   128 terms, with c_k,nl = <(cos qx + cos qy)^k cos(n qx) cos(l qy)>.
@@ -124,24 +123,3 @@ def greens_M_table(E, t_prime):
     if not series.all():
         M[:, ~series] = _closed_forms(absE[~series], Wp)
     return M
-
-
-def greens_C_threshold(n, l, t_prime):
-    """Analytic limit of C_nl as E approaches the band bottom -8t'.
-
-    M_00 diverges logarithmically there but the differences converge to
-    simple rational-pi multiples of 1/t'.
-    """
-    table = {
-        (1, 0): 1.0 / 8.0,
-        (1, 1): 1.0 / (2.0 * math.pi),
-        (2, 0): (math.pi - 2.0) / (2.0 * math.pi),
-        (2, 1): (8.0 - math.pi) / (8.0 * math.pi),
-        (2, 2): 2.0 / (3.0 * math.pi),
-    }
-    if (n, l) == (0, 0):
-        return 0.0
-    if (n, l) not in table:
-        raise ValueError(f"no threshold value tabulated for ({n}, {l})")
-    return table[(n, l)] / t_prime
-

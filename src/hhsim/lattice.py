@@ -178,17 +178,19 @@ def spot_potential(r, V0, w):
 
 
 def site_potential(pattern, site, xy):
-    """In-plane potential of one phonon site at point xy (um), nK.
+    """In-plane potential of one phonon site at points xy (..., 2) (um), nK.
 
     Per-spot normalized sum: the peak depth of an N_S-spot site matches a
     single spot, so painting a broad site costs no extra laser power.
+    The result has the shape of xy without its last axis.
     """
     xy = np.asarray(xy, dtype=float)
     n_s = len(site.displacements)
     total = 0.0
     for d in site.displacements:
-        r = np.linalg.norm(xy - site.center - d)
-        total += spot_potential(r, pattern.V0_ph, pattern.w_ph)
+        r_vec = xy - site.center - d
+        # np.linalg.norm's 1-D dot, batched: one point keeps norm's bits
+        total += spot_potential(np.sqrt(np.vecdot(r_vec, r_vec)), pattern.V0_ph, pattern.w_ph)
     return total / n_s
 
 

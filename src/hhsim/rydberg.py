@@ -6,6 +6,14 @@ equilibrium positions defines the fermion-phonon coupling constants
 f_ij,nu, whose lattice sums give the effective fermion-fermion
 interaction map Phi and the dimensionless coupling lambda.
 
+``coupling_f`` broadcasts: fermion points (..., 2), phonon centres
+(..., 2) and polarizations (..., 2) give an array of the broadcast
+shape without the last axis, or a float for three 2-vectors.
+``effective_interaction`` stacks the (site, polarization) rows of a
+pattern once, (n_rows, 2) centres and polarizations, and evaluates the
+couplings of the origin, (n_rows,), and of every displacement,
+(n_disp, n_rows), in one call each.
+
 Units: C6 and V_tilde in MHz um^eta, distances in um, couplings f in
 MHz/um, Phi in MHz^2/um^2.
 """
@@ -80,15 +88,18 @@ def coupling_f(fermion_site, phonon_site, polarization, spec):
 
     f = V_tilde * eta * (zeta . rhat) |r|^(eta-1) / (|r|^eta + r_c^eta)^2
     with r = fermion - phonon; odd under r -> -r and zero for
-    polarization perpendicular to the separation.
+    polarization perpendicular to the separation.  The three arguments
+    broadcast over their leading axes; the last axis holds (x, y).
     """
     r_vec = np.asarray(fermion_site, dtype=float) - np.asarray(phonon_site, dtype=float)
-    r = np.linalg.norm(r_vec)
-    if r == 0.0:
+    # np.linalg.norm's 1-D dot, batched: one point keeps norm's bits
+    r = np.sqrt(np.vecdot(r_vec, r_vec))
+    if np.any(r == 0.0):
         raise ValueError("fermion and phonon sites coincide; unit vector undefined")
     zeta = np.asarray(polarization, dtype=float)
     eta = spec.eta
-    return spec.V_tilde * eta * float(zeta @ r_vec) / r * r ** (eta - 1) / (r**eta + spec.r_c**eta) ** 2
+    return (spec.V_tilde * eta * np.vecdot(zeta, r_vec) / r * r ** (eta - 1)
+            / (r**eta + spec.r_c**eta) ** 2)
 
 
 @dataclass
@@ -113,26 +124,26 @@ def effective_interaction(pattern, spec, a, displacements=None):
     """Lattice sums Phi_ii' = sum_{j,nu} f_ij,nu f_i'j,nu, normalized.
 
     Fermion sites sit at integer multiples of a; phonon sites and their
-    polarization vectors come from the pattern.  With eta = 6 and the
-    default pattern extent of 5a, the truncation error of the site sum
-    is below 1e-6 of Phi_00 (the tail falls off as the 14th power of
-    distance).
+    polarization vectors come from the pattern.  Phi_00 always comes
+    from the origin, so ``displacements`` need not include (0, 0).
+    With eta = 6 and the default pattern extent of 5a, the truncation
+    error of the site sum is below 1e-6 of Phi_00 (the tail falls off
+    as the 14th power of distance).
     """
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"lattice constant a must be finite and positive, got {a}")
     if displacements is None:
         displacements = [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2),
                          (2, 1), (2, 2)]
-    origin = np.zeros(2)
-    phi = {}
-    for (n, l) in displacements:
-        other = np.array([n * a, l * a])
-        total = 0.0
-        for site in pattern.sites:
-            for zeta in site.polarizations:
-                total += (coupling_f(origin, site.center, zeta, spec)
-                          * coupling_f(other, site.center, zeta, spec))
-        phi[(n, l)] = total
-    phi00 = phi[(0, 0)]
-    values = {d: phi[d] / phi00 for d in phi}
+    # one row per (site, polarization), in site order
+    centers = np.array([site.center for site in pattern.sites for _ in site.polarizations])
+    zetas = np.array([zeta for site in pattern.sites for zeta in site.polarizations])
+    points = a * np.array(displacements, dtype=float)
+    f_origin = coupling_f(np.zeros(2), centers, zetas, spec)
+    f_other = coupling_f(points[:, None, :], centers, zetas, spec)
+    phi00 = float(np.vecdot(f_origin, f_origin))
+    phi = np.vecdot(f_other, f_origin) / phi00
+    values = {(n, l): float(v) for (n, l), v in zip(displacements, phi)}
     return EffectiveInteractionMap(displacements=list(displacements), values=values, phi00=phi00)
 
 

@@ -7,8 +7,10 @@ precision, or by their closed forms in mpmath's elliptic integrals at
 curvatures come from Richardson-extrapolated finite differences, and
 the light shift is built from reduced dipole matrix elements.  The pair
 determinants and the band-edge binding condition are written out by
-hand; they take M_nl and the C_nl limits from ``hhsim.greens`` and
-check how ``hhsim.pairs`` assembles them.
+hand; they take M_nl from ``hhsim.greens`` and the band-edge C_nl
+limits from ``greens_C_threshold`` below, and check how ``hhsim.pairs``
+assembles them.  The Phi map is summed by a scalar double loop over
+the scalar coupling constant.
 """
 
 import math
@@ -16,7 +18,7 @@ import math
 import mpmath
 import numpy as np
 
-from hhsim.greens import SUPPORTED_NL, greens_C_threshold, greens_M_table
+from hhsim.greens import SUPPORTED_NL, greens_M_table
 
 
 def quad_M(E, t_prime, rel_tol=1e-10, n_start=64, n_max=16384):
@@ -239,6 +241,26 @@ def det_full_by_hand(E, U, V1, V2, t_prime):
     )
 
 
+def greens_C_threshold(n, l, t_prime):
+    """Analytic limit of C_nl as E approaches the band bottom -8t'.
+
+    M_00 diverges logarithmically there but the differences converge to
+    simple rational-pi multiples of 1/t'.
+    """
+    table = {
+        (1, 0): 1.0 / 8.0,
+        (1, 1): 1.0 / (2.0 * math.pi),
+        (2, 0): (math.pi - 2.0) / (2.0 * math.pi),
+        (2, 1): (8.0 - math.pi) / (8.0 * math.pi),
+        (2, 2): 2.0 / (3.0 * math.pi),
+    }
+    if (n, l) == (0, 0):
+        return 0.0
+    if (n, l) not in table:
+        raise ValueError(f"no threshold value tabulated for ({n}, {l})")
+    return table[(n, l)] / t_prime
+
+
 def binding_condition_full(U, V1, V2, t_prime):
     """Band-edge binding condition of the both-diagonals model, long form.
 
@@ -266,3 +288,35 @@ def binding_condition_full(U, V1, V2, t_prime):
             + 2.0 * c11 * c22 + c20 * c22
         )
     )
+
+
+def coupling_f_scalar(fermion_site, phonon_site, polarization, spec):
+    """Fermion-phonon coupling constant f (MHz/um) of one site pair.
+
+    f = V_tilde * eta * (zeta . rhat) |r|^(eta-1) / (|r|^eta + r_c^eta)^2
+    with r = fermion - phonon; odd under r -> -r and zero for
+    polarization perpendicular to the separation.
+    """
+    r_vec = np.asarray(fermion_site, dtype=float) - np.asarray(phonon_site, dtype=float)
+    r = np.linalg.norm(r_vec)
+    if r == 0.0:
+        raise ValueError("fermion and phonon sites coincide; unit vector undefined")
+    zeta = np.asarray(polarization, dtype=float)
+    eta = spec.eta
+    return spec.V_tilde * eta * float(zeta @ r_vec) / r * r ** (eta - 1) / (r**eta + spec.r_c**eta) ** 2
+
+
+def phi_sum_scalar(pattern, spec, a, displacements):
+    """Unnormalized Phi at each displacement (n, l), by the double loop
+    over sites and polarizations of products of scalar couplings."""
+    origin = np.zeros(2)
+    phi = {}
+    for (n, l) in displacements:
+        other = np.array([n * a, l * a])
+        total = 0.0
+        for site in pattern.sites:
+            for zeta in site.polarizations:
+                total += (coupling_f_scalar(origin, site.center, zeta, spec)
+                          * coupling_f_scalar(other, site.center, zeta, spec))
+        phi[(n, l)] = total
+    return phi

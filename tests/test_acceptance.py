@@ -14,9 +14,9 @@ import pytest
 
 from hhsim import hubbard, lattice, oracle, pairs, phases, rydberg, stark
 from hhsim.constants import A_BOHR, M_K40, M_RB87, nk_to_hz
-from hhsim.greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_C_threshold, greens_M_table
+from hhsim.greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_M_table
 
-from _oracles import fd_second_derivative, quad_M
+from _oracles import fd_second_derivative, greens_C_threshold, quad_M
 
 
 def _report(num, name, ok, detail=""):

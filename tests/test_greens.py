@@ -9,11 +9,10 @@ from hhsim.greens import (
     GAMMA3,
     GreensDomainError,
     SUPPORTED_NL,
-    greens_C_threshold,
     greens_M_table,
 )
 
-from _oracles import closed_form_M, quad_M
+from _oracles import closed_form_M, greens_C_threshold, quad_M
 
 # Energies in units of t', from kappa = 2W'/|E| = 1e-4 up to 1 - 1e-12:
 # a geometric sweep, points either side of the series/closed-form

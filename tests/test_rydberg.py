@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhsim.constants import M_RB87
-from hhsim.lattice import crossed, offset_parallel, offset_parallel_rotated
+from hhsim.lattice import (
+    PATTERN_CONSTRUCTORS,
+    crossed,
+    holstein_reference,
+    offset_parallel,
+    offset_parallel_rotated,
+    site_potential,
+)
 from hhsim.rydberg import (
     RydbergSpec,
     c6_interpolated,
@@ -14,6 +23,8 @@ from hhsim.rydberg import (
     nnn_ratio_estimate,
     rydberg_potential,
 )
+
+from _oracles import coupling_f_scalar, phi_sum_scalar
 
 
 def test_c6_endpoints_and_bounds():
@@ -96,6 +107,72 @@ def test_crossed_map_equals_sum_of_rotated_parallels():
     for d in cross.displacements:
         combined = (p1.values[d] * p1.phi00 + p2.values[d] * p2.phi00) / (p1.phi00 + p2.phi00)
         assert cross.values[d] == pytest.approx(combined, abs=1e-10)
+
+
+def test_displacements_need_not_include_the_origin():
+    a = 1.73
+    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.1 * a, alpha_bar=0.004)
+    pat = offset_parallel(a, 250.0, 0.6, 0.2823)
+    full = effective_interaction(pat, spec, a)
+    part = effective_interaction(pat, spec, a, displacements=[(1, 0), (1, 1)])
+    assert set(part.values) == {(1, 0), (1, 1)}
+    assert part.phi00 == full.phi00
+    assert part.ratio(1, 0) == full.ratio(1, 0) and part.ratio(1, 1) == full.ratio(1, 1)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_effective_interaction_rejects_bad_lattice_constant(a):
+    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.173, alpha_bar=0.004)
+    pat = offset_parallel(1.73, 250.0, 0.6, 0.2823, extent=1)
+    with pytest.raises(ValueError, match="lattice constant"):
+        effective_interaction(pat, spec, a)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(PATTERN_CONSTRUCTORS)), extent=st.sampled_from([1, 3, 5]),
+       a=st.floats(1.6, 1.9), eta=st.sampled_from([3, 6]))
+def test_array_path_matches_scalar_references(name, extent, a, eta):
+    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.1 * a, alpha_bar=0.004, eta=eta)
+    pat = PATTERN_CONSTRUCTORS[name](a, 100.0, 0.6, 0.2823, extent=extent)
+    emap = effective_interaction(pat, spec, a)
+
+    centers = np.array([s.center for s in pat.sites for _ in s.polarizations])
+    zetas = np.array([z for s in pat.sites for z in s.polarizations])
+    points = a * np.array(emap.displacements, dtype=float)
+    f = coupling_f(points[:, None, :], centers, zetas, spec)
+    ref = np.array([[coupling_f_scalar(p, c, z, spec) for c, z in zip(centers, zetas)]
+                    for p in points])
+    assert f.shape == ref.shape
+    assert np.all(np.abs(f - ref) <= 1e-12 * np.abs(ref))
+    assert isinstance(coupling_f(points[1], centers[0], zetas[0], spec), float)
+
+    phi = phi_sum_scalar(pat, spec, a, emap.displacements)
+    assert abs(emap.phi00 - phi[(0, 0)]) <= 1e-12 * phi[(0, 0)]
+    for d in emap.displacements:
+        assert abs(emap.values[d] * emap.phi00 - phi[d]) <= 1e-12 * phi[(0, 0)]
+
+    site = pat.sites[len(pat.sites) // 2]
+    offsets = np.linspace(-0.6, 0.6, 7)
+    xy = site.center + np.stack(np.meshgrid(offsets, offsets, indexing="ij"), axis=-1)
+    V = site_potential(pat, site, xy)
+    assert V.shape == (7, 7)
+    for idx in np.ndindex(7, 7):
+        one = site_potential(pat, site, xy[idx])
+        assert abs(V[idx] - one) <= 1e-12 * abs(one)
+
+    with pytest.raises(ValueError, match="coincide"):
+        effective_interaction(holstein_reference(a, 100.0, 0.6, 0.2823, b=0.0, extent=extent),
+                              spec, a)
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_CONSTRUCTORS))
+def test_truncation_at_extent_five_is_below_1e6_of_phi00(name):
+    a = 1.73
+    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.1 * a, alpha_bar=0.004, eta=6)
+    m5, m8 = (effective_interaction(PATTERN_CONSTRUCTORS[name](a, 100.0, 0.6, 0.2823, extent=n),
+                                    spec, a) for n in (5, 8))
+    for d in m8.displacements:
+        assert abs(m5.values[d] * m5.phi00 - m8.values[d] * m8.phi00) <= 1e-6 * m8.phi00
 
 
 def test_nnn_estimate_validity_window():
