@@ -189,14 +189,15 @@ def cmd_stark(args, sink):
 
 
 def cmd_phonon(args, sink):
+    if args.steps < 2:
+        raise SystemExit("phonon --steps must be at least 2 (the cross section includes both ends)")
     a = _cfg(args, "a")
     V0_ph = args.v0_ph
     w_ph = _cfg(args, "w_ph")
     D = _cfg(args, "D")
     pattern = lattice.PATTERN_CONSTRUCTORS[args.pattern](a, V0_ph, w_ph, D, b=args.b)
-    site = pattern.sites[len(pattern.sites) // 2]
-    mat = lattice.dynamical_matrix(pattern, site)
-    modes = lattice.phonon_modes(mat, M_RB87)
+    k = len(pattern.centers) // 2
+    modes = lattice.phonon_modes(lattice.dynamical_matrix(pattern, k), M_RB87)
     sink.emit_record("phonon_modes", {
         "pattern": pattern.pattern_id,
         "modes": [{"omega_rad_s": m.frequency,
@@ -205,9 +206,9 @@ def cmd_phonon(args, sink):
         "two_spot_closed_form_rad_s": lattice.two_spot_frequency(V0_ph, w_ph, D, M_RB87),
     })
     xs = np.linspace(-w_ph, w_ph, args.steps)
-    points = site.center + np.stack([xs, np.zeros_like(xs)], axis=-1)
+    points = pattern.centers[k] + np.stack([xs, np.zeros_like(xs)], axis=-1)
     rows = [(float(x), float(v))
-            for x, v in zip(xs, lattice.site_potential(pattern, site, points))]
+            for x, v in zip(xs, lattice.site_potential(pattern, k, points))]
     sink.emit_table("phonon_cross_section", ["x_um", "V_nK"], rows)
     return 0
 

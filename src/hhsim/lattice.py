@@ -6,11 +6,18 @@ summed potential is broad and deep; the trapped atom's in-plane normal
 modes follow from the Hessian (dynamical matrix) of the site potential
 at its minimum.
 
+A ``SpotPattern`` holds its n sites as float arrays with a leading site
+axis k: ``centers`` (n, 2), ``displacements`` (n, N_S, 2) and
+``polarizations`` (n, n_modes, 2); row k is tiling site (i, j), i outer.
+N_S = 2 and n_modes = 1 except for ``crossed`` (4 and 2).
+``site_potential`` and ``dynamical_matrix`` take the site index k.
+
 Units: energies in nK, lengths in micrometres, masses in kg, angular
 frequencies in rad/s.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +39,9 @@ class LatticeSpec:
     w_pan: float = 1.0       # pancake 1/e^2 half-width, um
 
     def __post_init__(self):
+        for name in ("a", "V0", "w_f", "V0_pan", "w_pan"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.a, self.V0, self.w_f, self.w_pan) <= 0:
             raise ValueError("lengths and depths must be positive")
         if self.V0_pan < 0:
@@ -39,50 +49,34 @@ class LatticeSpec:
 
 
 @dataclass
-class PhononSite:
-    """One phonon site: center, spot basis and soft-mode axes."""
-
-    center: np.ndarray            # um, in-plane
-    displacements: np.ndarray     # (N_S, 2) spot offsets from center, um
-    polarizations: np.ndarray     # (n_modes, 2) unit vectors used in couplings
-
-
-@dataclass
 class SpotPattern:
-    """Phonon spot arrangement tiled over the fermion lattice.
-
-    ``site_for(m, n, a)`` yields the phonon sites associated with
-    fermion plaquette / site indices; concrete geometries come from the
-    named constructors below.
-    """
+    """Phonon sites tiled over the fermion lattice; the named constructors below build them."""
 
     pattern_id: str
     V0_ph: float                  # phonon spot depth, nK
     w_ph: float                   # phonon spot waist, um
     D: float                      # spot half-separation along soft axis, um
     b: float = 0.0                # offset parameter, um
-    sites: list = field(default_factory=list)
+    centers: np.ndarray = field(kw_only=True)        # (n, 2) site centres, um
+    displacements: np.ndarray = field(kw_only=True)  # (n, N_S, 2) spot offsets from centre, um
+    polarizations: np.ndarray = field(kw_only=True)  # (n, n_modes, 2) axes used in couplings
 
     def __post_init__(self):
+        for name in ("V0_ph", "w_ph", "D", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.V0_ph <= 0 or self.w_ph <= 0:
             raise ValueError("phonon depth and waist must be positive")
         if not (0.0 <= self.D <= self.w_ph / 2.0):
             raise ValueError("spot half-separation must satisfy 0 <= D <= w_ph/2 "
                              "(larger D forms a double well)")
-
-
-def two_spot_site(center, axis, D, polarizations=None):
-    """Two-spot phonon site, spots at +-D along ``axis``.
-
-    The polarization defaults to the normalized soft axis.
-    """
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    if polarizations is None:
-        polarizations = axis
-    return PhononSite(center=np.asarray(center, dtype=float),
-                      displacements=np.array([axis * D, -axis * D]),
-                      polarizations=np.atleast_2d(polarizations).astype(float))
+        arrays = [np.array(x, dtype=float)
+                  for x in (self.centers, self.displacements, self.polarizations)]
+        self.centers, self.displacements, self.polarizations = arrays
+        if ([x.ndim for x in arrays] != [2, 3, 3] or any(x.shape[-1] != 2 for x in arrays)
+                or len({len(x) for x in arrays}) != 1 or len(self.centers) == 0):
+            raise ValueError("centers, displacements and polarizations must have shapes "
+                             "(n, 2), (n, N_S, 2) and (n, n_modes, 2) with n >= 1")
 
 
 # The patterns pass these axes as the polarization itself: renormalizing
@@ -93,28 +87,35 @@ _XHAT = np.array([1.0, 0.0])
 _YHAT = np.array([0.0, 1.0])
 
 
-def _tiled(pattern_id, V0_ph, w_ph, D, b, extent, site_at):
-    """SpotPattern with the site ``site_at(i, j)`` for every |i|, |j| <= extent."""
-    span = range(-extent, extent + 1)
-    sites = [site_at(i, j) for i in span for j in span]
-    return SpotPattern(pattern_id, V0_ph, w_ph, D, b=b, sites=sites)
+def _grid(a, extent):
+    """Integer (i, j) of every |i|, |j| <= extent, (n, 2), row-major with i outer."""
+    if not (math.isfinite(a) and a > 0) or operator.index(extent) < 0:  # float extent: TypeError
+        raise ValueError(f"lattice constant a must be finite and positive and extent "
+                         f"an integer >= 0, got a={a}, extent={extent}")
+    span = np.arange(-extent, extent + 1)
+    return np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _two_spots(axis, D):
+    """Spot offsets +-D along the normalized ``axis``, (2, 2)."""
+    axis = axis / np.linalg.norm(axis)
+    return np.array([axis * D, -axis * D])
+
+
+def _pattern(pattern_id, V0_ph, w_ph, D, b, centers, spots, axes):
+    """SpotPattern at ``centers``; one site's spot offsets and polarization axes apply to all."""
+    n = len(centers)
+    return SpotPattern(pattern_id, V0_ph, w_ph, D, b=b, centers=centers,
+                       displacements=np.broadcast_to(spots, (n, *np.shape(spots)[-2:])),
+                       polarizations=np.broadcast_to(axes, (n, *np.shape(axes)[-2:])))
 
 
 def _offset(pattern_id, axis, a, V0_ph, w_ph, D, b, extent):
-    if b is None:
-        b = 0.5 * a * math.sqrt(2.0)
+    ij = _grid(a, extent)
+    b = 0.5 * a * math.sqrt(2.0) if b is None else b
     if not (0.0 < b < a * math.sqrt(2.0)):
         raise ValueError("offset must satisfy 0 < b < a*sqrt(2)")
-    return _tiled(pattern_id, V0_ph, w_ph, D, b, extent, lambda i, j: two_spot_site(
-        np.array([i * a, j * a]) + b * axis, axis, D, axis))
-
-
-def _centred(pattern_id, a, V0_ph, w_ph, D, b, extent, site_at):
-    """Sites at the plaquette centres (i + 1/2, j + 1/2) a, so b is fixed at a'/2."""
-    if b is not None:
-        raise ValueError(f"{pattern_id} sites sit at the plaquette centres; b must be None")
-    return _tiled(pattern_id, V0_ph, w_ph, D, 0.5 * a * math.sqrt(2.0), extent,
-                  lambda i, j: site_at(i, j, np.array([(i + 0.5) * a, (j + 0.5) * a])))
+    return _pattern(pattern_id, V0_ph, w_ph, D, b, ij * a + b * axis, _two_spots(axis, D), [axis])
 
 
 def holstein_reference(a, V0_ph, w_ph, D, b=None, extent=5):
@@ -123,10 +124,10 @@ def holstein_reference(a, V0_ph, w_ph, D, b=None, extent=5):
     Each fermion site (i, j)a carries a two-spot phonon site displaced
     by b along x (default b = 0.1a), soft axis x.
     """
-    if b is None:
-        b = 0.1 * a
-    return _tiled("HolsteinReference", V0_ph, w_ph, D, b, extent, lambda i, j: two_spot_site(
-        np.array([i * a + b, j * a]), _XHAT, D, _XHAT))
+    ij = _grid(a, extent)
+    b = 0.1 * a if b is None else b
+    return _pattern("HolsteinReference", V0_ph, w_ph, D, b, ij * a + [b, 0.0],
+                    _two_spots(_XHAT, D), [_XHAT])
 
 
 def offset_parallel(a, V0_ph, w_ph, D, b=None, extent=5):
@@ -146,18 +147,23 @@ def offset_parallel_rotated(a, V0_ph, w_ph, D, b=None, extent=5):
 
 def crossed(a, V0_ph, w_ph, D, b=None, extent=5):
     """Four-spot crossed sites at the plaquette centers, two equal modes."""
-    return _centred("Crossed", a, V0_ph, w_ph, D, b, extent, lambda i, j, center: PhononSite(
-        center=center,
-        displacements=np.array([_DIAG1 * D, -_DIAG1 * D, _DIAG2 * D, -_DIAG2 * D]),
-        polarizations=np.array([_DIAG1, _DIAG2])))
+    if b is not None:
+        raise ValueError("Crossed sites sit at the plaquette centres; b must be None")
+    ij = _grid(a, extent)
+    return _pattern("Crossed", V0_ph, w_ph, D, 0.5 * a * math.sqrt(2.0), (ij + 0.5) * a,
+                    np.array([_DIAG1 * D, -_DIAG1 * D, _DIAG2 * D, -_DIAG2 * D]),
+                    [_DIAG1, _DIAG2])
 
 
 def bipartite_parallel(a, V0_ph, w_ph, D, b=None, extent=5):
     """Two-spot sites at plaquette centers, soft axis x / y on a checkerboard."""
-    def site_at(i, j, center):
-        axis = _XHAT if (i + j) % 2 == 0 else _YHAT
-        return two_spot_site(center, axis, D, axis)
-    return _centred("BipartiteParallel", a, V0_ph, w_ph, D, b, extent, site_at)
+    if b is not None:
+        raise ValueError("BipartiteParallel sites sit at the plaquette centres; b must be None")
+    ij = _grid(a, extent)
+    even = (ij.sum(axis=1) % 2 == 0)[:, None, None]
+    return _pattern("BipartiteParallel", V0_ph, w_ph, D, 0.5 * a * math.sqrt(2.0),
+                    (ij + 0.5) * a, np.where(even, _two_spots(_XHAT, D), _two_spots(_YHAT, D)),
+                    np.where(even, _XHAT, _YHAT))
 
 
 # Pattern names of the command line (``--pattern``).  Every constructor
@@ -177,49 +183,44 @@ def spot_potential(r, V0, w):
     return -V0 * np.exp(-2.0 * np.asarray(r) ** 2 / w**2)
 
 
-def site_potential(pattern, site, xy):
-    """In-plane potential of one phonon site at points xy (..., 2) (um), nK.
+def site_potential(pattern, k, xy):
+    """In-plane potential of the pattern's site k at points xy (..., 2) (um), nK.
 
     Per-spot normalized sum: the peak depth of an N_S-spot site matches a
     single spot, so painting a broad site costs no extra laser power.
     The result has the shape of xy without its last axis.
     """
     xy = np.asarray(xy, dtype=float)
-    n_s = len(site.displacements)
+    spots = pattern.displacements[k]
     total = 0.0
-    for d in site.displacements:
-        r_vec = xy - site.center - d
+    for d in spots:
+        r_vec = xy - pattern.centers[k] - d
         # np.linalg.norm's 1-D dot, batched: one point keeps norm's bits
         total += spot_potential(np.sqrt(np.vecdot(r_vec, r_vec)), pattern.V0_ph, pattern.w_ph)
-    return total / n_s
+    return total / len(spots)
 
 
 def painted_potential(spec, pattern, position):
-    """Full painted potential (nK) at 3D position (x, y, z) in um.
-
-    Sum of all phonon-site spot wells plus the pancake term.  Fermion
-    spots are handled by the same machinery with a one-spot basis.
-    """
+    """Full painted potential (nK) at 3D position (x, y, z) in um: the pancake
+    term plus every site's ``site_potential``, in one broadcast over sites and spots."""
     x, y, z = position
-    xy = np.array([x, y])
-    total = -spec.V0_pan * math.exp(-2.0 * z**2 / spec.w_pan**2)
-    for site in pattern.sites:
-        total += site_potential(pattern, site, xy)
-    return total
+    r_vec = np.array([x, y]) - pattern.centers[:, None, :] - pattern.displacements
+    spots = spot_potential(np.sqrt(np.vecdot(r_vec, r_vec)), pattern.V0_ph, pattern.w_ph)
+    return -spec.V0_pan * math.exp(-2.0 * z**2 / spec.w_pan**2) + float(spots.mean(axis=1).sum())
 
 
-def dynamical_matrix(pattern, site, h_rel=1e-3, grad_tol=1e-6):
-    """Hessian (nK/um^2) of the site potential at the site center.
+def dynamical_matrix(pattern, k, h_rel=1e-3, grad_tol=1e-6):
+    """Hessian (nK/um^2) of the potential of site k at its center.
 
     Central finite differences with step h = h_rel * w_ph and one
     Richardson extrapolation step; the center must be a stationary
     point (gradient below grad_tol * V0_ph / w_ph).
     """
     h = h_rel * pattern.w_ph
-    c = site.center
+    c = pattern.centers[k]
 
     def V(dx, dy):
-        return site_potential(pattern, site, c + np.array([dx, dy]))
+        return site_potential(pattern, k, c + np.array([dx, dy]))
 
     gx = (V(h, 0) - V(-h, 0)) / (2 * h)
     gy = (V(0, h) - V(0, -h)) / (2 * h)
@@ -263,19 +264,14 @@ def phonon_modes(matrix, M, tol=1e-9):
         raise ValueError("dynamical matrix must be symmetric")
     evals, evecs = np.linalg.eigh(matrix)
     scale = max(abs(evals).max(), 1.0)
+    if evals[0] < -tol * scale:     # eigh sorts ascending
+        raise ValueError(f"unstable site: negative curvature {evals[0]}")
     modes = []
-    for i in range(len(evals)):
-        ev = evals[i]
-        if ev < -tol * scale:
-            raise ValueError(f"unstable site: negative curvature {ev}")
-        ev = max(ev, 0.0)
-        omega = math.sqrt(ev * _CURV_SI / M)
-        vec = evecs[:, i]
+    for ev, vec in zip(evals, evecs.T):
         # deterministic sign: first nonzero component positive
-        k = np.argmax(np.abs(vec) > 1e-12)
-        if vec[k] < 0:
+        if vec[np.argmax(np.abs(vec) > 1e-12)] < 0:
             vec = -vec
-        modes.append(PhononMode(frequency=omega, polarization=vec))
+        modes.append(PhononMode(frequency=math.sqrt(max(ev, 0.0) * _CURV_SI / M), polarization=vec))
     modes.sort(key=lambda m: -m.frequency)
     return modes
 

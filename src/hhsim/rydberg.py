@@ -9,10 +9,11 @@ interaction map Phi and the dimensionless coupling lambda.
 ``coupling_f`` broadcasts: fermion points (..., 2), phonon centres
 (..., 2) and polarizations (..., 2) give an array of the broadcast
 shape without the last axis, or a float for three 2-vectors.
-``effective_interaction`` stacks the (site, polarization) rows of a
-pattern once, (n_rows, 2) centres and polarizations, and evaluates the
-couplings of the origin, (n_rows,), and of every displacement,
-(n_disp, n_rows), in one call each.
+``effective_interaction`` takes a pattern's n * n_modes (site,
+polarization) rows, each centre repeated per mode beside
+``polarizations.reshape(-1, 2)``, and evaluates the couplings of the
+origin, (n_rows,), and of every displacement, (n_disp, n_rows), in one
+call each.
 
 Units: C6 and V_tilde in MHz um^eta, distances in um, couplings f in
 MHz/um, Phi in MHz^2/um^2.
@@ -136,8 +137,8 @@ def effective_interaction(pattern, spec, a, displacements=None):
         displacements = [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2),
                          (2, 1), (2, 2)]
     # one row per (site, polarization), in site order
-    centers = np.array([site.center for site in pattern.sites for _ in site.polarizations])
-    zetas = np.array([zeta for site in pattern.sites for zeta in site.polarizations])
+    centers = np.repeat(pattern.centers, pattern.polarizations.shape[1], axis=0)
+    zetas = pattern.polarizations.reshape(-1, 2)
     points = a * np.array(displacements, dtype=float)
     f_origin = coupling_f(np.zeros(2), centers, zetas, spec)
     f_other = coupling_f(points[:, None, :], centers, zetas, spec)

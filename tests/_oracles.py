@@ -314,9 +314,9 @@ def phi_sum_scalar(pattern, spec, a, displacements):
     for (n, l) in displacements:
         other = np.array([n * a, l * a])
         total = 0.0
-        for site in pattern.sites:
-            for zeta in site.polarizations:
-                total += (coupling_f_scalar(origin, site.center, zeta, spec)
-                          * coupling_f_scalar(other, site.center, zeta, spec))
+        for center, zetas in zip(pattern.centers, pattern.polarizations):
+            for zeta in zetas:
+                total += (coupling_f_scalar(origin, center, zeta, spec)
+                          * coupling_f_scalar(other, center, zeta, spec))
         phi[(n, l)] = total
     return phi

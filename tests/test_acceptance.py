@@ -205,9 +205,8 @@ def test_criterion_10_phonon_closed_form():
         for w in (0.4, 0.6, 0.8):
             for frac in (0.1, 0.25, 0.4):
                 D = frac * w
-                site = lattice.two_spot_site((0.0, 0.0), (1.0, 0.0), D)
-                pat = lattice.SpotPattern("x", V0, w, D, sites=[site])
-                modes = lattice.phonon_modes(lattice.dynamical_matrix(pat, site), M_RB87)
+                pat = lattice.holstein_reference(1.0, V0, w, D, b=0.0, extent=0)
+                modes = lattice.phonon_modes(lattice.dynamical_matrix(pat, 0), M_RB87)
                 soft = modes[-1].frequency
                 closed = lattice.two_spot_frequency(V0, w, D, M_RB87)
                 worst = max(worst, abs(soft - closed) / closed)

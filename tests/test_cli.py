@@ -51,6 +51,14 @@ def test_stark_needs_two_steps(steps):
         main(["stark", "--steps", steps])
 
 
+@pytest.mark.parametrize("steps", ["1", "0", "-3"])
+def test_phonon_needs_two_steps_before_any_output(tmp_path, steps):
+    out = tmp_path / "ph"
+    with pytest.raises(SystemExit, match="at least 2"):
+        main(["--out", str(out), "phonon", "--steps", steps])
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_output_deterministic(tmp_path, monkeypatch):
     args = ["binding", "--model", "diagonal", "--steps", "11"]
     d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -20,10 +20,14 @@ from hhsim.lattice import (
     site_potential,
     spot_potential,
     two_spot_frequency,
-    two_spot_site,
 )
 
 from _oracles import fd_hessian_2d, two_spot_soft_curvature
+
+
+# one two-spot site at the origin, soft axis x
+ONE_SITE = dict(centers=[[0.0, 0.0]], displacements=[[[0.1, 0.0], [-0.1, 0.0]]],
+                polarizations=[[[1.0, 0.0]]])
 
 
 def test_spec_validation():
@@ -35,9 +39,82 @@ def test_spec_validation():
 
 def test_pattern_validation():
     with pytest.raises(ValueError):
-        SpotPattern("x", V0_ph=-1.0, w_ph=0.6, D=0.1)
+        SpotPattern("x", V0_ph=-1.0, w_ph=0.6, D=0.1, **ONE_SITE)
     with pytest.raises(ValueError):
-        SpotPattern("x", V0_ph=100.0, w_ph=0.6, D=0.4)  # D > w/2: double well
+        SpotPattern("x", V0_ph=100.0, w_ph=0.6, D=0.4, **ONE_SITE)  # D > w/2: double well
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda v: LatticeSpec(a=v, V0=100.0, w_f=0.5), "a"),
+    (lambda v: LatticeSpec(a=1.73, V0=v, w_f=0.5), "V0"),
+    (lambda v: LatticeSpec(a=1.73, V0=100.0, w_f=v), "w_f"),
+    (lambda v: LatticeSpec(a=1.73, V0=100.0, w_f=0.5, V0_pan=v), "V0_pan"),
+    (lambda v: LatticeSpec(a=1.73, V0=100.0, w_f=0.5, w_pan=v), "w_pan"),
+    (lambda v: SpotPattern("x", v, 0.6, 0.1, **ONE_SITE), "V0_ph"),
+    (lambda v: SpotPattern("x", 100.0, v, 0.1, **ONE_SITE), "w_ph"),
+    (lambda v: SpotPattern("x", 100.0, 0.6, v, **ONE_SITE), "D"),
+    (lambda v: SpotPattern("x", 100.0, 0.6, 0.1, b=v, **ONE_SITE), "b"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_fields_are_rejected_by_name(build, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build(value)
+
+
+@pytest.mark.parametrize("arrays", [
+    dict(ONE_SITE, centers=[[0.0, 0.0], [1.0, 0.0]]),              # two centres, one site
+    dict(ONE_SITE, polarizations=[[[1.0, 0.0]], [[0.0, 1.0]]]),    # two sites of modes
+    dict(ONE_SITE, centers=[[0.0, 0.0, 0.0]]),                     # trailing axis 3
+    dict(ONE_SITE, displacements=[[0.1, 0.0], [-0.1, 0.0]]),       # no site axis
+    dict(centers=np.zeros((0, 2)), displacements=np.zeros((0, 2, 2)),
+         polarizations=np.zeros((0, 1, 2))),                       # no site
+])
+def test_pattern_rejects_mismatched_or_empty_arrays(arrays):
+    with pytest.raises(ValueError):
+        SpotPattern("x", 100.0, 0.6, 0.1, **arrays)
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_CONSTRUCTORS))
+def test_constructors_reject_bad_grid_arguments(name):
+    ctor = PATTERN_CONSTRUCTORS[name]
+    for a in (0.0, -1.73, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lattice constant"):
+            ctor(a, 250.0, 0.6, 0.25, extent=1)
+    with pytest.raises(ValueError, match="extent"):
+        ctor(1.73, 250.0, 0.6, 0.25, extent=-1)
+    with pytest.raises(TypeError):
+        ctor(1.73, 250.0, 0.6, 0.25, extent=1.5)
+    assert len(ctor(1.73, 250.0, 0.6, 0.25, extent=np.int64(1)).centers) == 9
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_CONSTRUCTORS))
+def test_pattern_arrays_have_one_row_per_site_in_grid_order(name):
+    a, D, s = 1.73, 0.25, 1.0 / math.sqrt(2.0)
+    # the (0, 0) site's offset from (i, j)a with b=None, and each site's mode axes
+    shift = {"holstein": (0.1 * a, 0.0), "offset-parallel-rotated": (0.5 * a, -0.5 * a)}
+    axes = {"holstein": [[1.0, 0.0]], "offset-parallel": [[s, s]],
+            "offset-parallel-rotated": [[s, -s]], "crossed": [[s, s], [s, -s]]}
+    n_s, n_modes = (4, 2) if name == "crossed" else (2, 1)
+    for extent in (0, 1, 3):
+        pat = PATTERN_CONSTRUCTORS[name](a, 250.0, 0.6, D, extent=extent)
+        n = (2 * extent + 1) ** 2
+        assert pat.centers.shape == (n, 2)
+        assert pat.displacements.shape == (n, n_s, 2)
+        assert pat.polarizations.shape == (n, n_modes, 2)
+        for x in (pat.centers, pat.displacements, pat.polarizations):
+            assert x.dtype == np.float64
+        # row k is site (i, j) = divmod(k, 2 extent + 1) - extent, i outer
+        ij = np.array([divmod(k, 2 * extent + 1) for k in range(n)]) - extent
+        expected = ij * a + shift.get(name, (0.5 * a, 0.5 * a))
+        assert np.allclose(pat.centers, expected, rtol=0, atol=1e-14)
+        if name == "bipartite-parallel":   # soft axis x where i + j is even, y where odd
+            zeta = np.where((ij.sum(axis=1) % 2 == 0)[:, None, None], [[1.0, 0.0]], [[0.0, 1.0]])
+        else:
+            zeta = np.broadcast_to(axes[name], (n, n_modes, 2))
+        assert np.allclose(pat.polarizations, zeta, rtol=0, atol=1e-15)
+        # spots at +D and -D along each mode axis in turn
+        spots = (D * zeta[:, :, None, :] * np.array([1.0, -1.0])[:, None]).reshape(n, n_s, 2)
+        assert np.allclose(pat.displacements, spots, rtol=0, atol=1e-15)
 
 
 def test_spot_potential_depth_and_decay():
@@ -48,8 +125,8 @@ def test_spot_potential_depth_and_decay():
 def test_site_potential_per_spot_normalization():
     # an N-spot site is as deep as a single spot at D = 0
     pat = crossed(1.73, 250.0, 0.6, 0.0)
-    site = pat.sites[len(pat.sites) // 2]
-    assert site_potential(pat, site, site.center) == pytest.approx(-250.0)
+    k = len(pat.centers) // 2
+    assert site_potential(pat, k, pat.centers[k]) == pytest.approx(-250.0)
 
 
 def test_pattern_constructors_registry():
@@ -66,9 +143,9 @@ def test_registry_tiles_every_pattern_with_its_default_offset(name):
     middle = {"holstein": (0.1 * a, 0.0), "offset-parallel-rotated": (0.5 * a, -0.5 * a)}
     for extent in (0, 1, 3):
         pat = PATTERN_CONSTRUCTORS[name](a, 250.0, 0.6, 0.25, extent=extent)
-        assert len(pat.sites) == (2 * extent + 1) ** 2
+        assert len(pat.centers) == (2 * extent + 1) ** 2
         assert pat.b == (0.1 * a if name == "holstein" else 0.5 * a * math.sqrt(2.0))
-        centre = pat.sites[len(pat.sites) // 2].center
+        centre = pat.centers[len(pat.centers) // 2]
         assert np.allclose(centre, middle.get(name, (0.5 * a, 0.5 * a)), rtol=0, atol=1e-15)
 
 
@@ -88,19 +165,18 @@ def test_offset_parallel_rotated_is_offset_parallel_mirrored(b):
     par = offset_parallel(1.73, 250.0, 0.6, 0.25, b=b, extent=extent)
     rot = offset_parallel_rotated(1.73, 250.0, 0.6, 0.25, b=b, extent=extent)
     assert rot.b == par.b
-    for k, site in enumerate(par.sites):
-        i, j = divmod(k, m)
-        twin = rot.sites[i * m + (m - 1 - j)]
-        assert np.array_equal(twin.center, site.center * flip)
-        assert np.array_equal(twin.displacements, site.displacements * flip)
-        assert np.array_equal(twin.polarizations, site.polarizations * flip)
+    # rows are (i, j) with i outer: reversing j within each i maps j onto -j
+    twin = np.arange(m * m).reshape(m, m)[:, ::-1].ravel()
+    assert np.array_equal(rot.centers[twin], par.centers * flip)
+    assert np.array_equal(rot.displacements[twin], par.displacements * flip)
+    assert np.array_equal(rot.polarizations[twin], par.polarizations * flip)
 
 
 def test_holstein_offset_default():
     pat = holstein_reference(1.73, 250.0, 0.6, 0.25)
     assert pat.b == pytest.approx(0.173)
     # soft axis along x
-    assert np.allclose(pat.sites[0].polarizations, [[1.0, 0.0]])
+    assert np.array_equal(pat.polarizations, np.tile([[1.0, 0.0]], (121, 1, 1)))
 
 
 def test_offset_parallel_bounds():
@@ -110,30 +186,26 @@ def test_offset_parallel_bounds():
 
 def test_dynamical_matrix_matches_analytic_two_spot():
     V0, w, D = 250.0, 0.6, 0.25
-    site = two_spot_site((0.0, 0.0), (1.0, 0.0), D)
-    pat = SpotPattern("x", V0, w, D, sites=[site])
-    H = dynamical_matrix(pat, site)
+    pat = holstein_reference(1.0, V0, w, D, b=0.0, extent=0)
+    H = dynamical_matrix(pat, 0)
     assert H[0, 0] == pytest.approx(two_spot_soft_curvature(V0, w, D, 0.0), rel=1e-8)
-    ref = fd_hessian_2d(lambda x, y: site_potential(pat, site, (x, y)), 0.0, 0.0, 1e-4)
+    ref = fd_hessian_2d(lambda x, y: site_potential(pat, 0, (x, y)), 0.0, 0.0, 1e-4)
     assert np.allclose(H, ref, rtol=1e-6)
     assert H[0, 1] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_dynamical_matrix_rejects_non_stationary_point():
-    site = two_spot_site((0.0, 0.0), (1.0, 0.0), 0.25)
-    lopsided = type(site)(center=site.center,
-                          displacements=np.array([[0.25, 0.0], [-0.1, 0.0]]),
-                          polarizations=site.polarizations)
-    pat = SpotPattern("x", 250.0, 0.6, 0.25, sites=[lopsided])
+    lopsided = SpotPattern("x", 250.0, 0.6, 0.25, centers=[[0.0, 0.0]],
+                           displacements=[[[0.25, 0.0], [-0.1, 0.0]]],
+                           polarizations=[[[1.0, 0.0]]])
     with pytest.raises(ValueError):
-        dynamical_matrix(pat, lopsided)
+        dynamical_matrix(lopsided, 0)
 
 
 def test_phonon_modes_soft_axis_and_frequency():
     V0, w, D = 250.0, 0.6, 0.25
-    site = two_spot_site((0.0, 0.0), (1.0, 0.0), D)
-    pat = SpotPattern("x", V0, w, D, sites=[site])
-    modes = phonon_modes(dynamical_matrix(pat, site), M_RB87)
+    pat = holstein_reference(1.0, V0, w, D, b=0.0, extent=0)
+    modes = phonon_modes(dynamical_matrix(pat, 0), M_RB87)
     assert len(modes) == 2
     assert modes[0].frequency >= modes[1].frequency
     # soft mode lies along the spot axis (x)
@@ -152,14 +224,13 @@ def test_phonon_modes_validation():
 
 def test_crossed_modes_are_degenerate():
     pat = crossed(1.73, 250.0, 0.6, 0.25)
-    site = pat.sites[len(pat.sites) // 2]
-    modes = phonon_modes(dynamical_matrix(pat, site), M_RB87)
+    modes = phonon_modes(dynamical_matrix(pat, len(pat.centers) // 2), M_RB87)
     assert modes[0].frequency == pytest.approx(modes[1].frequency, rel=1e-6)
 
 
 def test_bipartite_axes_alternate():
     pat = bipartite_parallel(1.0, 250.0, 0.6, 0.25, extent=1)
-    axes = {tuple(np.abs(s.polarizations[0]).round(9)) for s in pat.sites}
+    axes = {tuple(np.abs(p[0]).round(9)) for p in pat.polarizations}
     assert axes == {(1.0, 0.0), (0.0, 1.0)}
 
 
@@ -175,3 +246,13 @@ def test_painted_potential_includes_pancake():
     v_mid = painted_potential(spec, pat, (0.0, 0.0, 0.0))
     v_up = painted_potential(spec, pat, (0.0, 0.0, 5.0))
     assert v_mid < v_up  # pancake confines along z
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_CONSTRUCTORS))
+def test_painted_potential_is_pancake_plus_every_site(name):
+    spec = LatticeSpec(a=1.73, V0=100.0, w_f=0.5, V0_pan=500.0, w_pan=2.0)
+    pat = PATTERN_CONSTRUCTORS[name](1.73, 250.0, 0.6, 0.25, extent=2)
+    for x, y, z in [(0.0, 0.0, 0.0), (0.3, -0.7, 0.4), (1.1, 0.9, -1.5)]:
+        ref = -500.0 * math.exp(-2.0 * z**2 / 2.0**2) + sum(
+            site_potential(pat, k, (x, y)) for k in range(len(pat.centers)))
+        assert abs(painted_potential(spec, pat, (x, y, z)) - ref) <= 1e-12 * abs(ref)

@@ -136,8 +136,8 @@ def test_array_path_matches_scalar_references(name, extent, a, eta):
     pat = PATTERN_CONSTRUCTORS[name](a, 100.0, 0.6, 0.2823, extent=extent)
     emap = effective_interaction(pat, spec, a)
 
-    centers = np.array([s.center for s in pat.sites for _ in s.polarizations])
-    zetas = np.array([z for s in pat.sites for z in s.polarizations])
+    centers = np.array([c for c, zs in zip(pat.centers, pat.polarizations) for _ in zs])
+    zetas = np.array([z for zs in pat.polarizations for z in zs])
     points = a * np.array(emap.displacements, dtype=float)
     f = coupling_f(points[:, None, :], centers, zetas, spec)
     ref = np.array([[coupling_f_scalar(p, c, z, spec) for c, z in zip(centers, zetas)]
@@ -151,13 +151,13 @@ def test_array_path_matches_scalar_references(name, extent, a, eta):
     for d in emap.displacements:
         assert abs(emap.values[d] * emap.phi00 - phi[d]) <= 1e-12 * phi[(0, 0)]
 
-    site = pat.sites[len(pat.sites) // 2]
+    k = len(pat.centers) // 2
     offsets = np.linspace(-0.6, 0.6, 7)
-    xy = site.center + np.stack(np.meshgrid(offsets, offsets, indexing="ij"), axis=-1)
-    V = site_potential(pat, site, xy)
+    xy = pat.centers[k] + np.stack(np.meshgrid(offsets, offsets, indexing="ij"), axis=-1)
+    V = site_potential(pat, k, xy)
     assert V.shape == (7, 7)
     for idx in np.ndindex(7, 7):
-        one = site_potential(pat, site, xy[idx])
+        one = site_potential(pat, k, xy[idx])
         assert abs(V[idx] - one) <= 1e-12 * abs(one)
 
     with pytest.raises(ValueError, match="coincide"):
