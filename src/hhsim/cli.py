@@ -318,13 +318,11 @@ def cmd_phase(args, sink):
                                 omega_ratio=_cfg(args, "omega_ratio"),
                                 D=_cfg(args, "D"),
                                 V0_ph_scale=_cfg(args, "V0_ph_scale"))
-    V0s = list(np.linspace(args.v0_min, args.v0_max, args.v0_steps))
-    lams = list(np.linspace(args.lam_min, args.lam_max, args.lam_steps))
+    V0s = np.linspace(args.v0_min, args.v0_max, args.v0_steps)
+    lams = np.linspace(args.lam_min, args.lam_max, args.lam_steps)
     grid = phases.phase_grid(V0s, lams, args.T, family)
-    rows = []
-    for row in grid.points:
-        for p in row:
-            rows.append((p.V0, p.lam, p.T_pair, p.T_bkt, p.label))
+    columns = (*np.meshgrid(V0s, lams, indexing="ij"), grid.T_pair, grid.T_bkt, grid.label)
+    rows = list(zip(*(c.ravel().tolist() for c in columns)))
     sink.emit_table("phase_grid", ["V0_nK", "lambda", "T_pair_nK", "T_bkt_nK", "label"], rows)
     seg_rows = [(s[0][0], s[0][1], s[1][0], s[1][1]) for s in grid.contour]
     sink.emit_table("phase_contour", ["V0_a", "lambda_a", "V0_b", "lambda_b"], seg_rows)

@@ -48,7 +48,7 @@ class LatticeSpec:
             raise ValueError("pancake depth must be nonnegative")
 
 
-@dataclass
+@dataclass(eq=False)
 class SpotPattern:
     """Phonon sites tiled over the fermion lattice; the named constructors below build them."""
 

@@ -368,4 +368,4 @@ def pair_mass_onsite(W, lam, t_prime, a=1.0, hbar=1.0):
 
     m** = hbar^2 sqrt(W^2 lam^2 + 2 t'^2) / (t'^2 a^2).
     """
-    return hbar * hbar * math.sqrt(W * W * lam * lam + 2.0 * t_prime**2) / (t_prime**2 * a * a)
+    return hbar * hbar * np.sqrt(W * W * lam * lam + 2.0 * t_prime**2) / (t_prime**2 * a * a)

@@ -3,33 +3,43 @@
 Strong-coupling estimates: local pairs form below
 T_pair = (2 W lambda - 8 t')/k_B, and dilute pairs of effective mass
 m** quasi-condense below the BKT estimate
-T_BKT = 4 pi hbar^2 n_B / (a^2 k_B 2 m** lnln(4/n_B)).
-Each grid point gets one of four labels from the ordering of the probe
-temperature T against the two scales.
+T_BKT = 4 pi hbar^2 n_B / (a^2 k_B 2 m** lnln(4/n_B))
+(Fisher and Hohenberg, PRB 37, 4936 (1988)), with m** the on-site pair
+mass ``pairs.pair_mass_onsite``.  Each grid point gets one of four
+labels from the ordering of the probe temperature T against the two
+scales.  The grid is one broadcast over (V0, lambda); every array of
+``PhaseGrid`` has shape (nV0, nlambda) unless noted.
+
+The hopping t comes from ``hubbard.recoil_energy(a, M)`` with its
+default lattice wavevector k = pi/a, which is 1/4 of the recoil that
+``hubbard.parameter_sweep`` (k = 2 pi/a) feeds the ``params`` tables.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .constants import HBAR, HZ_TO_NK, H_PLANCK, K_B, M_K40, M_RB87, nk_to_hz
 from .hubbard import hopping_t, recoil_energy
 from .lattice import two_spot_frequency
+from .pairs import pair_mass_onsite
 
 LABELS = ("Normal", "PreformedPairs", "BKTCondensedPairs", "BKTRegime")
 
 
 def t_pair(W, lam, t_prime):
     """Pairing temperature (nK) from W, t' in Hz: max(0, (2Wlam - 8t')/k_B)."""
-    return max(0.0, (2.0 * W * lam - 8.0 * t_prime) * HZ_TO_NK)
+    return np.maximum(0.0, (2.0 * W * lam - 8.0 * t_prime) * HZ_TO_NK)
 
 
 def t_bkt(n_B, m_star_star, a):
     """BKT estimate (nK) for pair density n_B, mass m** (kg), spacing a (um).
 
     T = 4 pi hbar^2 n_B / (a^2 k_B 2 m** lnln(4/n_B)), valid in the
-    dilute limit where lnln(4/n_B) > 0.
+    dilute limit where lnln(4/n_B) > 0.  m** may be an array.
     """
-    if not (0.0 < n_B < 1.0) or m_star_star <= 0.0:
+    if not (0.0 < n_B < 1.0) or np.any(m_star_star <= 0.0):
         raise ValueError("need 0 < n_B < 1 and positive mass")
     inner = math.log(4.0 / n_B)
     if inner <= 1.0:
@@ -39,14 +49,6 @@ def t_bkt(n_B, m_star_star, a):
     return T * 1e9
 
 
-def pair_mass_kg(W, lam, t_prime, a):
-    """On-site-pair effective mass in kg; W, t' in Hz, a in um."""
-    W_J = W * H_PLANCK
-    tp_J = t_prime * H_PLANCK
-    a_m = a * 1e-6
-    return HBAR**2 * math.sqrt((W_J * lam) ** 2 + 2.0 * tp_J**2) / (tp_J**2 * a_m**2)
-
-
 def classify(T, T_pair_, T_bkt_):
     """Strict-inequality phase label; ties fall through to Normal.
 
@@ -54,32 +56,26 @@ def classify(T, T_pair_, T_bkt_):
     condensation (T_bkt < T < T_pair).  BKTCondensedPairs: condensed
     preformed pairs (T < T_bkt <= T_pair).  BKTRegime: condensation at
     T_bkt with pairing only setting in there (T < T_bkt, T_pair < T_bkt).
+    Scalars give a str, arrays a str array of their broadcast shape.
     """
-    if T < T_bkt_:
-        return "BKTRegime" if T_pair_ < T_bkt_ else "BKTCondensedPairs"
-    if T_bkt_ < T < T_pair_:
-        return "PreformedPairs"
-    return "Normal"
+    below_bkt = np.less(T, T_bkt_)
+    labels = np.select(
+        [below_bkt & np.less(T_pair_, T_bkt_), below_bkt,
+         np.less(T_bkt_, T) & np.less(T, T_pair_)],
+        ["BKTRegime", "BKTCondensedPairs", "PreformedPairs"], default="Normal")
+    return labels[()]
 
 
-@dataclass
-class PhasePoint:
-    V0: float          # nK
-    lam: float
-    T: float           # nK
-    t_Hz: float
-    t_prime_Hz: float
-    T_pair: float      # nK
-    T_bkt: float       # nK
-    label: str
-
-
-@dataclass
+@dataclass(eq=False)
 class PhaseGrid:
-    V0_axis: list
-    lam_axis: list
-    points: list       # row-major [iV0][ilam]
-    contour: list      # list of ((x1, y1), (x2, y2)) segments in (V0, lam)
+    V0_axis: np.ndarray     # (nV0,), nK
+    lam_axis: np.ndarray    # (nlambda,)
+    t_Hz: np.ndarray        # (nV0,)
+    t_prime_Hz: np.ndarray
+    T_pair: np.ndarray      # nK
+    T_bkt: np.ndarray       # nK
+    label: np.ndarray       # str
+    contour: list           # list of ((x1, y1), (x2, y2)) segments in (V0, lam)
 
 
 @dataclass
@@ -100,6 +96,14 @@ class PhaseFamily:
     D: float = 0.2823               # um, phonon spot half-separation
     V0_ph_scale: float = 2.5        # V0_ph = scale * V0
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("a", "M", "omega_ratio"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
 
 def phonon_frequency_ratio(family, V0, w_ph):
     """hbar*omega_ph / t recomputed from an explicit phonon waist (um)."""
@@ -109,46 +113,31 @@ def phonon_frequency_ratio(family, V0, w_ph):
     return omega / (2.0 * math.pi) / t
 
 
-def phase_point(V0, lam, T, family):
-    """Single labeled point of the phase map."""
-    E_rec = recoil_energy(family.a, family.M)
-    t = hopping_t(nk_to_hz(V0), E_rec)
-    W = 4.0 * t
-    hbar_omega = family.omega_ratio * t
-    t_prime = t * math.exp(-W * lam * (1.0 - family.phi_nn_ratio) / hbar_omega)
-    Tp = t_pair(W, lam, t_prime)
-    m2 = pair_mass_kg(W, lam, t_prime, family.a)
-    Tb = t_bkt(family.n_B, m2, family.a)
-    return PhasePoint(V0=V0, lam=lam, T=T, t_Hz=t, t_prime_Hz=t_prime,
-                      T_pair=Tp, T_bkt=Tb, label=classify(T, Tp, Tb))
-
-
 def _interp(x1, x2, f1, f2):
     return x1 + (x2 - x1) * f1 / (f1 - f2)
 
 
-def delta_t_contour(V0_axis, lam_axis, points):
+def delta_t_contour(V0_axis, lam_axis, dT):
     """Marching-squares segments of Delta T = T_bkt - T_pair = 0.
 
-    Each emitted segment separates grid corners of opposite Delta T
-    sign; coordinates are linearly interpolated crossings.
+    dT has shape (len(V0_axis), len(lam_axis)).  Each emitted segment
+    separates grid corners of opposite Delta T sign; coordinates are
+    linearly interpolated crossings.
     """
-    nx, ny = len(V0_axis), len(lam_axis)
-    f = [[points[i][j].T_bkt - points[i][j].T_pair for j in range(ny)] for i in range(nx)]
+    xs, ys = np.asarray(V0_axis).tolist(), np.asarray(lam_axis).tolist()
+    f = np.asarray(dT).tolist()
     segments = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
             corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
             vals = [f[x][y] for x, y in corners]
             crossings = []
             for k in range(4):
                 (x1, y1), (x2, y2) = corners[k], corners[(k + 1) % 4]
                 v1, v2 = vals[k], vals[(k + 1) % 4]
-                if v1 == 0.0 and v2 == 0.0:
-                    continue
                 if (v1 < 0.0 <= v2) or (v2 < 0.0 <= v1):
-                    px = _interp(V0_axis[x1], V0_axis[x2], v1, v2)
-                    py = _interp(lam_axis[y1], lam_axis[y2], v1, v2)
+                    px = _interp(xs[x1], xs[x2], v1, v2)
+                    py = _interp(ys[y1], ys[y2], v1, v2)
                     crossings.append((px, py))
             if len(crossings) >= 2:
                 segments.append((crossings[0], crossings[1]))
@@ -159,7 +148,20 @@ def phase_grid(V0_axis, lam_axis, T, family=None):
     """Fully populated PhaseGrid with the Delta T = 0 contour."""
     if family is None:
         family = PhaseFamily()
-    points = [[phase_point(V0, lam, T, family) for lam in lam_axis] for V0 in V0_axis]
-    contour = delta_t_contour(list(V0_axis), list(lam_axis), points)
-    return PhaseGrid(V0_axis=list(V0_axis), lam_axis=list(lam_axis),
-                     points=points, contour=contour)
+    V0 = np.asarray(V0_axis, dtype=float)
+    lam = np.asarray(lam_axis, dtype=float)
+    for name, value in (("V0", V0), ("lambda", lam), ("T", T)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+    E_rec = recoil_energy(family.a, family.M)
+    t = np.array([hopping_t(nk_to_hz(v), E_rec) for v in V0.tolist()])
+    t_col = t[:, None]
+    W = 4.0 * t_col
+    hbar_omega = family.omega_ratio * t_col
+    t_prime = t_col * np.exp(-W * lam * (1.0 - family.phi_nn_ratio) / hbar_omega)
+    Tp = t_pair(W, lam, t_prime)
+    m2 = pair_mass_onsite(W * H_PLANCK, lam, t_prime * H_PLANCK, family.a * 1e-6, HBAR)
+    Tb = t_bkt(family.n_B, m2, family.a)
+    return PhaseGrid(V0_axis=V0, lam_axis=lam, t_Hz=t, t_prime_Hz=t_prime,
+                     T_pair=Tp, T_bkt=Tb, label=classify(T, Tp, Tb),
+                     contour=delta_t_contour(V0, lam, Tb - Tp))

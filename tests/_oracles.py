@@ -10,7 +10,8 @@ determinants and the band-edge binding condition are written out by
 hand; they take M_nl from ``hhsim.greens`` and the band-edge C_nl
 limits from ``greens_C_threshold`` below, and check how ``hhsim.pairs``
 assembles them.  The Phi map is summed by a scalar double loop over
-the scalar coupling constant.
+the scalar coupling constant, and a phase-map point is computed alone
+in scalar floats, its pair mass written out in SI units.
 """
 
 import math
@@ -18,7 +19,9 @@ import math
 import mpmath
 import numpy as np
 
+from hhsim.constants import HBAR, HZ_TO_NK, H_PLANCK, K_B, nk_to_hz
 from hhsim.greens import SUPPORTED_NL, greens_M_table
+from hhsim.hubbard import hopping_t, recoil_energy
 
 
 def quad_M(E, t_prime, rel_tol=1e-10, n_start=64, n_max=16384):
@@ -320,3 +323,28 @@ def phi_sum_scalar(pattern, spec, a, displacements):
                           * coupling_f_scalar(other, center, zeta, spec))
         phi[(n, l)] = total
     return phi
+
+
+def phase_point_scalar(V0, lam, T, family):
+    """One point of the phase map: (t, t', T_pair, T_bkt, label), Hz and nK.
+
+    T_pair = max(0, 2 W lam - 8 t'), m** = hbar^2 sqrt((W lam)^2 + 2 t'^2)
+    / (t'^2 a^2) in SI, T_BKT = 4 pi hbar^2 n_B / (a^2 k_B 2 m** lnln(4/n_B)),
+    and the label from strict inequalities, ties falling to Normal.
+    """
+    t = hopping_t(nk_to_hz(V0), recoil_energy(family.a, family.M))
+    W = 4.0 * t
+    hbar_omega = family.omega_ratio * t
+    t_prime = t * math.exp(-W * lam * (1.0 - family.phi_nn_ratio) / hbar_omega)
+    T_pair = max(0.0, (2.0 * W * lam - 8.0 * t_prime) * HZ_TO_NK)
+    W_J, tp_J, a_m = W * H_PLANCK, t_prime * H_PLANCK, family.a * 1e-6
+    m2 = HBAR**2 * math.sqrt((W_J * lam) ** 2 + 2.0 * tp_J**2) / (tp_J**2 * a_m**2)
+    lnln = math.log(math.log(4.0 / family.n_B))
+    T_bkt = 4.0 * math.pi * HBAR**2 * family.n_B / (a_m**2 * K_B * 2.0 * m2 * lnln) * 1e9
+    if T < T_bkt:
+        label = "BKTRegime" if T_pair < T_bkt else "BKTCondensedPairs"
+    elif T_bkt < T < T_pair:
+        label = "PreformedPairs"
+    else:
+        label = "Normal"
+    return t, t_prime, T_pair, T_bkt, label

@@ -220,10 +220,10 @@ def test_criterion_11_phase_map():
     V0s = list(np.linspace(100.0, 600.0, 21))
     lams = list(np.linspace(0.05, 5.0, 26))
     grid = phases.phase_grid(V0s, lams, 20.0)
-    labels = {p.label for row in grid.points for p in row}
+    labels = set(grid.label.ravel().tolist())
     ok_labels = labels == set(phases.LABELS)
     ok_contour = len(grid.contour) > 0
-    paired = [p.lam for row in grid.points for p in row if p.T_pair >= 20.0]
+    paired = np.broadcast_to(grid.lam_axis, grid.T_pair.shape)[grid.T_pair >= 20.0].tolist()
     ok_lam = bool(paired) and min(paired) >= 1.5
     ok = ok_labels and ok_contour and ok_lam
     lam_txt = f"{min(paired):.2f}" if paired else "none"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hhsim import hubbard
+from hhsim import hubbard, phases
 from hhsim.cli import DEFAULTS, FIGURES, build_parser, main
 from hhsim.constants import A_BOHR
 from hhsim.lattice import PATTERN_CONSTRUCTORS
@@ -152,6 +152,31 @@ def test_phase_subcommand(tmp_path):
     rows = list(csv.reader((out / "phase_grid.csv").open()))
     assert len(rows) == 1 + 5 * 6
     assert (out / "phase_contour.csv").exists()
+    # one row per (V0, lambda) cell, V0 outer, columns from the same cell
+    V0s, lams = np.linspace(100.0, 600.0, 5), np.linspace(0.05, 5.0, 6)
+    grid = phases.phase_grid(V0s, lams, 20.0, phases.PhaseFamily())
+    for k, (V0, lam, T_pair, T_bkt, label) in enumerate(rows[1:]):
+        i, j = divmod(k, 6)
+        assert float(V0) == pytest.approx(V0s[i], rel=1e-9)
+        assert float(lam) == pytest.approx(lams[j], rel=1e-9)
+        assert float(T_pair) == pytest.approx(grid.T_pair[i, j], rel=1e-9, abs=0.0)
+        assert float(T_bkt) == pytest.approx(grid.T_bkt[i, j], rel=1e-9)
+        assert label == grid.label[i, j]
+
+
+@pytest.mark.parametrize("config, argv, name", [
+    ({"omega_ratio": 0}, [], "omega_ratio must be positive"),
+    ({"a": float("nan")}, [], "a must be finite"),
+    ({}, ["--T", "nan"], "T must be finite"),
+    ({}, ["--v0-min", "nan"], "V0 must be finite"),
+])
+def test_phase_rejects_bad_inputs_before_any_output(tmp_path, capsys, config, argv, name):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = tmp_path / "phase"
+    assert main(["--config", str(cfg), "--out", str(out), "phase"] + argv) == 1
+    assert name in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_params_t_and_U_come_from_parameter_sweep(tmp_path):

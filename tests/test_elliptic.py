@@ -1,9 +1,16 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from hhsim.elliptic import EllipticDomainError, elliptic_E, elliptic_K, elliptic_KE
+from hhsim.elliptic import (
+    EllipticDomainError,
+    elliptic_E,
+    elliptic_K,
+    elliptic_KE,
+    elliptic_KE_kprime,
+)
 
 from _oracles import series_elliptic_E, series_elliptic_K
 
@@ -39,18 +46,24 @@ def test_near_singular_modulus_against_mpmath():
 
 
 def test_domain_errors():
-    for bad in (-0.1, 1.1):
+    for bad in (-0.1, 1.1, math.nan):
         with pytest.raises(EllipticDomainError):
             elliptic_KE(bad)
 
 
-def test_extended_precision_path():
-    with mpmath.workdps(40):
-        K, E = elliptic_KE(mpmath.mpf("0.875"))
-        ref_K = mpmath.ellipk(mpmath.mpf("0.875") ** 2)
-        ref_E = mpmath.ellipe(mpmath.mpf("0.875") ** 2)
-        assert abs(K - ref_K) < mpmath.mpf(10) ** -38 * ref_K
-        assert abs(E - ref_E) < mpmath.mpf(10) ** -38 * ref_E
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.1, 1.5, [0.5, math.nan], [[0.5], [2.0]]])
+def test_kprime_outside_unit_interval_is_rejected(bad):
+    with pytest.raises(EllipticDomainError):
+        elliptic_KE_kprime(bad)
+
+
+def test_array_path_matches_float_path():
+    kprime = np.array([[1.0, 0.6], [1e-8, 0.05]])
+    K, E = elliptic_KE_kprime(kprime)
+    assert K.shape == E.shape == kprime.shape
+    for kp, k_el, e_el in zip(kprime.ravel().tolist(), K.ravel().tolist(), E.ravel().tolist()):
+        assert elliptic_KE_kprime(kp) == (k_el, e_el)
+    assert isinstance(elliptic_K(0.5), float) and isinstance(elliptic_E(0.5), float)
 
 
 def test_K_monotone_increasing_E_monotone_decreasing():

@@ -74,6 +74,13 @@ def test_pattern_rejects_mismatched_or_empty_arrays(arrays):
         SpotPattern("x", 100.0, 0.6, 0.1, **arrays)
 
 
+def test_pattern_equality_is_identity():
+    p = holstein_reference(1.73, 250.0, 0.6, 0.25, extent=1)
+    q = holstein_reference(1.73, 250.0, 0.6, 0.25, extent=1)
+    assert p == p
+    assert p != q
+
+
 @pytest.mark.parametrize("name", sorted(PATTERN_CONSTRUCTORS))
 def test_constructors_reject_bad_grid_arguments(name):
     ctor = PATTERN_CONSTRUCTORS[name]

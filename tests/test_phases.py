@@ -1,26 +1,32 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hhsim.constants import HBAR, HZ_TO_NK, K_B
+from hhsim.constants import HBAR, H_PLANCK, HZ_TO_NK, K_B, M_K40, M_RB87
+from hhsim.pairs import pair_mass_onsite
 from hhsim.phases import (
     LABELS,
     PhaseFamily,
     classify,
     delta_t_contour,
-    pair_mass_kg,
     phase_grid,
-    phase_point,
     phonon_frequency_ratio,
     t_bkt,
     t_pair,
 )
+
+from _oracles import phase_point_scalar
 
 
 def test_t_pair_clamped_at_zero():
     assert t_pair(100.0, 0.1, 50.0) == 0.0
     val = t_pair(100.0, 3.0, 50.0)
     assert val == pytest.approx((600.0 - 400.0) * HZ_TO_NK)
+    arr = t_pair(100.0, np.array([0.1, 3.0]), 50.0)
+    assert arr.tolist() == [0.0, val]
 
 
 def test_t_bkt_formula_and_domain():
@@ -29,10 +35,13 @@ def test_t_bkt_formula_and_domain():
         (a * 1e-6) ** 2 * K_B * 2 * m * math.log(math.log(4 / n_B))
     ) * 1e9
     assert t_bkt(n_B, m, a) == pytest.approx(expect, rel=1e-12)
+    assert t_bkt(n_B, np.array([m, 2 * m]), a).tolist() == [t_bkt(n_B, m, a), t_bkt(n_B, 2 * m, a)]
     with pytest.raises(ValueError):
         t_bkt(0.0, m, a)
     with pytest.raises(ValueError):
         t_bkt(3.9, m, a)  # lnln argument <= 1
+    with pytest.raises(ValueError):
+        t_bkt(n_B, np.array([m, 0.0]), a)
 
 
 def test_classify_all_labels_reachable():
@@ -42,44 +51,105 @@ def test_classify_all_labels_reachable():
     assert classify(0.5, 0.7, 1.0) == "BKTRegime"
     # ties fall through to Normal
     assert classify(5.0, 5.0, 5.0) == "Normal"
+    assert classify(1.0, 5.0, 1.0) == "Normal"
+    assert classify(5.0, 5.0, 1.0) == "Normal"
+    assert isinstance(classify(10.0, 5.0, 1.0), str)
     assert set(LABELS) == {"Normal", "PreformedPairs", "BKTCondensedPairs", "BKTRegime"}
 
 
+def test_classify_on_arrays_matches_scalars():
+    T = np.array([10.0, 3.0, 0.5, 0.5, 5.0, 1.0])
+    T_pair_ = np.array([5.0, 5.0, 5.0, 0.7, 5.0, 1.0])
+    T_bkt_ = np.array([1.0, 1.0, 1.0, 1.0, 5.0, 1.0])
+    labels = classify(T, T_pair_, T_bkt_)
+    assert labels.shape == T.shape
+    assert labels.tolist() == [classify(*x) for x in zip(T.tolist(), T_pair_.tolist(),
+                                                           T_bkt_.tolist())]
+
+
 def test_pair_mass_increases_with_coupling():
-    m1 = pair_mass_kg(500.0, 1.0, 100.0, 1.73)
-    m2 = pair_mass_kg(500.0, 3.0, 100.0, 1.73)
-    assert m2 > m1 > 0.0
+    W_J, tp_J, a_m = 500.0 * H_PLANCK, 100.0 * H_PLANCK, 1.73e-6
+    m = pair_mass_onsite(W_J, np.array([1.0, 3.0]), tp_J, a_m, HBAR)
+    assert m[1] > m[0] > 0.0
 
 
-def test_phase_point_fields():
-    p = phase_point(400.0, 2.0, 20.0, PhaseFamily())
-    assert p.t_Hz > p.t_prime_Hz > 0.0
-    assert p.label in LABELS
-    assert p.T_pair >= 0.0 and p.T_bkt > 0.0
+def test_one_point_grid_fields():
+    grid = phase_grid([400.0], [2.0], 20.0, PhaseFamily())
+    assert grid.t_Hz.shape == (1,) and grid.T_bkt.shape == (1, 1)
+    assert grid.t_Hz[0] > grid.t_prime_Hz[0, 0] > 0.0
+    assert grid.label[0, 0] in LABELS
+    assert grid.T_pair[0, 0] >= 0.0 and grid.T_bkt[0, 0] > 0.0
 
 
 def test_contour_on_synthetic_grid():
-    class P:
-        def __init__(self, Tb, Tp):
-            self.T_bkt, self.T_pair = Tb, Tp
-
     xs, ys = [0.0, 1.0], [0.0, 1.0]
     # Delta T changes sign along x
-    pts = [[P(1.0, 0.0), P(1.0, 0.0)], [P(0.0, 1.0), P(0.0, 1.0)]]
-    segs = delta_t_contour(xs, ys, pts)
+    segs = delta_t_contour(xs, ys, np.array([[1.0, 1.0], [-1.0, -1.0]]))
     assert len(segs) == 1
     (x1, _), (x2, _) = segs[0]
     assert x1 == pytest.approx(0.5) and x2 == pytest.approx(0.5)
-    # uniform sign: no contour
-    flat = [[P(1.0, 0.0)] * 2] * 2
-    assert delta_t_contour(xs, ys, flat) == []
+    # Delta T changes sign along lambda, crossing at 3/4 of each edge
+    segs = delta_t_contour(xs, ys, np.array([[3.0, -1.0], [3.0, -1.0]]))
+    assert segs == [((1.0, 0.75), (0.0, 0.75))]
+    # uniform sign, or zero everywhere: no contour
+    assert delta_t_contour(xs, ys, np.ones((2, 2))) == []
+    assert delta_t_contour(xs, ys, np.zeros((2, 2))) == []
 
 
 def test_phase_grid_structure():
     grid = phase_grid([300.0, 400.0, 500.0], [0.5, 1.5, 2.5, 3.5], 20.0)
-    assert len(grid.points) == 3 and len(grid.points[0]) == 4
-    labels = {p.label for row in grid.points for p in row}
-    assert labels <= set(LABELS)
+    assert grid.V0_axis.shape == grid.t_Hz.shape == (3,) and grid.lam_axis.shape == (4,)
+    for arr in (grid.t_prime_Hz, grid.T_pair, grid.T_bkt, grid.label):
+        assert arr.shape == (3, 4)
+    assert set(grid.label.ravel().tolist()) <= set(LABELS)
+
+
+families = st.builds(
+    PhaseFamily, a=st.floats(1.5, 2.0), M=st.sampled_from([M_K40, M_RB87]),
+    n_B=st.floats(0.002, 0.05), phi_nn_ratio=st.floats(0.0, 0.5),
+    omega_ratio=st.floats(5.0, 25.0))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(family=families,
+       V0s=st.lists(st.floats(100.0, 700.0), min_size=1, max_size=5),
+       lams=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=5),
+       T=st.one_of(st.floats(0.0, 50.0), st.floats(1e-4, 0.5)))
+def test_grid_matches_scalar_reference(family, V0s, lams, T):
+    grid = phase_grid(V0s, lams, T, family)
+    for i, V0 in enumerate(V0s):
+        for j, lam in enumerate(lams):
+            t, t_prime, T_pair_, T_bkt_, label = phase_point_scalar(V0, lam, T, family)
+            assert grid.t_Hz[i] == t
+            for got, ref in ((grid.t_prime_Hz, t_prime), (grid.T_pair, T_pair_),
+                             (grid.T_bkt, T_bkt_)):
+                assert abs(got[i, j] - ref) <= 1e-12 * abs(ref)
+            assert grid.label[i, j] == label
+
+
+@pytest.mark.parametrize("name", ["a", "M", "n_B", "phi_nn_ratio", "omega_ratio", "D",
+                                  "V0_ph_scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_family_rejects_non_finite_fields_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        PhaseFamily(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["a", "M", "omega_ratio"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_family_rejects_non_positive_scales(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        PhaseFamily(**{name: value})
+
+
+@pytest.mark.parametrize("V0s, lams, T, name", [
+    ([100.0, math.nan], [1.0], 20.0, "V0"),
+    ([100.0], [1.0, math.inf], 20.0, "lambda"),
+    ([100.0], [1.0], math.nan, "T"),
+])
+def test_phase_grid_rejects_non_finite_inputs_by_name(V0s, lams, T, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        phase_grid(V0s, lams, T)
 
 
 def test_phonon_frequency_ratio_positive():
