@@ -2,19 +2,31 @@
 quantum simulator: trap potentials, phonon modes, Rydberg-mediated
 couplings, Hubbard parameters, two-body pairing thresholds, pair masses
 and the pairing/BKT phase map, validated against an exact finite-lattice
-two-body solver."""
+two-body solver.
+
+Submodules load on first attribute access (PEP 562), so ``import hhsim``
+pulls in no numerics, and scipy loads only with ``hhsim.oracle``.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import (  # noqa: F401
-    constants,
-    elliptic,
-    greens,
-    hubbard,
-    lattice,
-    oracle,
-    pairs,
-    phases,
-    rydberg,
-    stark,
-)
+_SUBMODULES = frozenset({
+    "constants",
+    "elliptic",
+    "greens",
+    "hubbard",
+    "lattice",
+    "oracle",
+    "pairs",
+    "phases",
+    "rydberg",
+    "stark",
+})
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

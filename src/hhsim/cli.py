@@ -18,9 +18,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from . import __version__, hubbard, lattice, oracle, pairs, phases, rydberg, stark
+from . import __version__, hubbard, lattice, pairs, phases, rydberg, stark
 from .constants import A_BOHR, M_RB87
 
 DEFAULTS = {
@@ -130,6 +129,8 @@ def _jsonable(x):
 
 
 def _load_config(path):
+    import yaml   # only a --config run needs PyYAML
+
     with open(path) as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
@@ -156,6 +157,13 @@ def _spec_from_args(args):
     return rydberg.RydbergSpec.from_rc(C6=C6, r_c=r_c, alpha_bar=alpha_bar, eta=eta)
 
 
+def _steps(args, what="sweep"):
+    """``args.steps``, checked before any output: a sweep includes both ends."""
+    if args.steps < 2:
+        raise SystemExit(f"{args.cmd} --steps must be at least 2 (the {what} includes both ends)")
+    return args.steps
+
+
 # ---------------------------------------------------------------- subcommands
 
 def cmd_stark(args, sink):
@@ -166,9 +174,7 @@ def cmd_stark(args, sink):
                             intensity_prefactor=_cfg(args, "prefactor"))
     lo = args.wl_min if args.wl_min else atom.lambda_D2 - 3.0
     hi = args.wl_max if args.wl_max else atom.lambda_D1 + 3.0
-    n = args.steps
-    if n < 2:
-        raise SystemExit("stark --steps must be at least 2 (the sweep includes both ends)")
+    n = _steps(args)
     rows = []
     for i in range(n):
         wl = lo + (hi - lo) * i / (n - 1)
@@ -189,8 +195,7 @@ def cmd_stark(args, sink):
 
 
 def cmd_phonon(args, sink):
-    if args.steps < 2:
-        raise SystemExit("phonon --steps must be at least 2 (the cross section includes both ends)")
+    steps = _steps(args, "cross section")
     a = _cfg(args, "a")
     V0_ph = args.v0_ph
     w_ph = _cfg(args, "w_ph")
@@ -205,7 +210,7 @@ def cmd_phonon(args, sink):
                    "polarization": list(m.polarization)} for m in modes],
         "two_spot_closed_form_rad_s": lattice.two_spot_frequency(V0_ph, w_ph, D, M_RB87),
     })
-    xs = np.linspace(-w_ph, w_ph, args.steps)
+    xs = np.linspace(-w_ph, w_ph, steps)
     points = pattern.centers[k] + np.stack([xs, np.zeros_like(xs)], axis=-1)
     rows = [(float(x), float(v))
             for x, v in zip(xs, lattice.site_potential(pattern, k, points))]
@@ -236,13 +241,14 @@ def cmd_phi_map(args, sink):
 
 
 def cmd_params(args, sink):
+    steps = _steps(args)
     a = _cfg(args, "a")
     spec = _spec_from_args(args)
     w_ph = _cfg(args, "w_ph")
     D = _cfg(args, "D")
     scale = _cfg(args, "V0_ph_scale")
     emap = rydberg.effective_interaction(lattice.holstein_reference(a, 100.0, w_ph, D), spec, a)
-    V0s = [float(V0) for V0 in np.linspace(args.v0_min, args.v0_max, args.steps)]
+    V0s = [float(V0) for V0 in np.linspace(args.v0_min, args.v0_max, steps)]
     rows = []
     for r in hubbard.parameter_sweep(V0s, a, a_s_um=_cfg(args, "a_s0") * A_BOHR * 1e6):
         W = 4.0 * r["t_Hz"]
@@ -255,19 +261,20 @@ def cmd_params(args, sink):
 
 def cmd_binding(args, sink):
     tp = args.t_prime
+    sweep = np.linspace(args.v_min, args.v_max, _steps(args))
     rows = []
     if args.model == "diagonal":
-        for V in np.linspace(args.v_min, args.v_max, args.steps):
+        for V in sweep:
             th = pairs.threshold_diagonal(float(V), tp)
             rows.append((float(V), th.U_cr, int(th.pole)))
         sink.emit_table("threshold_diagonal", ["V", "U_cr", "pole"], rows)
     elif args.model == "physical":
-        for lam in np.linspace(args.v_min, args.v_max, args.steps):
+        for lam in sweep:
             res = pairs.threshold_physical(float(lam), args.t, args.renormalized)
             rows.append((float(lam), res["U_cr"], res["U_fesh_cr"], int(res["pole"])))
         sink.emit_table("threshold_physical", ["lambda", "U_cr", "U_fesh_cr", "pole"], rows)
     else:
-        for V in np.linspace(args.v_min, args.v_max, args.steps):
+        for V in sweep:
             th = pairs.threshold_full(float(V), float(V), tp)
             rows.append((float(V), th.U_cr, int(th.pole)))
         sink.emit_table("threshold_full", ["V1=V2", "U_cr", "pole"], rows)
@@ -277,7 +284,7 @@ def cmd_binding(args, sink):
 def cmd_pair(args, sink):
     tp = args.t_prime
     rows = []
-    for V in np.linspace(args.v_min, args.v_max, args.steps):
+    for V in np.linspace(args.v_min, args.v_max, _steps(args)):
         U = args.U if args.U is not None else float(V)
         states = pairs.pair_energies_diagonal(U, float(V), tp)
         for s in states:
@@ -287,6 +294,8 @@ def cmd_pair(args, sink):
 
 
 def cmd_oracle(args, sink):
+    from . import oracle   # the one scipy user; kept off the import path of the other commands
+
     if args.model == "diagonal":
         if args.V2:
             raise SystemExit("oracle --model diagonal takes its V from --V1; --V2 must be 0")

@@ -61,6 +61,15 @@ _COUNTS = {variant: np.stack([_orbit_counts(members[0], orbits) for _, members i
            for variant, orbits in _ORBITS.items()}
 
 
+def _check_couplings(t_prime, **couplings):
+    """Raise ValueError unless t_prime and every coupling are finite and t_prime > 0."""
+    for name, value in {"t_prime": t_prime, **couplings}.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if t_prime <= 0:
+        raise ValueError("t_prime must be positive")
+
+
 @dataclass
 class UVModel:
     """Parameters of an effective two-body UV model.
@@ -76,11 +85,7 @@ class UVModel:
     variant: str = "full"
 
     def __post_init__(self):
-        for name in ("t_prime", "U", "V1", "V2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.t_prime <= 0:
-            raise ValueError("t_prime must be positive")
+        _check_couplings(self.t_prime, U=self.U, V1=self.V1, V2=self.V2)
         if self.variant not in _ORBITS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "diagonal" and self.V1 != 0.0:
@@ -222,6 +227,7 @@ def threshold_diagonal(V, t_prime):
     U_cr = -2 V t' / (t' + 4V/3pi).  The denominator vanishes at
     V = -3 pi t'/4, reported via the pole flag.
     """
+    _check_couplings(t_prime, V=V)
     denom = t_prime + 4.0 * V / (3.0 * math.pi)
     if denom == 0.0:
         return BindingThreshold(U_cr=math.inf, pole=True)
@@ -235,6 +241,7 @@ def threshold_full(V1, V2, t_prime):
     U_cr = -(g3 t' V1 V2 + 4 t'^2 (V1 + V2))
            / (g1 V1 V2 + t' V1 / 2 + g2 t' V2 + t'^2).
     """
+    _check_couplings(t_prime, V1=V1, V2=V2)
     tp = t_prime
     num = GAMMA3 * tp * V1 * V2 + 4.0 * tp * tp * (V1 + V2)
     den = GAMMA1 * V1 * V2 + 0.5 * tp * V1 + GAMMA2 * tp * V2 + tp * tp

@@ -1,12 +1,17 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import hhsim
 from hhsim import hubbard, phases
 from hhsim.cli import DEFAULTS, FIGURES, build_parser, main
 from hhsim.constants import A_BOHR
@@ -57,6 +62,54 @@ def test_phonon_needs_two_steps_before_any_output(tmp_path, steps):
     with pytest.raises(SystemExit, match="at least 2"):
         main(["--out", str(out), "phonon", "--steps", steps])
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cmd", ["binding", "pair", "params"])
+@pytest.mark.parametrize("steps", ["1", "0", "-1"])
+def test_sweeps_need_two_steps_before_any_output(tmp_path, cmd, steps):
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit, match=f"^{cmd} --steps must be at least 2"):
+        main(["--out", str(out), cmd, "--steps", steps])
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["binding", "--t-prime", "0"], "t_prime must be positive"),
+    (["binding", "--t-prime", "-1", "--steps", "2"], "t_prime must be positive"),
+    (["binding", "--model", "full", "--t-prime", "0"], "t_prime must be positive"),
+    (["binding", "--model", "full", "--t-prime", "nan"], "t_prime must be finite"),
+])
+def test_binding_rejects_bad_t_prime_before_any_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "binding"
+    assert main(["--out", str(out)] + argv) == 1
+    assert message in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _fresh_python(script):
+    """stdout of ``script`` in a new interpreter; this one has loaded scipy
+    through other tests."""
+    src = str(Path(hhsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+
+
+@pytest.mark.parametrize("module", ["hhsim.pairs", "hhsim.cli"])
+def test_import_loads_neither_scipy_nor_yaml(module):
+    assert _fresh_python(
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))"
+    ) == "[]\n"
+
+
+def test_package_loads_submodules_on_attribute_access():
+    assert _fresh_python(
+        "import sys, hhsim; print('hhsim.oracle' in sys.modules, "
+        "hhsim.oracle is sys.modules['hhsim.oracle'])"
+    ) == "False True\n"
+    with pytest.raises(AttributeError, match="no_such_module"):
+        hhsim.no_such_module
 
 
 def test_output_deterministic(tmp_path, monkeypatch):

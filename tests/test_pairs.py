@@ -156,6 +156,27 @@ def test_threshold_diagonal_asymptote_and_pole():
     assert threshold_diagonal(0.0, 1.0).U_cr == 0.0
 
 
+@pytest.mark.parametrize("t_prime", [0.0, -1.0, -1e-300])
+def test_thresholds_reject_non_positive_t_prime(t_prime):
+    with pytest.raises(ValueError, match="^t_prime must be positive"):
+        threshold_diagonal(1.0, t_prime)
+    with pytest.raises(ValueError, match="^t_prime must be positive"):
+        threshold_full(1.0, 1.0, t_prime)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("threshold, args, field", [
+    (threshold_diagonal, {"V": 1.0, "t_prime": 1.0}, "V"),
+    (threshold_diagonal, {"V": 1.0, "t_prime": 1.0}, "t_prime"),
+    (threshold_full, {"V1": 1.0, "V2": 1.0, "t_prime": 1.0}, "V1"),
+    (threshold_full, {"V1": 1.0, "V2": 1.0, "t_prime": 1.0}, "V2"),
+    (threshold_full, {"V1": 1.0, "V2": 1.0, "t_prime": 1.0}, "t_prime"),
+])
+def test_thresholds_reject_non_finite_inputs_by_name(threshold, args, field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        threshold(**{**args, field: bad})
+
+
 def test_threshold_full_matches_long_form_binding_condition():
     # U_cr of the reduced rational form is a zero of the long-form
     # band-edge expression
