@@ -20,36 +20,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, hubbard, lattice, pairs, phases, rydberg, stark
-from .constants import A_BOHR, M_RB87
+from .constants import A_BOHR, M_RB87, require_finite
 
+# name -> (value, note) of each default a --config file may override
 DEFAULTS = {
-    "a": 1.73,          # um, lattice constant
-    "r_c_over_a": 0.1,  # soft-core radius in units of a
-    "n_B": 0.01,        # pair density for the BKT estimate
-    "a_s0": 90.0,       # background scattering length, Bohr radii
-    "eta": 6,           # power-law exponent of the dressed interaction
-    "n_ryd": 27,        # principal quantum number
-    "alpha_bar": 0.004,  # dressing ratio Omega/2Delta
-    "w_ph": 0.6,        # um, phonon spot waist
-    "D": 0.2823,        # um, phonon spot half-separation
-    "V0_ph_scale": 2.5,  # phonon spot depth in units of V0
-    "prefactor": 1.0,   # nK, Stark intensity prefactor
-    "omega_ratio": 18.52,  # pinned hbar*omega_ph/t for the phase map
-}
-
-DEFAULT_NOTES = {
-    "a": "fermion lattice constant in micrometres",
-    "r_c_over_a": "dressed-interaction soft-core radius relative to a",
-    "n_B": "dilute pair density entering the BKT temperature estimate",
-    "a_s0": "background s-wave scattering length in Bohr radii",
-    "eta": "power-law exponent of the dressed pair potential",
-    "n_ryd": "Rydberg principal quantum number (sets C6)",
-    "alpha_bar": "Rydberg dressing ratio Omega/(2 Delta)",
-    "w_ph": "phonon spot waist in micrometres (design choice)",
-    "D": "phonon spot half-separation in micrometres",
-    "V0_ph_scale": "phonon spot depth as a multiple of the fermion depth",
-    "prefactor": "Stark-shift intensity prefactor in nK",
-    "omega_ratio": "pinned phonon quantum in units of the hopping",
+    "a": (1.73, "fermion lattice constant in micrometres"),
+    "r_c_over_a": (0.1, "dressed-interaction soft-core radius relative to a"),
+    "n_B": (0.01, "dilute pair density entering the BKT temperature estimate"),
+    "a_s0": (90.0, "background s-wave scattering length in Bohr radii"),
+    "eta": (6, "power-law exponent of the dressed pair potential"),
+    "n_ryd": (27, "Rydberg principal quantum number (sets C6)"),
+    "alpha_bar": (0.004, "Rydberg dressing ratio Omega/(2 Delta)"),
+    "w_ph": (0.6, "phonon spot waist in micrometres (design choice)"),
+    "D": (0.2823, "phonon spot half-separation in micrometres"),
+    "V0_ph_scale": (2.5, "phonon spot depth as a multiple of the fermion depth"),
+    "prefactor": (1.0, "Stark-shift intensity prefactor in nK"),
+    "omega_ratio": (18.52, "pinned phonon quantum in units of the hopping"),
 }
 
 
@@ -135,6 +121,11 @@ def _load_config(path):
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise SystemExit(f"config {path}: expected a mapping at top level")
+    for key, value in data.items():
+        if key not in DEFAULTS:
+            raise SystemExit(f"config {path}: unknown key {key!r}; known: {sorted(DEFAULTS)}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SystemExit(f"config {path}: {key} must be a number, got {value!r}")
     return data
 
 
@@ -144,7 +135,7 @@ def _cfg(args, key):
         return val
     if key in args.config:
         return args.config[key]
-    return DEFAULTS.get(key)
+    return DEFAULTS[key][0]
 
 
 def _spec_from_args(args):
@@ -164,6 +155,13 @@ def _steps(args, what="sweep"):
     return args.steps
 
 
+def _bounds(args, flag, lo, hi):
+    """The sweep bounds ``lo``, ``hi`` of ``--<flag>-min/max``, checked as finite
+    before any grid is built."""
+    require_finite(**{f"{args.cmd} --{flag}-min": lo, f"{args.cmd} --{flag}-max": hi})
+    return lo, hi
+
+
 # ---------------------------------------------------------------- subcommands
 
 def cmd_stark(args, sink):
@@ -172,8 +170,9 @@ def cmd_stark(args, sink):
         raise SystemExit(f"unknown species {args.species!r}; choices: {sorted(stark.SPECIES)}")
     cfg = stark.StarkConfig(g_F=args.gf, m_F=args.mf, ellipticity=args.ellipticity,
                             intensity_prefactor=_cfg(args, "prefactor"))
-    lo = args.wl_min if args.wl_min else atom.lambda_D2 - 3.0
-    hi = args.wl_max if args.wl_max else atom.lambda_D1 + 3.0
+    lo, hi = _bounds(args, "wl",
+                     atom.lambda_D2 - 3.0 if args.wl_min is None else args.wl_min,
+                     atom.lambda_D1 + 3.0 if args.wl_max is None else args.wl_max)
     n = _steps(args)
     rows = []
     for i in range(n):
@@ -248,7 +247,7 @@ def cmd_params(args, sink):
     D = _cfg(args, "D")
     scale = _cfg(args, "V0_ph_scale")
     emap = rydberg.effective_interaction(lattice.holstein_reference(a, 100.0, w_ph, D), spec, a)
-    V0s = [float(V0) for V0 in np.linspace(args.v0_min, args.v0_max, steps)]
+    V0s = [float(V0) for V0 in np.linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), steps)]
     rows = []
     for r in hubbard.parameter_sweep(V0s, a, a_s_um=_cfg(args, "a_s0") * A_BOHR * 1e6):
         W = 4.0 * r["t_Hz"]
@@ -261,7 +260,7 @@ def cmd_params(args, sink):
 
 def cmd_binding(args, sink):
     tp = args.t_prime
-    sweep = np.linspace(args.v_min, args.v_max, _steps(args))
+    sweep = np.linspace(*_bounds(args, "v", args.v_min, args.v_max), _steps(args))
     rows = []
     if args.model == "diagonal":
         for V in sweep:
@@ -284,7 +283,7 @@ def cmd_binding(args, sink):
 def cmd_pair(args, sink):
     tp = args.t_prime
     rows = []
-    for V in np.linspace(args.v_min, args.v_max, _steps(args)):
+    for V in np.linspace(*_bounds(args, "v", args.v_min, args.v_max), _steps(args)):
         U = args.U if args.U is not None else float(V)
         states = pairs.pair_energies_diagonal(U, float(V), tp)
         for s in states:
@@ -468,8 +467,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.explain_defaults:
-        for key in sorted(DEFAULTS):
-            print(f"{key} = {DEFAULTS[key]}  # {DEFAULT_NOTES[key]}")
+        for key, (value, note) in sorted(DEFAULTS.items()):
+            print(f"{key} = {value}  # {note}")
         return 0
     if not getattr(args, "cmd", None):
         parser.print_usage()

@@ -1,4 +1,4 @@
-"""Physical constants and unit conversions used throughout the toolkit.
+"""Physical constants, unit conversions and the shared input checks.
 
 Internal unit conventions:
 
@@ -27,28 +27,22 @@ NK_TO_HZ = K_B * 1e-9 / H_PLANCK
 HZ_TO_NK = 1.0 / NK_TO_HZ
 
 
-def nk_to_joule(energy_nk):
-    return energy_nk * 1e-9 * K_B
-
-
-def joule_to_nk(energy_j):
-    return energy_j / (1e-9 * K_B)
-
-
 def nk_to_hz(energy_nk):
     return energy_nk * NK_TO_HZ
 
 
-def hz_to_nk(energy_hz):
-    return energy_hz * HZ_TO_NK
+def require_finite(**values):
+    """Raise ValueError naming the first value that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
-def hz_to_joule(energy_hz):
-    return energy_hz * H_PLANCK
-
-
-def joule_to_hz(energy_j):
-    return energy_j / H_PLANCK
+def require_positive(**values):
+    """Raise ValueError naming the first value that is not > 0 (NaN included)."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def wavelength_nm_to_angular_frequency(wavelength_nm):

@@ -29,6 +29,7 @@ import math
 
 import numpy as np
 
+from .constants import require_positive
 from .elliptic import elliptic_KE_kprime
 
 SUPPORTED_NL = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
@@ -69,8 +70,7 @@ class GreensDomainError(ValueError):
 
 
 def _check_domain(E, t_prime):
-    if t_prime <= 0:
-        raise ValueError(f"t_prime must be positive, got {t_prime}")
+    require_positive(t_prime=t_prime)
     outside = ~(E < -8.0 * t_prime)
     if outside.any():
         raise GreensDomainError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import K_B, M_K40, M_RB87  # noqa: F401  (masses re-exported)
+from .constants import K_B, M_K40, M_RB87, require_finite  # noqa: F401  (masses re-exported)
 
 # nK/um^2 -> J/m^2
 _CURV_SI = K_B * 1e-9 / 1e-12
@@ -39,9 +39,7 @@ class LatticeSpec:
     w_pan: float = 1.0       # pancake 1/e^2 half-width, um
 
     def __post_init__(self):
-        for name in ("a", "V0", "w_f", "V0_pan", "w_pan"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(a=self.a, V0=self.V0, w_f=self.w_f, V0_pan=self.V0_pan, w_pan=self.w_pan)
         if min(self.a, self.V0, self.w_f, self.w_pan) <= 0:
             raise ValueError("lengths and depths must be positive")
         if self.V0_pan < 0:
@@ -62,9 +60,7 @@ class SpotPattern:
     polarizations: np.ndarray = field(kw_only=True)  # (n, n_modes, 2) axes used in couplings
 
     def __post_init__(self):
-        for name in ("V0_ph", "w_ph", "D", "b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(V0_ph=self.V0_ph, w_ph=self.w_ph, D=self.D, b=self.b)
         if self.V0_ph <= 0 or self.w_ph <= 0:
             raise ValueError("phonon depth and waist must be positive")
         if not (0.0 <= self.D <= self.w_ph / 2.0):
@@ -188,25 +184,22 @@ def site_potential(pattern, k, xy):
 
     Per-spot normalized sum: the peak depth of an N_S-spot site matches a
     single spot, so painting a broad site costs no extra laser power.
-    The result has the shape of xy without its last axis.
+    The result has the shape of xy without its last axis; a slice k of
+    sites at one point xy gives one value per site.
     """
-    xy = np.asarray(xy, dtype=float)
-    spots = pattern.displacements[k]
-    total = 0.0
-    for d in spots:
-        r_vec = xy - pattern.centers[k] - d
-        # np.linalg.norm's 1-D dot, batched: one point keeps norm's bits
-        total += spot_potential(np.sqrt(np.vecdot(r_vec, r_vec)), pattern.V0_ph, pattern.w_ph)
-    return total / len(spots)
+    xy = np.asarray(xy, dtype=float)[..., None, :]
+    r_vec = xy - pattern.centers[k][..., None, :] - pattern.displacements[k]
+    # np.linalg.norm's 1-D dot, batched: one point keeps norm's bits
+    spots = spot_potential(np.sqrt(np.vecdot(r_vec, r_vec)), pattern.V0_ph, pattern.w_ph)
+    return spots.sum(axis=-1) / spots.shape[-1]
 
 
 def painted_potential(spec, pattern, position):
     """Full painted potential (nK) at 3D position (x, y, z) in um: the pancake
-    term plus every site's ``site_potential``, in one broadcast over sites and spots."""
+    term plus every site's ``site_potential``."""
     x, y, z = position
-    r_vec = np.array([x, y]) - pattern.centers[:, None, :] - pattern.displacements
-    spots = spot_potential(np.sqrt(np.vecdot(r_vec, r_vec)), pattern.V0_ph, pattern.w_ph)
-    return -spec.V0_pan * math.exp(-2.0 * z**2 / spec.w_pan**2) + float(spots.mean(axis=1).sum())
+    sites = site_potential(pattern, slice(None), (x, y))
+    return -spec.V0_pan * math.exp(-2.0 * z**2 / spec.w_pan**2) + float(sites.sum())
 
 
 def dynamical_matrix(pattern, k, h_rel=1e-3, grad_tol=1e-6):

@@ -25,11 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import require_finite, require_positive
 from .greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_M_table
 
 _EDGE_EPS = 1e-10   # offset of the search bracket from the band edge, in t'
 _ROOT_TOL = 1e-12   # bisection energy tolerance, in t'
 _SCAN_POINTS = 240  # sign-scan grid points over the search bracket
+_POLE_SCAN = (0.0, 2.0, 4001)  # lam range and grid points of the pole scan
+_POLE_TOL = 1e-12   # bisection tolerance of a pole, in lam
 
 # The orbits of each variant, in determinant order: the UVModel field
 # that carries the potential, and the displacements that carry it.
@@ -63,11 +66,8 @@ _COUNTS = {variant: np.stack([_orbit_counts(members[0], orbits) for _, members i
 
 def _check_couplings(t_prime, **couplings):
     """Raise ValueError unless t_prime and every coupling are finite and t_prime > 0."""
-    for name, value in {"t_prime": t_prime, **couplings}.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if t_prime <= 0:
-        raise ValueError("t_prime must be positive")
+    require_finite(t_prime=t_prime, **couplings)
+    require_positive(t_prime=t_prime)
 
 
 @dataclass
@@ -176,40 +176,45 @@ def _search_bracket_depth(model):
     return abs(model.U) + 8.0 * abs(model.V1) + 8.0 * abs(model.V2) + 8.0 * model.t_prime + 4.0 * model.t_prime
 
 
-def pair_energies(model):
-    """All bound-pair energies E < -8t' of the model, ascending.
+def _scan_roots(f, x_of, lo, hi, n, tol):
+    """Ascending roots x of f, scanned in s over [lo, hi] with x = x_of(s).
 
-    The determinant changes sign across each root; roots are located by
-    a 240-point sign scan over s = ln(|E|/8t' - 1) (which resolves the
-    logarithmic band-edge region) followed by bisection to 1e-12 t'.
-    The scan is one determinant call on the whole grid, and each
-    bisection step is one call on the midpoints of all open brackets.
+    f changes sign across each root.  An n-point sign scan, one f call on
+    the whole grid, brackets the roots; each bisection step is one f call
+    on the midpoints of all brackets still wider than tol in x.  A grid
+    point where f is exactly zero is a root.
     """
-    tp = model.t_prime
-    f = _determinant_for(model)
-
-    def E_of_s(s):
-        return -8.0 * tp * (1.0 + np.exp(s))
-
-    s_hi = math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)
-    s_lo = math.log(_EDGE_EPS / 8.0)
-    grid = s_lo + (s_hi - s_lo) * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
-    vals = f(E_of_s(grid))
+    grid = lo + (hi - lo) * np.arange(n) / (n - 1)
+    vals = f(x_of(grid))
 
     exact = grid[:-1][vals[:-1] == 0.0]
     bracket = vals[:-1] * vals[1:] < 0.0
     sa, sb, fa = grid[:-1][bracket], grid[1:][bracket], vals[:-1][bracket]
-    active = E_of_s(sa) - E_of_s(sb) > _ROOT_TOL * tp
+    active = abs(x_of(sb) - x_of(sa)) > tol
     while active.any():
         sm = 0.5 * (sa[active] + sb[active])
-        fm = f(E_of_s(sm))
+        fm = f(x_of(sm))
         left = fa[active] * fm < 0.0
         # an exact zero closes its bracket onto the midpoint
         sa[active] = np.where(left, sa[active], sm)
         sb[active] = np.where(left | (fm == 0.0), sm, sb[active])
         fa[active] = np.where(left, fa[active], fm)
-        active &= E_of_s(sa) - E_of_s(sb) > _ROOT_TOL * tp
-    roots = np.sort(np.concatenate([E_of_s(exact), E_of_s(0.5 * (sa + sb))]))
+        active &= abs(x_of(sb) - x_of(sa)) > tol
+    return np.sort(np.concatenate([x_of(exact), x_of(0.5 * (sa + sb))]))
+
+
+def pair_energies(model):
+    """All bound-pair energies E < -8t' of the model, ascending.
+
+    The determinant changes sign across each root; ``_scan_roots`` finds
+    the roots by a 240-point sign scan over s = ln(|E|/8t' - 1) (which
+    resolves the logarithmic band-edge region) and bisection to 1e-12 t'.
+    """
+    tp = model.t_prime
+    s_hi = math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)
+    s_lo = math.log(_EDGE_EPS / 8.0)
+    roots = _scan_roots(_determinant_for(model), lambda s: -8.0 * tp * (1.0 + np.exp(s)),
+                        s_lo, s_hi, _SCAN_POINTS, _ROOT_TOL * tp)
     return [PairState(E=E, k=(0.0, 0.0), branch=i) for i, E in enumerate(roots.tolist())]
 
 
@@ -299,6 +304,8 @@ def threshold_physical(lam, t, renormalized):
     renormalized pole of the composition lies at lam = 1.0774, the
     printed one at lam = 1.0769.
     """
+    require_finite(lam=lam, t=t)
+    require_positive(t=t)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     tp = t * math.exp(-4.0 * (1.0 - 0.16) * lam) if renormalized else t
@@ -315,29 +322,15 @@ def threshold_physical(lam, t, renormalized):
     }
 
 
-def threshold_physical_poles(t, renormalized, lam_range=(0.0, 2.0), n_scan=4001):
-    """Locations in lam where the denominator of U_cr changes sign."""
-    lo, hi = lam_range
-    lams = [lo + (hi - lo) * i / (n_scan - 1) for i in range(n_scan)]
-    dens = [threshold_physical(x, t, renormalized)["denominator"] for x in lams]
-    poles = []
-    for i in range(n_scan - 1):
-        if dens[i] == 0.0:
-            poles.append(lams[i])
-        elif dens[i] * dens[i + 1] < 0.0:
-            a, b = lams[i], lams[i + 1]
-            fa = dens[i]
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = threshold_physical(m, t, renormalized)["denominator"]
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-                if b - a < 1e-12:
-                    break
-            poles.append(0.5 * (a + b))
-    return poles
+def threshold_physical_poles(t, renormalized):
+    """Locations in lam in [0, 2] where the denominator of U_cr changes sign."""
+    def denominators(lams):
+        # one scalar call per lam: an np.exp version of threshold_physical
+        # differs from math.exp in the last bit for some lam
+        return np.array([threshold_physical(x, t, renormalized)["denominator"]
+                         for x in lams.tolist()])
+
+    return _scan_roots(denominators, lambda lam: lam, *_POLE_SCAN, _POLE_TOL).tolist()
 
 
 def pair_dispersion_strong_coupling(U, V, t_prime, k, a=1.0):

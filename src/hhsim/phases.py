@@ -20,7 +20,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import HBAR, HZ_TO_NK, H_PLANCK, K_B, M_K40, M_RB87, nk_to_hz
+from .constants import (HBAR, HZ_TO_NK, H_PLANCK, K_B, M_K40, M_RB87, nk_to_hz, require_finite,
+                        require_positive)
 from .hubbard import hopping_t, recoil_energy
 from .lattice import two_spot_frequency
 from .pairs import pair_mass_onsite
@@ -97,12 +98,8 @@ class PhaseFamily:
     V0_ph_scale: float = 2.5        # V0_ph = scale * V0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for name in ("a", "M", "omega_ratio"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
+        require_positive(a=self.a, M=self.M, omega_ratio=self.omega_ratio)
 
 
 def phonon_frequency_ratio(family, V0, w_ph):

@@ -78,12 +78,45 @@ def test_sweeps_need_two_steps_before_any_output(tmp_path, cmd, steps):
     (["binding", "--t-prime", "-1", "--steps", "2"], "t_prime must be positive"),
     (["binding", "--model", "full", "--t-prime", "0"], "t_prime must be positive"),
     (["binding", "--model", "full", "--t-prime", "nan"], "t_prime must be finite"),
+    (["binding", "--model", "physical", "--t", "0"], "t must be positive"),
+    (["binding", "--model", "physical", "--t", "-1"], "t must be positive"),
+    (["binding", "--model", "physical", "--t", "nan"], "t must be finite"),
 ])
 def test_binding_rejects_bad_t_prime_before_any_output(tmp_path, capsys, argv, message):
     out = tmp_path / "binding"
     assert main(["--out", str(out)] + argv) == 1
     assert message in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["binding", "--v-max", "inf"], "binding --v-max must be finite, got inf"),
+    (["pair", "--v-min", "nan"], "pair --v-min must be finite, got nan"),
+    (["params", "--v0-max", "inf"], "params --v0-max must be finite, got inf"),
+    (["stark", "--wl-min", "nan"], "stark --wl-min must be finite, got nan"),
+    (["stark", "--wl-max", "inf"], "stark --wl-max must be finite, got inf"),
+    # a zero bound is used as given, not replaced by the default
+    (["stark", "--wl-min", "0"], "wavelength must be positive"),
+])
+def test_sweep_bounds_are_checked_before_any_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "sweep"
+    assert main(["--out", str(out)] + argv + ["--steps", "3"]) == 1
+    # the whole of stderr is the JSON error: no numpy warning before it
+    assert message in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("config, message", [
+    ("omega-ratio: 5\n", "unknown key 'omega-ratio'"),
+    ('n_B: "0.02"\n', "n_B must be a number, got '0.02'"),
+])
+def test_config_keys_and_values_are_checked_before_any_output(tmp_path, config, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "phase"
+    with pytest.raises(SystemExit, match=message):
+        main(["--config", str(cfg), "--out", str(out), "phase"])
+    assert not out.exists()
 
 
 def _fresh_python(script):

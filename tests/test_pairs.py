@@ -171,6 +171,8 @@ def test_thresholds_reject_non_positive_t_prime(t_prime):
     (threshold_full, {"V1": 1.0, "V2": 1.0, "t_prime": 1.0}, "V1"),
     (threshold_full, {"V1": 1.0, "V2": 1.0, "t_prime": 1.0}, "V2"),
     (threshold_full, {"V1": 1.0, "V2": 1.0, "t_prime": 1.0}, "t_prime"),
+    (threshold_physical, {"lam": 1.0, "t": 1.0, "renormalized": True}, "lam"),
+    (threshold_physical, {"lam": 1.0, "t": 1.0, "renormalized": True}, "t"),
 ])
 def test_thresholds_reject_non_finite_inputs_by_name(threshold, args, field, bad):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
