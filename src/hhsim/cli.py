@@ -148,11 +148,13 @@ def _spec_from_args(args):
     return rydberg.RydbergSpec.from_rc(C6=C6, r_c=r_c, alpha_bar=alpha_bar, eta=eta)
 
 
-def _steps(args, what="sweep"):
-    """``args.steps``, checked before any output: a sweep includes both ends."""
-    if args.steps < 2:
-        raise SystemExit(f"{args.cmd} --steps must be at least 2 (the {what} includes both ends)")
-    return args.steps
+def _steps(args, flag="steps", what="sweep"):
+    """The count of ``--<flag>``, checked before any output: a sweep includes
+    both ends."""
+    steps = getattr(args, flag.replace("-", "_"))
+    if steps < 2:
+        raise SystemExit(f"{args.cmd} --{flag} must be at least 2 (the {what} includes both ends)")
+    return steps
 
 
 def _bounds(args, flag, lo, hi):
@@ -194,7 +196,7 @@ def cmd_stark(args, sink):
 
 
 def cmd_phonon(args, sink):
-    steps = _steps(args, "cross section")
+    steps = _steps(args, what="cross section")
     a = _cfg(args, "a")
     V0_ph = args.v0_ph
     w_ph = _cfg(args, "w_ph")
@@ -326,8 +328,8 @@ def cmd_phase(args, sink):
                                 omega_ratio=_cfg(args, "omega_ratio"),
                                 D=_cfg(args, "D"),
                                 V0_ph_scale=_cfg(args, "V0_ph_scale"))
-    V0s = np.linspace(args.v0_min, args.v0_max, args.v0_steps)
-    lams = np.linspace(args.lam_min, args.lam_max, args.lam_steps)
+    V0s = np.linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), _steps(args, "v0-steps"))
+    lams = np.linspace(*_bounds(args, "lam", args.lam_min, args.lam_max), _steps(args, "lam-steps"))
     grid = phases.phase_grid(V0s, lams, args.T, family)
     columns = (*np.meshgrid(V0s, lams, indexing="ij"), grid.T_pair, grid.T_bkt, grid.label)
     rows = list(zip(*(c.ravel().tolist() for c in columns)))

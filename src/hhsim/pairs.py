@@ -29,10 +29,11 @@ from .constants import require_finite, require_positive
 from .greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_M_table
 
 _EDGE_EPS = 1e-10   # offset of the search bracket from the band edge, in t'
-_ROOT_TOL = 1e-12   # bisection energy tolerance, in t'
+_ROOT_TOL = 1e-12   # root bracket width in energy, in t'
+_STALL_STEPS = 3    # false-position steps without halving a bracket before a bisection
 _SCAN_POINTS = 240  # sign-scan grid points over the search bracket
 _POLE_SCAN = (0.0, 2.0, 4001)  # lam range and grid points of the pole scan
-_POLE_TOL = 1e-12   # bisection tolerance of a pole, in lam
+_POLE_TOL = 1e-12   # root bracket width of a pole, in lam
 
 # The orbits of each variant, in determinant order: the UVModel field
 # that carries the potential, and the displacements that carry it.
@@ -180,35 +181,61 @@ def _scan_roots(f, x_of, lo, hi, n, tol):
     """Ascending roots x of f, scanned in s over [lo, hi] with x = x_of(s).
 
     f changes sign across each root.  An n-point sign scan, one f call on
-    the whole grid, brackets the roots; each bisection step is one f call
-    on the midpoints of all brackets still wider than tol in x.  A grid
-    point where f is exactly zero is a root.
+    the whole grid, brackets the roots; a grid point where f is exactly
+    zero is a root.  Each polishing step is one f call, in x, on all
+    brackets still wider than tol.  It is a false-position step of
+    Illinois type: the secant point, kept at least tol/4 inside the
+    bracket so that the last step closes it, with the f value of an end
+    kept twice in a row halved.  A bracket that has gone _STALL_STEPS
+    steps without halving its width is bisected instead.  An exact zero
+    closes its bracket onto itself; a root is the midpoint of its final
+    bracket.
     """
     grid = lo + (hi - lo) * np.arange(n) / (n - 1)
-    vals = f(x_of(grid))
+    xs = x_of(grid)
+    vals = f(xs)
 
-    exact = grid[:-1][vals[:-1] == 0.0]
+    exact = xs[:-1][vals[:-1] == 0.0]
     bracket = vals[:-1] * vals[1:] < 0.0
-    sa, sb, fa = grid[:-1][bracket], grid[1:][bracket], vals[:-1][bracket]
-    active = abs(x_of(sb) - x_of(sa)) > tol
-    while active.any():
-        sm = 0.5 * (sa[active] + sb[active])
-        fm = f(x_of(sm))
-        left = fa[active] * fm < 0.0
-        # an exact zero closes its bracket onto the midpoint
-        sa[active] = np.where(left, sa[active], sm)
-        sb[active] = np.where(left | (fm == 0.0), sm, sb[active])
-        fa[active] = np.where(left, fa[active], fm)
-        active &= abs(x_of(sb) - x_of(sa)) > tol
-    return np.sort(np.concatenate([x_of(exact), x_of(0.5 * (sa + sb))]))
+    a, b, fa, fb = xs[:-1][bracket], xs[1:][bracket], vals[:-1][bracket], vals[1:][bracket]
+    halved_at = abs(b - a)                  # bracket width at its last halving
+    stalled = np.zeros(len(a), dtype=int)   # steps since then
+    kept = np.zeros(len(a), dtype=int)      # end kept by the last step: -1 a, +1 b
+    live = np.flatnonzero(halved_at > tol)
+    while live.size:
+        ai, bi, fai, fbi = a[live], b[live], fa[live], fb[live]
+        secant = bi - fbi * (bi - ai) / (fbi - fai)
+        # fmin/fmax send a NaN secant point to the bracket's inner edge
+        inner = np.fmax(np.fmin(secant, np.maximum(ai, bi) - 0.25 * tol), np.minimum(ai, bi) + 0.25 * tol)
+        c = np.where(stalled[live] >= _STALL_STEPS, 0.5 * (ai + bi), inner)
+        fc = f(c)
+        keep_a = (fc < 0.0) == (fbi < 0.0)  # the root lies between a and c
+        fa[live] = np.where(keep_a, np.where(kept[live] == -1, 0.5 * fai, fai), fc)
+        fb[live] = np.where(keep_a, fc, np.where(kept[live] == 1, 0.5 * fbi, fbi))
+        a[live] = np.where(keep_a & (fc != 0.0), ai, c)
+        b[live] = np.where(keep_a | (fc == 0.0), c, bi)
+        kept[live] = np.where(keep_a, -1, 1)
+        width = abs(b[live] - a[live])
+        halved = width <= 0.5 * halved_at[live]
+        halved_at[live] = np.where(halved, width, halved_at[live])
+        stalled[live] = np.where(halved, 0, stalled[live] + 1)
+        live = live[width > tol]
+    return np.sort(np.concatenate([exact, 0.5 * (a + b)]))
 
 
 def pair_energies(model):
-    """All bound-pair energies E < -8t' of the model, ascending.
+    """Bound-pair energies E < -8t' of the fully symmetric (A1, s-wave)
+    sector, ascending.
+
+    The determinant sums each orbit's amplitudes with equal weight, so it
+    holds the A1 states only: pairs of other C4v symmetry are not
+    returned.  For example ``UVModel.full(0, -12, 0, 1)`` gives -14.5849
+    only; ED also finds the B1 (d_{x^2-y^2}) state at -12.3543.
 
     The determinant changes sign across each root; ``_scan_roots`` finds
     the roots by a 240-point sign scan over s = ln(|E|/8t' - 1) (which
-    resolves the logarithmic band-edge region) and bisection to 1e-12 t'.
+    resolves the logarithmic band-edge region) and Illinois false
+    position in E until each root's bracket is at most 1e-12 t' wide.
     """
     tp = model.t_prime
     s_hi = math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)

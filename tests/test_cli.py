@@ -254,7 +254,6 @@ def test_phase_subcommand(tmp_path):
     ({"omega_ratio": 0}, [], "omega_ratio must be positive"),
     ({"a": float("nan")}, [], "a must be finite"),
     ({}, ["--T", "nan"], "T must be finite"),
-    ({}, ["--v0-min", "nan"], "V0 must be finite"),
 ])
 def test_phase_rejects_bad_inputs_before_any_output(tmp_path, capsys, config, argv, name):
     cfg = tmp_path / "cfg.yaml"
@@ -262,6 +261,29 @@ def test_phase_rejects_bad_inputs_before_any_output(tmp_path, capsys, config, ar
     out = tmp_path / "phase"
     assert main(["--config", str(cfg), "--out", str(out), "phase"] + argv) == 1
     assert name in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag, steps", [("--lam-steps", "0"), ("--lam-steps", "1"),
+                                         ("--v0-steps", "1"), ("--v0-steps", "-2")])
+def test_phase_steps_need_two_before_any_output(tmp_path, flag, steps):
+    out = tmp_path / "phase"
+    with pytest.raises(SystemExit, match=f"^phase {flag} must be at least 2"):
+        main(["--out", str(out), "phase", flag, steps])
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--v0-min", "nan", id="v0-min-nan"),
+    pytest.param("--v0-max", "inf", id="v0-max-inf"),
+    pytest.param("--lam-min", "inf", id="lam-min-inf"),
+    pytest.param("--lam-max", "nan", id="lam-max-nan"),
+])
+def test_phase_bounds_are_checked_before_any_output(tmp_path, capsys, flag, value):
+    out = tmp_path / "phase"
+    assert main(["--out", str(out), "phase", flag, value]) == 1
+    # the whole of stderr is the JSON error, and it names the flag
+    assert json.loads(capsys.readouterr().err)["error"] == f"phase {flag} must be finite, got {value}"
     assert not out.exists() or not any(out.iterdir())
 
 

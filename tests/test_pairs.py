@@ -148,6 +148,108 @@ def test_energies_sorted_and_below_band():
     assert [s.branch for s in states] == [0, 1]
 
 
+def _seeded_models():
+    """A seeded set of diagonal and full models: half of them on either
+    side of the closed-form U_cr, close to it or farther off, and half
+    drawn at random, many with two bound pairs."""
+    rng = random.Random(2024)
+    models = []
+    for i in range(240):
+        tp = rng.uniform(0.5, 2.0)
+        if i % 4 == 0:
+            V = rng.uniform(-6.0, 3.5) * tp
+            factor = rng.choice([1.5, 1.05, 0.95, 0.7])
+            U_cr = threshold_diagonal(V, tp).U_cr
+            models.append(UVModel.diagonal(U_cr * factor if math.isfinite(U_cr) else -4.0 * tp, V, tp))
+        elif i % 4 == 1:
+            V1, V2 = rng.uniform(-6.0, 0.5) * tp, rng.uniform(-6.0, 0.5) * tp
+            factor = rng.choice([1.25, 1.05, 0.95, 0.8])
+            U_cr = threshold_full(V1, V2, tp).U_cr
+            models.append(UVModel.full(U_cr * factor if math.isfinite(U_cr) else -4.0 * tp, V1, V2, tp))
+        elif i % 4 == 2:
+            models.append(UVModel.diagonal(rng.uniform(-12.0, 4.0) * tp, rng.uniform(-8.0, 2.0) * tp, tp))
+        else:
+            models.append(UVModel.full(rng.uniform(-12.0, 4.0) * tp, rng.uniform(-8.0, 2.0) * tp,
+                                       rng.uniform(-8.0, 2.0) * tp, tp))
+    return models
+
+
+SEEDED_MODELS = _seeded_models()
+
+
+def test_every_root_is_bracketed_to_tolerance_and_every_scan_bracket_has_one():
+    counts = {0: 0, 1: 0, 2: 0}
+    for model in SEEDED_MODELS:
+        f = pairs._determinant_for(model)
+        scans = []
+
+        def recording(E):
+            values = f(E)
+            if not scans:
+                scans.append(values)
+            return values
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pairs, "_determinant_for", lambda m: recording)
+            roots = [s.E for s in pair_energies(model)]
+        scan = scans[0]
+        assert len(scan) == pairs._SCAN_POINTS
+        assert len(roots) == np.sum(scan[:-1] * scan[1:] < 0.0) + np.sum(scan[:-1] == 0.0)
+        tol = pairs._ROOT_TOL * model.t_prime
+        for r in roots:
+            below, above = f(np.array([r - tol, r + tol]))
+            assert below * above < 0.0, (model, r)
+        counts[len(roots)] += 1
+    # the set exercises no-root, one-root and two-root solves
+    assert min(counts.values()) >= 20, counts
+
+
+def _counting(f):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return f(*args)
+    return counted, calls
+
+
+def test_root_bearing_solve_takes_at_most_ten_greens_tables(monkeypatch):
+    counted, calls = _counting(greens_M_table)
+    monkeypatch.setattr(pairs, "greens_M_table", counted)
+    worst = 0
+    for model in SEEDED_MODELS:
+        calls[0] = 0
+        if pair_energies(model):
+            worst = max(worst, calls[0])
+    assert 0 < worst <= 10
+
+
+def test_scan_roots_bounds_a_multiple_root_by_four_bisections():
+    # false position stalls on (x - c)^9; the stall rule bisects
+    c, tol = 1.0 / 3.0, 1e-12
+    f, calls = _counting(lambda x: (x - c) ** 9)
+    roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, 2, tol)
+    bisection = 1 + math.ceil(math.log2(1.0 / tol))
+    assert calls[0] <= 4 * bisection
+    assert len(roots) == 1 and abs(roots[0] - c) <= tol
+
+
+def test_scan_roots_closes_a_straight_line_in_three_calls():
+    f, calls = _counting(lambda x: 2.5 * (x - 0.3))
+    roots = pairs._scan_roots(f, lambda s: s, -1.0, 1.0, 240, 1e-12)
+    assert calls[0] <= 3
+    assert len(roots) == 1 and abs(roots[0] - 0.3) <= 1e-12
+
+
+@pytest.mark.parametrize("n, calls_taken", [(2, 2), (3, 1)])
+def test_scan_roots_exact_zero_closes_its_bracket(n, calls_taken):
+    # n = 2: the secant point of [0, 1] is the zero; n = 3: a grid point is
+    f, calls = _counting(lambda x: x - 0.5)
+    roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, n, 1e-12)
+    assert roots.tolist() == [0.5]
+    assert calls[0] == calls_taken
+
+
 def test_threshold_diagonal_asymptote_and_pole():
     th = threshold_diagonal(1e6, 1.0)
     assert th.U_cr == pytest.approx(-1.5 * math.pi, abs=1e-3)
