@@ -6,6 +6,10 @@ thresholds, pair dispersions, the exact-diagonalization oracle, and the
 phase map.  Output is deterministic: CSV tables (or JSON records) with
 no embedded timestamps; when writing to a directory, a manifest lists
 every file with its SHA-256 digest.
+
+The physical defaults (``DEFAULTS``) are set by ``--config`` alone and
+resolved once per run; every value error ends the run with one JSON
+line ``{"error": ...}`` on stderr and exit status 1.
 """
 
 import argparse
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, hubbard, lattice, pairs, phases, rydberg, stark
-from .constants import A_BOHR, M_RB87, require_finite
+from .constants import A_BOHR, M_RB87, require_finite, require_positive
 
 # name -> (value, note) of each default a --config file may override
 DEFAULTS = {
@@ -114,38 +118,34 @@ def _jsonable(x):
     return str(x)
 
 
-def _load_config(path):
+def _settings(path):
+    """Every ``DEFAULTS`` key -> its value: the default, unless the YAML file
+    at ``path`` (``--config``) sets it.  Any fault of the file is a ValueError."""
+    settings = {key: value for key, (value, _) in DEFAULTS.items()}
+    if path is None:
+        return settings
     import yaml   # only a --config run needs PyYAML
 
-    with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh) or {}
+    except (OSError, yaml.YAMLError) as exc:
+        raise ValueError(f"config {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise SystemExit(f"config {path}: expected a mapping at top level")
+        raise ValueError(f"config {path}: expected a mapping at top level")
     for key, value in data.items():
         if key not in DEFAULTS:
-            raise SystemExit(f"config {path}: unknown key {key!r}; known: {sorted(DEFAULTS)}")
+            raise ValueError(f"config {path}: unknown key {key!r}; known: {sorted(DEFAULTS)}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SystemExit(f"config {path}: {key} must be a number, got {value!r}")
-    return data
+            raise ValueError(f"config {path}: {key} must be a number, got {value!r}")
+    settings.update(data)
+    return settings
 
 
-def _cfg(args, key):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in args.config:
-        return args.config[key]
-    return DEFAULTS[key][0]
-
-
-def _spec_from_args(args):
-    a = _cfg(args, "a")
-    eta = _cfg(args, "eta")
-    n_ryd = _cfg(args, "n_ryd")
-    alpha_bar = _cfg(args, "alpha_bar")
-    r_c = _cfg(args, "r_c_over_a") * a
-    C6 = rydberg.c6_interpolated(n_ryd)
-    return rydberg.RydbergSpec.from_rc(C6=C6, r_c=r_c, alpha_bar=alpha_bar, eta=eta)
+def _rydberg_spec(s):
+    return rydberg.RydbergSpec.from_rc(C6=rydberg.c6_interpolated(s["n_ryd"]),
+                                       r_c=s["r_c_over_a"] * s["a"],
+                                       alpha_bar=s["alpha_bar"], eta=s["eta"])
 
 
 def _steps(args, flag="steps", what="sweep"):
@@ -153,7 +153,7 @@ def _steps(args, flag="steps", what="sweep"):
     both ends."""
     steps = getattr(args, flag.replace("-", "_"))
     if steps < 2:
-        raise SystemExit(f"{args.cmd} --{flag} must be at least 2 (the {what} includes both ends)")
+        raise ValueError(f"{args.cmd} --{flag} must be at least 2 (the {what} includes both ends)")
     return steps
 
 
@@ -167,11 +167,9 @@ def _bounds(args, flag, lo, hi):
 # ---------------------------------------------------------------- subcommands
 
 def cmd_stark(args, sink):
-    atom = stark.SPECIES.get(args.species)
-    if atom is None:
-        raise SystemExit(f"unknown species {args.species!r}; choices: {sorted(stark.SPECIES)}")
+    atom = stark.SPECIES[args.species]
     cfg = stark.StarkConfig(g_F=args.gf, m_F=args.mf, ellipticity=args.ellipticity,
-                            intensity_prefactor=_cfg(args, "prefactor"))
+                            intensity_prefactor=args.settings["prefactor"])
     lo, hi = _bounds(args, "wl",
                      atom.lambda_D2 - 3.0 if args.wl_min is None else args.wl_min,
                      atom.lambda_D1 + 3.0 if args.wl_max is None else args.wl_max)
@@ -197,11 +195,9 @@ def cmd_stark(args, sink):
 
 def cmd_phonon(args, sink):
     steps = _steps(args, what="cross section")
-    a = _cfg(args, "a")
-    V0_ph = args.v0_ph
-    w_ph = _cfg(args, "w_ph")
-    D = _cfg(args, "D")
-    pattern = lattice.PATTERN_CONSTRUCTORS[args.pattern](a, V0_ph, w_ph, D, b=args.b)
+    s, V0_ph = args.settings, args.v0_ph
+    w_ph, D = s["w_ph"], s["D"]
+    pattern = lattice.PATTERN_CONSTRUCTORS[args.pattern](s["a"], V0_ph, w_ph, D, b=args.b)
     k = len(pattern.centers) // 2
     modes = lattice.phonon_modes(lattice.dynamical_matrix(pattern, k), M_RB87)
     sink.emit_record("phonon_modes", {
@@ -220,10 +216,9 @@ def cmd_phonon(args, sink):
 
 
 def cmd_phi_map(args, sink):
-    a = _cfg(args, "a")
-    spec = _spec_from_args(args)
-    w_ph = _cfg(args, "w_ph")
-    D = _cfg(args, "D")
+    s = args.settings
+    a, w_ph, D = s["a"], s["w_ph"], s["D"]
+    spec = _rydberg_spec(s)
     b = None if args.b_over_aprime is None else args.b_over_aprime * a * math.sqrt(2.0)
     pattern = lattice.PATTERN_CONSTRUCTORS[args.pattern](a, 100.0, w_ph, D, b=b)
     emap = rydberg.effective_interaction(pattern, spec, a)
@@ -243,17 +238,15 @@ def cmd_phi_map(args, sink):
 
 def cmd_params(args, sink):
     steps = _steps(args)
-    a = _cfg(args, "a")
-    spec = _spec_from_args(args)
-    w_ph = _cfg(args, "w_ph")
-    D = _cfg(args, "D")
-    scale = _cfg(args, "V0_ph_scale")
-    emap = rydberg.effective_interaction(lattice.holstein_reference(a, 100.0, w_ph, D), spec, a)
+    s = args.settings
+    a, w_ph, D = s["a"], s["w_ph"], s["D"]
+    emap = rydberg.effective_interaction(lattice.holstein_reference(a, 100.0, w_ph, D),
+                                         _rydberg_spec(s), a)
     V0s = [float(V0) for V0 in np.linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), steps)]
     rows = []
-    for r in hubbard.parameter_sweep(V0s, a, a_s_um=_cfg(args, "a_s0") * A_BOHR * 1e6):
+    for r in hubbard.parameter_sweep(V0s, a, a_s_um=s["a_s0"] * A_BOHR * 1e6):
         W = 4.0 * r["t_Hz"]
-        omega = lattice.two_spot_frequency(scale * r["V0_nK"], w_ph, D, M_RB87)
+        omega = lattice.two_spot_frequency(s["V0_ph_scale"] * r["V0_nK"], w_ph, D, M_RB87)
         lam = rydberg.lambda_dimensionless(emap.phi00, W, M_RB87, omega)
         rows.append((r["V0_nK"], r["t_Hz"], r["U_Hz"], W * lam))
     sink.emit_table("params_sweep", ["V0_nK", "t_Hz", "U_Hz", "W_lambda_Hz"], rows)
@@ -299,11 +292,15 @@ def cmd_oracle(args, sink):
 
     if args.model == "diagonal":
         if args.V2:
-            raise SystemExit("oracle --model diagonal takes its V from --V1; --V2 must be 0")
+            raise ValueError("oracle --model diagonal takes its V from --V1; --V2 must be 0")
         model = pairs.UVModel.diagonal(args.U, args.V1, args.t_prime)
     else:
         model = pairs.UVModel.full(args.U, args.V1, args.V2, args.t_prime)
-    Ls = [int(x) for x in args.sizes.split(",")]
+    try:
+        Ls = [oracle.FiniteLattice(int(x)).L for x in args.sizes.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"oracle --sizes {args.sizes!r}: {exc}") from None
+    require_positive(**{"oracle --n-states": args.n_states})
     rows = []
     per_L = []
     for L in Ls:
@@ -324,10 +321,8 @@ def cmd_oracle(args, sink):
 
 
 def cmd_phase(args, sink):
-    family = phases.PhaseFamily(a=_cfg(args, "a"), n_B=_cfg(args, "n_B"),
-                                omega_ratio=_cfg(args, "omega_ratio"),
-                                D=_cfg(args, "D"),
-                                V0_ph_scale=_cfg(args, "V0_ph_scale"))
+    family = phases.PhaseFamily(**{k: args.settings[k]
+                                   for k in ("a", "n_B", "omega_ratio", "D", "V0_ph_scale")})
     V0s = np.linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), _steps(args, "v0-steps"))
     lams = np.linspace(*_bounds(args, "lam", args.lam_min, args.lam_max), _steps(args, "lam-steps"))
     grid = phases.phase_grid(V0s, lams, args.T, family)
@@ -358,8 +353,8 @@ FIGURES = (
 
 def cmd_figures(args, sink):
     for suffix, argv in FIGURES:
-        # argparse keeps attributes the namespace already has: the loaded YAML
-        bundle = args.parser.parse_args(argv, argparse.Namespace(config=args.config))
+        # argparse keeps attributes the namespace already has: the resolved settings
+        bundle = args.parser.parse_args(argv, argparse.Namespace(settings=args.settings))
         bundle.func(bundle, sink.suffixed(suffix))
     return 0
 
@@ -368,8 +363,7 @@ def build_parser():
     p = argparse.ArgumentParser(prog="hhsim",
                                 description="Painted-lattice Hubbard-Holstein "
                                             "simulator design toolkit")
-    p.add_argument("--config", type=_load_config, default={},
-                   help="YAML config file with default overrides")
+    p.add_argument("--config", help="YAML file that overrides --explain-defaults values")
     p.add_argument("--out", help="output directory (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--explain-defaults", action="store_true",
@@ -377,24 +371,20 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd")
 
     s = sub.add_parser("stark", help="AC Stark shift sweep and zero crossings")
-    s.add_argument("--species", default="K-40")
+    s.add_argument("--species", choices=sorted(stark.SPECIES), default="K-40")
     s.add_argument("--wl-min", type=float)
     s.add_argument("--wl-max", type=float)
     s.add_argument("--steps", type=int, default=401)
     s.add_argument("--gf", type=float, default=0.0)
     s.add_argument("--mf", type=float, default=0.0)
     s.add_argument("--ellipticity", type=float, default=0.0)
-    s.add_argument("--prefactor", type=float)
     s.set_defaults(func=cmd_stark)
 
     patterns = sorted(lattice.PATTERN_CONSTRUCTORS)
     s = sub.add_parser("phonon", help="phonon-site potential and normal modes")
     s.add_argument("--pattern", choices=patterns, default="offset-parallel")
     s.add_argument("--v0-ph", type=float, default=250.0)
-    s.add_argument("--w-ph", dest="w_ph", type=float)
-    s.add_argument("--D", type=float)
     s.add_argument("--b", type=float)
-    s.add_argument("--a", type=float)
     s.add_argument("--steps", type=int, default=101)
     s.set_defaults(func=cmd_phonon)
 
@@ -402,21 +392,12 @@ def build_parser():
     s.add_argument("--pattern", choices=patterns, default="offset-parallel")
     s.add_argument("--b-over-aprime", type=float)
     s.add_argument("--sweep-b", action="store_true")
-    s.add_argument("--a", type=float)
-    s.add_argument("--n-ryd", type=int)
-    s.add_argument("--alpha-bar", type=float)
-    s.add_argument("--eta", type=int)
-    s.add_argument("--w-ph", dest="w_ph", type=float)
-    s.add_argument("--D", type=float)
     s.set_defaults(func=cmd_phi_map)
 
     s = sub.add_parser("params", help="t, U, W*lambda vs lattice depth")
     s.add_argument("--v0-min", type=float, default=100.0)
     s.add_argument("--v0-max", type=float, default=600.0)
     s.add_argument("--steps", type=int, default=26)
-    s.add_argument("--n-ryd", type=int)
-    s.add_argument("--alpha-bar", type=float)
-    s.add_argument("--a", type=float)
     s.set_defaults(func=cmd_params)
 
     s = sub.add_parser("binding", help="pairing threshold curves")
@@ -475,8 +456,9 @@ def main(argv=None):
     if not getattr(args, "cmd", None):
         parser.print_usage()
         return 2
-    sink = OutputSink(args.out, args.format)
     try:
+        args.settings = _settings(args.config)
+        sink = OutputSink(args.out, args.format)
         status = args.func(args, sink)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -26,6 +26,9 @@ from .constants import K_B, M_K40, M_RB87, require_finite  # noqa: F401  (masses
 
 # nK/um^2 -> J/m^2
 _CURV_SI = K_B * 1e-9 / 1e-12
+_FD_STEP = 1e-3          # finite-difference step of dynamical_matrix, in w_ph
+_STATIONARY_TOL = 1e-6   # largest centre gradient of a site, in V0_ph / w_ph
+_CLAMP_TOL = 1e-9        # negative curvature clamped to zero, relative to max|eig|
 
 
 @dataclass
@@ -202,14 +205,14 @@ def painted_potential(spec, pattern, position):
     return -spec.V0_pan * math.exp(-2.0 * z**2 / spec.w_pan**2) + float(sites.sum())
 
 
-def dynamical_matrix(pattern, k, h_rel=1e-3, grad_tol=1e-6):
+def dynamical_matrix(pattern, k):
     """Hessian (nK/um^2) of the potential of site k at its center.
 
-    Central finite differences with step h = h_rel * w_ph and one
+    Central finite differences with step h = _FD_STEP * w_ph and one
     Richardson extrapolation step; the center must be a stationary
-    point (gradient below grad_tol * V0_ph / w_ph).
+    point (gradient below _STATIONARY_TOL * V0_ph / w_ph).
     """
-    h = h_rel * pattern.w_ph
+    h = _FD_STEP * pattern.w_ph
     c = pattern.centers[k]
 
     def V(dx, dy):
@@ -217,7 +220,7 @@ def dynamical_matrix(pattern, k, h_rel=1e-3, grad_tol=1e-6):
 
     gx = (V(h, 0) - V(-h, 0)) / (2 * h)
     gy = (V(0, h) - V(0, -h)) / (2 * h)
-    if math.hypot(gx, gy) > grad_tol * pattern.V0_ph / pattern.w_ph:
+    if math.hypot(gx, gy) > _STATIONARY_TOL * pattern.V0_ph / pattern.w_ph:
         raise ValueError("site center is not a stationary point of the potential")
 
     def hessian(step):
@@ -244,11 +247,11 @@ class PhononMode:
             raise ValueError("polarization must be a unit vector")
 
 
-def phonon_modes(matrix, M, tol=1e-9):
+def phonon_modes(matrix, M):
     """Normal modes from a symmetric 2x2 dynamical matrix (nK/um^2).
 
     omega = sqrt(eigenvalue/M) after converting curvature to SI; tiny
-    negative eigenvalues within -tol * max|eig| are clamped to zero,
+    negative eigenvalues within -_CLAMP_TOL * max|eig| are clamped to zero,
     anything more negative means an unstable site.  Modes are returned
     in descending frequency.
     """
@@ -257,7 +260,7 @@ def phonon_modes(matrix, M, tol=1e-9):
         raise ValueError("dynamical matrix must be symmetric")
     evals, evecs = np.linalg.eigh(matrix)
     scale = max(abs(evals).max(), 1.0)
-    if evals[0] < -tol * scale:     # eigh sorts ascending
+    if evals[0] < -_CLAMP_TOL * scale:     # eigh sorts ascending
         raise ValueError(f"unstable site: negative curvature {evals[0]}")
     modes = []
     for ev, vec in zip(evals, evecs.T):

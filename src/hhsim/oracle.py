@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
+from .constants import require_positive
 from .pairs import UVModel
 
 _BOUND_MARGIN = 5.0   # band-edge margin of a bound state, in t' / L^2
@@ -104,6 +105,7 @@ def ground_energies(model, L, n_states=4):
     A state counts as bound if E < -8t' - 5/L^2 * t' (the margin absorbs
     the finite-size shift of the band edge).
     """
+    require_positive(n_states=n_states)
     energies = _lowest(relative_hamiltonian(model, L), inversion_projector(L), n_states)
     edge = -8.0 * model.t_prime - _BOUND_MARGIN / L**2 * model.t_prime
     bound = sum(1 for e in energies if e < edge)
@@ -132,6 +134,7 @@ def brute_force_two_body(model, L, n_states=4):
     L = FiniteLattice(L).L
     if L > 8:
         raise ValueError("brute force is for tiny lattices only")
+    require_positive(n_states=n_states)
     exchange = np.arange(L**4).reshape(L * L, L * L).T.ravel()
     return _lowest(_pair_hamiltonian(model, L), _symmetric_basis(exchange), n_states)
 

@@ -137,14 +137,17 @@ def ac_stark_shift(atom, laser_wavelength, cfg):
     return cfg.intensity_prefactor * bracket
 
 
+_ZERO_TOL_NM = 1e-4   # bracket width at which find_stark_zero stops
+
+
 class NoZeroCrossingError(ValueError):
     """The shift does not change sign between the D2 and D1 lines."""
 
 
-def find_stark_zero(atom, cfg, tol_nm=1e-4):
+def find_stark_zero(atom, cfg):
     """Zero-crossing wavelength (nm) between the D2 and D1 lines.
 
-    Deterministic bisection to 1e-4 nm; the bracket excludes a small
+    Deterministic bisection to _ZERO_TOL_NM; the bracket excludes a small
     margin around each resonance pole.
     """
     margin = 1e-3 * (atom.lambda_D1 - atom.lambda_D2)
@@ -157,7 +160,7 @@ def find_stark_zero(atom, cfg, tol_nm=1e-4):
             f"no zero crossing of the Stark shift between the "
             f"{atom.species_name} D2 and D1 lines for this configuration"
         )
-    while hi - lo > tol_nm:
+    while hi - lo > _ZERO_TOL_NM:
         mid = 0.5 * (lo + hi)
         f_mid = ac_stark_shift(atom, mid, cfg)
         if f_mid == 0.0:

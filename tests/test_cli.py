@@ -22,6 +22,17 @@ def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+def _error(capsys, out, argv):
+    """The message of the one JSON line on stderr with which ``hhsim --out out
+    <argv>`` exits 1, having written nothing to stdout or under ``out``."""
+    assert main(["--out", str(out)] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())
+    (line,) = captured.err.splitlines()
+    return json.loads(line)["error"]
+
+
 def test_no_subcommand_prints_usage():
     assert main([]) == 2
 
@@ -45,32 +56,31 @@ def test_stark_writes_tables_and_manifest(tmp_path):
     assert 766.7 < zeros["lambda_zero_nm"] < 770.1
 
 
-def test_stark_unknown_species():
-    with pytest.raises(SystemExit):
+def test_stark_unknown_species(capsys):
+    # the species are argparse choices: a usage error, exit 2
+    with pytest.raises(SystemExit) as exc:
         main(["stark", "--species", "Na-23"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'Na-23'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("steps", ["1", "0"])
-def test_stark_needs_two_steps(steps):
-    with pytest.raises(SystemExit, match="at least 2"):
-        main(["stark", "--steps", steps])
+def test_stark_needs_two_steps(tmp_path, capsys, steps):
+    message = _error(capsys, tmp_path / "stark", ["stark", "--steps", steps])
+    assert message.startswith("stark --steps must be at least 2")
 
 
 @pytest.mark.parametrize("steps", ["1", "0", "-3"])
-def test_phonon_needs_two_steps_before_any_output(tmp_path, steps):
-    out = tmp_path / "ph"
-    with pytest.raises(SystemExit, match="at least 2"):
-        main(["--out", str(out), "phonon", "--steps", steps])
-    assert not out.exists() or not any(out.iterdir())
+def test_phonon_needs_two_steps_before_any_output(tmp_path, capsys, steps):
+    message = _error(capsys, tmp_path / "ph", ["phonon", "--steps", steps])
+    assert message.startswith("phonon --steps must be at least 2")
 
 
 @pytest.mark.parametrize("cmd", ["binding", "pair", "params"])
 @pytest.mark.parametrize("steps", ["1", "0", "-1"])
-def test_sweeps_need_two_steps_before_any_output(tmp_path, cmd, steps):
-    out = tmp_path / "sweep"
-    with pytest.raises(SystemExit, match=f"^{cmd} --steps must be at least 2"):
-        main(["--out", str(out), cmd, "--steps", steps])
-    assert not out.exists() or not any(out.iterdir())
+def test_sweeps_need_two_steps_before_any_output(tmp_path, capsys, cmd, steps):
+    message = _error(capsys, tmp_path / "sweep", [cmd, "--steps", steps])
+    assert message.startswith(f"{cmd} --steps must be at least 2")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -83,10 +93,7 @@ def test_sweeps_need_two_steps_before_any_output(tmp_path, cmd, steps):
     (["binding", "--model", "physical", "--t", "nan"], "t must be finite"),
 ])
 def test_binding_rejects_bad_t_prime_before_any_output(tmp_path, capsys, argv, message):
-    out = tmp_path / "binding"
-    assert main(["--out", str(out)] + argv) == 1
-    assert message in json.loads(capsys.readouterr().err)["error"]
-    assert not out.exists() or not any(out.iterdir())
+    assert message in _error(capsys, tmp_path / "binding", argv)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -99,23 +106,29 @@ def test_binding_rejects_bad_t_prime_before_any_output(tmp_path, capsys, argv, m
     (["stark", "--wl-min", "0"], "wavelength must be positive"),
 ])
 def test_sweep_bounds_are_checked_before_any_output(tmp_path, capsys, argv, message):
-    out = tmp_path / "sweep"
-    assert main(["--out", str(out)] + argv + ["--steps", "3"]) == 1
     # the whole of stderr is the JSON error: no numpy warning before it
-    assert message in json.loads(capsys.readouterr().err)["error"]
-    assert not out.exists() or not any(out.iterdir())
+    assert message in _error(capsys, tmp_path / "sweep", argv + ["--steps", "3"])
 
 
 @pytest.mark.parametrize("config, message", [
     ("omega-ratio: 5\n", "unknown key 'omega-ratio'"),
     ('n_B: "0.02"\n', "n_B must be a number, got '0.02'"),
 ])
-def test_config_keys_and_values_are_checked_before_any_output(tmp_path, config, message):
+def test_config_keys_and_values_are_checked_before_any_output(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(config)
     out = tmp_path / "phase"
-    with pytest.raises(SystemExit, match=message):
-        main(["--config", str(cfg), "--out", str(out), "phase"])
+    assert message in _error(capsys, out, ["--config", str(cfg), "phase"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "a: [1.6\n"], ids=["missing", "malformed"])
+def test_unreadable_config_is_a_json_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.yaml"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "binding"
+    assert _error(capsys, out, ["--config", str(cfg), "binding"]).startswith(f"config {cfg}: ")
     assert not out.exists()
 
 
@@ -175,8 +188,8 @@ def test_config_override(tmp_path, capsys):
     assert (out / "phi_map.csv").exists()
     bad = tmp_path / "bad.yaml"
     bad.write_text("- just\n- a list\n")
-    with pytest.raises(SystemExit):
-        main(["--config", str(bad), "phi-map"])
+    message = _error(capsys, tmp_path / "bad", ["--config", str(bad), "phi-map"])
+    assert message == f"config {bad}: expected a mapping at top level"
 
 
 def test_phonon_subcommand(tmp_path):
@@ -204,9 +217,8 @@ def test_pattern_choices_are_the_registry():
     ["phonon", "--pattern", "crossed", "--b", "0.5"],
     ["phonon", "--pattern", "bipartite-parallel", "--b", "0.2"],
 ])
-def test_offset_on_plaquette_centred_pattern_is_an_error(argv, capsys):
-    assert main(argv) == 1
-    assert "plaquette" in json.loads(capsys.readouterr().err)["error"]
+def test_offset_on_plaquette_centred_pattern_is_an_error(tmp_path, argv, capsys):
+    assert "plaquette" in _error(capsys, tmp_path / "out", argv)
 
 
 def test_oracle_subcommand_with_compare(tmp_path):
@@ -218,9 +230,24 @@ def test_oracle_subcommand_with_compare(tmp_path):
     assert rec["E_inf"] < -8.0
 
 
-def test_oracle_diagonal_rejects_V2(tmp_path):
-    with pytest.raises(SystemExit, match="--V1"):
-        main(["--out", str(tmp_path / "or"), "oracle", "--U", "-8", "--V2", "-8"])
+def test_oracle_diagonal_rejects_V2(tmp_path, capsys):
+    message = _error(capsys, tmp_path / "or", ["oracle", "--U", "-8", "--V2", "-8"])
+    assert message == "oracle --model diagonal takes its V from --V1; --V2 must be 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sizes", "16,x"], "oracle --sizes '16,x': invalid literal for int() with base 10: 'x'"),
+    (["--sizes", "16,5"], "oracle --sizes '16,5': L must be an even integer >= 4"),
+    (["--n-states", "0"], "oracle --n-states must be positive, got 0"),
+    (["--n-states", "-2"], "oracle --n-states must be positive, got -2"),
+])
+def test_oracle_sizes_and_n_states_are_checked_before_any_ed(tmp_path, capsys, monkeypatch,
+                                                              argv, message):
+    def no_ed(*args, **kwargs):
+        raise AssertionError("ED ran before the flags were checked")
+
+    monkeypatch.setattr(hhsim.oracle, "ground_energies", no_ed)
+    assert _error(capsys, tmp_path / "or", ["oracle", "--U", "-8"] + argv) == message
 
 
 def test_pair_and_params_subcommands(tmp_path):
@@ -258,19 +285,14 @@ def test_phase_subcommand(tmp_path):
 def test_phase_rejects_bad_inputs_before_any_output(tmp_path, capsys, config, argv, name):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(config))
-    out = tmp_path / "phase"
-    assert main(["--config", str(cfg), "--out", str(out), "phase"] + argv) == 1
-    assert name in json.loads(capsys.readouterr().err)["error"]
-    assert not out.exists() or not any(out.iterdir())
+    assert name in _error(capsys, tmp_path / "phase", ["--config", str(cfg), "phase"] + argv)
 
 
 @pytest.mark.parametrize("flag, steps", [("--lam-steps", "0"), ("--lam-steps", "1"),
                                          ("--v0-steps", "1"), ("--v0-steps", "-2")])
-def test_phase_steps_need_two_before_any_output(tmp_path, flag, steps):
-    out = tmp_path / "phase"
-    with pytest.raises(SystemExit, match=f"^phase {flag} must be at least 2"):
-        main(["--out", str(out), "phase", flag, steps])
-    assert not out.exists() or not any(out.iterdir())
+def test_phase_steps_need_two_before_any_output(tmp_path, capsys, flag, steps):
+    message = _error(capsys, tmp_path / "phase", ["phase", flag, steps])
+    assert message.startswith(f"phase {flag} must be at least 2")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -280,11 +302,9 @@ def test_phase_steps_need_two_before_any_output(tmp_path, flag, steps):
     pytest.param("--lam-max", "nan", id="lam-max-nan"),
 ])
 def test_phase_bounds_are_checked_before_any_output(tmp_path, capsys, flag, value):
-    out = tmp_path / "phase"
-    assert main(["--out", str(out), "phase", flag, value]) == 1
     # the whole of stderr is the JSON error, and it names the flag
-    assert json.loads(capsys.readouterr().err)["error"] == f"phase {flag} must be finite, got {value}"
-    assert not out.exists() or not any(out.iterdir())
+    message = _error(capsys, tmp_path / "phase", ["phase", flag, value])
+    assert message == f"phase {flag} must be finite, got {value}"
 
 
 def test_params_t_and_U_come_from_parameter_sweep(tmp_path):
@@ -336,3 +356,60 @@ def test_figures_output_deterministic(figures_run):
     root, cfg = figures_run
     assert main(["--config", str(cfg), "--out", str(root / "again"), "figures"]) == 0
     assert _files(root / "again") == _files(root / "fig")
+
+
+# ------------------------------------------- one settings path: --config only
+
+def _figure_files(root, settings):
+    cfg = root / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(settings))
+    out = root / "fig"
+    assert main(["--config", str(cfg), "--out", str(out), "figures"]) == 0
+    files = _files(out)
+    del files["manifest.json"]
+    return files
+
+
+@pytest.fixture(scope="module")
+def default_figures(tmp_path_factory):
+    return _figure_files(tmp_path_factory.mktemp("defaults"), {})
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS))
+def test_each_default_alone_in_config_changes_a_figure(tmp_path, default_figures, key):
+    value = DEFAULTS[key][0]
+    # the dressed pair potential takes eta 3 or 6
+    changed = 3 if key == "eta" else value + 1 if isinstance(value, int) else value * 1.05
+    assert _figure_files(tmp_path, {key: changed}) != default_figures
+
+
+def test_no_subcommand_flag_shadows_a_default():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        assert not {a.dest for a in sub._actions} & set(DEFAULTS), name
+    assert not {a.dest for a in parser._actions} & set(DEFAULTS)
+
+
+def test_plain_phase_is_the_library_map_of_the_default_family(tmp_path):
+    out = tmp_path / "phase"
+    assert main(["--out", str(out), "--format", "json", "phase"]) == 0
+    d = build_parser().parse_args(["phase"])
+    grid = phases.phase_grid(np.linspace(d.v0_min, d.v0_max, d.v0_steps),
+                             np.linspace(d.lam_min, d.lam_max, d.lam_steps), d.T,
+                             phases.PhaseFamily())
+    rows = json.loads((out / "phase_grid.json").read_text())
+    assert [(r["T_pair_nK"], r["T_bkt_nK"], r["label"]) for r in rows] == list(zip(
+        grid.T_pair.ravel().tolist(), grid.T_bkt.ravel().tolist(), grid.label.ravel().tolist()))
+    segments = json.loads((out / "phase_contour.json").read_text())
+    assert [(s["V0_a"], s["lambda_a"], s["V0_b"], s["lambda_b"]) for s in segments] == [
+        (p[0], p[1], q[0], q[1]) for p, q in grid.contour]
+
+
+def test_binding_without_config_loads_neither_scipy_nor_yaml():
+    assert _fresh_python(
+        "import contextlib, io, sys; from hhsim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['binding', '--steps', '3']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))"
+    ) == "[]\n"

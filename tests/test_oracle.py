@@ -98,6 +98,13 @@ def test_brute_force_size_guard():
             brute_force_two_body(UVModel.diagonal(-5.0, 0.0, 1.0), L)
 
 
+@pytest.mark.parametrize("solve, L", [(ground_energies, 8), (brute_force_two_body, 4)])
+@pytest.mark.parametrize("n_states", [0, -1])
+def test_n_states_must_be_positive(solve, L, n_states):
+    with pytest.raises(ValueError, match=f"n_states must be positive, got {n_states}"):
+        solve(UVModel.diagonal(-5.0, 0.0, 1.0), L, n_states=n_states)
+
+
 def test_bound_count_deep_vs_free():
     deep = ground_energies(UVModel.diagonal(-12.0, 0.0, 1.0), 12)
     assert deep.bound_count >= 1
