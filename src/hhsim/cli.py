@@ -8,7 +8,8 @@ no embedded timestamps; when writing to a directory, a manifest lists
 every file with its SHA-256 digest.
 
 The physical defaults (``DEFAULTS``) are set by ``--config`` alone and
-resolved once per run; every value error ends the run with one JSON
+resolved once per run; every value error (a non-finite ``--config``
+value included) and every file-system error end the run with one JSON
 line ``{"error": ...}`` on stderr and exit status 1.
 """
 
@@ -78,7 +79,7 @@ class OutputSink:
         self._write(f"{name}{self.suffix}.{ext}", payload)
 
     def emit_record(self, name, record):
-        payload = json.dumps(record, indent=2, sort_keys=True, default=_jsonable) + "\n"
+        payload = json.dumps(record, indent=2, sort_keys=True) + "\n"
         self._write(f"{name}{self.suffix}.json", payload)
 
     def _write(self, fname, payload):
@@ -110,14 +111,6 @@ def _fmt_cell(x):
     return x
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return str(x)
-
-
 def _settings(path):
     """Every ``DEFAULTS`` key -> its value: the default, unless the YAML file
     at ``path`` (``--config``) sets it.  Any fault of the file is a ValueError."""
@@ -138,6 +131,7 @@ def _settings(path):
             raise ValueError(f"config {path}: unknown key {key!r}; known: {sorted(DEFAULTS)}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"config {path}: {key} must be a number, got {value!r}")
+        require_finite(**{f"config {path}: {key}": value})
     settings.update(data)
     return settings
 
@@ -148,12 +142,12 @@ def _rydberg_spec(s):
                                        alpha_bar=s["alpha_bar"], eta=s["eta"])
 
 
-def _steps(args, flag="steps", what="sweep"):
+def _steps(args, flag="steps"):
     """The count of ``--<flag>``, checked before any output: a sweep includes
     both ends."""
     steps = getattr(args, flag.replace("-", "_"))
     if steps < 2:
-        raise ValueError(f"{args.cmd} --{flag} must be at least 2 (the {what} includes both ends)")
+        raise ValueError(f"{args.cmd} --{flag} must be at least 2 (the sweep includes both ends)")
     return steps
 
 
@@ -190,11 +184,10 @@ def cmd_stark(args, sink):
         summary["lambda_zero_nm"] = None
         summary["error"] = str(exc)
     sink.emit_record("stark_zeros", summary)
-    return 0
 
 
 def cmd_phonon(args, sink):
-    steps = _steps(args, what="cross section")
+    steps = _steps(args)
     s, V0_ph = args.settings, args.v0_ph
     w_ph, D = s["w_ph"], s["D"]
     pattern = lattice.PATTERN_CONSTRUCTORS[args.pattern](s["a"], V0_ph, w_ph, D, b=args.b)
@@ -212,7 +205,6 @@ def cmd_phonon(args, sink):
     rows = [(float(x), float(v))
             for x, v in zip(xs, lattice.site_potential(pattern, k, points))]
     sink.emit_table("phonon_cross_section", ["x_um", "V_nK"], rows)
-    return 0
 
 
 def cmd_phi_map(args, sink):
@@ -233,7 +225,6 @@ def cmd_phi_map(args, sink):
             est = rydberg.nnn_ratio_estimate(bb, a, spec.eta, r_c=spec.r_c)
             sweep.append((float(frac), abs(m.values[(1, 1)]), est["ratio"]))
         sink.emit_table("phi_nnn_sweep", ["b_over_aprime", "numeric", "estimate"], sweep)
-    return 0
 
 
 def cmd_params(args, sink):
@@ -250,7 +241,6 @@ def cmd_params(args, sink):
         lam = rydberg.lambda_dimensionless(emap.phi00, W, M_RB87, omega)
         rows.append((r["V0_nK"], r["t_Hz"], r["U_Hz"], W * lam))
     sink.emit_table("params_sweep", ["V0_nK", "t_Hz", "U_Hz", "W_lambda_Hz"], rows)
-    return 0
 
 
 def cmd_binding(args, sink):
@@ -272,7 +262,6 @@ def cmd_binding(args, sink):
             th = pairs.threshold_full(float(V), float(V), tp)
             rows.append((float(V), th.U_cr, int(th.pole)))
         sink.emit_table("threshold_full", ["V1=V2", "U_cr", "pole"], rows)
-    return 0
 
 
 def cmd_pair(args, sink):
@@ -284,7 +273,6 @@ def cmd_pair(args, sink):
         for s in states:
             rows.append((U, float(V), s.branch, s.E))
     sink.emit_table("pair_energies", ["U", "V", "branch", "E"], rows)
-    return 0
 
 
 def cmd_oracle(args, sink):
@@ -317,7 +305,6 @@ def cmd_oracle(args, sink):
         roots = pairs.pair_energies(model)
         record["determinant_roots"] = [s.E for s in roots]
     sink.emit_record("oracle_summary", record)
-    return 0
 
 
 def cmd_phase(args, sink):
@@ -331,7 +318,6 @@ def cmd_phase(args, sink):
     sink.emit_table("phase_grid", ["V0_nK", "lambda", "T_pair_nK", "T_bkt_nK", "label"], rows)
     seg_rows = [(s[0][0], s[0][1], s[1][0], s[1][1]) for s in grid.contour]
     sink.emit_table("phase_contour", ["V0_a", "lambda_a", "V0_b", "lambda_b"], seg_rows)
-    return 0
 
 
 # The bundles of ``figures``: (file-name suffix, subcommand argv).  Each
@@ -356,7 +342,6 @@ def cmd_figures(args, sink):
         # argparse keeps attributes the namespace already has: the resolved settings
         bundle = args.parser.parse_args(argv, argparse.Namespace(settings=args.settings))
         bundle.func(bundle, sink.suffixed(suffix))
-    return 0
 
 
 def build_parser():
@@ -459,12 +444,12 @@ def main(argv=None):
     try:
         args.settings = _settings(args.config)
         sink = OutputSink(args.out, args.format)
-        status = args.func(args, sink)
-    except ValueError as exc:
+        args.func(args, sink)
+        sink.finish()
+    except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    sink.finish()
-    return status
+    return 0
 
 
 if __name__ == "__main__":

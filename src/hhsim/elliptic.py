@@ -1,13 +1,13 @@
 """Complete elliptic integrals K and E via the arithmetic-geometric mean.
 
-Convention: the argument is the *modulus* kappa, not the parameter
-m = kappa**2.  This matters because common libraries disagree
-(scipy.special.ellipk takes m, mpmath.ellipk takes m as well).
+Convention: the one entry, :func:`elliptic_KE_kprime`, takes the
+*complementary modulus* k' = sqrt(1 - kappa**2) that seeds the
+iteration, not the modulus kappa and not the parameter m = kappa**2
+(scipy.special.ellipk and mpmath.ellipk take m).  Near the band edge,
+kappa -> 1, a rounded kappa has lost 1 - kappa**2; k' keeps it.
 
 The AGM iteration converges quadratically; the result is accurate to
-better than 1e-12 relative.  It runs element-wise on float arrays
-through :func:`elliptic_KE_kprime`, which takes the complementary
-modulus k' = sqrt(1 - kappa**2) that seeds the iteration.
+better than 1e-12 relative.  It runs element-wise on float arrays.
 """
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 
 
 class EllipticDomainError(ValueError):
-    """Raised when K(kappa) is requested at or beyond the kappa = 1 pole."""
+    """Raised for a complementary modulus outside (0, 1]: K diverges at k' = 0."""
 
 
 def elliptic_KE_kprime(kprime):
@@ -52,27 +52,3 @@ def elliptic_KE_kprime(kprime):
     K = math.pi / (2 * a_out.reshape(shape))
     return K[()], (K * (1 - csum_out.reshape(shape)))[()]
 
-
-def elliptic_KE(kappa):
-    """Return (K(kappa), E(kappa)) for modulus 0 <= kappa <= 1.
-
-    K diverges at kappa = 1; requesting it raises
-    :class:`EllipticDomainError`.  E(1) = 1 is returned exactly.
-    """
-    if kappa < 0 or kappa > 1:
-        raise EllipticDomainError(f"modulus must lie in [0, 1], got {kappa}")
-    if kappa == 1:
-        raise EllipticDomainError("K(kappa) diverges at kappa = 1")
-    return elliptic_KE_kprime((1 - kappa * kappa) ** 0.5)
-
-
-def elliptic_K(kappa):
-    """Complete elliptic integral of the first kind, modulus convention."""
-    return elliptic_KE(kappa)[0]
-
-
-def elliptic_E(kappa):
-    """Complete elliptic integral of the second kind, modulus convention."""
-    if kappa == 1:
-        return kappa * 0 + 1
-    return elliptic_KE(kappa)[1]

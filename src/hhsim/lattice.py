@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import K_B, M_K40, M_RB87, require_finite  # noqa: F401  (masses re-exported)
+from .constants import K_B, require_finite
 
 # nK/um^2 -> J/m^2
 _CURV_SI = K_B * 1e-9 / 1e-12

@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from .constants import require_positive
-from .pairs import UVModel
 
 _BOUND_MARGIN = 5.0   # band-edge margin of a bound state, in t' / L^2
 
@@ -64,11 +63,17 @@ def _symmetric_basis(perm):
 
 
 def _lowest(H, P, n_states):
-    """Lowest n_states eigenvalues of H in the sector spanned by P, ascending."""
+    """Lowest n_states eigenvalues of H in the sector spanned by P, ascending.
+
+    At most dim - 2 of the sector's dim states are asked of eigsh.
+    """
     Hs = (P.T @ H @ P).tocsr()
-    k = min(n_states, Hs.shape[0] - 2)
-    v0 = np.ones(Hs.shape[0]) / math.sqrt(Hs.shape[0])
-    vals = eigsh(Hs, k=k, which="SA", v0=v0, tol=1e-12,
+    dim = Hs.shape[0]
+    if n_states > dim - 2:
+        raise ValueError(f"n_states must be at most {dim - 2} in the {dim}-state "
+                         f"symmetric sector, got {n_states}")
+    v0 = np.ones(dim) / math.sqrt(dim)
+    vals = eigsh(Hs, k=n_states, which="SA", v0=v0, tol=1e-12,
                  return_eigenvectors=False)
     return sorted(float(v) for v in vals)
 
@@ -94,7 +99,6 @@ def inversion_projector(L):
 @dataclass
 class TwoBodySpectrum:
     L: int
-    model: UVModel
     energies: list
     bound_count: int = 0
 
@@ -109,7 +113,7 @@ def ground_energies(model, L, n_states=4):
     energies = _lowest(relative_hamiltonian(model, L), inversion_projector(L), n_states)
     edge = -8.0 * model.t_prime - _BOUND_MARGIN / L**2 * model.t_prime
     bound = sum(1 for e in energies if e < edge)
-    return TwoBodySpectrum(L=L, model=model, energies=energies, bound_count=bound)
+    return TwoBodySpectrum(L=L, energies=energies, bound_count=bound)
 
 
 def _pair_hamiltonian(model, L):
@@ -144,7 +148,6 @@ class Extrapolation:
     E_inf: float
     error: float
     reliable: bool = True
-    note: str = ""
 
 
 def extrapolate_energy(Ls, energies):
@@ -168,5 +171,4 @@ def extrapolate_energy(Ls, energies):
     err = float(np.sqrt(np.mean(resid**2)))
     diffs = np.diff(y)
     monotone = np.all(diffs >= -1e-13) or np.all(diffs <= 1e-13)
-    return Extrapolation(E_inf=float(coef[0]), error=err, reliable=bool(monotone),
-                         note="" if monotone else "non-monotone sequence; fit unreliable")
+    return Extrapolation(E_inf=float(coef[0]), error=err, reliable=bool(monotone))

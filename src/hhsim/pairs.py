@@ -75,8 +75,8 @@ def _check_couplings(t_prime, **couplings):
 class UVModel:
     """Parameters of an effective two-body UV model.
 
-    variant "diagonal" uses field V (two +/-(x+y) neighbors); variant
-    "full" uses V1 (four NN) and V2 (four NNN).
+    variant "diagonal" carries its V in V2 (the two +/-(x+y) neighbors);
+    variant "full" uses V1 (four NN) and V2 (four NNN).
     """
 
     t_prime: float
@@ -100,12 +100,6 @@ class UVModel:
     def full(cls, U, V1, V2, t_prime):
         return cls(t_prime=t_prime, U=U, V1=V1, V2=V2, variant="full")
 
-    @property
-    def V(self):
-        if self.variant != "diagonal":
-            raise AttributeError("V is defined for the diagonal variant only")
-        return self.V2
-
     def shells(self):
         """Relative displacement (dx, dy) -> potential, on-site U included.
 
@@ -118,7 +112,6 @@ class UVModel:
 @dataclass
 class PairState:
     E: float
-    k: tuple
     branch: int
     immobile: bool = False
 
@@ -126,7 +119,6 @@ class PairState:
 @dataclass
 class BindingThreshold:
     U_cr: float
-    no_solution: bool = False
     pole: bool = False
 
 
@@ -169,7 +161,7 @@ def det_full(E, U, V1, V2, t_prime):
 
 def _determinant_for(model):
     if model.variant == "diagonal":
-        return lambda E: det_diagonal(E, model.U, model.V, model.t_prime)
+        return lambda E: det_diagonal(E, model.U, model.V2, model.t_prime)
     return lambda E: det_full(E, model.U, model.V1, model.V2, model.t_prime)
 
 
@@ -242,7 +234,7 @@ def pair_energies(model):
     s_lo = math.log(_EDGE_EPS / 8.0)
     roots = _scan_roots(_determinant_for(model), lambda s: -8.0 * tp * (1.0 + np.exp(s)),
                         s_lo, s_hi, _SCAN_POINTS, _ROOT_TOL * tp)
-    return [PairState(E=E, k=(0.0, 0.0), branch=i) for i, E in enumerate(roots.tolist())]
+    return [PairState(E=E, branch=i) for i, E in enumerate(roots.tolist())]
 
 
 def pair_energies_diagonal(U, V, t_prime):
@@ -263,8 +255,7 @@ def threshold_diagonal(V, t_prime):
     denom = t_prime + 4.0 * V / (3.0 * math.pi)
     if denom == 0.0:
         return BindingThreshold(U_cr=math.inf, pole=True)
-    U_cr = -2.0 * V * t_prime / denom
-    return BindingThreshold(U_cr=U_cr, no_solution=(V > 0.0 and U_cr >= 0.0))
+    return BindingThreshold(U_cr=-2.0 * V * t_prime / denom)
 
 
 def threshold_full(V1, V2, t_prime):
@@ -279,8 +270,7 @@ def threshold_full(V1, V2, t_prime):
     den = GAMMA1 * V1 * V2 + 0.5 * tp * V1 + GAMMA2 * tp * V2 + tp * tp
     if den == 0.0:
         return BindingThreshold(U_cr=math.inf, pole=True)
-    U_cr = -num / den
-    return BindingThreshold(U_cr=U_cr, no_solution=(V1 >= 0.0 and V2 >= 0.0 and U_cr >= 0.0))
+    return BindingThreshold(U_cr=-num / den)
 
 
 def lf_map_main(params: LFParams):
@@ -360,20 +350,21 @@ def threshold_physical_poles(t, renormalized):
     return _scan_roots(denominators, lambda lam: lam, *_POLE_SCAN, _POLE_TOL).tolist()
 
 
-def pair_dispersion_strong_coupling(U, V, t_prime, k, a=1.0):
+def pair_dispersion_strong_coupling(U, V, t_prime, k):
     """Three strong-coupling pair branches at momentum k = (kx, ky).
 
     E = V (an immobile intersite pair, excluded from mass estimates) and
-    E = (U+V)/2 +/- sqrt((U-V)^2/4 + t'^2 (cos^2(kx a/2) + cos^2(ky a/2))).
+    E = (U+V)/2 +/- sqrt((U-V)^2/4 + t'^2 (cos^2(kx a/2) + cos^2(ky a/2))),
+    taken at a = 1.
     """
     kx, ky = k
-    csq = math.cos(0.5 * kx * a) ** 2 + math.cos(0.5 * ky * a) ** 2
+    csq = math.cos(0.5 * kx) ** 2 + math.cos(0.5 * ky) ** 2
     root = math.sqrt(0.25 * (U - V) ** 2 + t_prime * t_prime * csq)
     mid = 0.5 * (U + V)
     states = [
-        PairState(E=mid - root, k=(kx, ky), branch=0),
-        PairState(E=V, k=(kx, ky), branch=1, immobile=True),
-        PairState(E=mid + root, k=(kx, ky), branch=2),
+        PairState(E=mid - root, branch=0),
+        PairState(E=V, branch=1, immobile=True),
+        PairState(E=mid + root, branch=2),
     ]
     states.sort(key=lambda s: s.E)
     for i, s in enumerate(states):
@@ -381,12 +372,12 @@ def pair_dispersion_strong_coupling(U, V, t_prime, k, a=1.0):
     return states
 
 
-def pair_mass(U, V, t_prime, a=1.0, hbar=1.0):
+def pair_mass(U, V, t_prime):
     """Effective mass of the lower dispersion branch at k = 0.
 
-    1/m** = t'^2 a^2 / (hbar^2 sqrt((U-V)^2/4 + 2 t'^2)).
+    1/m** = t'^2 a^2 / (hbar^2 sqrt((U-V)^2/4 + 2 t'^2)), taken at a = hbar = 1.
     """
-    inv = t_prime * t_prime * a * a / (hbar * hbar * math.sqrt(0.25 * (U - V) ** 2 + 2.0 * t_prime**2))
+    inv = t_prime * t_prime / math.sqrt(0.25 * (U - V) ** 2 + 2.0 * t_prime**2)
     return 1.0 / inv
 
 

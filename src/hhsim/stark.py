@@ -28,7 +28,7 @@ returned trap energy is in nK, linear in the intensity prefactor.
 import math
 from dataclasses import dataclass
 
-from .constants import wavelength_nm_to_angular_frequency
+from .constants import require_finite, wavelength_nm_to_angular_frequency
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ class StarkConfig:
     intensity_prefactor: float = 1.0   # nK, the scale hbar*I_Las/(24 I_Sat)
 
     def __post_init__(self):
+        require_finite(g_F=self.g_F, m_F=self.m_F, ellipticity=self.ellipticity,
+                       intensity_prefactor=self.intensity_prefactor)
         if abs(self.ellipticity) > 1.0:
             raise ValueError("|ellipticity| must not exceed 1")
         if self.intensity_prefactor < 0.0:

@@ -132,6 +132,35 @@ def test_unreadable_config_is_a_json_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [(key, "nan") for key in sorted(DEFAULTS)]
+                         + [("a_s0", "inf")])
+def test_non_finite_config_value_is_rejected_before_any_output(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"{key}: .{value}\n")
+    out = tmp_path / "fig"
+    message = _error(capsys, out, ["--config", str(cfg), "figures"])
+    assert message == f"config {cfg}: {key} must be finite, got {value}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [(["--ellipticity", "nan"], "ellipticity"),
+                                         (["--gf", "nan", "--mf", "1"], "g_F")])
+def test_stark_rejects_non_finite_state_before_any_output(tmp_path, capsys, argv, field):
+    message = _error(capsys, tmp_path / "stark", ["stark"] + argv)
+    assert message == f"{field} must be finite, got nan"
+
+
+def test_out_naming_a_file_is_a_json_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert main(["--out", str(out), "binding", "--steps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert str(out) in json.loads(line)["error"]
+    assert out.read_text() == "keep\n"
+
+
 def _fresh_python(script):
     """stdout of ``script`` in a new interpreter; this one has loaded scipy
     through other tests."""
@@ -248,6 +277,12 @@ def test_oracle_sizes_and_n_states_are_checked_before_any_ed(tmp_path, capsys, m
 
     monkeypatch.setattr(hhsim.oracle, "ground_energies", no_ed)
     assert _error(capsys, tmp_path / "or", ["oracle", "--U", "-8"] + argv) == message
+
+
+def test_oracle_n_states_beyond_the_sector_is_an_error(tmp_path, capsys):
+    message = _error(capsys, tmp_path / "or",
+                     ["oracle", "--U", "-8", "--sizes", "4", "--n-states", "50"])
+    assert message == "n_states must be at most 8 in the 10-state symmetric sector, got 50"
 
 
 def test_pair_and_params_subcommands(tmp_path):

@@ -105,6 +105,15 @@ def test_n_states_must_be_positive(solve, L, n_states):
         solve(UVModel.diagonal(-5.0, 0.0, 1.0), L, n_states=n_states)
 
 
+def test_n_states_is_at_most_the_sector_dimension_minus_two():
+    # the 4 x 4 inversion sector has L^2/2 + 2 = 10 states
+    model = UVModel.diagonal(-8.0, 0.0, 1.0)
+    assert len(ground_energies(model, 4, n_states=8).energies) == 8
+    with pytest.raises(ValueError, match="^n_states must be at most 8 in the 10-state "
+                                         "symmetric sector, got 9$"):
+        ground_energies(model, 4, n_states=9)
+
+
 def test_bound_count_deep_vs_free():
     deep = ground_energies(UVModel.diagonal(-12.0, 0.0, 1.0), 12)
     assert deep.bound_count >= 1

@@ -40,10 +40,7 @@ def test_uvmodel_validation():
         UVModel(t_prime=-1.0, U=0.0)
     with pytest.raises(ValueError):
         UVModel(t_prime=1.0, U=0.0, variant="nope")
-    m = UVModel.diagonal(-4.0, -2.0, 1.0)
-    assert m.V == -2.0
-    with pytest.raises(AttributeError):
-        UVModel.full(-4.0, 0.0, -2.0, 1.0).V
+    assert UVModel.diagonal(-4.0, -2.0, 1.0).V2 == -2.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

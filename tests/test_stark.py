@@ -38,6 +38,13 @@ def test_config_validation():
         StarkConfig(intensity_prefactor=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["g_F", "m_F", "ellipticity", "intensity_prefactor"])
+def test_config_rejects_non_finite_fields(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}"):
+        StarkConfig(**{field: bad})
+
+
 def test_red_detuning_traps():
     # far on the red side of both lines the potential is attractive
     assert ac_stark_shift(K40, 850.0, CFG) < 0.0

@@ -1,0 +1,70 @@
+"""SHA-256 of every artifact from a fixed list of ``hhsim`` runs, as JSON.
+
+    python tools/artifact_hashes.py SRC
+
+runs each command line of ``RUNS`` as ``python -m hhsim.cli`` with
+``PYTHONPATH=SRC``, in a fresh temporary directory, and prints
+``{run: {"exit": status, "stderr": text, "files": {name: sha256}}}``,
+manifests included.  Two source trees that should write the same bytes
+are compared with one ``cmp`` of the two outputs:
+
+    python tools/artifact_hashes.py OLD/src > old.json
+    python tools/artifact_hashes.py src > new.json
+    cmp old.json new.json
+
+Paths inside a run are relative to its directory, so stderr does not
+depend on where the temporary directory lies.  The package and the
+tests do not import this script.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# a non-default config; of the figures files only the Stark zeros (a zero
+# does not move with the prefactor) and the binding thresholds (which read
+# no key) stay as by default
+CONFIG = ("a: 1.6123\nn_ryd: 29\nprefactor: 1.1\nV0_ph_scale: 2.2\nw_ph: 0.62\nD: 0.29\n"
+          "r_c_over_a: 0.12\nn_B: 0.02\nomega_ratio: 17.0\n")
+
+# run name -> hhsim argv; "--out <name>" is prepended
+RUNS = {
+    "figures-csv": ["figures"],
+    "figures-json": ["--format", "json", "figures"],
+    "figures-config": ["--config", "config.yaml", "figures"],
+    "binding-full": ["binding", "--model", "full"],
+    "binding-physical": ["binding", "--model", "physical", "--renormalized"],
+    "pair": ["pair", "--U", "-6"],
+    "oracle-compare": ["oracle", "--U", "-10", "--V1", "-1", "--compare"],
+    "oracle-full": ["oracle", "--model", "full", "--U", "-6", "--V1", "-1", "--V2", "-1",
+                    "--sizes", "8,12,16"],
+    "stark-rb87": ["stark", "--species", "Rb-87", "--steps", "51"],
+    "stark-lines": ["stark", "--wl-min", "766.7", "--wl-max", "770.1", "--steps", "5"],
+    "phase": ["phase", "--T", "5"],
+    "phonon-json": ["--format", "json", "phonon", "--pattern", "crossed"],
+}
+
+
+def artifact_hashes(src):
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    report = {}
+    for name, argv in RUNS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "config.yaml").write_text(CONFIG)
+            proc = subprocess.run([sys.executable, "-m", "hhsim.cli", "--out", name] + argv,
+                                  cwd=tmp, env=env, capture_output=True, text=True)
+            out = Path(tmp, name)
+            files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(out.iterdir())} if out.is_dir() else {}
+        report[name] = {"exit": proc.returncode, "stderr": proc.stderr, "files": files}
+    return report
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: artifact_hashes.py SRC")
+    print(json.dumps(artifact_hashes(sys.argv[1]), indent=2, sort_keys=True))
