@@ -32,9 +32,14 @@ def nk_to_hz(energy_nk):
 
 
 def require_finite(**values):
-    """Raise ValueError naming the first value that is not finite."""
+    """Raise ValueError naming the first value that is not finite, or is an
+    int beyond the float range."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
 

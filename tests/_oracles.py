@@ -11,7 +11,8 @@ hand; they take M_nl from ``hhsim.greens`` and the band-edge C_nl
 limits from ``greens_C_threshold`` below, and check how ``hhsim.pairs``
 assembles them.  The Phi map is summed by a scalar double loop over
 the scalar coupling constant, and a phase-map point is computed alone
-in scalar floats, its pair mass written out in SI units.
+in scalar floats, its pair mass written out in SI units.  The ED
+symmetry sectors are counted by enumerating orbits of the torus.
 """
 
 import math
@@ -348,3 +349,19 @@ def phase_point_scalar(V0, lam, T, family):
     else:
         label = "Normal"
     return t, t_prime, T_pair, T_bkt, label
+
+
+# the square lattice's point group, written out as maps of (x, y)
+_SQUARE_SYMMETRIES = (lambda x, y: (x, y), lambda x, y: (-y, x), lambda x, y: (-x, -y),
+                      lambda x, y: (y, -x), lambda x, y: (x, -y), lambda x, y: (-x, y),
+                      lambda x, y: (y, x), lambda x, y: (-y, -x))
+
+
+def symmetric_orbits(L, shells):
+    """The square-lattice symmetries that map every set of ``shells`` onto
+    itself, and the orbits of the L x L torus under them (a set of
+    frozensets of (x mod L, y mod L)), counted by brute force."""
+    ops = [g for g in _SQUARE_SYMMETRIES if all({g(*d) for d in s} == set(s) for s in shells)]
+    orbits = {frozenset((gx % L, gy % L) for gx, gy in (g(x, y) for g in ops))
+              for x in range(L) for y in range(L)}
+    return ops, orbits

@@ -17,6 +17,8 @@ from hhsim.cli import DEFAULTS, FIGURES, build_parser, main
 from hhsim.constants import A_BOHR
 from hhsim.lattice import PATTERN_CONSTRUCTORS
 
+from _oracles import symmetric_orbits
+
 
 def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
@@ -140,6 +142,15 @@ def test_non_finite_config_value_is_rejected_before_any_output(tmp_path, capsys,
     out = tmp_path / "fig"
     message = _error(capsys, out, ["--config", str(cfg), "figures"])
     assert message == f"config {cfg}: {key} must be finite, got {value}"
+    assert not out.exists()
+
+
+def test_config_integer_beyond_the_float_range_is_rejected_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("a: 1" + "0" * 400 + "\n")
+    out = tmp_path / "binding"
+    message = _error(capsys, out, ["--config", str(cfg), "binding", "--steps", "3"])
+    assert message == f"config {cfg}: a must be finite, got {10**400}"
     assert not out.exists()
 
 
@@ -282,7 +293,8 @@ def test_oracle_sizes_and_n_states_are_checked_before_any_ed(tmp_path, capsys, m
 def test_oracle_n_states_beyond_the_sector_is_an_error(tmp_path, capsys):
     message = _error(capsys, tmp_path / "or",
                      ["oracle", "--U", "-8", "--sizes", "4", "--n-states", "50"])
-    assert message == "n_states must be at most 8 in the 10-state symmetric sector, got 50"
+    dim = len(symmetric_orbits(4, ({(0, 0)}, {(1, 1), (-1, -1)}))[1])   # the diagonal model's A1
+    assert message == f"n_states must be at most {dim - 2} in the {dim}-state symmetric sector, got 50"
 
 
 def test_pair_and_params_subcommands(tmp_path):

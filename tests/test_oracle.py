@@ -9,10 +9,17 @@ from hhsim.oracle import (
     brute_force_two_body,
     extrapolate_energy,
     ground_energies,
-    inversion_projector,
     relative_hamiltonian,
 )
 from hhsim.pairs import UVModel, pair_energies
+
+from _oracles import symmetric_orbits
+
+ONSITE = {(0, 0)}
+NN = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+NNN = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+# the shell sets of each variant, as the determinant's orbits group them
+SHELLS = {"full": (ONSITE, NN, NNN), "diagonal": (ONSITE, {(1, 1), (-1, -1)})}
 
 
 def test_lattice_validation():
@@ -52,7 +59,7 @@ def _inversion_sector():
     L = 6
     H = relative_hamiltonian(UVModel.diagonal(-5.0, -2.0, 1.0), L)
     minus = [(-x % L) * L + (-y % L) for x in range(L) for y in range(L)]
-    return H.toarray(), inversion_projector(L).toarray(), minus
+    return H.toarray(), oracle._symmetric_basis(np.array([minus])).toarray(), minus
 
 
 def _exchange_sector():
@@ -60,7 +67,7 @@ def _exchange_sector():
     n = L * L
     H = oracle._pair_hamiltonian(UVModel.full(-5.0, -1.0, -0.5, 1.0), L)
     swap = [q * n + p for p in range(n) for q in range(n)]
-    return H.toarray(), oracle._symmetric_basis(np.array(swap)).toarray(), swap
+    return H.toarray(), oracle._symmetric_basis(np.array([swap])).toarray(), swap
 
 
 def test_projector_columns_orthonormal():
@@ -106,12 +113,64 @@ def test_n_states_must_be_positive(solve, L, n_states):
 
 
 def test_n_states_is_at_most_the_sector_dimension_minus_two():
-    # the 4 x 4 inversion sector has L^2/2 + 2 = 10 states
+    # the diagonal model's 4 x 4 A1 sector has one state per orbit
     model = UVModel.diagonal(-8.0, 0.0, 1.0)
-    assert len(ground_energies(model, 4, n_states=8).energies) == 8
-    with pytest.raises(ValueError, match="^n_states must be at most 8 in the 10-state "
-                                         "symmetric sector, got 9$"):
-        ground_energies(model, 4, n_states=9)
+    dim = len(symmetric_orbits(4, SHELLS["diagonal"])[1])
+    assert len(ground_energies(model, 4, n_states=dim - 2).energies) == dim - 2
+    with pytest.raises(ValueError, match=f"^n_states must be at most {dim - 2} in the {dim}-state "
+                                         f"symmetric sector, got {dim - 1}$"):
+        ground_energies(model, 4, n_states=dim - 1)
+
+
+@pytest.mark.parametrize("model", [
+    UVModel.full(-8.0, -1.0, -0.5, 1.0),
+    UVModel.full(-8.0, 0.0, 0.0, 1.0),
+    UVModel.diagonal(-8.0, -2.0, 1.0),
+    UVModel.diagonal(-8.0, 0.0, 1.0),
+])
+def test_a1_basis_is_one_invariant_orthonormal_column_per_orbit(model):
+    # the group comes from the variant's orbits, so a zero V keeps it
+    L = 6
+    ops, orbits = symmetric_orbits(L, SHELLS[model.variant])
+    group = oracle._point_group(model.variant)
+    assert len(group) == len(ops) == {"full": 8, "diagonal": 4}[model.variant]
+    # (1, 2) has a different image under each of the 8 operations
+    assert {(a + 2 * b, c + 2 * d) for a, b, c, d in group} == {g(1, 2) for g in ops}
+    P = oracle._a1_basis(L, group).toarray()
+    assert P.shape == (L * L, len(orbits))
+    assert abs(P.T @ P - np.eye(len(orbits))).max() < 1e-14
+    x, y = np.divmod(np.arange(L * L), L)
+    for g in ops:
+        gx, gy = g(x, y)
+        assert np.array_equal(P[(gx % L) * L + gy % L], P)
+    # every column is constant on one orbit and zero off it
+    site = {(i // L, i % L): i for i in range(L * L)}
+    assert {frozenset(p for p, i in site.items() if P[i, k]) for k in range(P.shape[1])} == orbits
+    dim = len(orbits)
+    with pytest.raises(ValueError, match=f"in the {dim}-state symmetric sector"):
+        ground_energies(model, L, n_states=dim - 1)
+
+
+@pytest.mark.parametrize("L", [16, 48])   # one each side of oracle._DENSE_MAX
+@pytest.mark.parametrize("model", [
+    UVModel.full(0.0, -12.0, 0.0, 1.0),
+    UVModel.diagonal(-10.0, -1.5, 1.0),
+])
+def test_ground_energies_equal_the_dense_spectrum_of_the_a1_block(model, L):
+    _, orbits = symmetric_orbits(L, SHELLS[model.variant])
+    P = np.zeros((L * L, len(orbits)))
+    for k, orbit in enumerate(orbits):
+        for x, y in orbit:
+            P[x * L + y, k] = 1.0 / np.sqrt(len(orbit))
+    H = relative_hamiltonian(model, L).toarray()
+    dense = np.linalg.eigvalsh(P.T @ H @ P)[:4]
+    assert np.allclose(ground_energies(model, L).energies, dense, rtol=0.0, atol=1e-10)
+
+
+def test_bound_count_equals_the_determinant_root_count():
+    # the B1 (d-wave) bound state at -12.3543 lies outside the A1 sector
+    model = UVModel.full(0.0, -12.0, 0.0, 1.0)
+    assert ground_energies(model, 32).bound_count == len(pair_energies(model)) == 1
 
 
 def test_bound_count_deep_vs_free():

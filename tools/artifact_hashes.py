@@ -42,6 +42,9 @@ RUNS = {
     "oracle-compare": ["oracle", "--U", "-10", "--V1", "-1", "--compare"],
     "oracle-full": ["oracle", "--model", "full", "--U", "-6", "--V1", "-1", "--V2", "-1",
                     "--sizes", "8,12,16"],
+    # sectors of 153, 325 and 561 states: both sides of oracle._DENSE_MAX
+    "oracle-straddle": ["oracle", "--model", "full", "--U", "-10", "--V1", "-1", "--V2", "-1",
+                        "--sizes", "32,48,64"],
     "stark-rb87": ["stark", "--species", "Rb-87", "--steps", "51"],
     "stark-lines": ["stark", "--wl-min", "766.7", "--wl-max", "770.1", "--steps", "5"],
     "phase": ["phase", "--T", "5"],
