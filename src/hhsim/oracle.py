@@ -11,14 +11,25 @@ the fully symmetric (s-wave, spin-singlet) sector the determinant
 solves.  Sectors of up to ``_DENSE_MAX`` states are solved by dense
 ``numpy.linalg.eigvalsh``, larger ones by ``eigsh``.
 
-A brute-force builder of the full two-particle Hamiltonian on tiny
-lattices validates the reduction itself.  Both builders share one
-periodic adjacency matrix, one orbit-basis builder and the shell table
-of ``UVModel.shells()``.
+A brute force on the full two-particle space of tiny lattices validates
+the reduction itself.  It keeps the A1 sector of the group generated by
+particle exchange and the model's point group acting on both
+coordinates about site 0, and always solves it densely.  The hopping is
+non-positive and the two-particle graph connected, so by
+Perron-Frobenius the ground state is unique and nodeless, hence fixed
+by every symmetry: it lies in that sector, at zero total momentum,
+whatever the couplings.
+
+Both solvers read one cached sector builder, ``_sector``: per lattice
+size, group and space it holds the orbit-basis projection of the
+hopping and the weights that map the shell potential of
+``UVModel.shells()`` to the sector diagonal, so a call only scales the
+one and adds the other.
 """
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +52,12 @@ class FiniteLattice:
     L: int
 
     def __post_init__(self):
-        if self.L < 4 or self.L % 2 != 0:
+        if not isinstance(self.L, numbers.Integral) or self.L < 4 or self.L % 2 != 0:
             raise ValueError("L must be an even integer >= 4")
 
 
-@functools.lru_cache(maxsize=32)
 def _adjacency(L):
-    """Periodic nearest-neighbor matrix of the L x L lattice (site x*L + y).
-
-    Cached per process, like ``_a1_basis``: callers must not modify it.
-    """
+    """Periodic nearest-neighbor matrix of the L x L lattice (site x*L + y)."""
     site = np.arange(L * L).reshape(L, L)
     rows = np.tile(site.ravel(), 4)
     cols = np.concatenate([np.roll(site, s, axis=a).ravel() for a in (0, 1) for s in (1, -1)])
@@ -93,44 +100,85 @@ def _symmetric_basis(images):
                          shape=(i.size, col[-1] + 1)).tocsr()
 
 
-@functools.lru_cache(maxsize=32)
+def _site_images(L, group):
+    """(g, L*L) array: row k holds the image of each site x*L + y under the
+    k-th operation of group, about site 0."""
+    x, y = np.divmod(np.arange(L * L), L)
+    return np.array([((a * x + b * y) % L) * L + (c * x + d * y) % L for a, b, c, d in group])
+
+
 def _a1_basis(L, group):
     """Basis of the sector of the L x L relative coordinate fixed by group."""
-    x, y = np.divmod(np.arange(L * L), L)
-    return _symmetric_basis(np.array([((a * x + b * y) % L) * L + (c * x + d * y) % L
-                                      for a, b, c, d in group]))
+    return _symmetric_basis(_site_images(L, group))
 
 
-def _lowest(H, P, n_states):
-    """Lowest n_states eigenvalues of H in the sector spanned by P, ascending.
+@functools.lru_cache(maxsize=32)
+def _sector(L, group, pair):
+    """Hopping block K and potential weights W of a symmetric sector.
 
-    At most dim - 2 of the sector's dim states may be asked for.  Up to
-    ``_DENSE_MAX`` states the sector is solved densely, above by eigsh.
+    Relative coordinate (pair false): the L x L displacements fixed by
+    group.  Pair (pair true): the L^4 two-particle states (r1, r2), index
+    r1*L^2 + r2, fixed by particle exchange and by group acting on both
+    coordinates about site 0.  With P the sector's orbit basis and A the
+    space's periodic adjacency (A x 1 + 1 x A for the pair), K = P^T A P,
+    and W @ pot is the diagonal of P^T diag(pot) P for a potential pot on
+    the L x L relative displacements.  Both are sparse.
+
+    Cached per process and shared by every call: both are read-only.
     """
-    Hs = P.T @ H @ P
-    dim = Hs.shape[0]
+    n = L * L
+    A = _adjacency(L)
+    if pair:
+        one = sp.identity(n, format="csr")
+        A = sp.kron(A, one) + sp.kron(one, A)
+        r1, r2 = np.divmod(np.arange(n * n), n)
+        img = _site_images(L, group)
+        P = _symmetric_basis(np.concatenate([img[:, r1] * n + img[:, r2],
+                                             img[:, r2] * n + img[:, r1]]))
+        x, y = np.divmod(np.arange(n), L)
+        rel = ((x[r1] - x[r2]) % L) * L + (y[r1] - y[r2]) % L
+        R = sp.csr_matrix((np.ones(n * n), (np.arange(n * n), rel)), shape=(n * n, n))
+    else:
+        P = _a1_basis(L, group)
+        R = sp.identity(n, format="csr")
+    K, W = (P.T @ A @ P).tocsr(), (P.multiply(P).T @ R).tocsr()
+    for a in (K.data, K.indices, K.indptr, W.data, W.indices, W.indptr):
+        a.flags.writeable = False
+    return K, W
+
+
+def _sector_hamiltonian(model, L, pair):
+    """-c t' K + diag(W @ pot) in the model's ``_sector``: c = 2 for the
+    relative coordinate (each particle's hopping adds at K = 0), 1 for the
+    pair.  Dense where the sector is solved densely (every pair sector,
+    relative ones of up to ``_DENSE_MAX`` states), sparse otherwise."""
+    K, W = _sector(L, _point_group(model.variant), pair)
+    hop = -(1.0 if pair else 2.0) * model.t_prime
+    diagonal = W @ _shell_potential(model, L)
+    if not pair and K.shape[0] > _DENSE_MAX:
+        return (hop * K + sp.diags(diagonal)).tocsr()
+    H = K.toarray()
+    H *= hop
+    H.flat[::H.shape[0] + 1] += diagonal
+    return H
+
+
+def _lowest(H, n_states):
+    """Lowest n_states eigenvalues of the sector block H, ascending.
+
+    At most dim - 2 of the sector's dim states may be asked for.  A dense
+    H is solved by eigvalsh, a sparse one by eigsh.
+    """
+    dim = H.shape[0]
     if n_states > dim - 2:
         raise ValueError(f"n_states must be at most {dim - 2} in the {dim}-state "
                          f"symmetric sector, got {n_states}")
-    if dim <= _DENSE_MAX:
-        vals = np.linalg.eigvalsh(Hs.toarray())[:n_states]
-    else:
+    if sp.issparse(H):
         v0 = np.ones(dim) / math.sqrt(dim)
-        vals = eigsh(Hs.tocsr(), k=n_states, which="SA", v0=v0, tol=1e-12,
-                     return_eigenvectors=False)
+        vals = eigsh(H, k=n_states, which="SA", v0=v0, tol=1e-12, return_eigenvectors=False)
+    else:
+        vals = np.linalg.eigvalsh(H)[:n_states]
     return sorted(float(v) for v in vals)
-
-
-def relative_hamiltonian(model, L):
-    """Sparse H on the L x L relative coordinate at zero total momentum.
-
-    Kinetic term: hops of amplitude -2t' to the four neighbors (each
-    particle's hopping adds at K = 0); potential: the shells of
-    ``model.shells()`` on the diagonal.
-    """
-    L = FiniteLattice(L).L
-    H = -2.0 * model.t_prime * _adjacency(L) + sp.diags(_shell_potential(model, L))
-    return H.tocsr()
 
 
 @dataclass
@@ -146,39 +194,30 @@ def ground_energies(model, L, n_states=4):
     A state counts as bound if E < -8t' - 5/L^2 * t' (the margin absorbs
     the finite-size shift of the band edge).
     """
+    L = FiniteLattice(L).L
     require_positive(n_states=n_states)
-    P = _a1_basis(L, _point_group(model.variant))
-    energies = _lowest(relative_hamiltonian(model, L), P, n_states)
+    energies = _lowest(_sector_hamiltonian(model, L, False), n_states)
     edge = -8.0 * model.t_prime - _BOUND_MARGIN / L**2 * model.t_prime
     bound = sum(1 for e in energies if e < edge)
     return TwoBodySpectrum(L=L, energies=energies, bound_count=bound)
 
 
-def _pair_hamiltonian(model, L):
-    """T x 1 + 1 x T + V(r1 - r2) on the L^4 two-particle states, T = -t' A."""
-    n = L * L
-    T = -model.t_prime * _adjacency(L)
-    one = sp.identity(n, format="csr")
-    x, y = np.divmod(np.arange(n), L)
-    rel = ((x[:, None] - x) % L) * L + (y[:, None] - y) % L
-    H = sp.kron(T, one) + sp.kron(one, T) + sp.diags(_shell_potential(model, L)[rel.ravel()])
-    return H.tocsr()
-
-
 def brute_force_two_body(model, L, n_states=4):
-    """Full two-particle spectrum on L x L (spatially symmetric sector).
+    """Lowest n_states two-particle energies on L x L, ascending, from the
+    full L^4 space (L <= 8), to validate the relative-coordinate reduction.
 
-    The sector is the one even under particle exchange.  Dimension grows
-    as L^4; intended for L <= 6 to validate the relative-coordinate
-    reduction.  Returns the lowest eigenvalues over all total momenta
-    (the ground state sits at K = 0 for attractive couplings).
+    The sector is the A1 one of particle exchange times the model's point
+    group acting on both coordinates (see ``_sector``), solved densely, so
+    every level in it comes out as often as it occurs.  Index 0 is the
+    lowest energy over all total momenta and all symmetry sectors: by
+    Perron-Frobenius the ground state is unique and nodeless, hence fixed
+    by every symmetry and at zero total momentum, for any couplings.
     """
     L = FiniteLattice(L).L
     if L > 8:
         raise ValueError("brute force is for tiny lattices only")
     require_positive(n_states=n_states)
-    exchange = np.arange(L**4).reshape(L * L, L * L).T.ravel()
-    return _lowest(_pair_hamiltonian(model, L), _symmetric_basis(exchange[None, :]), n_states)
+    return _lowest(_sector_hamiltonian(model, L, True), n_states)
 
 
 @dataclass

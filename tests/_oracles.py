@@ -12,13 +12,15 @@ limits from ``greens_C_threshold`` below, and check how ``hhsim.pairs``
 assembles them.  The Phi map is summed by a scalar double loop over
 the scalar coupling constant, and a phase-map point is computed alone
 in scalar floats, its pair mass written out in SI units.  The ED
-symmetry sectors are counted by enumerating orbits of the torus.
+symmetry sectors are counted by enumerating orbits of the torus, and
+the full-space ED Hamiltonians are written out hop by hop.
 """
 
 import math
 
 import mpmath
 import numpy as np
+import scipy.sparse as sp
 
 from hhsim.constants import HBAR, HZ_TO_NK, H_PLANCK, K_B, nk_to_hz
 from hhsim.greens import SUPPORTED_NL, greens_M_table
@@ -365,3 +367,63 @@ def symmetric_orbits(L, shells):
     orbits = {frozenset((gx % L, gy % L) for gx, gy in (g(x, y) for g in ops))
               for x in range(L) for y in range(L)}
     return ops, orbits
+
+
+def pair_orbits(L, ops):
+    """Orbits of the L^4 two-particle states (index (x1*L + y1)*L^2 + x2*L + y2)
+    under particle exchange and the maps ops (the identity among them)
+    acting on both coordinates about site 0, as a set of frozensets."""
+    n = L * L
+    orbits = set()
+    for s1 in range(n):
+        for s2 in range(n):
+            images = [(g(*divmod(s1, L)), g(*divmod(s2, L))) for g in ops]
+            sites = [((x1 % L) * L + y1 % L, (x2 % L) * L + y2 % L)
+                     for (x1, y1), (x2, y2) in images]
+            orbits.add(frozenset(i * n + j for a, b in sites for i, j in ((a, b), (b, a))))
+    return orbits
+
+
+def orbit_basis(orbits, n):
+    """Dense n x len(orbits) basis: one column per orbit (a set of indices),
+    1/sqrt(|orbit|) on its members, ordered by the orbit's smallest index."""
+    P = np.zeros((n, len(orbits)))
+    for k, orbit in enumerate(sorted(orbits, key=min)):
+        P[sorted(orbit), k] = 1.0 / math.sqrt(len(orbit))
+    return P
+
+
+def _torus_hops(L):
+    """Periodic nearest-neighbor adjacency of the L x L torus (site x*L + y)."""
+    rows, cols = [], []
+    for x in range(L):
+        for y in range(L):
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                rows.append(x * L + y)
+                cols.append(((x + dx) % L) * L + (y + dy) % L)
+    return sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(L * L, L * L)).tocsr()
+
+
+def relative_hamiltonian(model, L):
+    """Sparse H on the L x L relative coordinate at zero total momentum.
+
+    Kinetic term: hops of amplitude -2t' to the four neighbors (each
+    particle's hopping adds at K = 0); potential: the shells of
+    ``model.shells()`` on the diagonal.
+    """
+    pot = np.zeros(L * L)
+    for (dx, dy), v in model.shells().items():
+        pot[(dx % L) * L + dy % L] = v
+    return (-2.0 * model.t_prime * _torus_hops(L) + sp.diags(pot)).tocsr()
+
+
+def pair_hamiltonian(model, L):
+    """T x 1 + 1 x T + V(r1 - r2) on the L^4 two-particle states (index as
+    in ``pair_orbits``), T = -t' times the torus adjacency."""
+    n = L * L
+    T = -model.t_prime * _torus_hops(L)
+    one = sp.identity(n, format="csr")
+    shells = {(dx % L, dy % L): v for (dx, dy), v in model.shells().items()}
+    pot = [shells.get(((x1 - x2) % L, (y1 - y2) % L), 0.0)
+           for x1 in range(L) for y1 in range(L) for x2 in range(L) for y2 in range(L)]
+    return (sp.kron(T, one) + sp.kron(one, T) + sp.diags(pot)).tocsr()

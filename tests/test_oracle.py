@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -9,17 +10,23 @@ from hhsim.oracle import (
     brute_force_two_body,
     extrapolate_energy,
     ground_energies,
-    relative_hamiltonian,
 )
 from hhsim.pairs import UVModel, pair_energies
 
-from _oracles import symmetric_orbits
+from _oracles import (
+    orbit_basis,
+    pair_hamiltonian,
+    pair_orbits,
+    relative_hamiltonian,
+    symmetric_orbits,
+)
 
 ONSITE = {(0, 0)}
 NN = {(1, 0), (-1, 0), (0, 1), (0, -1)}
 NNN = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 # the shell sets of each variant, as the determinant's orbits group them
 SHELLS = {"full": (ONSITE, NN, NNN), "diagonal": (ONSITE, {(1, 1), (-1, -1)})}
+IDENTITY = (lambda x, y: (x, y),)
 
 
 def test_lattice_validation():
@@ -28,6 +35,16 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         FiniteLattice(5)
     assert FiniteLattice(4).L == 4
+
+
+@pytest.mark.parametrize("solve", [ground_energies, brute_force_two_body])
+@pytest.mark.parametrize("L", [5, 6.0, 7.5, True, 2, "6"])
+def test_lattice_size_is_checked_before_any_block_is_built(solve, L):
+    before = oracle._sector.cache_info()
+    with pytest.raises(ValueError, match="^L must be an even integer >= 4$"):
+        solve(UVModel.diagonal(-5.0, 0.0, 1.0), L)
+    assert oracle._sector.cache_info() == before
+    assert FiniteLattice(np.int64(6)).L == 6
 
 
 def test_relative_hamiltonian_is_symmetric():
@@ -65,7 +82,7 @@ def _inversion_sector():
 def _exchange_sector():
     L = 4
     n = L * L
-    H = oracle._pair_hamiltonian(UVModel.full(-5.0, -1.0, -0.5, 1.0), L)
+    H = pair_hamiltonian(UVModel.full(-5.0, -1.0, -0.5, 1.0), L)
     swap = [q * n + p for p in range(n) for q in range(n)]
     return H.toarray(), oracle._symmetric_basis(np.array([swap])).toarray(), swap
 
@@ -96,6 +113,85 @@ def test_reduction_matches_brute_force(model):
         red = ground_energies(model, L, n_states=2).energies[0]
         full = brute_force_two_body(model, L, n_states=2)[0]
         assert red == pytest.approx(full, abs=1e-9)
+
+
+def _projected_block(model, L, pair):
+    """P^T H P of the full-space reference H on the torus-enumerated orbits
+    of the model's sector (relative coordinate, or the exchange-symmetric pair)."""
+    ops, orbits = symmetric_orbits(L, SHELLS[model.variant])
+    H = pair_hamiltonian(model, L) if pair else relative_hamiltonian(model, L)
+    if not pair:
+        orbits = {frozenset(x * L + y for x, y in orbit) for orbit in orbits}
+    P = orbit_basis(pair_orbits(L, ops) if pair else orbits, H.shape[0])
+    return P.T @ (H @ P)
+
+
+@pytest.mark.parametrize("pair, L, dims", [
+    (False, 6, {"full": 10, "diagonal": 13}),
+    (False, 48, {"full": 325, "diagonal": 601}),
+    (True, 4, {"full": 34, "diagonal": 46}),
+    (True, 6, {"full": 119, "diagonal": 191}),
+])
+@pytest.mark.parametrize("model", [
+    UVModel.full(-6.0, 1.5, -2.0, 0.7),
+    UVModel.diagonal(4.0, -3.0, 1.3),
+])
+def test_sector_hamiltonian_is_the_projected_full_space_hamiltonian(model, pair, L, dims):
+    Hs = oracle._sector_hamiltonian(model, L, pair)
+    Hs = Hs.toarray() if sp.issparse(Hs) else Hs
+    assert Hs.shape == (dims[model.variant],) * 2
+    assert abs(Hs - _projected_block(model, L, pair)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("model, L", [
+    (UVModel.diagonal(-10.0, -1.5, 1.0), 6),
+    (UVModel.full(-5.0, -1.0, -1.0, 1.0), 6),
+    (UVModel.full(3.0, -4.0, 2.0, 0.8), 4),
+])
+def test_brute_force_returns_the_lowest_levels_of_its_sector(model, L):
+    # degenerate levels come out as often as they occur in the sector
+    dense = np.linalg.eigvalsh(_projected_block(model, L, pair=True))[:6]
+    assert np.allclose(brute_force_two_body(model, L, n_states=6), dense,
+                       rtol=0.0, atol=1e-12 * model.t_prime)
+
+
+@pytest.mark.parametrize("L", [4, 6])
+@pytest.mark.parametrize("seed, signs", enumerate([(1, 1, 1), (1, -1, 1), (-1, 1, -1),
+                                                   (-1, -1, -1), (1, 1, -1), (-1, -1, 1)]))
+def test_brute_force_ground_is_the_exchange_even_ground(L, seed, signs):
+    # Perron-Frobenius: the nodeless ground state is fixed by every symmetry,
+    # so the A1 sector holds it whatever the signs of the couplings
+    rng = np.random.default_rng(seed)
+    tp = rng.uniform(0.5, 2.0)
+    U, V1, V2 = np.array(signs) * rng.uniform([0.5, 0.5, 0.5], [12.0, 4.0, 4.0]) * tp
+    model = UVModel.diagonal(U, V1, tp) if seed % 3 == 2 else UVModel.full(U, V1, V2, tp)
+    H = pair_hamiltonian(model, L)
+    P = orbit_basis(pair_orbits(L, IDENTITY), H.shape[0])
+    ground = np.linalg.eigvalsh(P.T @ (H @ P))[0]
+    assert abs(brute_force_two_body(model, L, n_states=1)[0] - ground) <= 1e-12 * tp
+    assert abs(ground_energies(model, L, n_states=1).energies[0] - ground) <= 1e-12 * tp
+
+
+def test_cached_blocks_are_read_only_and_every_call_matches_a_fresh_one():
+    group = oracle._point_group("full")
+    for L, pair in ((16, False), (48, False), (6, True)):
+        K, W = oracle._sector(L, group, pair)
+        for values in (K.data, W.data):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+    models = [UVModel.full(-10.0, -1.5, -1.2, 1.0), UVModel.full(-6.0, 2.0, -3.0, 0.6),
+              UVModel.diagonal(-9.0, -1.0, 1.7)]
+
+    def solve(model):
+        return ([ground_energies(model, L).energies for L in (16, 48)],
+                brute_force_two_body(model, 6))
+
+    alternating = [solve(model) for model in models + models[::-1]]
+    fresh = []
+    for model in models + models[::-1]:
+        oracle._sector.cache_clear()
+        fresh.append(solve(model))
+    assert alternating == fresh
 
 
 def test_brute_force_size_guard():

@@ -45,6 +45,9 @@ RUNS = {
     # sectors of 153, 325 and 561 states: both sides of oracle._DENSE_MAX
     "oracle-straddle": ["oracle", "--model", "full", "--U", "-10", "--V1", "-1", "--V2", "-1",
                         "--sizes", "32,48,64"],
+    # the diagonal model's sectors of 273, 601 and 1,057 states, likewise
+    "oracle-diagonal-straddle": ["oracle", "--U", "-10", "--V1", "-1.5", "--sizes", "32,48,64",
+                                 "--compare"],
     "stark-rb87": ["stark", "--species", "Rb-87", "--steps", "51"],
     "stark-lines": ["stark", "--wl-min", "766.7", "--wl-max", "770.1", "--steps", "5"],
     "phase": ["phase", "--T", "5"],
