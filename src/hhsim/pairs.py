@@ -30,7 +30,7 @@ from .greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_M_table
 
 _EDGE_EPS = 1e-10   # offset of the search bracket from the band edge, in t'
 _ROOT_TOL = 1e-12   # root bracket width in energy, in t'
-_STALL_STEPS = 3    # false-position steps without halving a bracket before a bisection
+_CLUSTER_SIDE = 22  # polish points on either side of an estimate c: c +/- (tol/4) 4^j, j < 22
 _SCAN_POINTS = 240  # sign-scan grid points over the search bracket
 _POLE_SCAN = (0.0, 2.0, 4001)  # lam range and grid points of the pole scan
 _POLE_TOL = 1e-12   # root bracket width of a pole, in lam
@@ -169,50 +169,80 @@ def _search_bracket_depth(model):
     return abs(model.U) + 8.0 * abs(model.V1) + 8.0 * abs(model.V2) + 8.0 * model.t_prime + 4.0 * model.t_prime
 
 
+def _inverse_cubic(x, y):
+    """Zero of the cubic x(y) through the four points (x[:, k], y[:, k]) of
+    each row; not finite where two y of a row are equal."""
+    # Lagrange weight of point k at y = 0: prod over m != k of y_m / (y_m - y_k)
+    ratio = y[:, None, :] / (y[:, None, :] - y[:, :, None])
+    k = np.arange(4)
+    ratio[:, k, k] = 1.0
+    return np.einsum("ik,ik->i", x, ratio.prod(axis=2))
+
+
 def _scan_roots(f, x_of, lo, hi, n, tol):
-    """Ascending roots x of f, scanned in s over [lo, hi] with x = x_of(s).
+    """Ascending roots x of f, scanned in s over [lo, hi] with x = x_of(s)
+    monotone.
 
     f changes sign across each root.  An n-point sign scan, one f call on
     the whole grid, brackets the roots; a grid point where f is exactly
-    zero is a root.  Each polishing step is one f call, in x, on all
-    brackets still wider than tol.  It is a false-position step of
-    Illinois type: the secant point, kept at least tol/4 inside the
-    bracket so that the last step closes it, with the f value of an end
-    kept twice in a row halved.  A bracket that has gone _STALL_STEPS
-    steps without halving its width is bisected instead.  An exact zero
-    closes its bracket onto itself; a root is the midpoint of its final
-    bracket.
+    zero is a root.  Each polishing step is one f call, in x, on a
+    (brackets still wider than tol) x (2 _CLUSTER_SIDE + 1) array: per
+    bracket an estimate c and the geometric cluster c +/- (tol/4) 4^j,
+    all clipped to stay tol/4 inside the bracket.  c is the inverse cubic
+    interpolant through the four known points nearest the bracket (its
+    grid neighbours, then its cluster neighbours), else the secant point,
+    else the midpoint, whichever first is finite and inside the bracket.
+    The new bracket is the sign change nearest c; an exact zero closes it
+    onto itself.  A step that does not halve a bracket is followed by one
+    with c at the midpoint, so every two steps at least halve it.  A root
+    is the midpoint of its final bracket.
     """
     grid = lo + (hi - lo) * np.arange(n) / (n - 1)
     xs = x_of(grid)
     vals = f(xs)
 
     exact = xs[:-1][vals[:-1] == 0.0]
-    bracket = vals[:-1] * vals[1:] < 0.0
-    a, b, fa, fb = xs[:-1][bracket], xs[1:][bracket], vals[:-1][bracket], vals[1:][bracket]
-    halved_at = abs(b - a)                  # bracket width at its last halving
-    stalled = np.zeros(len(a), dtype=int)   # steps since then
-    kept = np.zeros(len(a), dtype=int)      # end kept by the last step: -1 a, +1 b
-    live = np.flatnonzero(halved_at > tol)
+    k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    # four known points per bracket, ascending in x, its ends in columns 1 and 2
+    near = np.clip(k[:, None] + np.arange(-1, 3), 0, n - 1)
+    if xs[-1] < xs[0]:
+        near = near[:, ::-1]
+    px, pf = xs[near], vals[near]
+    steps = 0.25 * tol * 4.0 ** np.arange(_CLUSTER_SIDE)
+    offsets = np.concatenate([-steps[::-1], [0.0], steps])
+    cols = offsets.size + 2   # the cluster between the bracket's two ends
+    bisect = np.zeros(len(k), dtype=bool)   # the last step did not halve the bracket
+    live = np.flatnonzero(px[:, 2] - px[:, 1] > tol)
     while live.size:
-        ai, bi, fai, fbi = a[live], b[live], fa[live], fb[live]
-        secant = bi - fbi * (bi - ai) / (fbi - fai)
-        # fmin/fmax send a NaN secant point to the bracket's inner edge
-        inner = np.fmax(np.fmin(secant, np.maximum(ai, bi) - 0.25 * tol), np.minimum(ai, bi) + 0.25 * tol)
-        c = np.where(stalled[live] >= _STALL_STEPS, 0.5 * (ai + bi), inner)
-        fc = f(c)
-        keep_a = (fc < 0.0) == (fbi < 0.0)  # the root lies between a and c
-        fa[live] = np.where(keep_a, np.where(kept[live] == -1, 0.5 * fai, fai), fc)
-        fb[live] = np.where(keep_a, fc, np.where(kept[live] == 1, 0.5 * fbi, fbi))
-        a[live] = np.where(keep_a & (fc != 0.0), ai, c)
-        b[live] = np.where(keep_a | (fc == 0.0), c, bi)
-        kept[live] = np.where(keep_a, -1, 1)
-        width = abs(b[live] - a[live])
-        halved = width <= 0.5 * halved_at[live]
-        halved_at[live] = np.where(halved, width, halved_at[live])
-        stalled[live] = np.where(halved, 0, stalled[live] + 1)
+        x4, f4 = px[live], pf[live]
+        a, b, fa, fb = x4[:, 1], x4[:, 2], f4[:, 1], f4[:, 2]
+        c = 0.5 * (a + b)
+        with np.errstate(all="ignore"):   # flat pieces make the estimates inf or nan
+            for estimate in (b - fb * (b - a) / (fb - fa), _inverse_cubic(x4, f4)):
+                c = np.where((a < estimate) & (estimate < b) & ~bisect[live], estimate, c)
+        first, last = (a + 0.25 * tol)[:, None], (b - 0.25 * tol)[:, None]
+        c = np.minimum(np.maximum(c[:, None], first), last)
+        X, F = np.empty((live.size, cols)), np.empty((live.size, cols))
+        X[:, 0], X[:, -1], F[:, 0], F[:, -1] = a, b, fa, fb
+        X[:, 1:-1] = np.minimum(np.maximum(c + offsets, first), last)
+        F[:, 1:-1] = f(X[:, 1:-1])
+        # distance from c of each sign change of the row, then of each exact zero
+        distance = np.concatenate([
+            np.where(F[:, :-1] * F[:, 1:] < 0.0,
+                     np.maximum(X[:, :-1], c) - np.minimum(X[:, 1:], c), np.inf),
+            np.where(F == 0.0, abs(X - c), np.inf)], axis=1)
+        j = distance.argmin(axis=1)
+        closed = j >= cols - 1
+        j[closed] -= cols - 1
+        rows = np.arange(live.size)[:, None]
+        near = np.minimum(np.maximum(j[:, None] + np.arange(-1, 3), 0), cols - 1)
+        x4, f4 = X[rows, near], F[rows, near]
+        x4[closed, 1:3] = X[closed, j[closed]][:, None]
+        px[live], pf[live] = x4, f4
+        width = x4[:, 2] - x4[:, 1]
+        bisect[live] = width > 0.5 * (b - a)
         live = live[width > tol]
-    return np.sort(np.concatenate([exact, 0.5 * (a + b)]))
+    return np.sort(np.concatenate([exact, 0.5 * (px[:, 1] + px[:, 2])]))
 
 
 def pair_energies(model):
@@ -226,8 +256,10 @@ def pair_energies(model):
 
     The determinant changes sign across each root; ``_scan_roots`` finds
     the roots by a 240-point sign scan over s = ln(|E|/8t' - 1) (which
-    resolves the logarithmic band-edge region) and Illinois false
-    position in E until each root's bracket is at most 1e-12 t' wide.
+    resolves the logarithmic band-edge region) and polishes them in E,
+    each call evaluating an interpolated root and a geometric cluster of
+    energies around it, until each root's bracket is at most 1e-12 t'
+    wide; a solve usually takes the scan and two polish calls.
     """
     tp = model.t_prime
     s_hi = math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)
@@ -345,7 +377,7 @@ def threshold_physical_poles(t, renormalized):
         # one scalar call per lam: an np.exp version of threshold_physical
         # differs from math.exp in the last bit for some lam
         return np.array([threshold_physical(x, t, renormalized)["denominator"]
-                         for x in lams.tolist()])
+                         for x in lams.ravel().tolist()]).reshape(lams.shape)
 
     return _scan_roots(denominators, lambda lam: lam, *_POLE_SCAN, _POLE_TOL).tolist()
 

@@ -13,7 +13,8 @@ assembles them.  The Phi map is summed by a scalar double loop over
 the scalar coupling constant, and a phase-map point is computed alone
 in scalar floats, its pair mass written out in SI units.  The ED
 symmetry sectors are counted by enumerating orbits of the torus, and
-the full-space ED Hamiltonians are written out hop by hop.
+the full-space ED Hamiltonians are written out hop by hop.  Roots are
+polished by plain bisection on the brackets of the root finder's scan.
 """
 
 import math
@@ -209,6 +210,31 @@ def dipole_tune_out(lambda_D1, lambda_D2, Gamma_1, Gamma_2, dps=40):
             else:
                 hi = mid
         return float((lo + hi) / 2)
+
+
+def bisection_roots(f, x_of, lo, hi, n, tol):
+    """Ascending roots of f by bisection, with the arguments of
+    ``pairs._scan_roots``: the same n-point sign scan over [lo, hi] in s,
+    x = x_of(s), brackets each sign change of the grid, a grid point
+    where f is zero is a root, and every bracket is halved until it is
+    at most tol wide.  A root is the midpoint of its final bracket.
+    """
+    xs = x_of(lo + (hi - lo) * np.arange(n) / (n - 1))
+    vals = f(xs)
+    roots = list(xs[:-1][vals[:-1] == 0.0])
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        a, b, fa = xs[i], xs[i + 1], vals[i]
+        while abs(b - a) > tol:
+            m = 0.5 * (a + b)
+            fm = f(np.array([m]))[0]
+            if fm == 0.0:
+                a = b = m
+            elif (fm < 0.0) == (fa < 0.0):
+                a, fa = m, fm
+            else:
+                b = m
+        roots.append(0.5 * (a + b))
+    return sorted(float(r) for r in roots)
 
 
 def _M_dict(E, t_prime):

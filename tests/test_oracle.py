@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -261,6 +263,30 @@ def test_ground_energies_equal_the_dense_spectrum_of_the_a1_block(model, L):
     H = relative_hamiltonian(model, L).toarray()
     dense = np.linalg.eigvalsh(P.T @ H @ P)[:4]
     assert np.allclose(ground_energies(model, L).energies, dense, rtol=0.0, atol=1e-10)
+
+
+def _l64_models():
+    rng = random.Random(64)
+    models = []
+    for _ in range(3):
+        tp = rng.uniform(0.5, 2.0)
+        models.append(UVModel.full(rng.uniform(-14.0, 4.0) * tp, rng.uniform(-5.0, 2.0) * tp,
+                                   rng.uniform(-5.0, 2.0) * tp, tp))
+        models.append(UVModel.diagonal(rng.uniform(-14.0, 4.0) * tp, rng.uniform(-5.0, 2.0) * tp, tp))
+    return models
+
+
+@pytest.mark.parametrize("model", _l64_models())
+def test_eigsh_at_l64_equals_the_dense_spectrum_of_the_same_block(model):
+    # L = 64 sectors hold 561 (full) and 1,057 (diagonal) states, above
+    # oracle._DENSE_MAX, so ground_energies runs eigsh from v0 = ones
+    H = oracle._sector_hamiltonian(model, 64, False)
+    assert sp.issparse(H) and H.shape[0] in (561, 1057)
+    dense = np.linalg.eigvalsh(H.toarray())[:4]
+    got = ground_energies(model, 64)
+    assert np.allclose(got.energies, dense, rtol=0.0, atol=1e-10 * model.t_prime)
+    edge = -8.0 * model.t_prime - oracle._BOUND_MARGIN / 64**2 * model.t_prime
+    assert got.bound_count == np.sum(dense < edge)
 
 
 def test_bound_count_equals_the_determinant_root_count():

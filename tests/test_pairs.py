@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hhsim.pairs import (
 
 from _oracles import (
     binding_condition_full,
+    bisection_roots,
     det_diagonal_by_hand,
     det_full_by_hand,
     fd_second_derivative,
@@ -210,7 +212,9 @@ def _counting(f):
     return counted, calls
 
 
-def test_root_bearing_solve_takes_at_most_ten_greens_tables(monkeypatch):
+def test_root_bearing_solve_takes_at_most_three_greens_tables(monkeypatch):
+    # the scan, then two polish calls: an interpolated estimate with its
+    # cluster, and one more that closes the bracket
     counted, calls = _counting(greens_M_table)
     monkeypatch.setattr(pairs, "greens_M_table", counted)
     worst = 0
@@ -218,7 +222,50 @@ def test_root_bearing_solve_takes_at_most_ten_greens_tables(monkeypatch):
         calls[0] = 0
         if pair_energies(model):
             worst = max(worst, calls[0])
-    assert 0 < worst <= 10
+    assert 0 < worst <= 3
+
+
+def _pair_scan_models(seed):
+    """Models like the pair-scan benchmark's: threshold pairs on either
+    side of the closed-form U_cr, and deep all-attractive models."""
+    rng = random.Random(seed)
+    models = []
+    for _ in range(4):
+        tp = rng.uniform(0.5, 2.0)
+        V = rng.uniform(3.5, 6.0) * tp
+        U_cr = threshold_diagonal(V, tp).U_cr
+        models += [UVModel.diagonal(U_cr * rng.uniform(1.25, 1.5), V, tp),
+                   UVModel.diagonal(U_cr * rng.uniform(0.7, 0.8), V, tp)]
+        tp = rng.uniform(0.5, 2.0)
+        V1, V2 = rng.uniform(0.5, 6.0) * tp, rng.uniform(0.5, 6.0) * tp
+        U_cr = threshold_full(V1, V2, tp).U_cr
+        models += [UVModel.full(U_cr * rng.uniform(1.25, 1.5), V1, V2, tp),
+                   UVModel.full(U_cr * rng.uniform(0.7, 0.8), V1, V2, tp)]
+    for _ in range(2):
+        tp = rng.uniform(0.5, 2.0)
+        models += [UVModel.diagonal(rng.uniform(-12.0, -6.0) * tp, rng.uniform(-7.0, -1.0) * tp, tp),
+                   UVModel.full(rng.uniform(-12.0, -8.0) * tp, rng.uniform(-7.0, -1.0) * tp,
+                                rng.uniform(-7.0, -1.0) * tp, tp)]
+    return models
+
+
+@pytest.mark.parametrize("models", [SEEDED_MODELS] + [_pair_scan_models(seed) for seed in (1, 2, 3)],
+                         ids=["seeded", "pair-scan-1", "pair-scan-2", "pair-scan-3"])
+def test_pair_energies_equal_a_reference_bisection_on_the_same_scan(models):
+    scan = pairs._scan_roots
+    for model in models:
+        args = []
+
+        def recording(*a):
+            args.append(a)
+            return scan(*a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pairs, "_scan_roots", recording)
+            roots = [s.E for s in pair_energies(model)]
+        reference = bisection_roots(*args[0])
+        assert len(roots) == len(reference), model
+        assert np.all(np.abs(np.subtract(roots, reference)) <= pairs._ROOT_TOL * model.t_prime), model
 
 
 def test_scan_roots_bounds_a_multiple_root_by_four_bisections():
@@ -228,6 +275,17 @@ def test_scan_roots_bounds_a_multiple_root_by_four_bisections():
     roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, 2, tol)
     bisection = 1 + math.ceil(math.log2(1.0 / tol))
     assert calls[0] <= 4 * bisection
+    assert len(roots) == 1 and abs(roots[0] - c) <= tol
+
+
+def test_scan_roots_halves_a_bracket_wider_than_the_cluster_every_two_calls():
+    # the cluster spans about 1.1e12 tol = 1.1 about c, and the estimates
+    # of (x - c)^9 stay near one end of [0, 1000]: only the midpoint
+    # steps after calls that do not halve the bracket bring it down
+    c, tol, width = 1000.0 / 3.0, 1e-12, 1000.0
+    f, calls = _counting(lambda x: (x - c) ** 9)
+    roots = pairs._scan_roots(f, lambda s: s, 0.0, width, 2, tol)
+    assert calls[0] <= 1 + 2 * math.ceil(math.log2(width / tol))
     assert len(roots) == 1 and abs(roots[0] - c) <= tol
 
 
@@ -245,6 +303,49 @@ def test_scan_roots_exact_zero_closes_its_bracket(n, calls_taken):
     roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, n, 1e-12)
     assert roots.tolist() == [0.5]
     assert calls[0] == calls_taken
+
+
+def test_scan_roots_resolves_a_steep_step():
+    # tanh saturates to +/-1 on the scan grid, so the first estimates are
+    # secant points and midpoints until the cluster resolves the slope;
+    # bisection would take 33 polish calls
+    c, tol = 1.0 / 3.0, 1e-12
+    f, calls = _counting(lambda x: np.tanh(1e6 * (x - c)))
+    roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, 240, tol)
+    assert calls[0] <= 10
+    assert len(roots) == 1 and abs(roots[0] - c) <= tol
+
+
+def test_scan_roots_closes_on_a_zero_at_a_cluster_point():
+    # the secant point of [0, 1] is 1/2 and the cluster holds 1/2 + tol,
+    # exactly where f is zero; no sign change is nearer
+    tol = 2.0**-40
+    r = 0.5 + tol
+    f, calls = _counting(lambda x: np.sign(x - r))
+    roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, 2, tol)
+    assert roots.tolist() == [r]
+    assert calls[0] == 2
+
+
+def test_scan_roots_polishes_two_roots_in_adjacent_brackets():
+    # scan brackets [0.2, 0.3] and [0.3, 0.4], polished in the same calls;
+    # f is equal at 0.2 and 0.4, so the first inverse cubic of either
+    # bracket divides by zero and falls back to a secant point far off
+    f, calls = _counting(lambda x: (x - 0.27) * (x - 0.33))
+    roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, 11, 1e-12)
+    assert calls[0] <= 6
+    assert np.all(np.abs(roots - [0.27, 0.33]) <= 1e-12)
+
+
+def test_scan_roots_falls_back_quietly_on_flat_pieces():
+    # the clipped line is flat beyond 1e-3 of its root, so the known
+    # points share f values and the inverse cubic divides by zero
+    f, calls = _counting(lambda x: np.clip(x - 0.3, -1e-3, 1e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = pairs._scan_roots(f, lambda s: s, -1.0, 1.0, 240, 1e-12)
+    assert calls[0] <= 4
+    assert len(roots) == 1 and abs(roots[0] - 0.3) <= 1e-12
 
 
 def test_threshold_diagonal_asymptote_and_pole():
@@ -338,6 +439,21 @@ def test_threshold_physical_pole_location():
     poles = threshold_physical_poles(1.0, renormalized=True)
     assert len(poles) == 1
     assert abs(poles[0] - 1.08) < 0.02
+
+
+@pytest.mark.parametrize("t", [1.0, 0.4])
+def test_threshold_physical_poles_equal_a_reference_bisection(t):
+    # 1.0768870576671057 is the pole of the single-point polish the
+    # cluster polish replaced (at both t)
+    poles = threshold_physical_poles(t, renormalized=True)
+
+    def denominators(lams):
+        return np.array([threshold_physical(x, t, True)["denominator"] for x in lams])
+
+    reference = bisection_roots(denominators, lambda lam: lam, *pairs._POLE_SCAN, pairs._POLE_TOL)
+    assert len(poles) == len(reference) == 1
+    assert abs(poles[0] - reference[0]) <= 1e-12
+    assert abs(poles[0] - 1.0768870576671057) <= 1e-12
 
 
 @pytest.mark.parametrize("renormalized", [True, False])

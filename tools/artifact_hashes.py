@@ -5,12 +5,14 @@
 runs each command line of ``RUNS`` as ``python -m hhsim.cli`` with
 ``PYTHONPATH=SRC``, in a fresh temporary directory, and prints
 ``{run: {"exit": status, "stderr": text, "files": {name: sha256}}}``,
-manifests included.  Two source trees that should write the same bytes
-are compared with one ``cmp`` of the two outputs:
+manifests included.  Two source trees are compared by
 
-    python tools/artifact_hashes.py OLD/src > old.json
-    python tools/artifact_hashes.py src > new.json
-    cmp old.json new.json
+    python tools/artifact_hashes.py OLD/src src
+
+which runs both and prints only what differs: per run, the exit status
+and stderr as ``{"old": ..., "new": ...}`` where they differ, and under
+``"files"`` each file whose hash differs (null where a tree wrote no
+such file).  ``{}`` means every run wrote the same bytes.
 
 Paths inside a run are relative to its directory, so stderr does not
 depend on where the temporary directory lies.  The package and the
@@ -70,7 +72,27 @@ def artifact_hashes(src):
     return report
 
 
+def changed(old, new):
+    """The runs of two reports that differ, with only their differing entries."""
+    diff = {}
+    for name in RUNS:
+        o, n = old[name], new[name]
+        entry = {key: {"old": o[key], "new": n[key]} for key in ("exit", "stderr") if o[key] != n[key]}
+        files = {f: {"old": o["files"].get(f), "new": n["files"].get(f)}
+                 for f in sorted(o["files"].keys() | n["files"].keys())
+                 if o["files"].get(f) != n["files"].get(f)}
+        if files:
+            entry["files"] = files
+        if entry:
+            diff[name] = entry
+    return diff
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: artifact_hashes.py SRC")
-    print(json.dumps(artifact_hashes(sys.argv[1]), indent=2, sort_keys=True))
+    if len(sys.argv) == 2:
+        report = artifact_hashes(sys.argv[1])
+    elif len(sys.argv) == 3:
+        report = changed(artifact_hashes(sys.argv[1]), artifact_hashes(sys.argv[2]))
+    else:
+        sys.exit("usage: artifact_hashes.py SRC | artifact_hashes.py OLD_SRC NEW_SRC")
+    print(json.dumps(report, indent=2, sort_keys=True))
