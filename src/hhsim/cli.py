@@ -308,8 +308,7 @@ def cmd_oracle(args, sink):
 
 
 def cmd_phase(args, sink):
-    family = phases.PhaseFamily(**{k: args.settings[k]
-                                   for k in ("a", "n_B", "omega_ratio", "D", "V0_ph_scale")})
+    family = phases.PhaseFamily(**{k: args.settings[k] for k in ("a", "n_B", "omega_ratio")})
     V0s = np.linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), _steps(args, "v0-steps"))
     lams = np.linspace(*_bounds(args, "lam", args.lam_min, args.lam_max), _steps(args, "lam-steps"))
     grid = phases.phase_grid(V0s, lams, args.T, family)

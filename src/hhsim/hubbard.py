@@ -1,13 +1,13 @@
-"""Fermion lattice parameters: recoil energy, hopping, Feshbach U.
+"""Fermion lattice parameters: recoil energy, hopping, on-site U.
 
 Deep-lattice closed forms for a square lattice of Gaussian spots with
-spacing a.  Energies are reported in Hz (E = h f); 1 nK of thermal
-energy corresponds to about 20.84 Hz.
+spacing a; U takes the scattering length a_s directly.  Energies are
+reported in Hz (E = h f); 1 nK of thermal energy corresponds to about
+20.84 Hz.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .constants import H_PLANCK, HBAR, M_K40, nk_to_hz
 
@@ -39,33 +39,6 @@ def hopping_t(V0, E_rec):
     return (4.0 / math.sqrt(math.pi)) * E_rec**0.25 * V0**0.75 * math.exp(
         -2.0 * math.sqrt(V0 / E_rec)
     )
-
-
-@dataclass
-class FeshbachSpec:
-    """Feshbach-resonance parametrization of the scattering length.
-
-    a_s0 in Bohr radii; field parameters in the same (arbitrary but
-    mutually consistent) field unit.  The printed resonance form mixes
-    a linear and a quadratic field dependence; it is implemented
-    verbatim, so Delta_B carries units of 1/field.
-    """
-
-    a_s0: float
-    Delta_B: float
-    B_res: float
-    gamma_res: float
-    B: float
-
-    def __post_init__(self):
-        if self.gamma_res <= 0:
-            raise ValueError("resonance width must be positive")
-
-
-def scattering_length(spec):
-    """Scattering length (Bohr radii): a_s0 (1 - dB (B-B0)) / ((B-B0)^2 + g^2/4)."""
-    x = spec.B - spec.B_res
-    return spec.a_s0 * (1.0 - spec.Delta_B * x) / (x * x + spec.gamma_res**2 / 4.0)
 
 
 def hubbard_U(k_lat, a_s, E_rec, V0):

@@ -31,24 +31,6 @@ _STATIONARY_TOL = 1e-6   # largest centre gradient of a site, in V0_ph / w_ph
 _CLAMP_TOL = 1e-9        # negative curvature clamped to zero, relative to max|eig|
 
 
-@dataclass
-class LatticeSpec:
-    """Global geometry of the painted lattice."""
-
-    a: float                 # lattice constant, um
-    V0: float                # fermion spot depth, nK
-    w_f: float               # fermion spot waist, um
-    V0_pan: float = 0.0      # pancake depth, nK
-    w_pan: float = 1.0       # pancake 1/e^2 half-width, um
-
-    def __post_init__(self):
-        require_finite(a=self.a, V0=self.V0, w_f=self.w_f, V0_pan=self.V0_pan, w_pan=self.w_pan)
-        if min(self.a, self.V0, self.w_f, self.w_pan) <= 0:
-            raise ValueError("lengths and depths must be positive")
-        if self.V0_pan < 0:
-            raise ValueError("pancake depth must be nonnegative")
-
-
 @dataclass(eq=False)
 class SpotPattern:
     """Phonon sites tiled over the fermion lattice; the named constructors below build them."""
@@ -187,22 +169,13 @@ def site_potential(pattern, k, xy):
 
     Per-spot normalized sum: the peak depth of an N_S-spot site matches a
     single spot, so painting a broad site costs no extra laser power.
-    The result has the shape of xy without its last axis; a slice k of
-    sites at one point xy gives one value per site.
+    The result has the shape of xy without its last axis.
     """
     xy = np.asarray(xy, dtype=float)[..., None, :]
-    r_vec = xy - pattern.centers[k][..., None, :] - pattern.displacements[k]
+    r_vec = xy - pattern.centers[k] - pattern.displacements[k]
     # np.linalg.norm's 1-D dot, batched: one point keeps norm's bits
     spots = spot_potential(np.sqrt(np.vecdot(r_vec, r_vec)), pattern.V0_ph, pattern.w_ph)
     return spots.sum(axis=-1) / spots.shape[-1]
-
-
-def painted_potential(spec, pattern, position):
-    """Full painted potential (nK) at 3D position (x, y, z) in um: the pancake
-    term plus every site's ``site_potential``."""
-    x, y, z = position
-    sites = site_potential(pattern, slice(None), (x, y))
-    return -spec.V0_pan * math.exp(-2.0 * z**2 / spec.w_pan**2) + float(sites.sum())
 
 
 def dynamical_matrix(pattern, k):

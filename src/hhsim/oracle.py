@@ -4,12 +4,12 @@ Independent validation of the determinant-equation pair energies: at
 zero total momentum the two-particle problem reduces to a single
 particle in the relative coordinate with doubled hopping and a diagonal
 potential on the interaction shells.  Only the A1 sector of the model's
-point group is kept: the vectors fixed by every operation of the square
-lattice's point group that maps each orbit of ``pairs._ORBITS`` onto
-itself (all 8 for the full variant, 4 for the diagonal one).  That is
-the fully symmetric (s-wave, spin-singlet) sector the determinant
-solves.  Sectors of up to ``_DENSE_MAX`` states are solved by dense
-``numpy.linalg.eigvalsh``, larger ones by ``eigsh``.
+point group is kept: the vectors fixed by every operation of
+``UVModel.point_group()``, the square-lattice operations that map each
+orbit of the model onto itself (all 8 for the full variant, 4 for the
+diagonal one).  That is the fully symmetric (s-wave, spin-singlet)
+sector the determinant solves.  Sectors of up to ``_DENSE_MAX`` states
+are solved by dense ``numpy.linalg.eigvalsh``, larger ones by ``eigsh``.
 
 A brute force on the full two-particle space of tiny lattices validates
 the reduction itself.  It keeps the A1 sector of the group generated by
@@ -37,14 +37,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from .constants import require_positive
-from .pairs import _ORBITS
 
 _BOUND_MARGIN = 5.0   # band-edge margin of a bound state, in t' / L^2
 _DENSE_MAX = 300      # sectors of up to this many states are solved densely
-
-# the square lattice's point group: (a, b, c, d) maps (x, y) to (ax + by, cx + dy)
-_SQUARE_GROUP = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
-                 (1, 0, 0, -1), (-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, -1, 0))
 
 
 @dataclass
@@ -72,18 +67,6 @@ def _shell_potential(model, L):
     return pot.ravel()
 
 
-@functools.lru_cache(maxsize=None)
-def _point_group(variant):
-    """The operations of ``_SQUARE_GROUP`` that map every orbit of the
-    variant's orbit table onto itself.
-
-    Read from the table, not from the couplings, so a zero V changes nothing.
-    """
-    return tuple((a, b, c, d) for a, b, c, d in _SQUARE_GROUP
-                 if all({(a * x + b * y, c * x + d * y) for x, y in members} == set(members)
-                        for _, members in _ORBITS[variant]))
-
-
 def _symmetric_basis(images):
     """Orthonormal columns spanning the vectors that every row of images fixes.
 
@@ -105,11 +88,6 @@ def _site_images(L, group):
     k-th operation of group, about site 0."""
     x, y = np.divmod(np.arange(L * L), L)
     return np.array([((a * x + b * y) % L) * L + (c * x + d * y) % L for a, b, c, d in group])
-
-
-def _a1_basis(L, group):
-    """Basis of the sector of the L x L relative coordinate fixed by group."""
-    return _symmetric_basis(_site_images(L, group))
 
 
 @functools.lru_cache(maxsize=32)
@@ -139,7 +117,7 @@ def _sector(L, group, pair):
         rel = ((x[r1] - x[r2]) % L) * L + (y[r1] - y[r2]) % L
         R = sp.csr_matrix((np.ones(n * n), (np.arange(n * n), rel)), shape=(n * n, n))
     else:
-        P = _a1_basis(L, group)
+        P = _symmetric_basis(_site_images(L, group))
         R = sp.identity(n, format="csr")
     K, W = (P.T @ A @ P).tocsr(), (P.multiply(P).T @ R).tocsr()
     for a in (K.data, K.indices, K.indptr, W.data, W.indices, W.indptr):
@@ -152,7 +130,7 @@ def _sector_hamiltonian(model, L, pair):
     relative coordinate (each particle's hopping adds at K = 0), 1 for the
     pair.  Dense where the sector is solved densely (every pair sector,
     relative ones of up to ``_DENSE_MAX`` states), sparse otherwise."""
-    K, W = _sector(L, _point_group(model.variant), pair)
+    K, W = _sector(L, model.point_group(), pair)
     hop = -(1.0 if pair else 2.0) * model.t_prime
     diagonal = W @ _shell_potential(model, L)
     if not pair and K.shape[0] > _DENSE_MAX:

@@ -13,11 +13,12 @@ that carry one potential.  Pair energies are the roots of det(I + G V)
 over the symmetric amplitudes, one row and column per orbit; entry
 (i, j) sums the lattice Green's integrals M_nl from the first member of
 orbit i to every member of orbit j.  The oracle reads the same table
-through ``UVModel.shells()``.  Binding thresholds follow from the
-E -> -8t' limit where M_00 diverges logarithmically and only the
-coefficient multiplying it needs to vanish.  The module also carries the
-Lang--Firsov parameter maps that turn a phonon-coupled model into a UV
-model, the strong-coupling pair dispersion, and the pair effective mass.
+through ``UVModel.shells()`` and ``UVModel.point_group()``.  Binding
+thresholds follow from the E -> -8t' limit where M_00 diverges
+logarithmically and only the coefficient multiplying it needs to
+vanish.  The module also carries the Lang--Firsov parameter maps that
+turn a phonon-coupled model into a UV model, the strong-coupling pair
+dispersion, and the pair effective mass.
 """
 
 import math
@@ -64,6 +65,16 @@ def _orbit_counts(r, orbits):
 _COUNTS = {variant: np.stack([_orbit_counts(members[0], orbits) for _, members in orbits], axis=1)
            for variant, orbits in _ORBITS.items()}
 
+# the square lattice's point group: (a, b, c, d) maps (x, y) to (ax + by, cx + dy)
+_SQUARE_GROUP = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+                 (1, 0, 0, -1), (-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, -1, 0))
+
+# the operations of _SQUARE_GROUP that map every orbit of each variant onto itself
+_POINT_GROUPS = {variant: tuple((a, b, c, d) for a, b, c, d in _SQUARE_GROUP
+                                if all({(a * x + b * y, c * x + d * y) for x, y in members}
+                                       == set(members) for _, members in orbits))
+                 for variant, orbits in _ORBITS.items()}
+
 
 def _check_couplings(t_prime, **couplings):
     """Raise ValueError unless t_prime and every coupling are finite and t_prime > 0."""
@@ -107,6 +118,16 @@ class UVModel:
         are built from.
         """
         return {d: getattr(self, field) for field, members in _ORBITS[self.variant] for d in members}
+
+    def point_group(self):
+        """The operations (a, b, c, d), (x, y) -> (ax + by, cx + dy), of the
+        square lattice's point group that map every orbit onto itself: 8 for
+        ``full``, 4 for ``diagonal``.
+
+        Read from the orbit table, not from the couplings, so a zero V
+        changes nothing.
+        """
+        return _POINT_GROUPS[self.variant]
 
 
 @dataclass

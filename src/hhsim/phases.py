@@ -20,10 +20,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import (HBAR, HZ_TO_NK, H_PLANCK, K_B, M_K40, M_RB87, nk_to_hz, require_finite,
+from .constants import (HBAR, HZ_TO_NK, H_PLANCK, K_B, M_K40, nk_to_hz, require_finite,
                         require_positive)
 from .hubbard import hopping_t, recoil_energy
-from .lattice import two_spot_frequency
 from .pairs import pair_mass_onsite
 
 LABELS = ("Normal", "PreformedPairs", "BKTCondensedPairs", "BKTRegime")
@@ -83,10 +82,8 @@ class PhaseGrid:
 class PhaseFamily:
     """Physics inputs shared by all points of a phase map.
 
-    The phonon frequency is pinned to hbar*omega = omega_ratio * t by
-    default because the painted waist it derives from is a free design
-    choice; ``phonon_frequency_ratio`` recomputes the ratio from an
-    explicit waist for comparison.
+    The phonon frequency is pinned to hbar*omega = omega_ratio * t
+    because the painted waist it derives from is a free design choice.
     """
 
     a: float = 1.73                 # um
@@ -94,20 +91,10 @@ class PhaseFamily:
     n_B: float = 0.01
     phi_nn_ratio: float = 0.0
     omega_ratio: float = 18.52      # hbar*omega_ph / t
-    D: float = 0.2823               # um, phonon spot half-separation
-    V0_ph_scale: float = 2.5        # V0_ph = scale * V0
 
     def __post_init__(self):
         require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
         require_positive(a=self.a, M=self.M, omega_ratio=self.omega_ratio)
-
-
-def phonon_frequency_ratio(family, V0, w_ph):
-    """hbar*omega_ph / t recomputed from an explicit phonon waist (um)."""
-    E_rec = recoil_energy(family.a, family.M)
-    t = hopping_t(nk_to_hz(V0), E_rec)
-    omega = two_spot_frequency(family.V0_ph_scale * V0, w_ph, family.D, M_RB87)
-    return omega / (2.0 * math.pi) / t
 
 
 def _interp(x1, x2, f1, f2):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import H_PLANCK
+from .constants import H_PLANCK, require_finite, require_positive
 
 # Endpoints of the usable principal-quantum-number window for the
 # S+S -> S+P channel shared by the two species.
@@ -59,8 +59,8 @@ class RydbergSpec:
     def __post_init__(self):
         if self.eta not in (3, 6):
             raise ValueError("eta must be 3 or 6")
-        if self.Delta_2p <= 0 or self.Omega_2p < 0 or self.C6 <= 0:
-            raise ValueError("C6 and Delta_2p must be positive, Omega_2p nonnegative")
+        require_finite(C6=self.C6, Delta_2p=self.Delta_2p, Omega_2p=self.Omega_2p)
+        require_positive(C6=self.C6, Delta_2p=self.Delta_2p, Omega_2p=self.Omega_2p)
         self.alpha_bar = self.Omega_2p / (2.0 * self.Delta_2p)
         self.r_c = (self.C6 / (2.0 * self.Delta_2p)) ** (1.0 / self.eta)
         self.V_tilde = self.alpha_bar**4 * self.C6
@@ -73,6 +73,8 @@ class RydbergSpec:
     @classmethod
     def from_rc(cls, C6, r_c, alpha_bar, eta=6):
         """Build from a target soft-core radius instead of the detuning."""
+        require_finite(C6=C6, r_c=r_c, alpha_bar=alpha_bar)
+        require_positive(C6=C6, r_c=r_c, alpha_bar=alpha_bar)
         Delta = C6 / (2.0 * r_c**eta)
         return cls(C6=C6, Delta_2p=Delta, Omega_2p=2.0 * Delta * alpha_bar, eta=eta)
 

@@ -172,19 +172,3 @@ def find_stark_zero(atom, cfg):
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
-
-
-def mutual_trap_check(atom_a, atom_b, cfg):
-    """Each species' shift at the other's zero crossing.
-
-    For a valid two-color scheme, the shift of the non-zeroed species
-    must be nonzero at each wavelength (opposite trapping roles).
-    """
-    lam_a = find_stark_zero(atom_a, cfg)
-    lam_b = find_stark_zero(atom_b, cfg)
-    return {
-        "lambda_zero_A": lam_a,
-        "V_B_at_zero_A": ac_stark_shift(atom_b, lam_a, cfg),
-        "lambda_zero_B": lam_b,
-        "V_A_at_zero_B": ac_stark_shift(atom_a, lam_b, cfg),
-    }

@@ -124,6 +124,19 @@ def test_config_keys_and_values_are_checked_before_any_output(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ("r_c_over_a: 0\n", "r_c must be positive, got 0.0"),
+    ("r_c_over_a: -0.1\n", f"r_c must be positive, got {-0.1 * DEFAULTS['a'][0]}"),
+    ("alpha_bar: 0\n", "alpha_bar must be positive, got 0"),
+])
+def test_degenerate_rydberg_config_is_rejected_before_any_output(tmp_path, capsys, config,
+                                                                  message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    argv = ["--config", str(cfg), "phi-map", "--pattern", "holstein"]
+    assert _error(capsys, tmp_path / "phi", argv) == message
+
+
 @pytest.mark.parametrize("text", [None, "a: [1.6\n"], ids=["missing", "malformed"])
 def test_unreadable_config_is_a_json_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.yaml"

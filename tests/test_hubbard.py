@@ -4,12 +4,10 @@ import pytest
 
 from hhsim.constants import HBAR, H_PLANCK, M_K40
 from hhsim.hubbard import (
-    FeshbachSpec,
     hopping_t,
     hubbard_U,
     parameter_sweep,
     recoil_energy,
-    scattering_length,
 )
 
 
@@ -35,17 +33,6 @@ def test_hopping_warns_in_shallow_lattice():
         hopping_t(500.0, 1000.0)
     with pytest.raises(ValueError):
         hopping_t(-1.0, 1000.0)
-
-
-def test_scattering_length_resonance_shape():
-    def a_s(B):
-        return scattering_length(FeshbachSpec(a_s0=90.0, Delta_B=0.1, B_res=200.0,
-                                              gamma_res=1.0, B=B))
-    # sign change across the resonance wing where 1 = Delta_B (B - B0)
-    assert a_s(209.0) > 0.0
-    assert a_s(211.0) < 0.0
-    with pytest.raises(ValueError):
-        FeshbachSpec(a_s0=90.0, Delta_B=0.1, B_res=200.0, gamma_res=0.0, B=0.0)
 
 
 def test_hubbard_U_sign_and_scaling():

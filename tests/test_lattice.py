@@ -5,7 +5,6 @@ import pytest
 
 from hhsim.constants import M_RB87
 from hhsim.lattice import (
-    LatticeSpec,
     PATTERN_CONSTRUCTORS,
     PhononMode,
     SpotPattern,
@@ -15,7 +14,6 @@ from hhsim.lattice import (
     holstein_reference,
     offset_parallel,
     offset_parallel_rotated,
-    painted_potential,
     phonon_modes,
     site_potential,
     spot_potential,
@@ -30,13 +28,6 @@ ONE_SITE = dict(centers=[[0.0, 0.0]], displacements=[[[0.1, 0.0], [-0.1, 0.0]]],
                 polarizations=[[[1.0, 0.0]]])
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        LatticeSpec(a=-1.0, V0=100.0, w_f=0.5)
-    with pytest.raises(ValueError):
-        LatticeSpec(a=1.0, V0=100.0, w_f=0.5, V0_pan=-1.0)
-
-
 def test_pattern_validation():
     with pytest.raises(ValueError):
         SpotPattern("x", V0_ph=-1.0, w_ph=0.6, D=0.1, **ONE_SITE)
@@ -45,11 +36,6 @@ def test_pattern_validation():
 
 
 @pytest.mark.parametrize("build, field", [
-    (lambda v: LatticeSpec(a=v, V0=100.0, w_f=0.5), "a"),
-    (lambda v: LatticeSpec(a=1.73, V0=v, w_f=0.5), "V0"),
-    (lambda v: LatticeSpec(a=1.73, V0=100.0, w_f=v), "w_f"),
-    (lambda v: LatticeSpec(a=1.73, V0=100.0, w_f=0.5, V0_pan=v), "V0_pan"),
-    (lambda v: LatticeSpec(a=1.73, V0=100.0, w_f=0.5, w_pan=v), "w_pan"),
     (lambda v: SpotPattern("x", v, 0.6, 0.1, **ONE_SITE), "V0_ph"),
     (lambda v: SpotPattern("x", 100.0, v, 0.1, **ONE_SITE), "w_ph"),
     (lambda v: SpotPattern("x", 100.0, 0.6, v, **ONE_SITE), "D"),
@@ -245,21 +231,3 @@ def test_two_spot_frequency_vanishes_at_half_waist():
     assert two_spot_frequency(250.0, 0.6, 0.3, M_RB87) == 0.0
     with pytest.raises(ValueError):
         two_spot_frequency(250.0, 0.6, 0.31, M_RB87)
-
-
-def test_painted_potential_includes_pancake():
-    spec = LatticeSpec(a=1.73, V0=100.0, w_f=0.5, V0_pan=500.0, w_pan=2.0)
-    pat = holstein_reference(1.73, 250.0, 0.6, 0.25, extent=1)
-    v_mid = painted_potential(spec, pat, (0.0, 0.0, 0.0))
-    v_up = painted_potential(spec, pat, (0.0, 0.0, 5.0))
-    assert v_mid < v_up  # pancake confines along z
-
-
-@pytest.mark.parametrize("name", sorted(PATTERN_CONSTRUCTORS))
-def test_painted_potential_is_pancake_plus_every_site(name):
-    spec = LatticeSpec(a=1.73, V0=100.0, w_f=0.5, V0_pan=500.0, w_pan=2.0)
-    pat = PATTERN_CONSTRUCTORS[name](1.73, 250.0, 0.6, 0.25, extent=2)
-    for x, y, z in [(0.0, 0.0, 0.0), (0.3, -0.7, 0.4), (1.1, 0.9, -1.5)]:
-        ref = -500.0 * math.exp(-2.0 * z**2 / 2.0**2) + sum(
-            site_potential(pat, k, (x, y)) for k in range(len(pat.centers)))
-        assert abs(painted_potential(spec, pat, (x, y, z)) - ref) <= 1e-12 * abs(ref)

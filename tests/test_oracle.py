@@ -175,7 +175,7 @@ def test_brute_force_ground_is_the_exchange_even_ground(L, seed, signs):
 
 
 def test_cached_blocks_are_read_only_and_every_call_matches_a_fresh_one():
-    group = oracle._point_group("full")
+    group = UVModel.full(-8.0, -1.0, -0.5, 1.0).point_group()
     for L, pair in ((16, False), (48, False), (6, True)):
         K, W = oracle._sector(L, group, pair)
         for values in (K.data, W.data):
@@ -230,11 +230,11 @@ def test_a1_basis_is_one_invariant_orthonormal_column_per_orbit(model):
     # the group comes from the variant's orbits, so a zero V keeps it
     L = 6
     ops, orbits = symmetric_orbits(L, SHELLS[model.variant])
-    group = oracle._point_group(model.variant)
+    group = model.point_group()
     assert len(group) == len(ops) == {"full": 8, "diagonal": 4}[model.variant]
     # (1, 2) has a different image under each of the 8 operations
     assert {(a + 2 * b, c + 2 * d) for a, b, c, d in group} == {g(1, 2) for g in ops}
-    P = oracle._a1_basis(L, group).toarray()
+    P = oracle._symmetric_basis(oracle._site_images(L, group)).toarray()
     assert P.shape == (L * L, len(orbits))
     assert abs(P.T @ P - np.eye(len(orbits))).max() < 1e-14
     x, y = np.divmod(np.arange(L * L), L)

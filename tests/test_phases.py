@@ -13,7 +13,6 @@ from hhsim.phases import (
     classify,
     delta_t_contour,
     phase_grid,
-    phonon_frequency_ratio,
     t_bkt,
     t_pair,
 )
@@ -127,8 +126,7 @@ def test_grid_matches_scalar_reference(family, V0s, lams, T):
             assert grid.label[i, j] == label
 
 
-@pytest.mark.parametrize("name", ["a", "M", "n_B", "phi_nn_ratio", "omega_ratio", "D",
-                                  "V0_ph_scale"])
+@pytest.mark.parametrize("name", ["a", "M", "n_B", "phi_nn_ratio", "omega_ratio"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_family_rejects_non_finite_fields_by_name(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -150,9 +148,3 @@ def test_family_rejects_non_positive_scales(name, value):
 def test_phase_grid_rejects_non_finite_inputs_by_name(V0s, lams, T, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         phase_grid(V0s, lams, T)
-
-
-def test_phonon_frequency_ratio_positive():
-    fam = PhaseFamily()
-    r = phonon_frequency_ratio(fam, 400.0, 0.6)
-    assert r > 0.0

@@ -49,6 +49,21 @@ def test_spec_rejects_strong_dressing():
         RydbergSpec(C6=26.1, Delta_2p=1.0, Omega_2p=1.0)  # alpha_bar = 0.5
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda v: RydbergSpec(C6=v, Delta_2p=100.0, Omega_2p=0.8), "C6"),
+    (lambda v: RydbergSpec(C6=26.1, Delta_2p=v, Omega_2p=0.8), "Delta_2p"),
+    (lambda v: RydbergSpec(C6=26.1, Delta_2p=100.0, Omega_2p=v), "Omega_2p"),
+    (lambda v: RydbergSpec.from_rc(C6=v, r_c=0.173, alpha_bar=0.004), "C6"),
+    (lambda v: RydbergSpec.from_rc(C6=26.1, r_c=v, alpha_bar=0.004), "r_c"),
+    (lambda v: RydbergSpec.from_rc(C6=26.1, r_c=0.173, alpha_bar=v), "alpha_bar"),
+])
+@pytest.mark.parametrize("value, problem", [(math.nan, "finite"), (math.inf, "finite"),
+                                            (0.0, "positive"), (-0.1, "positive")])
+def test_spec_rejects_degenerate_values_by_name(build, field, value, problem):
+    with pytest.raises(ValueError, match=f"^{field} must be {problem}, got {value}$"):
+        build(value)
+
+
 def test_from_rc_round_trip():
     spec = RydbergSpec.from_rc(C6=26.1, r_c=0.173, alpha_bar=0.004)
     assert spec.r_c == pytest.approx(0.173, rel=1e-12)

@@ -13,7 +13,6 @@ from hhsim.stark import (
     StarkConfig,
     ac_stark_shift,
     find_stark_zero,
-    mutual_trap_check,
 )
 
 CFG = StarkConfig()
@@ -90,12 +89,12 @@ def test_extreme_spin_configuration_may_lose_zero():
 
 
 def test_mutual_trap_check():
-    res = mutual_trap_check(K40, RB87, CFG)
+    lam_k, lam_rb = find_stark_zero(K40, CFG), find_stark_zero(RB87, CFG)
     # at the K-40 zero the Rb-87 shift is repulsive (blue of both Rb
     # lines), at the Rb-87 zero the K-40 shift is attractive
-    assert res["V_B_at_zero_A"] > 0.0
-    assert res["V_A_at_zero_B"] < 0.0
-    assert res["lambda_zero_A"] < res["lambda_zero_B"]
+    assert ac_stark_shift(RB87, lam_k, CFG) > 0.0
+    assert ac_stark_shift(K40, lam_rb, CFG) < 0.0
+    assert lam_k < lam_rb
 
 
 def _lines(atom):
