@@ -56,8 +56,6 @@ class OutputSink:
         self.fmt = fmt
         self.suffix = suffix
         self.manifest = {} if manifest is None else manifest   # file -> sha256
-        if self.out_dir:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def suffixed(self, suffix):
         return OutputSink(self.out_dir, self.fmt, suffix, self.manifest)
@@ -84,8 +82,9 @@ class OutputSink:
 
     def _write(self, fname, payload):
         if self.out_dir:
-            path = self.out_dir / fname
-            path.write_text(payload)
+            # made at the first write, so an error raised before it leaves no directory
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            (self.out_dir / fname).write_text(payload)
             self.manifest[fname] = hashlib.sha256(payload.encode()).hexdigest()
         else:
             sys.stdout.write(f"# --- {fname} ---\n{payload}")

@@ -32,7 +32,8 @@ from .greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_M_table
 _EDGE_EPS = 1e-10   # offset of the search bracket from the band edge, in t'
 _ROOT_TOL = 1e-12   # root bracket width in energy, in t'
 _CLUSTER_SIDE = 22  # polish points on either side of an estimate c: c +/- (tol/4) 4^j, j < 22
-_SCAN_POINTS = 240  # sign-scan grid points over the search bracket
+_SCAN_STEP = 0.1    # sign-scan grid step in s = ln(|E|/8t' - 1)
+_SCAN_TABLE_POINTS = 283  # scan points in the import-time Green's table: s <= 3.09, |E| <= 184.6 t'
 _POLE_SCAN = (0.0, 2.0, 4001)  # lam range and grid points of the pole scan
 _POLE_TOL = 1e-12   # root bracket width of a pole, in lam
 
@@ -155,11 +156,11 @@ class LFParams:
     U_fesh: float = 0.0
 
 
-def _orbit_det(E, t_prime, variant, potentials):
-    """det(I + sum_k M_k N_k diag(v)) over the orbits of the variant."""
+def _orbit_det(M, variant, potentials):
+    """det(I + sum_k M_k N_k diag(v)) over the orbits of the variant, at
+    every energy of the Green's table M (shape (6,) + energies)."""
     N = _COUNTS[variant]
     k, n = N.shape[:2]
-    M = greens_M_table(E, t_prime)
     A = (M.reshape(k, -1).T @ N.reshape(k, n * n)).reshape(M.shape[1:] + (n, n))
     return np.linalg.det(A * potentials + np.eye(n))
 
@@ -169,7 +170,7 @@ def det_diagonal(E, U, V, t_prime):
 
     E may be a scalar or an array of energies.
     """
-    return _orbit_det(E, t_prime, "diagonal", (U, V))
+    return _orbit_det(greens_M_table(E, t_prime), "diagonal", (U, V))
 
 
 def det_full(E, U, V1, V2, t_prime):
@@ -177,7 +178,7 @@ def det_full(E, U, V1, V2, t_prime):
 
     E may be a scalar or an array of energies.
     """
-    return _orbit_det(E, t_prime, "full", (U, V1, V2))
+    return _orbit_det(greens_M_table(E, t_prime), "full", (U, V1, V2))
 
 
 def _determinant_for(model):
@@ -190,6 +191,31 @@ def _search_bracket_depth(model):
     return abs(model.U) + 8.0 * abs(model.V1) + 8.0 * abs(model.V2) + 8.0 * model.t_prime + 4.0 * model.t_prime
 
 
+def _scan_grid(j):
+    """s and E/t' of the sign-scan grid points j: s = ln(_EDGE_EPS/8) + j _SCAN_STEP."""
+    s = math.log(_EDGE_EPS / 8.0) + _SCAN_STEP * j
+    return s, -8.0 * (1.0 + np.exp(s))
+
+
+# s, E/t' and the six M_nl at t' = 1 of the first scan grid points, built
+# once: M(E, t') = M(E/t', 1)/t', so every model's scan reads them
+_SCAN_S, _SCAN_X = _scan_grid(np.arange(_SCAN_TABLE_POINTS))
+_SCAN_M = greens_M_table(_SCAN_X, 1.0)
+
+
+def _scan_table(s_hi):
+    """E/t' and the six M_nl at t' = 1 of the scan grid points up to the
+    first at or beyond s_hi.  Past the table's end the remaining points,
+    on the same step, come from one ``greens_M_table`` call."""
+    s, x, M = _SCAN_S, _SCAN_X, _SCAN_M
+    if s_hi > s[-1]:
+        s_more, x_more = _scan_grid(np.arange(s.size, math.ceil((s_hi - s[0]) / _SCAN_STEP) + 2))
+        s, x = np.concatenate([s, s_more]), np.concatenate([x, x_more])
+        M = np.concatenate([M, greens_M_table(x_more, 1.0)], axis=1)
+    m = np.searchsorted(s, s_hi) + 1
+    return x[:m], M[:, :m]
+
+
 def _inverse_cubic(x, y):
     """Zero of the cubic x(y) through the four points (x[:, k], y[:, k]) of
     each row; not finite where two y of a row are equal."""
@@ -200,28 +226,26 @@ def _inverse_cubic(x, y):
     return np.einsum("ik,ik->i", x, ratio.prod(axis=2))
 
 
-def _scan_roots(f, x_of, lo, hi, n, tol):
-    """Ascending roots x of f, scanned in s over [lo, hi] with x = x_of(s)
-    monotone.
+def _scan_roots(f, xs, vals, tol):
+    """Ascending roots x of f, from its values vals on the monotone grid xs.
 
-    f changes sign across each root.  An n-point sign scan, one f call on
-    the whole grid, brackets the roots; a grid point where f is exactly
-    zero is a root.  Each polishing step is one f call, in x, on a
-    (brackets still wider than tol) x (2 _CLUSTER_SIDE + 1) array: per
-    bracket an estimate c and the geometric cluster c +/- (tol/4) 4^j,
-    all clipped to stay tol/4 inside the bracket.  c is the inverse cubic
-    interpolant through the four known points nearest the bracket (its
-    grid neighbours, then its cluster neighbours), else the secant point,
-    else the midpoint, whichever first is finite and inside the bracket.
+    f changes sign across each root.  The sign changes of vals bracket
+    the roots; a grid point where vals is exactly zero is a root.  The
+    caller samples the grid (``pair_energies`` from its Green's table
+    ``_SCAN_M``), so f is called only to polish.  Each polishing step is
+    one f call, in x, on a (brackets still wider than tol) x
+    (2 _CLUSTER_SIDE + 1) array: per bracket an estimate c and the
+    geometric cluster c +/- (tol/4) 4^j, all clipped to stay tol/4
+    inside the bracket.  c is the inverse cubic interpolant through the
+    four known points nearest the bracket (its grid neighbours, then its
+    cluster neighbours), else the secant point, else the midpoint,
+    whichever first is finite and inside the bracket.
     The new bracket is the sign change nearest c; an exact zero closes it
     onto itself.  A step that does not halve a bracket is followed by one
     with c at the midpoint, so every two steps at least halve it.  A root
     is the midpoint of its final bracket.
     """
-    grid = lo + (hi - lo) * np.arange(n) / (n - 1)
-    xs = x_of(grid)
-    vals = f(xs)
-
+    n = xs.size
     exact = xs[:-1][vals[:-1] == 0.0]
     k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     # four known points per bracket, ascending in x, its ends in columns 1 and 2
@@ -275,18 +299,24 @@ def pair_energies(model):
     returned.  For example ``UVModel.full(0, -12, 0, 1)`` gives -14.5849
     only; ED also finds the B1 (d_{x^2-y^2}) state at -12.3543.
 
-    The determinant changes sign across each root; ``_scan_roots`` finds
-    the roots by a 240-point sign scan over s = ln(|E|/8t' - 1) (which
-    resolves the logarithmic band-edge region) and polishes them in E,
-    each call evaluating an interpolated root and a geometric cluster of
-    energies around it, until each root's bracket is at most 1e-12 t'
-    wide; a solve usually takes the scan and two polish calls.
+    The determinant changes sign across each root.  Its sign scan runs
+    over s = ln(|E|/8t' - 1), which resolves the logarithmic band-edge
+    region, from s = ln(1e-10/8) in steps of 0.1 to the first point at
+    or beyond the search bracket's depth.  The scan reads the Green's
+    values from ``_SCAN_M``, a table at t' = 1 built once at import up
+    to s = 3.09; a deeper bracket gets its remaining points from one
+    ``greens_M_table`` call.  ``_scan_roots`` then polishes each sign
+    change in E, each call evaluating an interpolated root and a
+    geometric cluster of energies around it, until each root's bracket
+    is at most 1e-12 t' wide; a root-bearing solve usually takes one or
+    two polish calls, and a solve without roots none.
     """
     tp = model.t_prime
     s_hi = math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)
-    s_lo = math.log(_EDGE_EPS / 8.0)
-    roots = _scan_roots(_determinant_for(model), lambda s: -8.0 * tp * (1.0 + np.exp(s)),
-                        s_lo, s_hi, _SCAN_POINTS, _ROOT_TOL * tp)
+    x, M = _scan_table(s_hi)
+    potentials = tuple(getattr(model, field) for field, _ in _ORBITS[model.variant])
+    roots = _scan_roots(_determinant_for(model), tp * x, _orbit_det(M / tp, model.variant, potentials),
+                        _ROOT_TOL * tp)
     return [PairState(E=E, branch=i) for i, E in enumerate(roots.tolist())]
 
 
@@ -400,7 +430,9 @@ def threshold_physical_poles(t, renormalized):
         return np.array([threshold_physical(x, t, renormalized)["denominator"]
                          for x in lams.ravel().tolist()]).reshape(lams.shape)
 
-    return _scan_roots(denominators, lambda lam: lam, *_POLE_SCAN, _POLE_TOL).tolist()
+    lo, hi, n = _POLE_SCAN
+    lams = lo + (hi - lo) * np.arange(n) / (n - 1)
+    return _scan_roots(denominators, lams, denominators(lams), _POLE_TOL).tolist()
 
 
 def pair_dispersion_strong_coupling(U, V, t_prime, k):

@@ -64,6 +64,7 @@ class RydbergSpec:
         self.alpha_bar = self.Omega_2p / (2.0 * self.Delta_2p)
         self.r_c = (self.C6 / (2.0 * self.Delta_2p)) ** (1.0 / self.eta)
         self.V_tilde = self.alpha_bar**4 * self.C6
+        require_positive(V_tilde=self.V_tilde)   # alpha_bar**4 C6 can underflow to 0
         if self.alpha_bar > 0.2:
             raise ValueError(
                 f"alpha_bar = {self.alpha_bar:.3f} exceeds 0.2; the perturbative "
@@ -75,7 +76,12 @@ class RydbergSpec:
         """Build from a target soft-core radius instead of the detuning."""
         require_finite(C6=C6, r_c=r_c, alpha_bar=alpha_bar)
         require_positive(C6=C6, r_c=r_c, alpha_bar=alpha_bar)
-        Delta = C6 / (2.0 * r_c**eta)
+        try:
+            Delta = C6 / (2.0 * r_c**eta)
+        except OverflowError:   # r_c^eta beyond the float range: Delta underflows
+            Delta = 0.0
+        except ZeroDivisionError:   # r_c^eta underflows to 0
+            Delta = math.inf
         return cls(C6=C6, Delta_2p=Delta, Omega_2p=2.0 * Delta * alpha_bar, eta=eta)
 
 

@@ -212,15 +212,13 @@ def dipole_tune_out(lambda_D1, lambda_D2, Gamma_1, Gamma_2, dps=40):
         return float((lo + hi) / 2)
 
 
-def bisection_roots(f, x_of, lo, hi, n, tol):
+def bisection_roots(f, xs, vals, tol):
     """Ascending roots of f by bisection, with the arguments of
-    ``pairs._scan_roots``: the same n-point sign scan over [lo, hi] in s,
-    x = x_of(s), brackets each sign change of the grid, a grid point
-    where f is zero is a root, and every bracket is halved until it is
-    at most tol wide.  A root is the midpoint of its final bracket.
+    ``pairs._scan_roots``: the sign changes of f's values vals on the
+    monotone grid xs bracket the roots, a grid point where vals is zero
+    is a root, and every bracket is halved until it is at most tol wide.
+    A root is the midpoint of its final bracket.
     """
-    xs = x_of(lo + (hi - lo) * np.arange(n) / (n - 1))
-    vals = f(xs)
     roots = list(xs[:-1][vals[:-1] == 0.0])
     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
         a, b, fa = xs[i], xs[i + 1], vals[i]

@@ -26,11 +26,11 @@ def _manifest(out_dir):
 
 def _error(capsys, out, argv):
     """The message of the one JSON line on stderr with which ``hhsim --out out
-    <argv>`` exits 1, having written nothing to stdout or under ``out``."""
+    <argv>`` exits 1, having written nothing to stdout and made no ``out``."""
     assert main(["--out", str(out)] + argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
     (line,) = captured.err.splitlines()
     return json.loads(line)["error"]
 
@@ -119,15 +119,17 @@ def test_sweep_bounds_are_checked_before_any_output(tmp_path, capsys, argv, mess
 def test_config_keys_and_values_are_checked_before_any_output(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(config)
-    out = tmp_path / "phase"
-    assert message in _error(capsys, out, ["--config", str(cfg), "phase"])
-    assert not out.exists()
+    assert message in _error(capsys, tmp_path / "phase", ["--config", str(cfg), "phase"])
 
 
 @pytest.mark.parametrize("config, message", [
     ("r_c_over_a: 0\n", "r_c must be positive, got 0.0"),
     ("r_c_over_a: -0.1\n", f"r_c must be positive, got {-0.1 * DEFAULTS['a'][0]}"),
     ("alpha_bar: 0\n", "alpha_bar must be positive, got 0"),
+    # positive, but r_c^6 overflows, r_c^6 underflows, or alpha_bar^4 C6 underflows
+    ("r_c_over_a: 1.0e+60\n", "Delta_2p must be positive, got 0.0"),
+    ("r_c_over_a: 1.0e-60\n", "Delta_2p must be finite, got inf"),
+    ("alpha_bar: 1.0e-300\n", "V_tilde must be positive, got 0.0"),
 ])
 def test_degenerate_rydberg_config_is_rejected_before_any_output(tmp_path, capsys, config,
                                                                   message):
@@ -142,9 +144,8 @@ def test_unreadable_config_is_a_json_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.yaml"
     if text is not None:
         cfg.write_text(text)
-    out = tmp_path / "binding"
-    assert _error(capsys, out, ["--config", str(cfg), "binding"]).startswith(f"config {cfg}: ")
-    assert not out.exists()
+    message = _error(capsys, tmp_path / "binding", ["--config", str(cfg), "binding"])
+    assert message.startswith(f"config {cfg}: ")
 
 
 @pytest.mark.parametrize("key, value", [(key, "nan") for key in sorted(DEFAULTS)]
@@ -152,19 +153,15 @@ def test_unreadable_config_is_a_json_error(tmp_path, capsys, text):
 def test_non_finite_config_value_is_rejected_before_any_output(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"{key}: .{value}\n")
-    out = tmp_path / "fig"
-    message = _error(capsys, out, ["--config", str(cfg), "figures"])
+    message = _error(capsys, tmp_path / "fig", ["--config", str(cfg), "figures"])
     assert message == f"config {cfg}: {key} must be finite, got {value}"
-    assert not out.exists()
 
 
 def test_config_integer_beyond_the_float_range_is_rejected_before_any_output(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("a: 1" + "0" * 400 + "\n")
-    out = tmp_path / "binding"
-    message = _error(capsys, out, ["--config", str(cfg), "binding", "--steps", "3"])
+    message = _error(capsys, tmp_path / "binding", ["--config", str(cfg), "binding", "--steps", "3"])
     assert message == f"config {cfg}: a must be finite, got {10**400}"
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, field", [(["--ellipticity", "nan"], "ellipticity"),

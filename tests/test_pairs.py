@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,23 +177,25 @@ def _seeded_models():
 SEEDED_MODELS = _seeded_models()
 
 
+def _recorded_scan(model):
+    """The roots of pair_energies(model) and the (f, xs, vals, tol) it
+    passed to _scan_roots."""
+    scan, args = pairs._scan_roots, []
+
+    def recording(*a):
+        args.append(a)
+        return scan(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairs, "_scan_roots", recording)
+        roots = [s.E for s in pair_energies(model)]
+    return roots, args[0]
+
+
 def test_every_root_is_bracketed_to_tolerance_and_every_scan_bracket_has_one():
     counts = {0: 0, 1: 0, 2: 0}
     for model in SEEDED_MODELS:
-        f = pairs._determinant_for(model)
-        scans = []
-
-        def recording(E):
-            values = f(E)
-            if not scans:
-                scans.append(values)
-            return values
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pairs, "_determinant_for", lambda m: recording)
-            roots = [s.E for s in pair_energies(model)]
-        scan = scans[0]
-        assert len(scan) == pairs._SCAN_POINTS
+        roots, (f, _, scan, _) = _recorded_scan(model)
         assert len(roots) == np.sum(scan[:-1] * scan[1:] < 0.0) + np.sum(scan[:-1] == 0.0)
         tol = pairs._ROOT_TOL * model.t_prime
         for r in roots:
@@ -212,9 +215,12 @@ def _counting(f):
     return counted, calls
 
 
-def test_root_bearing_solve_takes_at_most_three_greens_tables(monkeypatch):
-    # the scan, then two polish calls: an interpolated estimate with its
-    # cluster, and one more that closes the bracket
+def test_root_bearing_solve_takes_at_most_two_greens_tables(monkeypatch):
+    # the scan reads the import-time table, then two polish calls: an
+    # interpolated estimate with its cluster, and one more that closes
+    # the bracket
+    assert max(pairs._search_bracket_depth(m) / m.t_prime for m in SEEDED_MODELS) \
+        < 8.0 * (1.0 + math.exp(pairs._SCAN_S[-1]))
     counted, calls = _counting(greens_M_table)
     monkeypatch.setattr(pairs, "greens_M_table", counted)
     worst = 0
@@ -222,7 +228,9 @@ def test_root_bearing_solve_takes_at_most_three_greens_tables(monkeypatch):
         calls[0] = 0
         if pair_energies(model):
             worst = max(worst, calls[0])
-    assert 0 < worst <= 3
+        else:
+            assert calls[0] == 0, model
+    assert 0 < worst <= 2
 
 
 def _pair_scan_models(seed):
@@ -249,30 +257,85 @@ def _pair_scan_models(seed):
     return models
 
 
-@pytest.mark.parametrize("models", [SEEDED_MODELS] + [_pair_scan_models(seed) for seed in (1, 2, 3)],
-                         ids=["seeded", "pair-scan-1", "pair-scan-2", "pair-scan-3"])
+# past the scan table's end: search-bracket depths of 2,028, 2,020 and 1,612 t'
+DEEP_MODELS = [UVModel.full(-2000.0, -1.0, -1.0, 1.0), UVModel.diagonal(-2000.0, -1.0, 1.0),
+               UVModel.full(-600.0, -3.0, 2.0, 0.4)]
+
+
+@pytest.mark.parametrize("models", [SEEDED_MODELS] + [_pair_scan_models(seed) for seed in (1, 2, 3)]
+                         + [DEEP_MODELS],
+                         ids=["seeded", "pair-scan-1", "pair-scan-2", "pair-scan-3", "deep"])
 def test_pair_energies_equal_a_reference_bisection_on_the_same_scan(models):
-    scan = pairs._scan_roots
     for model in models:
-        args = []
-
-        def recording(*a):
-            args.append(a)
-            return scan(*a)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pairs, "_scan_roots", recording)
-            roots = [s.E for s in pair_energies(model)]
-        reference = bisection_roots(*args[0])
+        roots, args = _recorded_scan(model)
+        reference = bisection_roots(*args)
         assert len(roots) == len(reference), model
         assert np.all(np.abs(np.subtract(roots, reference)) <= pairs._ROOT_TOL * model.t_prime), model
+
+
+def test_deep_models_lie_past_the_scan_table_and_take_one_more_greens_table(monkeypatch):
+    # each polish call is one det_* call and one Green's table; the scan
+    # adds one table, for its grid points past the import-time table
+    counted = {name: _counting(getattr(pairs, name))
+               for name in ("greens_M_table", "det_diagonal", "det_full")}
+    for name, (f, _) in counted.items():
+        monkeypatch.setattr(pairs, name, f)
+    for model in DEEP_MODELS:
+        s_hi = math.log(pairs._search_bracket_depth(model) / (8.0 * model.t_prime) - 1.0)
+        assert s_hi > pairs._SCAN_S[-1] + 1.0
+        for _, calls in counted.values():
+            calls[0] = 0
+        assert pair_energies(model)
+        dets = counted["det_diagonal"][1][0] + counted["det_full"][1][0]
+        assert counted["greens_M_table"][1][0] == 1 + dets, model
+
+
+@pytest.mark.parametrize("t_prime", [0.3, 1.0, 1.7])
+def test_scan_table_is_the_greens_table_at_unit_t_prime(t_prime):
+    # M(E, t') = M(E/t', 1)/t'.  x t' is rounded to a float E, so each
+    # table entry must lie between t' M at E and at the float on the side
+    # of the exact product (M_nl is monotone in E; at t' = 1 both are E),
+    # to 1e-14 of the column's M_00, the largest |M_nl|: near kappa = 0.7
+    # the closed forms of M_20..M_22 cancel to ~1e-13 of their own size
+    exact = [Fraction(x) * Fraction(t_prime) for x in pairs._SCAN_X.tolist()]
+    E = np.array([float(p) for p in exact])
+    other = np.array([e if p == e else np.nextafter(e, math.inf if p > e else -math.inf)
+                      for p, e in zip(exact, E)])
+    at_E, at_other = t_prime * greens_M_table(E, t_prime), t_prime * greens_M_table(other, t_prime)
+    table = pairs._SCAN_M
+    assert table.shape == (6, pairs._SCAN_X.size)
+    outside = np.maximum(np.minimum(at_E, at_other) - table, table - np.maximum(at_E, at_other))
+    assert np.all(outside <= 1e-14 * table[0])
+    if t_prime == 1.0:
+        assert np.array_equal(table, greens_M_table(pairs._SCAN_X, 1.0))
+
+
+def test_every_scan_grid_is_finer_than_the_240_point_scan_and_reaches_the_bracket():
+    # the 240-point scan the table replaced spaced its points
+    # (s_hi - s_lo)/239 apart; the fixed 0.1 step is never coarser
+    s_lo = math.log(pairs._EDGE_EPS / 8.0)
+    for model in SEEDED_MODELS + _pair_scan_models(1) + DEEP_MODELS:
+        tp = model.t_prime
+        s_hi = math.log(pairs._search_bracket_depth(model) / (8.0 * tp) - 1.0)
+        _, (_, xs, _, _) = _recorded_scan(model)
+        s = np.log(-xs / (8.0 * tp) - 1.0)
+        assert abs(s[0] - s_lo) < 1e-4, model
+        assert np.all(np.diff(s) <= (s_hi - s_lo) / 239), model
+        assert s[-2] < s_hi <= s[-1], model
+
+
+def _scan(f, lo, hi, n, tol):
+    """_scan_roots on an n-point grid over [lo, hi], sampled by f itself,
+    so a counting f counts the scan as one call."""
+    xs = lo + (hi - lo) * np.arange(n) / (n - 1)
+    return pairs._scan_roots(f, xs, f(xs), tol)
 
 
 def test_scan_roots_bounds_a_multiple_root_by_four_bisections():
     # false position stalls on (x - c)^9; the stall rule bisects
     c, tol = 1.0 / 3.0, 1e-12
     f, calls = _counting(lambda x: (x - c) ** 9)
-    roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, 2, tol)
+    roots = _scan(f, 0.0, 1.0, 2, tol)
     bisection = 1 + math.ceil(math.log2(1.0 / tol))
     assert calls[0] <= 4 * bisection
     assert len(roots) == 1 and abs(roots[0] - c) <= tol
@@ -284,14 +347,14 @@ def test_scan_roots_halves_a_bracket_wider_than_the_cluster_every_two_calls():
     # steps after calls that do not halve the bracket bring it down
     c, tol, width = 1000.0 / 3.0, 1e-12, 1000.0
     f, calls = _counting(lambda x: (x - c) ** 9)
-    roots = pairs._scan_roots(f, lambda s: s, 0.0, width, 2, tol)
+    roots = _scan(f, 0.0, width, 2, tol)
     assert calls[0] <= 1 + 2 * math.ceil(math.log2(width / tol))
     assert len(roots) == 1 and abs(roots[0] - c) <= tol
 
 
 def test_scan_roots_closes_a_straight_line_in_three_calls():
     f, calls = _counting(lambda x: 2.5 * (x - 0.3))
-    roots = pairs._scan_roots(f, lambda s: s, -1.0, 1.0, 240, 1e-12)
+    roots = _scan(f, -1.0, 1.0, 240, 1e-12)
     assert calls[0] <= 3
     assert len(roots) == 1 and abs(roots[0] - 0.3) <= 1e-12
 
@@ -300,7 +363,7 @@ def test_scan_roots_closes_a_straight_line_in_three_calls():
 def test_scan_roots_exact_zero_closes_its_bracket(n, calls_taken):
     # n = 2: the secant point of [0, 1] is the zero; n = 3: a grid point is
     f, calls = _counting(lambda x: x - 0.5)
-    roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, n, 1e-12)
+    roots = _scan(f, 0.0, 1.0, n, 1e-12)
     assert roots.tolist() == [0.5]
     assert calls[0] == calls_taken
 
@@ -311,7 +374,7 @@ def test_scan_roots_resolves_a_steep_step():
     # bisection would take 33 polish calls
     c, tol = 1.0 / 3.0, 1e-12
     f, calls = _counting(lambda x: np.tanh(1e6 * (x - c)))
-    roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, 240, tol)
+    roots = _scan(f, 0.0, 1.0, 240, tol)
     assert calls[0] <= 10
     assert len(roots) == 1 and abs(roots[0] - c) <= tol
 
@@ -322,7 +385,7 @@ def test_scan_roots_closes_on_a_zero_at_a_cluster_point():
     tol = 2.0**-40
     r = 0.5 + tol
     f, calls = _counting(lambda x: np.sign(x - r))
-    roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, 2, tol)
+    roots = _scan(f, 0.0, 1.0, 2, tol)
     assert roots.tolist() == [r]
     assert calls[0] == 2
 
@@ -332,7 +395,7 @@ def test_scan_roots_polishes_two_roots_in_adjacent_brackets():
     # f is equal at 0.2 and 0.4, so the first inverse cubic of either
     # bracket divides by zero and falls back to a secant point far off
     f, calls = _counting(lambda x: (x - 0.27) * (x - 0.33))
-    roots = pairs._scan_roots(f, lambda s: s, 0.0, 1.0, 11, 1e-12)
+    roots = _scan(f, 0.0, 1.0, 11, 1e-12)
     assert calls[0] <= 6
     assert np.all(np.abs(roots - [0.27, 0.33]) <= 1e-12)
 
@@ -343,7 +406,7 @@ def test_scan_roots_falls_back_quietly_on_flat_pieces():
     f, calls = _counting(lambda x: np.clip(x - 0.3, -1e-3, 1e-3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = pairs._scan_roots(f, lambda s: s, -1.0, 1.0, 240, 1e-12)
+        roots = _scan(f, -1.0, 1.0, 240, 1e-12)
     assert calls[0] <= 4
     assert len(roots) == 1 and abs(roots[0] - 0.3) <= 1e-12
 
@@ -450,7 +513,9 @@ def test_threshold_physical_poles_equal_a_reference_bisection(t):
     def denominators(lams):
         return np.array([threshold_physical(x, t, True)["denominator"] for x in lams])
 
-    reference = bisection_roots(denominators, lambda lam: lam, *pairs._POLE_SCAN, pairs._POLE_TOL)
+    lo, hi, n = pairs._POLE_SCAN
+    lams = lo + (hi - lo) * np.arange(n) / (n - 1)
+    reference = bisection_roots(denominators, lams, denominators(lams), pairs._POLE_TOL)
     assert len(poles) == len(reference) == 1
     assert abs(poles[0] - reference[0]) <= 1e-12
     assert abs(poles[0] - 1.0768870576671057) <= 1e-12

@@ -41,6 +41,8 @@ RUNS = {
     "binding-full": ["binding", "--model", "full"],
     "binding-physical": ["binding", "--model", "physical", "--renormalized"],
     "pair": ["pair", "--U", "-6"],
+    # search brackets down to s = ln(|E|/8t' - 1) = 5.6, past the end of pairs' scan table
+    "pair-deep": ["pair", "--U", "-2000", "--steps", "5"],
     "oracle-compare": ["oracle", "--U", "-10", "--V1", "-1", "--compare"],
     "oracle-full": ["oracle", "--model", "full", "--U", "-6", "--V1", "-1", "--V2", "-1",
                     "--sizes", "8,12,16"],
