@@ -213,7 +213,7 @@ def cmd_phi_map(args, sink):
     b = None if args.b_over_aprime is None else args.b_over_aprime * a * math.sqrt(2.0)
     pattern = lattice.PATTERN_CONSTRUCTORS[args.pattern](a, 100.0, w_ph, D, b=b)
     emap = rydberg.effective_interaction(pattern, spec, a)
-    rows = [(n, l, emap.values[(n, l)]) for (n, l) in emap.displacements]
+    rows = [(n, l, v) for (n, l), v in emap.values.items()]
     sink.emit_table("phi_map", ["dx", "dy", "phi_ratio"], rows)
     if args.sweep_b:
         sweep = []
@@ -221,8 +221,8 @@ def cmd_phi_map(args, sink):
             bb = frac * a * math.sqrt(2.0)
             pat = lattice.offset_parallel(a, 100.0, w_ph, D, bb)
             m = rydberg.effective_interaction(pat, spec, a)
-            est = rydberg.nnn_ratio_estimate(bb, a, spec.eta, r_c=spec.r_c)
-            sweep.append((float(frac), abs(m.values[(1, 1)]), est["ratio"]))
+            est = rydberg.nnn_ratio_estimate(bb, a, spec.eta)
+            sweep.append((float(frac), abs(m.values[(1, 1)]), est))
         sink.emit_table("phi_nnn_sweep", ["b_over_aprime", "numeric", "estimate"], sweep)
 
 
@@ -268,8 +268,7 @@ def cmd_pair(args, sink):
     rows = []
     for V in np.linspace(*_bounds(args, "v", args.v_min, args.v_max), _steps(args)):
         U = args.U if args.U is not None else float(V)
-        states = pairs.pair_energies_diagonal(U, float(V), tp)
-        for s in states:
+        for s in pairs.pair_energies(pairs.UVModel.diagonal(U, float(V), tp)):
             rows.append((U, float(V), s.branch, s.E))
     sink.emit_table("pair_energies", ["U", "V", "branch", "E"], rows)
 
@@ -307,14 +306,15 @@ def cmd_oracle(args, sink):
 
 
 def cmd_phase(args, sink):
-    family = phases.PhaseFamily(**{k: args.settings[k] for k in ("a", "n_B", "omega_ratio")})
+    s = args.settings
+    family = phases.PhaseFamily(a=s["a"], n_B=s["n_B"], omega_ratio=s["omega_ratio"])
     V0s = np.linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), _steps(args, "v0-steps"))
     lams = np.linspace(*_bounds(args, "lam", args.lam_min, args.lam_max), _steps(args, "lam-steps"))
     grid = phases.phase_grid(V0s, lams, args.T, family)
     columns = (*np.meshgrid(V0s, lams, indexing="ij"), grid.T_pair, grid.T_bkt, grid.label)
     rows = list(zip(*(c.ravel().tolist() for c in columns)))
     sink.emit_table("phase_grid", ["V0_nK", "lambda", "T_pair_nK", "T_bkt_nK", "label"], rows)
-    seg_rows = [(s[0][0], s[0][1], s[1][0], s[1][1]) for s in grid.contour]
+    seg_rows = [(seg[0][0], seg[0][1], seg[1][0], seg[1][1]) for seg in grid.contour]
     sink.emit_table("phase_contour", ["V0_a", "lambda_a", "V0_b", "lambda_b"], seg_rows)
 
 

@@ -53,22 +53,18 @@ def hubbard_U(k_lat, a_s, E_rec, V0):
     return math.sqrt(8.0) * k_lat * a_s * E_rec**0.25 * V0**0.75
 
 
-def parameter_sweep(V0_range_nk, a, a_s_um=None, w_lambda_of_v0=None):
-    """Rows of {V0 (nK), t, U_fesh, W_lambda} (Hz) over a V0 sweep of K-40.
+def parameter_sweep(V0_range_nk, a, a_s_um):
+    """Rows of {V0 (nK), t, U_fesh} (Hz) over a V0 sweep of K-40.
 
     The recoil scale inside the band-structure estimates uses the full
     lattice wavevector 2 pi/a; the interaction integral uses k_lat =
-    pi/a (1/um).  a_s_um is the scattering length in um;
-    w_lambda_of_v0, if given, maps V0 (nK) to the phonon-mediated scale
-    W*lambda in Hz.
+    pi/a (1/um).  a_s_um is the scattering length in um.
     """
     k_lat = math.pi / a
     E_rec = recoil_energy(a, M_K40, k_lat=2.0 * math.pi / a)
     rows = []
     for V0_nk in V0_range_nk:
         V0_hz = nk_to_hz(V0_nk)
-        t = hopping_t(V0_hz, E_rec)
-        U = hubbard_U(k_lat, a_s_um, E_rec, V0_hz) if a_s_um is not None else None
-        wl = w_lambda_of_v0(V0_nk) if w_lambda_of_v0 is not None else None
-        rows.append({"V0_nK": V0_nk, "t_Hz": t, "U_Hz": U, "W_lambda_Hz": wl})
+        rows.append({"V0_nK": V0_nk, "t_Hz": hopping_t(V0_hz, E_rec),
+                     "U_Hz": hubbard_U(k_lat, a_s_um, E_rec, V0_hz)})
     return rows

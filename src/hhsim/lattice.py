@@ -38,19 +38,14 @@ class SpotPattern:
     pattern_id: str
     V0_ph: float                  # phonon spot depth, nK
     w_ph: float                   # phonon spot waist, um
-    D: float                      # spot half-separation along soft axis, um
-    b: float = 0.0                # offset parameter, um
     centers: np.ndarray = field(kw_only=True)        # (n, 2) site centres, um
     displacements: np.ndarray = field(kw_only=True)  # (n, N_S, 2) spot offsets from centre, um
     polarizations: np.ndarray = field(kw_only=True)  # (n, n_modes, 2) axes used in couplings
 
     def __post_init__(self):
-        require_finite(V0_ph=self.V0_ph, w_ph=self.w_ph, D=self.D, b=self.b)
+        require_finite(V0_ph=self.V0_ph, w_ph=self.w_ph)
         if self.V0_ph <= 0 or self.w_ph <= 0:
             raise ValueError("phonon depth and waist must be positive")
-        if not (0.0 <= self.D <= self.w_ph / 2.0):
-            raise ValueError("spot half-separation must satisfy 0 <= D <= w_ph/2 "
-                             "(larger D forms a double well)")
         arrays = [np.array(x, dtype=float)
                   for x in (self.centers, self.displacements, self.polarizations)]
         self.centers, self.displacements, self.polarizations = arrays
@@ -83,12 +78,21 @@ def _two_spots(axis, D):
     return np.array([axis * D, -axis * D])
 
 
-def _pattern(pattern_id, V0_ph, w_ph, D, b, centers, spots, axes):
-    """SpotPattern at ``centers``; one site's spot offsets and polarization axes apply to all."""
+def _pattern(pattern_id, V0_ph, w_ph, D, centers, spots, axes):
+    """SpotPattern at ``centers``; one site's spot offsets and polarization axes apply to all.
+
+    The spot half-separation D, which shaped ``spots``, must be finite and
+    satisfy 0 <= D <= w_ph/2; the pattern checks its own fields first.
+    """
+    require_finite(D=D)
     n = len(centers)
-    return SpotPattern(pattern_id, V0_ph, w_ph, D, b=b, centers=centers,
-                       displacements=np.broadcast_to(spots, (n, *np.shape(spots)[-2:])),
-                       polarizations=np.broadcast_to(axes, (n, *np.shape(axes)[-2:])))
+    pattern = SpotPattern(pattern_id, V0_ph, w_ph, centers=centers,
+                          displacements=np.broadcast_to(spots, (n, *np.shape(spots)[-2:])),
+                          polarizations=np.broadcast_to(axes, (n, *np.shape(axes)[-2:])))
+    if not (0.0 <= D <= w_ph / 2.0):
+        raise ValueError("spot half-separation must satisfy 0 <= D <= w_ph/2 "
+                         "(larger D forms a double well)")
+    return pattern
 
 
 def _offset(pattern_id, axis, a, V0_ph, w_ph, D, b, extent):
@@ -96,7 +100,7 @@ def _offset(pattern_id, axis, a, V0_ph, w_ph, D, b, extent):
     b = 0.5 * a * math.sqrt(2.0) if b is None else b
     if not (0.0 < b < a * math.sqrt(2.0)):
         raise ValueError("offset must satisfy 0 < b < a*sqrt(2)")
-    return _pattern(pattern_id, V0_ph, w_ph, D, b, ij * a + b * axis, _two_spots(axis, D), [axis])
+    return _pattern(pattern_id, V0_ph, w_ph, D, ij * a + b * axis, _two_spots(axis, D), [axis])
 
 
 def holstein_reference(a, V0_ph, w_ph, D, b=None, extent=5):
@@ -107,7 +111,8 @@ def holstein_reference(a, V0_ph, w_ph, D, b=None, extent=5):
     """
     ij = _grid(a, extent)
     b = 0.1 * a if b is None else b
-    return _pattern("HolsteinReference", V0_ph, w_ph, D, b, ij * a + [b, 0.0],
+    require_finite(b=b)
+    return _pattern("HolsteinReference", V0_ph, w_ph, D, ij * a + [b, 0.0],
                     _two_spots(_XHAT, D), [_XHAT])
 
 
@@ -131,7 +136,7 @@ def crossed(a, V0_ph, w_ph, D, b=None, extent=5):
     if b is not None:
         raise ValueError("Crossed sites sit at the plaquette centres; b must be None")
     ij = _grid(a, extent)
-    return _pattern("Crossed", V0_ph, w_ph, D, 0.5 * a * math.sqrt(2.0), (ij + 0.5) * a,
+    return _pattern("Crossed", V0_ph, w_ph, D, (ij + 0.5) * a,
                     np.array([_DIAG1 * D, -_DIAG1 * D, _DIAG2 * D, -_DIAG2 * D]),
                     [_DIAG1, _DIAG2])
 
@@ -142,8 +147,8 @@ def bipartite_parallel(a, V0_ph, w_ph, D, b=None, extent=5):
         raise ValueError("BipartiteParallel sites sit at the plaquette centres; b must be None")
     ij = _grid(a, extent)
     even = (ij.sum(axis=1) % 2 == 0)[:, None, None]
-    return _pattern("BipartiteParallel", V0_ph, w_ph, D, 0.5 * a * math.sqrt(2.0),
-                    (ij + 0.5) * a, np.where(even, _two_spots(_XHAT, D), _two_spots(_YHAT, D)),
+    return _pattern("BipartiteParallel", V0_ph, w_ph, D, (ij + 0.5) * a,
+                    np.where(even, _two_spots(_XHAT, D), _two_spots(_YHAT, D)),
                     np.where(even, _XHAT, _YHAT))
 
 

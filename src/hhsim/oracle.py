@@ -141,12 +141,25 @@ def _sector_hamiltonian(model, L, pair):
     return H
 
 
-def _lowest(H, n_states):
-    """Lowest n_states eigenvalues of the sector block H, ascending.
+@dataclass
+class TwoBodySpectrum:
+    L: int
+    energies: list
+    bound_count: int = 0
+
+
+def ground_energies(model, L, n_states=4):
+    """Lowest n_states eigenvalues in the A1 sector of the model's point
+    group, ascending.
 
     At most dim - 2 of the sector's dim states may be asked for.  A dense
-    H is solved by eigvalsh, a sparse one by eigsh.
+    sector block is solved by eigvalsh, a sparse one by eigsh.  A state
+    counts as bound if E < -8t' - 5/L^2 * t' (the margin absorbs the
+    finite-size shift of the band edge).
     """
+    L = FiniteLattice(L).L
+    require_positive(n_states=n_states)
+    H = _sector_hamiltonian(model, L, False)
     dim = H.shape[0]
     if n_states > dim - 2:
         raise ValueError(f"n_states must be at most {dim - 2} in the {dim}-state "
@@ -156,33 +169,15 @@ def _lowest(H, n_states):
         vals = eigsh(H, k=n_states, which="SA", v0=v0, tol=1e-12, return_eigenvectors=False)
     else:
         vals = np.linalg.eigvalsh(H)[:n_states]
-    return sorted(float(v) for v in vals)
-
-
-@dataclass
-class TwoBodySpectrum:
-    L: int
-    energies: list
-    bound_count: int = 0
-
-
-def ground_energies(model, L, n_states=4):
-    """Lowest eigenvalues in the A1 sector of the model's point group, ascending.
-
-    A state counts as bound if E < -8t' - 5/L^2 * t' (the margin absorbs
-    the finite-size shift of the band edge).
-    """
-    L = FiniteLattice(L).L
-    require_positive(n_states=n_states)
-    energies = _lowest(_sector_hamiltonian(model, L, False), n_states)
+    energies = sorted(float(v) for v in vals)
     edge = -8.0 * model.t_prime - _BOUND_MARGIN / L**2 * model.t_prime
     bound = sum(1 for e in energies if e < edge)
     return TwoBodySpectrum(L=L, energies=energies, bound_count=bound)
 
 
-def brute_force_two_body(model, L, n_states=4):
-    """Lowest n_states two-particle energies on L x L, ascending, from the
-    full L^4 space (L <= 8), to validate the relative-coordinate reduction.
+def brute_force_two_body(model, L):
+    """Every two-particle energy of the A1 sector on L x L, ascending, from
+    the full L^4 space (L <= 8), to validate the relative-coordinate reduction.
 
     The sector is the A1 one of particle exchange times the model's point
     group acting on both coordinates (see ``_sector``), solved densely, so
@@ -194,8 +189,7 @@ def brute_force_two_body(model, L, n_states=4):
     L = FiniteLattice(L).L
     if L > 8:
         raise ValueError("brute force is for tiny lattices only")
-    require_positive(n_states=n_states)
-    return _lowest(_sector_hamiltonian(model, L, True), n_states)
+    return np.linalg.eigvalsh(_sector_hamiltonian(model, L, True)).tolist()
 
 
 @dataclass

@@ -320,14 +320,6 @@ def pair_energies(model):
     return [PairState(E=E, branch=i) for i, E in enumerate(roots.tolist())]
 
 
-def pair_energies_diagonal(U, V, t_prime):
-    return pair_energies(UVModel.diagonal(U, V, t_prime))
-
-
-def pair_energies_full(U, V1, V2, t_prime):
-    return pair_energies(UVModel.full(U, V1, V2, t_prime))
-
-
 def threshold_diagonal(V, t_prime):
     """Critical U below which the single-diagonal model binds a pair.
 

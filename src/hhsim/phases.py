@@ -10,7 +10,7 @@ labels from the ordering of the probe temperature T against the two
 scales.  The grid is one broadcast over (V0, lambda); every array of
 ``PhaseGrid`` has shape (nV0, nlambda) unless noted.
 
-The hopping t comes from ``hubbard.recoil_energy(a, M)`` with its
+The hopping t comes from ``hubbard.recoil_energy(a, M_K40)`` with its
 default lattice wavevector k = pi/a, which is 1/4 of the recoil that
 ``hubbard.parameter_sweep`` (k = 2 pi/a) feeds the ``params`` tables.
 """
@@ -80,21 +80,20 @@ class PhaseGrid:
 
 @dataclass
 class PhaseFamily:
-    """Physics inputs shared by all points of a phase map.
+    """Physics inputs shared by all points of a phase map of K-40 fermions.
 
     The phonon frequency is pinned to hbar*omega = omega_ratio * t
     because the painted waist it derives from is a free design choice.
     """
 
     a: float = 1.73                 # um
-    M: float = M_K40
     n_B: float = 0.01
     phi_nn_ratio: float = 0.0
     omega_ratio: float = 18.52      # hbar*omega_ph / t
 
     def __post_init__(self):
         require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
-        require_positive(a=self.a, M=self.M, omega_ratio=self.omega_ratio)
+        require_positive(a=self.a, omega_ratio=self.omega_ratio)
 
 
 def _interp(x1, x2, f1, f2):
@@ -129,7 +128,11 @@ def delta_t_contour(V0_axis, lam_axis, dT):
 
 
 def phase_grid(V0_axis, lam_axis, T, family=None):
-    """Fully populated PhaseGrid with the Delta T = 0 contour."""
+    """Fully populated PhaseGrid with the Delta T = 0 contour.
+
+    V0 (nK), lambda and the probe temperature T (nK) must be finite, and
+    lambda and T nonnegative.
+    """
     if family is None:
         family = PhaseFamily()
     V0 = np.asarray(V0_axis, dtype=float)
@@ -137,7 +140,10 @@ def phase_grid(V0_axis, lam_axis, T, family=None):
     for name, value in (("V0", V0), ("lambda", lam), ("T", T)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
-    E_rec = recoil_energy(family.a, family.M)
+    for name, value in (("lambda", lam), ("T", T)):
+        if np.any(value < 0.0):
+            raise ValueError(f"{name} must be nonnegative, got {np.min(value)}")
+    E_rec = recoil_energy(family.a, M_K40)
     t = np.array([hopping_t(nk_to_hz(v), E_rec) for v in V0.tolist()])
     t_col = t[:, None]
     W = 4.0 * t_col

@@ -111,63 +111,55 @@ def coupling_f(fermion_site, phonon_site, polarization, spec):
             / (r**eta + spec.r_c**eta) ** 2)
 
 
+# The lattice displacements (n, l) of an interaction map, in row order.
+_DISPLACEMENTS = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2), (2, 1), (2, 2))
+
+
 @dataclass
 class EffectiveInteractionMap:
     """Normalized phonon-mediated interaction map Phi_xy / Phi_00.
 
-    ``values`` maps integer lattice displacements (n, l) to the signed
-    ratio; ``phi00`` keeps the absolute on-site value (MHz^2/um^2).
-    Positive entries mediate attraction between fermions in the polaron
-    action, negative ones repulsion.
+    ``values`` maps each integer lattice displacement (n, l) of
+    ``_DISPLACEMENTS``, in that order, to the signed ratio; ``phi00``
+    keeps the absolute on-site value (MHz^2/um^2).  Positive entries
+    mediate attraction between fermions in the polaron action, negative
+    ones repulsion.
     """
 
-    displacements: list
     values: dict
     phi00: float
 
-    def ratio(self, n, l):
-        return self.values[(n, l)]
 
-
-def effective_interaction(pattern, spec, a, displacements=None):
+def effective_interaction(pattern, spec, a):
     """Lattice sums Phi_ii' = sum_{j,nu} f_ij,nu f_i'j,nu, normalized.
 
     Fermion sites sit at integer multiples of a; phonon sites and their
-    polarization vectors come from the pattern.  Phi_00 always comes
-    from the origin, so ``displacements`` need not include (0, 0).
-    With eta = 6 and the default pattern extent of 5a, the truncation
-    error of the site sum is below 1e-6 of Phi_00 (the tail falls off
-    as the 14th power of distance).
+    polarization vectors come from the pattern.  The map holds the
+    displacements of ``_DISPLACEMENTS``.  With eta = 6 and the default
+    pattern extent of 5a, the truncation error of the site sum is below
+    1e-6 of Phi_00 (the tail falls off as the 14th power of distance).
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"lattice constant a must be finite and positive, got {a}")
-    if displacements is None:
-        displacements = [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2),
-                         (2, 1), (2, 2)]
     # one row per (site, polarization), in site order
     centers = np.repeat(pattern.centers, pattern.polarizations.shape[1], axis=0)
     zetas = pattern.polarizations.reshape(-1, 2)
-    points = a * np.array(displacements, dtype=float)
+    points = a * np.array(_DISPLACEMENTS, dtype=float)
     f_origin = coupling_f(np.zeros(2), centers, zetas, spec)
     f_other = coupling_f(points[:, None, :], centers, zetas, spec)
     phi00 = float(np.vecdot(f_origin, f_origin))
     phi = np.vecdot(f_other, f_origin) / phi00
-    values = {(n, l): float(v) for (n, l), v in zip(displacements, phi)}
-    return EffectiveInteractionMap(displacements=list(displacements), values=values, phi00=phi00)
+    return EffectiveInteractionMap(values={d: float(v) for d, v in zip(_DISPLACEMENTS, phi)},
+                                   phi00=phi00)
 
 
-def nnn_ratio_estimate(b, a, eta=6, r_c=None):
-    """Analytic estimate of the NNN-to-onsite interaction ratio.
+def nnn_ratio_estimate(b, a, eta=6):
+    """Analytic estimate of the NNN-to-onsite interaction ratio |Phi_NNN|/|Phi_00|.
 
-    |Phi_NNN|/|Phi_00| = b^(eta+1) / (a*sqrt(2) - b)^(eta+1) for a
-    phonon site offset b along the diagonal.  Valid for r_c << b <
-    a/sqrt(2); outside that window the result carries valid=False.
+    b^(eta+1) / (a*sqrt(2) - b)^(eta+1) for a phonon site offset b
+    along the diagonal, valid for r_c << b < a/sqrt(2).
     """
-    ratio = b ** (eta + 1) / (a * math.sqrt(2.0) - b) ** (eta + 1)
-    valid = b < a / math.sqrt(2.0)
-    if r_c is not None and not (r_c < 0.5 * b):
-        valid = False
-    return {"ratio": ratio, "valid": valid}
+    return b ** (eta + 1) / (a * math.sqrt(2.0) - b) ** (eta + 1)
 
 
 def lambda_dimensionless(phi00, W, M, omega_ph):

@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 import scipy.sparse as sp
 
-from hhsim.constants import HBAR, HZ_TO_NK, H_PLANCK, K_B, nk_to_hz
+from hhsim.constants import HBAR, HZ_TO_NK, H_PLANCK, K_B, M_K40, nk_to_hz
 from hhsim.greens import SUPPORTED_NL, greens_M_table
 from hhsim.hubbard import hopping_t, recoil_energy
 
@@ -359,7 +359,7 @@ def phase_point_scalar(V0, lam, T, family):
     / (t'^2 a^2) in SI, T_BKT = 4 pi hbar^2 n_B / (a^2 k_B 2 m** lnln(4/n_B)),
     and the label from strict inequalities, ties falling to Normal.
     """
-    t = hopping_t(nk_to_hz(V0), recoil_energy(family.a, family.M))
+    t = hopping_t(nk_to_hz(V0), recoil_energy(family.a, M_K40))
     W = 4.0 * t
     hbar_omega = family.omega_ratio * t
     t_prime = t * math.exp(-W * lam * (1.0 - family.phi_nn_ratio) / hbar_omega)

@@ -5,6 +5,7 @@ in the captured output of failures) and then asserts, so the suite
 doubles as a human-readable checklist.
 """
 
+import json
 import math
 import random
 import time
@@ -12,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from hhsim import hubbard, lattice, oracle, pairs, phases, rydberg, stark
-from hhsim.constants import A_BOHR, M_K40, M_RB87, nk_to_hz
+from hhsim import cli, lattice, oracle, pairs, phases, rydberg, stark
+from hhsim.constants import M_RB87
 from hhsim.greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_M_table
 
 from _oracles import fd_second_derivative, greens_C_threshold, quad_M
@@ -116,8 +117,8 @@ def test_criterion_06_threshold_root_count():
         V1 = rng.uniform(0.5, 6.0)
         V2 = rng.uniform(0.5, 6.0)
         U_cr = pairs.threshold_full(V1, V2, 1.0).U_cr
-        n_above = len(pairs.pair_energies_full(U_cr * 1.1, V1, V2, 1.0))
-        n_below = len(pairs.pair_energies_full(U_cr * 0.9, V1, V2, 1.0))
+        n_above = len(pairs.pair_energies(pairs.UVModel.full(U_cr * 1.1, V1, V2, 1.0)))
+        n_below = len(pairs.pair_energies(pairs.UVModel.full(U_cr * 0.9, V1, V2, 1.0)))
         ok = ok and (n_above == n_below + 1)
     _report(6, "root count changes by one at U_cr", ok)
 
@@ -171,7 +172,7 @@ def test_criterion_09_phi_map_structure():
     ap = a * math.sqrt(2.0)
     par = rydberg.effective_interaction(
         lattice.offset_parallel(a, *args, b=0.3 * ap), spec, a)
-    nnn = abs(par.ratio(1, 1))
+    nnn = abs(par.values[(1, 1)])
     ok_nnn = nnn < 5e-4
 
     b_half = 0.5 * ap
@@ -179,7 +180,7 @@ def test_criterion_09_phi_map_structure():
     p1 = rydberg.effective_interaction(lattice.offset_parallel(a, *args, b=b_half), spec, a)
     p2 = rydberg.effective_interaction(lattice.offset_parallel_rotated(a, *args, b=b_half), spec, a)
     ok_sum = True
-    for d in cross.displacements:
+    for d in cross.values:
         combined = (p1.values[d] * p1.phi00 + p2.values[d] * p2.phi00) / (p1.phi00 + p2.phi00)
         if abs(cross.values[d] - combined) > 1e-10 * max(1.0, abs(combined)):
             ok_sum = False
@@ -187,8 +188,8 @@ def test_criterion_09_phi_map_structure():
     ok_est = True
     for frac in (0.25, 0.35, 0.45):
         pat = lattice.offset_parallel(a, *args, b=frac * ap)
-        num = abs(rydberg.effective_interaction(pat, spec, a).ratio(1, 1))
-        est = rydberg.nnn_ratio_estimate(frac * ap, a)["ratio"]
+        num = abs(rydberg.effective_interaction(pat, spec, a).values[(1, 1)])
+        est = rydberg.nnn_ratio_estimate(frac * ap, a)
         if abs(est - num) / num > 0.10:
             ok_est = False
 
@@ -233,23 +234,14 @@ def test_criterion_11_phase_map():
             f"min lambda with T_pair>=20nK = {lam_txt}")
 
 
-def test_criterion_12_parameter_regime():
-    a = 1.73
-    spec = rydberg.RydbergSpec.from_rc(C6=rydberg.c6_interpolated(27),
-                                       r_c=0.1 * a, alpha_bar=0.004)
-    emap = rydberg.effective_interaction(
-        lattice.holstein_reference(a, 250.0, 0.6, 0.2823), spec, a)
-    E_rec = hubbard.recoil_energy(a, M_K40, k_lat=2.0 * math.pi / a)
-
-    def w_lambda(V0_nk):
-        t = hubbard.hopping_t(nk_to_hz(V0_nk), E_rec)
-        omega = lattice.two_spot_frequency(2.5 * V0_nk, 0.6, 0.2823, M_RB87)
-        lam = rydberg.lambda_dimensionless(emap.phi00, 4.0 * t, M_RB87, omega)
-        return 4.0 * t * lam
-
-    a_s_um = 90.0 * A_BOHR * 1e6
-    rows = hubbard.parameter_sweep(np.linspace(300.0, 500.0, 21), a,
-                                   a_s_um=a_s_um, w_lambda_of_v0=w_lambda)
+def test_criterion_12_parameter_regime(capsys):
+    # the params table at the defaults (a = 1.73 um, a_s = 90 a_0, holstein
+    # phonon sites of waist 0.6 um, D = 0.2823 um, at 2.5 V0)
+    assert cli.main(["--format", "json", "params", "--v0-min", "300", "--v0-max", "500",
+                     "--steps", "21"]) == 0
+    header, payload = capsys.readouterr().out.split("\n", 1)
+    assert header == "# --- params_sweep.json ---"
+    rows = json.loads(payload)
     found = None
     for r in rows:
         vals = [r["t_Hz"], abs(r["U_Hz"]), r["W_lambda_Hz"]]

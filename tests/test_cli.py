@@ -12,9 +12,9 @@ import pytest
 import yaml
 
 import hhsim
-from hhsim import hubbard, phases
+from hhsim import hubbard, lattice, phases, rydberg
 from hhsim.cli import DEFAULTS, FIGURES, build_parser, main
-from hhsim.constants import A_BOHR
+from hhsim.constants import A_BOHR, H_PLANCK, M_RB87
 from hhsim.lattice import PATTERN_CONSTRUCTORS
 
 from _oracles import symmetric_orbits
@@ -338,6 +338,9 @@ def test_phase_subcommand(tmp_path):
     ({"omega_ratio": 0}, [], "omega_ratio must be positive"),
     ({"a": float("nan")}, [], "a must be finite"),
     ({}, ["--T", "nan"], "T must be finite"),
+    ({}, ["--lam-min=-1", "--lam-max", "1", "--lam-steps", "3"],
+     "lambda must be nonnegative, got -1.0"),
+    ({}, ["--T", "-5"], "T must be nonnegative, got -5.0"),
 ])
 def test_phase_rejects_bad_inputs_before_any_output(tmp_path, capsys, config, argv, name):
     cfg = tmp_path / "cfg.yaml"
@@ -375,6 +378,29 @@ def test_params_t_and_U_come_from_parameter_sweep(tmp_path):
                                   a_s_um=85.0 * A_BOHR * 1e6)
     assert [(r["V0_nK"], r["t_Hz"], r["U_Hz"]) for r in rows] == [
         (r["V0_nK"], r["t_Hz"], r["U_Hz"]) for r in ref]
+
+
+def test_params_w_lambda_is_the_t_independent_closed_form(tmp_path):
+    # W lam = Phi_00 / (2 M_Rb omega^2) / h, omega the two-spot frequency at V0_ph_scale V0
+    config = {"a": 1.6123, "n_ryd": 29, "r_c_over_a": 0.12, "V0_ph_scale": 2.2,
+              "w_ph": 0.62, "D": 0.29}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = tmp_path / "params"
+    assert main(["--config", str(cfg), "--out", str(out), "--format", "json",
+                 "params", "--v0-min", "150", "--v0-max", "550", "--steps", "5"]) == 0
+    rows = json.loads((out / "params_sweep.json").read_text())
+    a = config["a"]
+    spec = rydberg.RydbergSpec.from_rc(C6=rydberg.c6_interpolated(29), r_c=0.12 * a,
+                                       alpha_bar=DEFAULTS["alpha_bar"][0])
+    phi00 = rydberg.effective_interaction(lattice.holstein_reference(a, 100.0, 0.62, 0.29),
+                                          spec, a).phi00
+    phi00_si = phi00 * (1e6 * H_PLANCK) ** 2 / 1e-12   # MHz^2/um^2 -> J^2/m^2
+    assert len(rows) == 5
+    for r in rows:
+        omega = lattice.two_spot_frequency(2.2 * r["V0_nK"], 0.62, 0.29, M_RB87)
+        closed = phi00_si / (2.0 * M_RB87 * omega**2) / H_PLANCK
+        assert abs(r["W_lambda_Hz"] - closed) <= 1e-14 * closed
 
 
 def _files(out_dir):

@@ -43,13 +43,9 @@ def test_hubbard_U_sign_and_scaling():
 
 
 def test_parameter_sweep_rows():
-    rows = parameter_sweep([300.0, 400.0], 1.73, a_s_um=0.005,
-                           w_lambda_of_v0=lambda v: 0.3 * v)
+    rows = parameter_sweep([300.0, 400.0], 1.73, a_s_um=0.005)
     assert [r["V0_nK"] for r in rows] == [300.0, 400.0]
     for r in rows:
+        assert set(r) == {"V0_nK", "t_Hz", "U_Hz"}
         assert r["t_Hz"] > 0.0
         assert r["U_Hz"] > 0.0
-        assert r["W_lambda_Hz"] == pytest.approx(0.3 * r["V0_nK"])
-    # optional columns default to None
-    bare = parameter_sweep([300.0], 1.73)
-    assert bare[0]["U_Hz"] is None and bare[0]["W_lambda_Hz"] is None

@@ -29,17 +29,19 @@ ONE_SITE = dict(centers=[[0.0, 0.0]], displacements=[[[0.1, 0.0], [-0.1, 0.0]]],
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        SpotPattern("x", V0_ph=-1.0, w_ph=0.6, D=0.1, **ONE_SITE)
-    with pytest.raises(ValueError):
-        SpotPattern("x", V0_ph=100.0, w_ph=0.6, D=0.4, **ONE_SITE)  # D > w/2: double well
+    with pytest.raises(ValueError, match="depth and waist must be positive"):
+        SpotPattern("x", V0_ph=-1.0, w_ph=0.6, **ONE_SITE)
+    for ctor in PATTERN_CONSTRUCTORS.values():   # D > w/2: double well
+        with pytest.raises(ValueError, match="^spot half-separation must satisfy"):
+            ctor(1.73, 100.0, 0.6, 0.4, extent=0)
 
 
+# the constructors check D and b, which shape the spots and centres
 @pytest.mark.parametrize("build, field", [
-    (lambda v: SpotPattern("x", v, 0.6, 0.1, **ONE_SITE), "V0_ph"),
-    (lambda v: SpotPattern("x", 100.0, v, 0.1, **ONE_SITE), "w_ph"),
-    (lambda v: SpotPattern("x", 100.0, 0.6, v, **ONE_SITE), "D"),
-    (lambda v: SpotPattern("x", 100.0, 0.6, 0.1, b=v, **ONE_SITE), "b"),
+    (lambda v: SpotPattern("x", v, 0.6, **ONE_SITE), "V0_ph"),
+    (lambda v: SpotPattern("x", 100.0, v, **ONE_SITE), "w_ph"),
+    (lambda v: offset_parallel(1.73, 100.0, 0.6, v, extent=0), "D"),
+    (lambda v: holstein_reference(1.73, 100.0, 0.6, 0.1, b=v, extent=0), "b"),
 ])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_fields_are_rejected_by_name(build, field, value):
@@ -57,7 +59,7 @@ def test_non_finite_fields_are_rejected_by_name(build, field, value):
 ])
 def test_pattern_rejects_mismatched_or_empty_arrays(arrays):
     with pytest.raises(ValueError):
-        SpotPattern("x", 100.0, 0.6, 0.1, **arrays)
+        SpotPattern("x", 100.0, 0.6, **arrays)
 
 
 def test_pattern_equality_is_identity():
@@ -137,7 +139,6 @@ def test_registry_tiles_every_pattern_with_its_default_offset(name):
     for extent in (0, 1, 3):
         pat = PATTERN_CONSTRUCTORS[name](a, 250.0, 0.6, 0.25, extent=extent)
         assert len(pat.centers) == (2 * extent + 1) ** 2
-        assert pat.b == (0.1 * a if name == "holstein" else 0.5 * a * math.sqrt(2.0))
         centre = pat.centers[len(pat.centers) // 2]
         assert np.allclose(centre, middle.get(name, (0.5 * a, 0.5 * a)), rtol=0, atol=1e-15)
 
@@ -157,7 +158,6 @@ def test_offset_parallel_rotated_is_offset_parallel_mirrored(b):
     m = 2 * extent + 1
     par = offset_parallel(1.73, 250.0, 0.6, 0.25, b=b, extent=extent)
     rot = offset_parallel_rotated(1.73, 250.0, 0.6, 0.25, b=b, extent=extent)
-    assert rot.b == par.b
     # rows are (i, j) with i outer: reversing j within each i maps j onto -j
     twin = np.arange(m * m).reshape(m, m)[:, ::-1].ravel()
     assert np.array_equal(rot.centers[twin], par.centers * flip)
@@ -167,7 +167,7 @@ def test_offset_parallel_rotated_is_offset_parallel_mirrored(b):
 
 def test_holstein_offset_default():
     pat = holstein_reference(1.73, 250.0, 0.6, 0.25)
-    assert pat.b == pytest.approx(0.173)
+    assert np.allclose(pat.centers[len(pat.centers) // 2], (0.173, 0.0), rtol=0, atol=1e-15)
     # soft axis along x
     assert np.array_equal(pat.polarizations, np.tile([[1.0, 0.0]], (121, 1, 1)))
 
@@ -188,7 +188,7 @@ def test_dynamical_matrix_matches_analytic_two_spot():
 
 
 def test_dynamical_matrix_rejects_non_stationary_point():
-    lopsided = SpotPattern("x", 250.0, 0.6, 0.25, centers=[[0.0, 0.0]],
+    lopsided = SpotPattern("x", 250.0, 0.6, centers=[[0.0, 0.0]],
                            displacements=[[[0.25, 0.0], [-0.1, 0.0]]],
                            polarizations=[[[1.0, 0.0]]])
     with pytest.raises(ValueError):

@@ -19,8 +19,6 @@ from hhsim.pairs import (
     lf_map_physical,
     pair_dispersion_strong_coupling,
     pair_energies,
-    pair_energies_diagonal,
-    pair_energies_full,
     pair_mass,
     pair_mass_onsite,
     threshold_diagonal,
@@ -97,11 +95,11 @@ def test_determinants_equal_hand_expansions(U, V1, V2, tp):
 
 
 def test_determinants_are_roots_of_pair_energies():
-    states = pair_energies_diagonal(-6.0, -3.0, 1.0)
+    states = pair_energies(UVModel.diagonal(-6.0, -3.0, 1.0))
     assert states
     for s in states:
         assert abs(det_diagonal(s.E, -6.0, -3.0, 1.0)) < 1e-8
-    states = pair_energies_full(-6.0, -2.0, -1.0, 1.0)
+    states = pair_energies(UVModel.full(-6.0, -2.0, -1.0, 1.0))
     assert states
     for s in states:
         assert abs(det_full(s.E, -6.0, -2.0, -1.0, 1.0)) < 1e-8
@@ -121,28 +119,28 @@ def test_determinants_accept_energy_arrays():
 def test_root_count_monotone_in_attraction(U, dU, V1, V2, tp):
     # a more attractive on-site U lowers the Hamiltonian, so no bound
     # pair can be lost
-    weaker = pair_energies_full(U * tp, V1 * tp, V2 * tp, tp)
-    stronger = pair_energies_full((U - dU) * tp, V1 * tp, V2 * tp, tp)
+    weaker = pair_energies(UVModel.full(U * tp, V1 * tp, V2 * tp, tp))
+    stronger = pair_energies(UVModel.full((U - dU) * tp, V1 * tp, V2 * tp, tp))
     assert len(stronger) >= len(weaker)
 
 
 def test_full_reduces_to_pure_onsite():
     # with V1 = V2 = 0 both determinant formulations agree
-    a = pair_energies_full(-6.0, 0.0, 0.0, 1.0)
-    b = pair_energies_diagonal(-6.0, 0.0, 1.0)
+    a = pair_energies(UVModel.full(-6.0, 0.0, 0.0, 1.0))
+    b = pair_energies(UVModel.diagonal(-6.0, 0.0, 1.0))
     assert len(a) == len(b) == 1
     assert a[0].E == pytest.approx(b[0].E, abs=1e-9)
 
 
 def test_onsite_binding_for_any_attraction():
     # a 2D lattice binds a pair for arbitrarily weak on-site attraction
-    states = pair_energies_diagonal(-1.0, 0.0, 1.0)
+    states = pair_energies(UVModel.diagonal(-1.0, 0.0, 1.0))
     assert len(states) == 1
     assert states[0].E < -8.0
 
 
 def test_energies_sorted_and_below_band():
-    states = pair_energies_diagonal(-8.0, -8.0, 1.0)
+    states = pair_energies(UVModel.diagonal(-8.0, -8.0, 1.0))
     assert len(states) == 2
     assert states[0].E < states[1].E < -8.0
     assert [s.branch for s in states] == [0, 1]
@@ -475,8 +473,8 @@ def test_binding_condition_equals_reduced_polynomial():
 def test_threshold_consistent_with_root_count():
     V1, V2 = 2.0, 1.0
     th = threshold_full(V1, V2, 1.0)
-    above = pair_energies_full(th.U_cr * 1.1, V1, V2, 1.0)
-    below = pair_energies_full(th.U_cr * 0.9, V1, V2, 1.0)
+    above = pair_energies(UVModel.full(th.U_cr * 1.1, V1, V2, 1.0))
+    below = pair_energies(UVModel.full(th.U_cr * 0.9, V1, V2, 1.0))
     assert len(above) == len(below) + 1
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhsim.constants import HBAR, H_PLANCK, HZ_TO_NK, K_B, M_K40, M_RB87
+from hhsim.constants import HBAR, H_PLANCK, HZ_TO_NK, K_B
 from hhsim.pairs import pair_mass_onsite
 from hhsim.phases import (
     LABELS,
@@ -104,7 +104,7 @@ def test_phase_grid_structure():
 
 
 families = st.builds(
-    PhaseFamily, a=st.floats(1.5, 2.0), M=st.sampled_from([M_K40, M_RB87]),
+    PhaseFamily, a=st.floats(1.5, 2.0),
     n_B=st.floats(0.002, 0.05), phi_nn_ratio=st.floats(0.0, 0.5),
     omega_ratio=st.floats(5.0, 25.0))
 
@@ -126,14 +126,14 @@ def test_grid_matches_scalar_reference(family, V0s, lams, T):
             assert grid.label[i, j] == label
 
 
-@pytest.mark.parametrize("name", ["a", "M", "n_B", "phi_nn_ratio", "omega_ratio"])
+@pytest.mark.parametrize("name", ["a", "n_B", "phi_nn_ratio", "omega_ratio"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_family_rejects_non_finite_fields_by_name(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         PhaseFamily(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["a", "M", "omega_ratio"])
+@pytest.mark.parametrize("name", ["a", "omega_ratio"])
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_family_rejects_non_positive_scales(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be positive"):
@@ -148,3 +148,15 @@ def test_family_rejects_non_positive_scales(name, value):
 def test_phase_grid_rejects_non_finite_inputs_by_name(V0s, lams, T, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         phase_grid(V0s, lams, T)
+
+
+@pytest.mark.parametrize("lams, T, message", [
+    ([0.5, -1.0, -0.25], 20.0, "lambda must be nonnegative, got -1.0"),
+    ([0.5], -5.0, "T must be nonnegative, got -5.0"),
+    ([0.5], np.array(-1e-300), "T must be nonnegative, got -1e-300"),
+])
+def test_phase_grid_rejects_negative_coupling_and_temperature(lams, T, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        phase_grid([100.0], lams, T)
+    # zero is a valid coupling and temperature: below T_bkt, with no pairing gap
+    assert phase_grid([100.0], [0.0], 0.0).label.tolist() == [["BKTRegime"]]

@@ -106,10 +106,10 @@ def test_effective_interaction_normalization_and_symmetry():
     spec = RydbergSpec.from_rc(C6=26.1, r_c=0.1 * a, alpha_bar=0.004)
     pat = offset_parallel(a, 250.0, 0.6, 0.2823, b=0.25 * a * math.sqrt(2.0))
     emap = effective_interaction(pat, spec, a)
-    assert emap.ratio(0, 0) == 1.0
+    assert emap.values[(0, 0)] == 1.0
     assert emap.phi00 > 0.0
     # mirror symmetry about the offset diagonal maps (2,0) onto (0,2)
-    assert emap.ratio(2, 0) == pytest.approx(emap.ratio(0, 2), rel=1e-9)
+    assert emap.values[(2, 0)] == pytest.approx(emap.values[(0, 2)], rel=1e-9)
 
 
 def test_crossed_map_equals_sum_of_rotated_parallels():
@@ -119,20 +119,9 @@ def test_crossed_map_equals_sum_of_rotated_parallels():
     cross = effective_interaction(crossed(a, 250.0, 0.6, 0.2823), spec, a)
     p1 = effective_interaction(offset_parallel(a, 250.0, 0.6, 0.2823, b), spec, a)
     p2 = effective_interaction(offset_parallel_rotated(a, 250.0, 0.6, 0.2823, b), spec, a)
-    for d in cross.displacements:
+    for d in cross.values:
         combined = (p1.values[d] * p1.phi00 + p2.values[d] * p2.phi00) / (p1.phi00 + p2.phi00)
         assert cross.values[d] == pytest.approx(combined, abs=1e-10)
-
-
-def test_displacements_need_not_include_the_origin():
-    a = 1.73
-    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.1 * a, alpha_bar=0.004)
-    pat = offset_parallel(a, 250.0, 0.6, 0.2823)
-    full = effective_interaction(pat, spec, a)
-    part = effective_interaction(pat, spec, a, displacements=[(1, 0), (1, 1)])
-    assert set(part.values) == {(1, 0), (1, 1)}
-    assert part.phi00 == full.phi00
-    assert part.ratio(1, 0) == full.ratio(1, 0) and part.ratio(1, 1) == full.ratio(1, 1)
 
 
 @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
@@ -153,7 +142,7 @@ def test_array_path_matches_scalar_references(name, extent, a, eta):
 
     centers = np.array([c for c, zs in zip(pat.centers, pat.polarizations) for _ in zs])
     zetas = np.array([z for zs in pat.polarizations for z in zs])
-    points = a * np.array(emap.displacements, dtype=float)
+    points = a * np.array(list(emap.values), dtype=float)
     f = coupling_f(points[:, None, :], centers, zetas, spec)
     ref = np.array([[coupling_f_scalar(p, c, z, spec) for c, z in zip(centers, zetas)]
                     for p in points])
@@ -161,9 +150,9 @@ def test_array_path_matches_scalar_references(name, extent, a, eta):
     assert np.all(np.abs(f - ref) <= 1e-12 * np.abs(ref))
     assert isinstance(coupling_f(points[1], centers[0], zetas[0], spec), float)
 
-    phi = phi_sum_scalar(pat, spec, a, emap.displacements)
+    phi = phi_sum_scalar(pat, spec, a, list(emap.values))
     assert abs(emap.phi00 - phi[(0, 0)]) <= 1e-12 * phi[(0, 0)]
-    for d in emap.displacements:
+    for d in emap.values:
         assert abs(emap.values[d] * emap.phi00 - phi[d]) <= 1e-12 * phi[(0, 0)]
 
     k = len(pat.centers) // 2
@@ -186,18 +175,17 @@ def test_truncation_at_extent_five_is_below_1e6_of_phi00(name):
     spec = RydbergSpec.from_rc(C6=26.1, r_c=0.1 * a, alpha_bar=0.004, eta=6)
     m5, m8 = (effective_interaction(PATTERN_CONSTRUCTORS[name](a, 100.0, 0.6, 0.2823, extent=n),
                                     spec, a) for n in (5, 8))
-    for d in m8.displacements:
+    for d in m8.values:
         assert abs(m5.values[d] * m5.phi00 - m8.values[d] * m8.phi00) <= 1e-6 * m8.phi00
 
 
 def test_nnn_estimate_validity_window():
+    # inside r_c << b < a/sqrt(2) the estimate is a ratio below one
     a = 1.73
-    est = nnn_ratio_estimate(0.3 * a * math.sqrt(2.0), a)
-    assert est["valid"] and 0.0 < est["ratio"] < 1.0
-    too_far = nnn_ratio_estimate(1.1 * a / math.sqrt(2.0), a)
-    assert not too_far["valid"]
-    core_too_big = nnn_ratio_estimate(0.3, a, r_c=0.2)
-    assert not core_too_big["valid"]
+    b = 0.3 * a * math.sqrt(2.0)
+    est = nnn_ratio_estimate(b, a)
+    assert 0.0 < est < 1.0
+    assert est == pytest.approx((b / (a * math.sqrt(2.0) - b)) ** 7, rel=1e-14)
 
 
 def test_lambda_dimensionless_scalings():

@@ -56,6 +56,9 @@ RUNS = {
     "stark-lines": ["stark", "--wl-min", "766.7", "--wl-max", "770.1", "--steps", "5"],
     "phase": ["phase", "--T", "5"],
     "phonon-json": ["--format", "json", "phonon", "--pattern", "crossed"],
+    "phonon-holstein-b": ["phonon", "--pattern", "holstein", "--b", "0.3"],
+    "phi-map-rotated": ["phi-map", "--pattern", "offset-parallel-rotated",
+                        "--b-over-aprime", "0.3"],
 }
 
 
