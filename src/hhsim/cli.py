@@ -314,8 +314,8 @@ def cmd_phase(args, sink):
     columns = (*np.meshgrid(V0s, lams, indexing="ij"), grid.T_pair, grid.T_bkt, grid.label)
     rows = list(zip(*(c.ravel().tolist() for c in columns)))
     sink.emit_table("phase_grid", ["V0_nK", "lambda", "T_pair_nK", "T_bkt_nK", "label"], rows)
-    seg_rows = [(seg[0][0], seg[0][1], seg[1][0], seg[1][1]) for seg in grid.contour]
-    sink.emit_table("phase_contour", ["V0_a", "lambda_a", "V0_b", "lambda_b"], seg_rows)
+    sink.emit_table("phase_contour", ["V0_a", "lambda_a", "V0_b", "lambda_b"],
+                    grid.contour.reshape(-1, 4).tolist())
 
 
 # The bundles of ``figures``: (file-name suffix, subcommand argv).  Each

@@ -9,7 +9,7 @@ reported in Hz (E = h f); 1 nK of thermal energy corresponds to about
 import math
 import warnings
 
-from .constants import H_PLANCK, HBAR, M_K40, nk_to_hz
+from .constants import H_PLANCK, HBAR, M_K40, nk_to_hz, require_finite, require_positive
 
 
 def recoil_energy(a, M, k_lat=None):
@@ -19,9 +19,11 @@ def recoil_energy(a, M, k_lat=None):
     wavevector matching the a-based definition); pass k_lat (1/um) to
     override, e.g. 2*pi/a.
     """
-    if a <= 0 or M <= 0:
-        raise ValueError("a and M must be positive")
-    k = (math.pi / a if k_lat is None else k_lat) * 1e6   # 1/m
+    require_finite(a=a, M=M)
+    require_positive(a=a, M=M)
+    k_lat = math.pi / a if k_lat is None else k_lat
+    require_finite(k_lat=k_lat)
+    k = k_lat * 1e6   # 1/m
     return HBAR**2 * k**2 / (2.0 * M) / H_PLANCK
 
 
@@ -31,8 +33,8 @@ def hopping_t(V0, E_rec):
     A deep-lattice approximation; a warning is emitted for V0 < E_rec
     where it is unreliable.
     """
-    if V0 <= 0 or E_rec <= 0:
-        raise ValueError("V0 and E_rec must be positive")
+    require_finite(V0=V0, E_rec=E_rec)
+    require_positive(V0=V0, E_rec=E_rec)
     if V0 < E_rec:
         warnings.warn("hopping_t: V0 < E_rec is outside the deep-lattice regime",
                       stacklevel=2)
@@ -48,8 +50,8 @@ def hubbard_U(k_lat, a_s, E_rec, V0):
     carries the unit of E_rec^(1/4) V0^(3/4).  Negative a_s gives an
     attractive U.
     """
-    if E_rec <= 0 or V0 <= 0:
-        raise ValueError("E_rec and V0 must be positive")
+    require_finite(k_lat=k_lat, a_s=a_s, E_rec=E_rec, V0=V0)
+    require_positive(E_rec=E_rec, V0=V0)
     return math.sqrt(8.0) * k_lat * a_s * E_rec**0.25 * V0**0.75
 
 

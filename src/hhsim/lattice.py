@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import K_B, require_finite
+from .constants import K_B, require_finite, require_positive
 
 # nK/um^2 -> J/m^2
 _CURV_SI = K_B * 1e-9 / 1e-12
@@ -44,8 +44,7 @@ class SpotPattern:
 
     def __post_init__(self):
         require_finite(V0_ph=self.V0_ph, w_ph=self.w_ph)
-        if self.V0_ph <= 0 or self.w_ph <= 0:
-            raise ValueError("phonon depth and waist must be positive")
+        require_positive(V0_ph=self.V0_ph, w_ph=self.w_ph)
         arrays = [np.array(x, dtype=float)
                   for x in (self.centers, self.displacements, self.polarizations)]
         self.centers, self.displacements, self.polarizations = arrays
@@ -72,19 +71,21 @@ def _grid(a, extent):
     return np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _two_spots(axis, D):
-    """Spot offsets +-D along the normalized ``axis``, (2, 2)."""
+def _two_spots(axis):
+    """Spot offsets per unit D, +-1 along the normalized ``axis``, (2, 2)."""
     axis = axis / np.linalg.norm(axis)
-    return np.array([axis * D, -axis * D])
+    return np.array([axis, -axis])
 
 
 def _pattern(pattern_id, V0_ph, w_ph, D, centers, spots, axes):
     """SpotPattern at ``centers``; one site's spot offsets and polarization axes apply to all.
 
-    The spot half-separation D, which shaped ``spots``, must be finite and
+    ``spots`` holds one site's spot offsets per unit D.  The spot
+    half-separation D must be finite, checked before it scales them, and
     satisfy 0 <= D <= w_ph/2; the pattern checks its own fields first.
     """
     require_finite(D=D)
+    spots = np.asarray(spots) * D
     n = len(centers)
     pattern = SpotPattern(pattern_id, V0_ph, w_ph, centers=centers,
                           displacements=np.broadcast_to(spots, (n, *np.shape(spots)[-2:])),
@@ -100,7 +101,7 @@ def _offset(pattern_id, axis, a, V0_ph, w_ph, D, b, extent):
     b = 0.5 * a * math.sqrt(2.0) if b is None else b
     if not (0.0 < b < a * math.sqrt(2.0)):
         raise ValueError("offset must satisfy 0 < b < a*sqrt(2)")
-    return _pattern(pattern_id, V0_ph, w_ph, D, ij * a + b * axis, _two_spots(axis, D), [axis])
+    return _pattern(pattern_id, V0_ph, w_ph, D, ij * a + b * axis, _two_spots(axis), [axis])
 
 
 def holstein_reference(a, V0_ph, w_ph, D, b=None, extent=5):
@@ -113,7 +114,7 @@ def holstein_reference(a, V0_ph, w_ph, D, b=None, extent=5):
     b = 0.1 * a if b is None else b
     require_finite(b=b)
     return _pattern("HolsteinReference", V0_ph, w_ph, D, ij * a + [b, 0.0],
-                    _two_spots(_XHAT, D), [_XHAT])
+                    _two_spots(_XHAT), [_XHAT])
 
 
 def offset_parallel(a, V0_ph, w_ph, D, b=None, extent=5):
@@ -137,7 +138,7 @@ def crossed(a, V0_ph, w_ph, D, b=None, extent=5):
         raise ValueError("Crossed sites sit at the plaquette centres; b must be None")
     ij = _grid(a, extent)
     return _pattern("Crossed", V0_ph, w_ph, D, (ij + 0.5) * a,
-                    np.array([_DIAG1 * D, -_DIAG1 * D, _DIAG2 * D, -_DIAG2 * D]),
+                    np.array([_DIAG1, -_DIAG1, _DIAG2, -_DIAG2]),
                     [_DIAG1, _DIAG2])
 
 
@@ -148,7 +149,7 @@ def bipartite_parallel(a, V0_ph, w_ph, D, b=None, extent=5):
     ij = _grid(a, extent)
     even = (ij.sum(axis=1) % 2 == 0)[:, None, None]
     return _pattern("BipartiteParallel", V0_ph, w_ph, D, (ij + 0.5) * a,
-                    np.where(even, _two_spots(_XHAT, D), _two_spots(_YHAT, D)),
+                    np.where(even, _two_spots(_XHAT), _two_spots(_YHAT)),
                     np.where(even, _XHAT, _YHAT))
 
 

@@ -75,7 +75,7 @@ class PhaseGrid:
     T_pair: np.ndarray      # nK
     T_bkt: np.ndarray       # nK
     label: np.ndarray       # str
-    contour: list           # list of ((x1, y1), (x2, y2)) segments in (V0, lam)
+    contour: np.ndarray     # (n_segments, 2, 2): segment, end, (V0, lam)
 
 
 @dataclass
@@ -96,45 +96,37 @@ class PhaseFamily:
         require_positive(a=self.a, omega_ratio=self.omega_ratio)
 
 
-def _interp(x1, x2, f1, f2):
-    return x1 + (x2 - x1) * f1 / (f1 - f2)
-
-
 def delta_t_contour(V0_axis, lam_axis, dT):
-    """Marching-squares segments of Delta T = T_bkt - T_pair = 0.
+    """Marching-squares segments of Delta T = T_bkt - T_pair = 0, (n_segments, 2, 2).
 
-    dT has shape (len(V0_axis), len(lam_axis)).  Each emitted segment
-    separates grid corners of opposite Delta T sign; coordinates are
-    linearly interpolated crossings.
+    dT has shape (len(V0_axis), len(lam_axis)).  Edge k of cell (i, j)
+    runs from its corner k to corner k + 1 (mod 4), corners in the order
+    (i, j), (i+1, j), (i+1, j+1), (i, j+1); an edge whose ends have
+    opposite Delta T sign (zero counts as positive) is crossed at the
+    linear interpolation x1 + (x2 - x1) v1 / (v1 - v2).  A cell with two
+    or more crossings gives one segment between its first two; segments
+    are in cell order, i outer, and each point is (V0, lambda).
     """
-    xs, ys = np.asarray(V0_axis).tolist(), np.asarray(lam_axis).tolist()
-    f = np.asarray(dT).tolist()
-    segments = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            vals = [f[x][y] for x, y in corners]
-            crossings = []
-            for k in range(4):
-                (x1, y1), (x2, y2) = corners[k], corners[(k + 1) % 4]
-                v1, v2 = vals[k], vals[(k + 1) % 4]
-                if (v1 < 0.0 <= v2) or (v2 < 0.0 <= v1):
-                    px = _interp(xs[x1], xs[x2], v1, v2)
-                    py = _interp(ys[y1], ys[y2], v1, v2)
-                    crossings.append((px, py))
-            if len(crossings) >= 2:
-                segments.append((crossings[0], crossings[1]))
-    return segments
+    xs, ys = np.asarray(V0_axis, dtype=float), np.asarray(lam_axis, dtype=float)
+    ci = np.arange(len(xs) - 1)[:, None, None] + [0, 1, 1, 0]
+    cj = np.arange(len(ys) - 1)[None, :, None] + [0, 0, 1, 1]
+    corners = np.stack(np.broadcast_arrays(xs[ci], ys[cj]), axis=-1)  # (nV0-1, nlambda-1, 4, 2)
+    v1 = np.asarray(dT, dtype=float)[ci, cj]
+    v2 = np.roll(v1, -1, axis=-1)
+    crossed = (v1 < 0.0) & (v2 >= 0.0) | (v2 < 0.0) & (v1 >= 0.0)
+    rank = np.cumsum(crossed, axis=-1)
+    first_two = crossed & (rank <= 2) & (rank[..., -1:] >= 2)  # of each cell with two or more
+    p1, p2 = corners[first_two], np.roll(corners, -1, axis=-2)[first_two]
+    v1, v2 = v1[first_two][:, None], v2[first_two][:, None]
+    return (p1 + (p2 - p1) * v1 / (v1 - v2)).reshape(-1, 2, 2)
 
 
-def phase_grid(V0_axis, lam_axis, T, family=None):
-    """Fully populated PhaseGrid with the Delta T = 0 contour.
+def phase_grid(V0_axis, lam_axis, T, family):
+    """Fully populated PhaseGrid of ``family`` with the Delta T = 0 contour.
 
     V0 (nK), lambda and the probe temperature T (nK) must be finite, and
     lambda and T nonnegative.
     """
-    if family is None:
-        family = PhaseFamily()
     V0 = np.asarray(V0_axis, dtype=float)
     lam = np.asarray(lam_axis, dtype=float)
     for name, value in (("V0", V0), ("lambda", lam), ("T", T)):

@@ -168,8 +168,8 @@ def lambda_dimensionless(phi00, W, M, omega_ph):
     phi00 in MHz^2/um^2, W (bandwidth 4t) in Hz, M in kg, omega_ph in
     rad/s.  The conversion treats MHz values as h-frequencies.
     """
-    if W <= 0 or M <= 0 or omega_ph <= 0:
-        raise ValueError("W, M and omega_ph must be positive")
+    require_finite(phi00=phi00, W=W, M=M, omega_ph=omega_ph)
+    require_positive(W=W, M=M, omega_ph=omega_ph)
     phi00_si = phi00 * (1e6 * H_PLANCK) ** 2 / (1e-6) ** 2   # J^2/m^2
     W_si = W * H_PLANCK
     return phi00_si / (2.0 * W_si * M * omega_ph**2)

@@ -26,9 +26,9 @@ returned trap energy is in nK, linear in the intensity prefactor.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .constants import require_finite, wavelength_nm_to_angular_frequency
+from .constants import require_finite, require_positive, wavelength_nm_to_angular_frequency
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,11 @@ class AtomLineData:
     Gamma_2: float      # rad/s, D2 linewidth
 
     def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self)[1:]}   # all but the name
+        require_finite(**values)
+        require_positive(**values)
         if not self.lambda_D2 < self.lambda_D1:
             raise ValueError("D2 line must lie at shorter wavelength than D1")
-        if min(self.I_sat, self.Gamma_1, self.Gamma_2) <= 0:
-            raise ValueError("linewidths and saturation intensity must be positive")
 
 
 # Built-in datasets.  The K-40 D2 linewidth is 2pi x 6.03 MHz; source
@@ -118,8 +119,8 @@ def ac_stark_shift(atom, laser_wavelength, cfg):
     remaining scale, so the result is the bracket expressed in units of
     its value per (rad/s), times p.
     """
-    if laser_wavelength <= 0:
-        raise ValueError("wavelength must be positive")
+    require_finite(laser_wavelength=laser_wavelength)
+    require_positive(laser_wavelength=laser_wavelength)
     w_las = wavelength_nm_to_angular_frequency(laser_wavelength)
     w1 = wavelength_nm_to_angular_frequency(atom.lambda_D1)
     w2 = wavelength_nm_to_angular_frequency(atom.lambda_D2)

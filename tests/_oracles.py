@@ -11,7 +11,8 @@ hand; they take M_nl from ``hhsim.greens`` and the band-edge C_nl
 limits from ``greens_C_threshold`` below, and check how ``hhsim.pairs``
 assembles them.  The Phi map is summed by a scalar double loop over
 the scalar coupling constant, and a phase-map point is computed alone
-in scalar floats, its pair mass written out in SI units.  The ED
+in scalar floats, its pair mass written out in SI units; the Delta T
+= 0 contour is traced by a loop over cells and their edges.  The ED
 symmetry sectors are counted by enumerating orbits of the torus, and
 the full-space ED Hamiltonians are written out hop by hop.  Roots are
 polished by plain bisection on the brackets of the root finder's scan.
@@ -375,6 +376,30 @@ def phase_point_scalar(V0, lam, T, family):
     else:
         label = "Normal"
     return t, t_prime, T_pair, T_bkt, label
+
+
+
+def delta_t_contour_loop(V0_axis, lam_axis, dT):
+    """The Delta T = 0 contour traced cell by cell and edge by edge in
+    Python floats: a list of ((x1, y1), (x2, y2)) segments, cell order i
+    outer, between the first two sign-change crossings of each cell."""
+    xs, ys = np.asarray(V0_axis).tolist(), np.asarray(lam_axis).tolist()
+    f = np.asarray(dT).tolist()
+    segments = []
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            vals = [f[x][y] for x, y in corners]
+            crossings = []
+            for k in range(4):
+                (x1, y1), (x2, y2) = corners[k], corners[(k + 1) % 4]
+                v1, v2 = vals[k], vals[(k + 1) % 4]
+                if (v1 < 0.0 <= v2) or (v2 < 0.0 <= v1):
+                    crossings.append((xs[x1] + (xs[x2] - xs[x1]) * v1 / (v1 - v2),
+                                      ys[y1] + (ys[y2] - ys[y1]) * v1 / (v1 - v2)))
+            if len(crossings) >= 2:
+                segments.append((crossings[0], crossings[1]))
+    return segments
 
 
 # the square lattice's point group, written out as maps of (x, y)

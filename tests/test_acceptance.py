@@ -220,7 +220,7 @@ def test_criterion_10_phonon_closed_form():
 def test_criterion_11_phase_map():
     V0s = list(np.linspace(100.0, 600.0, 21))
     lams = list(np.linspace(0.05, 5.0, 26))
-    grid = phases.phase_grid(V0s, lams, 20.0)
+    grid = phases.phase_grid(V0s, lams, 20.0, phases.PhaseFamily())
     labels = set(grid.label.ravel().tolist())
     ok_labels = labels == set(phases.LABELS)
     ok_contour = len(grid.contour) > 0

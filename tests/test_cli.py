@@ -485,8 +485,8 @@ def test_plain_phase_is_the_library_map_of_the_default_family(tmp_path):
     assert [(r["T_pair_nK"], r["T_bkt_nK"], r["label"]) for r in rows] == list(zip(
         grid.T_pair.ravel().tolist(), grid.T_bkt.ravel().tolist(), grid.label.ravel().tolist()))
     segments = json.loads((out / "phase_contour.json").read_text())
-    assert [(s["V0_a"], s["lambda_a"], s["V0_b"], s["lambda_b"]) for s in segments] == [
-        (p[0], p[1], q[0], q[1]) for p, q in grid.contour]
+    assert [[s["V0_a"], s["lambda_a"], s["V0_b"], s["lambda_b"]] for s in segments] == (
+        grid.contour.reshape(-1, 4).tolist())
 
 
 def test_binding_without_config_loads_neither_scipy_nor_yaml():

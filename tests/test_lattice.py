@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ ONE_SITE = dict(centers=[[0.0, 0.0]], displacements=[[[0.1, 0.0], [-0.1, 0.0]]],
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError, match="depth and waist must be positive"):
+    with pytest.raises(ValueError, match="^V0_ph must be positive, got -1.0$"):
         SpotPattern("x", V0_ph=-1.0, w_ph=0.6, **ONE_SITE)
     for ctor in PATTERN_CONSTRUCTORS.values():   # D > w/2: double well
         with pytest.raises(ValueError, match="^spot half-separation must satisfy"):
@@ -47,6 +48,16 @@ def test_pattern_validation():
 def test_non_finite_fields_are_rejected_by_name(build, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         build(value)
+
+
+@pytest.mark.parametrize("ctor", PATTERN_CONSTRUCTORS.values())
+@pytest.mark.parametrize("D", [math.inf, -math.inf, math.nan])
+def test_non_finite_D_is_rejected_before_it_scales_the_spots(ctor, D):
+    # no numpy warning first: 0 * inf in a spot offset would emit one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^D must be finite, got {D}$"):
+            ctor(1.73, 100.0, 0.6, D, extent=0)
 
 
 @pytest.mark.parametrize("arrays", [

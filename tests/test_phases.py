@@ -17,7 +17,7 @@ from hhsim.phases import (
     t_pair,
 )
 
-from _oracles import phase_point_scalar
+from _oracles import delta_t_contour_loop, phase_point_scalar
 
 
 def test_t_pair_clamped_at_zero():
@@ -89,14 +89,45 @@ def test_contour_on_synthetic_grid():
     assert x1 == pytest.approx(0.5) and x2 == pytest.approx(0.5)
     # Delta T changes sign along lambda, crossing at 3/4 of each edge
     segs = delta_t_contour(xs, ys, np.array([[3.0, -1.0], [3.0, -1.0]]))
-    assert segs == [((1.0, 0.75), (0.0, 0.75))]
+    assert segs.tolist() == [[[1.0, 0.75], [0.0, 0.75]]]
     # uniform sign, or zero everywhere: no contour
-    assert delta_t_contour(xs, ys, np.ones((2, 2))) == []
-    assert delta_t_contour(xs, ys, np.zeros((2, 2))) == []
+    assert delta_t_contour(xs, ys, np.ones((2, 2))).shape == (0, 2, 2)
+    assert delta_t_contour(xs, ys, np.zeros((2, 2))).shape == (0, 2, 2)
+
+
+@st.composite
+def contour_grids(draw):
+    """(V0 axis, lambda axis, Delta T) with exact zeros of both signs,
+    tied values, NaN cells and 1-point axes."""
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    axis = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.0]), st.floats(-100.0, 100.0))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan]), st.floats(-10.0, 10.0))
+    xs = draw(st.lists(axis, min_size=nx, max_size=nx))
+    ys = draw(st.lists(axis, min_size=ny, max_size=ny))
+    dT = np.array(draw(st.lists(value, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    return xs, ys, dT
+
+
+def _assert_same_segments(got, ref):
+    assert got.shape == (len(ref), 2, 2)
+    assert got.tobytes() == np.array(ref, dtype=float).reshape(-1, 2, 2).tobytes()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(grid=contour_grids())
+def test_contour_is_the_cell_loop_bit_for_bit(grid):
+    _assert_same_segments(delta_t_contour(*grid), delta_t_contour_loop(*grid))
+
+
+def test_default_map_contour_is_the_cell_loop_bit_for_bit():
+    grid = phase_grid(np.linspace(100.0, 600.0, 21), np.linspace(0.05, 5.0, 26), 20.0,
+                      PhaseFamily())
+    dT = grid.T_bkt - grid.T_pair
+    _assert_same_segments(grid.contour, delta_t_contour_loop(grid.V0_axis, grid.lam_axis, dT))
 
 
 def test_phase_grid_structure():
-    grid = phase_grid([300.0, 400.0, 500.0], [0.5, 1.5, 2.5, 3.5], 20.0)
+    grid = phase_grid([300.0, 400.0, 500.0], [0.5, 1.5, 2.5, 3.5], 20.0, PhaseFamily())
     assert grid.V0_axis.shape == grid.t_Hz.shape == (3,) and grid.lam_axis.shape == (4,)
     for arr in (grid.t_prime_Hz, grid.T_pair, grid.T_bkt, grid.label):
         assert arr.shape == (3, 4)
@@ -147,7 +178,7 @@ def test_family_rejects_non_positive_scales(name, value):
 ])
 def test_phase_grid_rejects_non_finite_inputs_by_name(V0s, lams, T, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        phase_grid(V0s, lams, T)
+        phase_grid(V0s, lams, T, PhaseFamily())
 
 
 @pytest.mark.parametrize("lams, T, message", [
@@ -157,6 +188,6 @@ def test_phase_grid_rejects_non_finite_inputs_by_name(V0s, lams, T, name):
 ])
 def test_phase_grid_rejects_negative_coupling_and_temperature(lams, T, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        phase_grid([100.0], lams, T)
+        phase_grid([100.0], lams, T, PhaseFamily())
     # zero is a valid coupling and temperature: below T_bkt, with no pairing gap
-    assert phase_grid([100.0], [0.0], 0.0).label.tolist() == [["BKTRegime"]]
+    assert phase_grid([100.0], [0.0], 0.0, PhaseFamily()).label.tolist() == [["BKTRegime"]]

@@ -55,6 +55,8 @@ RUNS = {
     "stark-rb87": ["stark", "--species", "Rb-87", "--steps", "51"],
     "stark-lines": ["stark", "--wl-min", "766.7", "--wl-max", "770.1", "--steps", "5"],
     "phase": ["phase", "--T", "5"],
+    # a finer grid than the default: the contour's full-precision bytes over many segments
+    "phase-fine-json": ["--format", "json", "phase", "--v0-steps", "41", "--lam-steps", "61"],
     "phonon-json": ["--format", "json", "phonon", "--pattern", "crossed"],
     "phonon-holstein-b": ["phonon", "--pattern", "holstein", "--b", "0.3"],
     "phi-map-rotated": ["phi-map", "--pattern", "offset-parallel-rotated",
