@@ -36,6 +36,11 @@ _SCAN_STEP = 0.1    # sign-scan grid step in s = ln(|E|/8t' - 1)
 _SCAN_TABLE_POINTS = 283  # scan points in the import-time Green's table: s <= 3.09, |E| <= 184.6 t'
 _POLE_SCAN = (0.0, 2.0, 4001)  # lam range and grid points of the pole scan
 _POLE_TOL = 1e-12   # root bracket width of a pole, in lam
+_NEAR = np.arange(-1, 3)   # a bracket's four known points, from the point left of its lower end
+# the polish cluster's offsets from its estimate c, in units of tol
+_CLUSTER = np.concatenate([-0.25 * 4.0 ** np.arange(_CLUSTER_SIDE - 1, -1, -1), [0.0],
+                           0.25 * 4.0 ** np.arange(_CLUSTER_SIDE)])
+_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])   # row k: the points other than k
 
 # The orbits of each variant, in determinant order: the UVModel field
 # that carries the potential, and the displacements that carry it.
@@ -158,11 +163,24 @@ class LFParams:
 
 def _orbit_det(M, variant, potentials):
     """det(I + sum_k M_k N_k diag(v)) over the orbits of the variant, at
-    every energy of the Green's table M (shape (6,) + energies)."""
+    every energy of the Green's table M (shape (6,) + energies).
+
+    One ``einsum``, in numpy's own loops, builds the matrix with the
+    energies trailing, shape (n, n) + energies; the determinant is the
+    explicit 2x2 (``diagonal``) or 3x3 (``full``) cofactor expansion
+    along the first row.  Neither makes a BLAS or LAPACK call.
+    """
     N = _COUNTS[variant]
-    k, n = N.shape[:2]
-    A = (M.reshape(k, -1).T @ N.reshape(k, n * n)).reshape(M.shape[1:] + (n, n))
-    return np.linalg.det(A * potentials + np.eye(n))
+    n = N.shape[1]
+    # a C-ordered M gives a C-ordered B, so the reshape below is a view
+    M = np.ascontiguousarray(M)
+    B = np.einsum("kij,k...->ij...", N * potentials, M)
+    B.reshape((n * n,) + M.shape[1:])[::n + 1] += 1.0   # the identity, on the strided diagonal
+    if n == 2:
+        (a, b), (c, d) = B
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = B
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def det_diagonal(E, U, V, t_prime):
@@ -220,10 +238,8 @@ def _inverse_cubic(x, y):
     """Zero of the cubic x(y) through the four points (x[:, k], y[:, k]) of
     each row; not finite where two y of a row are equal."""
     # Lagrange weight of point k at y = 0: prod over m != k of y_m / (y_m - y_k)
-    ratio = y[:, None, :] / (y[:, None, :] - y[:, :, None])
-    k = np.arange(4)
-    ratio[:, k, k] = 1.0
-    return np.einsum("ik,ik->i", x, ratio.prod(axis=2))
+    others = y[:, _OTHERS]
+    return np.einsum("ik,ik->i", x, (others / (others - y[:, :, None])).prod(axis=2))
 
 
 def _scan_roots(f, xs, vals, tol):
@@ -249,12 +265,11 @@ def _scan_roots(f, xs, vals, tol):
     exact = xs[:-1][vals[:-1] == 0.0]
     k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     # four known points per bracket, ascending in x, its ends in columns 1 and 2
-    near = np.clip(k[:, None] + np.arange(-1, 3), 0, n - 1)
+    near = np.minimum(np.maximum(k[:, None] + _NEAR, 0), n - 1)
     if xs[-1] < xs[0]:
         near = near[:, ::-1]
     px, pf = xs[near], vals[near]
-    steps = 0.25 * tol * 4.0 ** np.arange(_CLUSTER_SIDE)
-    offsets = np.concatenate([-steps[::-1], [0.0], steps])
+    offsets = tol * _CLUSTER
     cols = offsets.size + 2   # the cluster between the bracket's two ends
     bisect = np.zeros(len(k), dtype=bool)   # the last step did not halve the bracket
     live = np.flatnonzero(px[:, 2] - px[:, 1] > tol)
@@ -262,9 +277,10 @@ def _scan_roots(f, xs, vals, tol):
         x4, f4 = px[live], pf[live]
         a, b, fa, fb = x4[:, 1], x4[:, 2], f4[:, 1], f4[:, 2]
         c = 0.5 * (a + b)
+        interpolate = ~bisect[live]
         with np.errstate(all="ignore"):   # flat pieces make the estimates inf or nan
             for estimate in (b - fb * (b - a) / (fb - fa), _inverse_cubic(x4, f4)):
-                c = np.where((a < estimate) & (estimate < b) & ~bisect[live], estimate, c)
+                c = np.where((a < estimate) & (estimate < b) & interpolate, estimate, c)
         first, last = (a + 0.25 * tol)[:, None], (b - 0.25 * tol)[:, None]
         c = np.minimum(np.maximum(c[:, None], first), last)
         X, F = np.empty((live.size, cols)), np.empty((live.size, cols))
@@ -278,11 +294,14 @@ def _scan_roots(f, xs, vals, tol):
             np.where(F == 0.0, abs(X - c), np.inf)], axis=1)
         j = distance.argmin(axis=1)
         closed = j >= cols - 1
-        j[closed] -= cols - 1
+        any_closed = closed.any()
+        if any_closed:
+            j[closed] -= cols - 1
         rows = np.arange(live.size)[:, None]
-        near = np.minimum(np.maximum(j[:, None] + np.arange(-1, 3), 0), cols - 1)
+        near = np.minimum(np.maximum(j[:, None] + _NEAR, 0), cols - 1)
         x4, f4 = X[rows, near], F[rows, near]
-        x4[closed, 1:3] = X[closed, j[closed]][:, None]
+        if any_closed:
+            x4[closed, 1:3] = X[closed, j[closed]][:, None]
         px[live], pf[live] = x4, f4
         width = x4[:, 2] - x4[:, 1]
         bisect[live] = width > 0.5 * (b - a)

@@ -87,7 +87,7 @@ class RydbergSpec:
 
 def rydberg_potential(r, spec):
     """Dressed pair potential (MHz) at separation r (um)."""
-    if np.any(np.asarray(r) < 0):
+    if not np.all(np.asarray(r) >= 0):
         raise ValueError("separation must be nonnegative")
     return spec.V_tilde / (spec.r_c**spec.eta + np.asarray(r) ** spec.eta)
 

@@ -9,7 +9,9 @@ the light shift is built from reduced dipole matrix elements.  The pair
 determinants and the band-edge binding condition are written out by
 hand; they take M_nl from ``hhsim.greens`` and the band-edge C_nl
 limits from ``greens_C_threshold`` below, and check how ``hhsim.pairs``
-assembles them.  The Phi map is summed by a scalar double loop over
+assembles them; the orbit determinant is also taken the general way,
+by a matrix product and an LU determinant per energy.  The Phi map is
+summed by a scalar double loop over
 the scalar coupling constant, and a phase-map point is computed alone
 in scalar floats, its pair mass written out in SI units; the Delta T
 = 0 contour is traced by a loop over cells and their edges.  The ED
@@ -234,6 +236,15 @@ def bisection_roots(f, xs, vals, tol):
                 b = m
         roots.append(0.5 * (a + b))
     return sorted(float(r) for r in roots)
+
+
+def orbit_det_lu(M, counts, potentials):
+    """det(I + sum_k M_k N_k diag(v)) at every energy of the Green's table
+    M (shape (6,) + energies), with N = counts (shape (6, n, n)): one
+    matrix product for the sum and an LU determinant per energy."""
+    k, n = counts.shape[:2]
+    A = (M.reshape(k, -1).T @ counts.reshape(k, n * n)).reshape(M.shape[1:] + (n, n))
+    return np.linalg.det(A * potentials + np.eye(n))
 
 
 def _M_dict(E, t_prime):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -33,6 +34,7 @@ from _oracles import (
     det_diagonal_by_hand,
     det_full_by_hand,
     fd_second_derivative,
+    orbit_det_lu,
 )
 
 
@@ -103,6 +105,34 @@ def test_determinants_are_roots_of_pair_energies():
     assert states
     for s in states:
         assert abs(det_full(s.E, -6.0, -2.0, -1.0, 1.0)) < 1e-8
+
+
+def _largest_cofactor_term(B):
+    """max |B_0p B_1q B_2r| over the permutations (p, q, r) of a 3x3 B,
+    or |B_0p B_1q| of a 2x2, at every energy; B has shape energies + (n, n)."""
+    return np.max([np.prod([np.abs(B[..., i, p]) for i, p in enumerate(perm)], axis=0)
+                   for perm in itertools.permutations(range(B.shape[-1]))], axis=0)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(variant=st.sampled_from(sorted(pairs._ORBITS)), tp=st.floats(0.3, 3.0),
+       depths=st.lists(st.floats(-10.0, 2.5), min_size=1, max_size=8),
+       potentials=st.lists(st.floats(-40.0, 40.0), min_size=3, max_size=3))
+def test_orbit_det_equals_the_lu_determinant(variant, tp, depths, potentials):
+    # E = -8t' - t' 10^u reaches from 1e-10 t' below the band edge to
+    # kappa = 8t'/|E| below 0.025, past the series switch at kappa = 0.7;
+    # each draw adds one energy within 1e-9 t' of the edge and one past
+    # the switch.  The tolerance is relative to the largest term of the
+    # cofactor sum, since near a root the determinant cancels to 0
+    N = pairs._COUNTS[variant]
+    v = tuple(p * tp for p in potentials[:N.shape[1]])
+    E = tp * (-8.0 - 10.0 ** np.array(depths + [-9.5, 1.0]))
+    for M in (greens_M_table(E, tp), greens_M_table(E[0], tp)):
+        ref = orbit_det_lu(M, N, v)
+        B = np.einsum("kij,k...->...ij", N * v, M) + np.eye(N.shape[1])
+        got = pairs._orbit_det(M, variant, v)
+        assert np.shape(got) == np.shape(ref)
+        assert np.all(np.abs(got - ref) <= 1e-12 * _largest_cofactor_term(B))
 
 
 def test_determinants_accept_energy_arrays():
@@ -320,6 +350,24 @@ def test_every_scan_grid_is_finer_than_the_240_point_scan_and_reaches_the_bracke
         assert abs(s[0] - s_lo) < 1e-4, model
         assert np.all(np.diff(s) <= (s_hi - s_lo) / 239), model
         assert s[-2] < s_hi <= s[-1], model
+
+
+def test_inverse_cubic_is_the_zero_of_the_cubic_through_four_points():
+    # rows of x = c0 + c1 y + c2 y^2 + c3 y^3 at four distinct y: the
+    # interpolant is the cubic itself, so its zero is x(0) = c0, found
+    # with no division by zero (a RuntimeWarning fails the test)
+    rng = np.random.default_rng(7)
+    c = rng.uniform(-2.0, 2.0, size=(50, 4))
+    y = np.sort(rng.uniform(-1.0, 1.0, size=(50, 4)), axis=1)
+    y[:, 1:] += 0.1 * np.arange(1, 4)   # at least 0.1 apart
+    x = c[:, :1] + c[:, 1:2] * y + c[:, 2:3] * y**2 + c[:, 3:] * y**3
+    assert np.allclose(pairs._inverse_cubic(x, y), c[:, 0], rtol=0.0, atol=1e-9)
+    # two equal y in a row leave that row's zero undefined, and only it
+    y[::2, 2] = y[::2, 1]
+    with np.errstate(all="ignore"):
+        zeros = pairs._inverse_cubic(x, y)
+    assert not np.any(np.isfinite(zeros[::2]))
+    assert np.allclose(zeros[1::2], c[1::2, 0], rtol=0.0, atol=1e-9)
 
 
 def _scan(f, lo, hi, n, tol):

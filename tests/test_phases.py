@@ -41,6 +41,10 @@ def test_t_bkt_formula_and_domain():
         t_bkt(3.9, m, a)  # lnln argument <= 1
     with pytest.raises(ValueError):
         t_bkt(n_B, np.array([m, 0.0]), a)
+    with pytest.raises(ValueError, match="positive mass"):
+        t_bkt(n_B, np.array([math.nan]), a)
+    with pytest.raises(ValueError, match="^a must be finite"):
+        t_bkt(n_B, m, math.nan)
 
 
 def test_classify_all_labels_reachable():

@@ -78,6 +78,8 @@ def test_potential_soft_core():
     assert rydberg_potential(2.0, spec) == pytest.approx(spec.V_tilde / 2.0**6, rel=1e-3)
     with pytest.raises(ValueError):
         rydberg_potential(-1.0, spec)
+    with pytest.raises(ValueError, match="nonnegative"):
+        rydberg_potential(np.array([math.nan]), spec)
 
 
 def test_coupling_antisymmetric_and_projective():

@@ -41,11 +41,16 @@ RUNS = {
     "binding-full": ["binding", "--model", "full"],
     "binding-physical": ["binding", "--model", "physical", "--renormalized"],
     "pair": ["pair", "--U", "-6"],
+    # the diagonal model's determinant roots at full precision (the CSV prints 10 digits)
+    "pair-json": ["--format", "json", "pair", "--U", "-6"],
     # search brackets down to s = ln(|E|/8t' - 1) = 5.6, past the end of pairs' scan table
     "pair-deep": ["pair", "--U", "-2000", "--steps", "5"],
     "oracle-compare": ["oracle", "--U", "-10", "--V1", "-1", "--compare"],
     "oracle-full": ["oracle", "--model", "full", "--U", "-6", "--V1", "-1", "--V2", "-1",
                     "--sizes", "8,12,16"],
+    # the full model's determinant root at full precision, in oracle_summary.json
+    "oracle-full-compare": ["oracle", "--model", "full", "--U", "-10", "--V1", "-1", "--V2", "-1",
+                            "--sizes", "8,12,16", "--compare"],
     # sectors of 153, 325 and 561 states: both sides of oracle._DENSE_MAX
     "oracle-straddle": ["oracle", "--model", "full", "--U", "-10", "--V1", "-1", "--V2", "-1",
                         "--sizes", "32,48,64"],
