@@ -136,9 +136,9 @@ def _settings(path):
 
 
 def _rydberg_spec(s):
-    return rydberg.RydbergSpec.from_rc(C6=rydberg.c6_interpolated(s["n_ryd"]),
-                                       r_c=s["r_c_over_a"] * s["a"],
-                                       alpha_bar=s["alpha_bar"], eta=s["eta"])
+    return rydberg.RydbergSpec(C6=rydberg.c6_interpolated(s["n_ryd"]),
+                               r_c=s["r_c_over_a"] * s["a"],
+                               alpha_bar=s["alpha_bar"], eta=s["eta"])
 
 
 def _steps(args, flag="steps"):

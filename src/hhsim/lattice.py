@@ -26,7 +26,6 @@ from .constants import K_B, require_finite, require_positive
 
 # nK/um^2 -> J/m^2
 _CURV_SI = K_B * 1e-9 / 1e-12
-_FD_STEP = 1e-3          # finite-difference step of dynamical_matrix, in w_ph
 _STATIONARY_TOL = 1e-6   # largest centre gradient of a site, in V0_ph / w_ph
 _CLAMP_TOL = 1e-9        # negative curvature clamped to zero, relative to max|eig|
 
@@ -185,34 +184,22 @@ def site_potential(pattern, k, xy):
 
 
 def dynamical_matrix(pattern, k):
-    """Hessian (nK/um^2) of the potential of site k at its center.
+    """Hessian (nK/um^2) of the potential of site k at its center, in closed form.
 
-    Central finite differences with step h = _FD_STEP * w_ph and one
-    Richardson extrapolation step; the center must be a stationary
-    point (gradient below _STATIONARY_TOL * V0_ph / w_ph).
+    A spot with r = centre - spot, V_s = -(V0_ph/N_S) exp(-2|r|^2/w^2),
+    adds V_s (16 r r^T/w^4 - 4 I/w^2) to the Hessian and -4 V_s r/w^2 to
+    the gradient; the center must be a stationary point (gradient below
+    _STATIONARY_TOL * V0_ph / w_ph).  A sum of elementwise products,
+    symmetric by construction.
     """
-    h = _FD_STEP * pattern.w_ph
-    c = pattern.centers[k]
-
-    def V(dx, dy):
-        return site_potential(pattern, k, c + np.array([dx, dy]))
-
-    gx = (V(h, 0) - V(-h, 0)) / (2 * h)
-    gy = (V(0, h) - V(0, -h)) / (2 * h)
+    w2 = pattern.w_ph**2
+    r = -pattern.displacements[k]   # (N_S, 2)
+    V_s = spot_potential(np.sqrt((r * r).sum(axis=-1)), pattern.V0_ph, pattern.w_ph) / len(r)
+    gx, gy = -4.0 / w2 * (V_s[:, None] * r).sum(axis=0)
     if math.hypot(gx, gy) > _STATIONARY_TOL * pattern.V0_ph / pattern.w_ph:
         raise ValueError("site center is not a stationary point of the potential")
-
-    def hessian(step):
-        v0 = V(0, 0)
-        dxx = (V(step, 0) - 2 * v0 + V(-step, 0)) / step**2
-        dyy = (V(0, step) - 2 * v0 + V(0, -step)) / step**2
-        dxy = (V(step, step) - V(step, -step) - V(-step, step) + V(-step, -step)) / (4 * step**2)
-        return np.array([[dxx, dxy], [dxy, dyy]])
-
-    H1 = hessian(h)
-    H2 = hessian(h / 2.0)
-    H = (4.0 * H2 - H1) / 3.0
-    return 0.5 * (H + H.T)
+    terms = 16.0 * r[:, :, None] * r[:, None, :] / w2**2 - 4.0 * np.eye(2) / w2
+    return (V_s[:, None, None] * terms).sum(axis=0)
 
 
 @dataclass

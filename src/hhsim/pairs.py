@@ -264,6 +264,8 @@ def _scan_roots(f, xs, vals, tol):
     n = xs.size
     exact = xs[:-1][vals[:-1] == 0.0]
     k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    if not k.size:
+        return np.sort(exact)
     # four known points per bracket, ascending in x, its ends in columns 1 and 2
     near = np.minimum(np.maximum(k[:, None] + _NEAR, 0), n - 1)
     if xs[-1] < xs[0]:

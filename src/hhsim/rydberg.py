@@ -49,20 +49,22 @@ class RydbergSpec:
     """Dressing parameters of the Rydberg-mediated interaction."""
 
     C6: float                 # MHz um^eta
-    Delta_2p: float           # MHz
-    Omega_2p: float           # MHz
+    r_c: float                # soft-core radius, um
+    alpha_bar: float          # dressing ratio Omega/(2 Delta)
     eta: int = 6
-    alpha_bar: float = field(init=False)
-    r_c: float = field(init=False)
     V_tilde: float = field(init=False)
 
     def __post_init__(self):
         if self.eta not in (3, 6):
             raise ValueError("eta must be 3 or 6")
-        require_finite(C6=self.C6, Delta_2p=self.Delta_2p, Omega_2p=self.Omega_2p)
-        require_positive(C6=self.C6, Delta_2p=self.Delta_2p, Omega_2p=self.Omega_2p)
-        self.alpha_bar = self.Omega_2p / (2.0 * self.Delta_2p)
-        self.r_c = (self.C6 / (2.0 * self.Delta_2p)) ** (1.0 / self.eta)
+        require_finite(C6=self.C6, r_c=self.r_c, alpha_bar=self.alpha_bar)
+        require_positive(C6=self.C6, r_c=self.r_c, alpha_bar=self.alpha_bar)
+        try:
+            r_c_eta = self.r_c**self.eta
+        except OverflowError:   # beyond the float range
+            r_c_eta = math.inf
+        require_finite(**{"r_c**eta": r_c_eta})
+        require_positive(**{"r_c**eta": r_c_eta})   # r_c**eta can underflow to 0
         self.V_tilde = self.alpha_bar**4 * self.C6
         require_positive(V_tilde=self.V_tilde)   # alpha_bar**4 C6 can underflow to 0
         if self.alpha_bar > 0.2:
@@ -70,19 +72,6 @@ class RydbergSpec:
                 f"alpha_bar = {self.alpha_bar:.3f} exceeds 0.2; the perturbative "
                 "dressed potential is unreliable there"
             )
-
-    @classmethod
-    def from_rc(cls, C6, r_c, alpha_bar, eta=6):
-        """Build from a target soft-core radius instead of the detuning."""
-        require_finite(C6=C6, r_c=r_c, alpha_bar=alpha_bar)
-        require_positive(C6=C6, r_c=r_c, alpha_bar=alpha_bar)
-        try:
-            Delta = C6 / (2.0 * r_c**eta)
-        except OverflowError:   # r_c^eta beyond the float range: Delta underflows
-            Delta = 0.0
-        except ZeroDivisionError:   # r_c^eta underflows to 0
-            Delta = math.inf
-        return cls(C6=C6, Delta_2p=Delta, Omega_2p=2.0 * Delta * alpha_bar, eta=eta)
 
 
 def rydberg_potential(r, spec):

@@ -161,8 +161,7 @@ def test_criterion_08_pair_mass():
 
 def test_criterion_09_phi_map_structure():
     a = 1.73
-    spec = rydberg.RydbergSpec.from_rc(C6=rydberg.c6_interpolated(27),
-                                       r_c=0.1 * a, alpha_bar=0.004)
+    spec = rydberg.RydbergSpec(C6=rydberg.c6_interpolated(27), r_c=0.1 * a, alpha_bar=0.004)
     args = (250.0, 0.6, 0.2823)
 
     hol = rydberg.effective_interaction(lattice.holstein_reference(a, *args), spec, a)

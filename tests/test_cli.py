@@ -127,8 +127,8 @@ def test_config_keys_and_values_are_checked_before_any_output(tmp_path, capsys, 
     ("r_c_over_a: -0.1\n", f"r_c must be positive, got {-0.1 * DEFAULTS['a'][0]}"),
     ("alpha_bar: 0\n", "alpha_bar must be positive, got 0"),
     # positive, but r_c^6 overflows, r_c^6 underflows, or alpha_bar^4 C6 underflows
-    ("r_c_over_a: 1.0e+60\n", "Delta_2p must be positive, got 0.0"),
-    ("r_c_over_a: 1.0e-60\n", "Delta_2p must be finite, got inf"),
+    ("r_c_over_a: 1.0e+60\n", "r_c**eta must be finite, got inf"),
+    ("r_c_over_a: 1.0e-60\n", "r_c**eta must be positive, got 0.0"),
     ("alpha_bar: 1.0e-300\n", "V_tilde must be positive, got 0.0"),
 ])
 def test_degenerate_rydberg_config_is_rejected_before_any_output(tmp_path, capsys, config,
@@ -391,8 +391,8 @@ def test_params_w_lambda_is_the_t_independent_closed_form(tmp_path):
                  "params", "--v0-min", "150", "--v0-max", "550", "--steps", "5"]) == 0
     rows = json.loads((out / "params_sweep.json").read_text())
     a = config["a"]
-    spec = rydberg.RydbergSpec.from_rc(C6=rydberg.c6_interpolated(29), r_c=0.12 * a,
-                                       alpha_bar=DEFAULTS["alpha_bar"][0])
+    spec = rydberg.RydbergSpec(C6=rydberg.c6_interpolated(29), r_c=0.12 * a,
+                               alpha_bar=DEFAULTS["alpha_bar"][0])
     phi00 = rydberg.effective_interaction(lattice.holstein_reference(a, 100.0, 0.62, 0.29),
                                           spec, a).phi00
     phi00_si = phi00 * (1e6 * H_PLANCK) ** 2 / 1e-12   # MHz^2/um^2 -> J^2/m^2

@@ -198,6 +198,25 @@ def test_dynamical_matrix_matches_analytic_two_spot():
     assert H[0, 1] == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("name", sorted(PATTERN_CONSTRUCTORS))
+@pytest.mark.parametrize("frac", [0.0, 0.2, 0.5])
+@pytest.mark.parametrize("where", ["centre", "corner"])
+def test_dynamical_matrix_matches_finite_differences_on_every_pattern(name, frac, where):
+    V0, w = 250.0, 0.6
+    pat = PATTERN_CONSTRUCTORS[name](1.73, V0, w, frac * w, extent=2)
+    k = len(pat.centers) // 2 if where == "centre" else 0
+    H = dynamical_matrix(pat, k)
+    # a zero entry (off-diagonal, or the soft axis at D = w/2) is judged on the matrix's scale
+    scale = V0 / w**2
+    ref = fd_hessian_2d(lambda x, y: site_potential(pat, k, (x, y)), *pat.centers[k], 1e-4)
+    np.testing.assert_allclose(H, ref, rtol=1e-6, atol=1e-6 * scale)
+    if pat.displacements.shape[1] == 2:
+        p = pat.polarizations[k, 0]
+        soft = (H * p[:, None] * p[None, :]).sum()
+        assert soft == pytest.approx(two_spot_soft_curvature(V0, w, frac * w, 0.0),
+                                     rel=1e-12, abs=1e-12 * scale)
+
+
 def test_dynamical_matrix_rejects_non_stationary_point():
     lopsided = SpotPattern("x", 250.0, 0.6, centers=[[0.0, 0.0]],
                            displacements=[[[0.25, 0.0], [-0.1, 0.0]]],

@@ -38,24 +38,24 @@ def test_c6_endpoints_and_bounds():
 
 
 def test_spec_derived_quantities():
-    spec = RydbergSpec(C6=26.1, Delta_2p=100.0, Omega_2p=0.8)
-    assert spec.alpha_bar == pytest.approx(0.004)
-    assert spec.r_c == pytest.approx((26.1 / 200.0) ** (1.0 / 6.0))
-    assert spec.V_tilde == pytest.approx(0.004**4 * 26.1)
+    spec = RydbergSpec(C6=26.1, r_c=0.173, alpha_bar=0.004)
+    assert spec.V_tilde == 0.004**4 * 26.1
+
+
+def test_spec_keeps_its_inputs_exactly():
+    spec = RydbergSpec(C6=26.1, r_c=0.173, alpha_bar=0.004, eta=3)
+    assert (spec.C6, spec.r_c, spec.alpha_bar, spec.eta) == (26.1, 0.173, 0.004, 3)
 
 
 def test_spec_rejects_strong_dressing():
     with pytest.raises(ValueError):
-        RydbergSpec(C6=26.1, Delta_2p=1.0, Omega_2p=1.0)  # alpha_bar = 0.5
+        RydbergSpec(C6=26.1, r_c=0.173, alpha_bar=0.5)
 
 
 @pytest.mark.parametrize("build, field", [
-    (lambda v: RydbergSpec(C6=v, Delta_2p=100.0, Omega_2p=0.8), "C6"),
-    (lambda v: RydbergSpec(C6=26.1, Delta_2p=v, Omega_2p=0.8), "Delta_2p"),
-    (lambda v: RydbergSpec(C6=26.1, Delta_2p=100.0, Omega_2p=v), "Omega_2p"),
-    (lambda v: RydbergSpec.from_rc(C6=v, r_c=0.173, alpha_bar=0.004), "C6"),
-    (lambda v: RydbergSpec.from_rc(C6=26.1, r_c=v, alpha_bar=0.004), "r_c"),
-    (lambda v: RydbergSpec.from_rc(C6=26.1, r_c=0.173, alpha_bar=v), "alpha_bar"),
+    (lambda v: RydbergSpec(C6=v, r_c=0.173, alpha_bar=0.004), "C6"),
+    (lambda v: RydbergSpec(C6=26.1, r_c=v, alpha_bar=0.004), "r_c"),
+    (lambda v: RydbergSpec(C6=26.1, r_c=0.173, alpha_bar=v), "alpha_bar"),
 ])
 @pytest.mark.parametrize("value, problem", [(math.nan, "finite"), (math.inf, "finite"),
                                             (0.0, "positive"), (-0.1, "positive")])
@@ -64,14 +64,8 @@ def test_spec_rejects_degenerate_values_by_name(build, field, value, problem):
         build(value)
 
 
-def test_from_rc_round_trip():
-    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.173, alpha_bar=0.004)
-    assert spec.r_c == pytest.approx(0.173, rel=1e-12)
-    assert spec.alpha_bar == pytest.approx(0.004, rel=1e-12)
-
-
 def test_potential_soft_core():
-    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.2, alpha_bar=0.004)
+    spec = RydbergSpec(C6=26.1, r_c=0.2, alpha_bar=0.004)
     v0 = rydberg_potential(0.0, spec)
     assert v0 == pytest.approx(spec.V_tilde / spec.r_c**6)
     # beyond the core it crosses over to plain van der Waals decay
@@ -83,7 +77,7 @@ def test_potential_soft_core():
 
 
 def test_coupling_antisymmetric_and_projective():
-    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.173, alpha_bar=0.004)
+    spec = RydbergSpec(C6=26.1, r_c=0.173, alpha_bar=0.004)
     z = np.array([1.0, 0.0])
     f = coupling_f((1.0, 0.5), (0.0, 0.0), z, spec)
     f_flip = coupling_f((-1.0, -0.5), (0.0, 0.0), z, spec)
@@ -95,7 +89,7 @@ def test_coupling_antisymmetric_and_projective():
 
 
 def test_coupling_is_potential_gradient():
-    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.173, alpha_bar=0.004)
+    spec = RydbergSpec(C6=26.1, r_c=0.173, alpha_bar=0.004)
     x = 1.1
     h = 1e-6
     grad = (rydberg_potential(x + h, spec) - rydberg_potential(x - h, spec)) / (2 * h)
@@ -105,7 +99,7 @@ def test_coupling_is_potential_gradient():
 
 def test_effective_interaction_normalization_and_symmetry():
     a = 1.73
-    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.1 * a, alpha_bar=0.004)
+    spec = RydbergSpec(C6=26.1, r_c=0.1 * a, alpha_bar=0.004)
     pat = offset_parallel(a, 250.0, 0.6, 0.2823, b=0.25 * a * math.sqrt(2.0))
     emap = effective_interaction(pat, spec, a)
     assert emap.values[(0, 0)] == 1.0
@@ -116,7 +110,7 @@ def test_effective_interaction_normalization_and_symmetry():
 
 def test_crossed_map_equals_sum_of_rotated_parallels():
     a = 1.73
-    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.1 * a, alpha_bar=0.004)
+    spec = RydbergSpec(C6=26.1, r_c=0.1 * a, alpha_bar=0.004)
     b = 0.5 * a * math.sqrt(2.0)
     cross = effective_interaction(crossed(a, 250.0, 0.6, 0.2823), spec, a)
     p1 = effective_interaction(offset_parallel(a, 250.0, 0.6, 0.2823, b), spec, a)
@@ -128,7 +122,7 @@ def test_crossed_map_equals_sum_of_rotated_parallels():
 
 @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
 def test_effective_interaction_rejects_bad_lattice_constant(a):
-    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.173, alpha_bar=0.004)
+    spec = RydbergSpec(C6=26.1, r_c=0.173, alpha_bar=0.004)
     pat = offset_parallel(1.73, 250.0, 0.6, 0.2823, extent=1)
     with pytest.raises(ValueError, match="lattice constant"):
         effective_interaction(pat, spec, a)
@@ -138,7 +132,7 @@ def test_effective_interaction_rejects_bad_lattice_constant(a):
 @given(name=st.sampled_from(sorted(PATTERN_CONSTRUCTORS)), extent=st.sampled_from([1, 3, 5]),
        a=st.floats(1.6, 1.9), eta=st.sampled_from([3, 6]))
 def test_array_path_matches_scalar_references(name, extent, a, eta):
-    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.1 * a, alpha_bar=0.004, eta=eta)
+    spec = RydbergSpec(C6=26.1, r_c=0.1 * a, alpha_bar=0.004, eta=eta)
     pat = PATTERN_CONSTRUCTORS[name](a, 100.0, 0.6, 0.2823, extent=extent)
     emap = effective_interaction(pat, spec, a)
 
@@ -174,7 +168,7 @@ def test_array_path_matches_scalar_references(name, extent, a, eta):
 @pytest.mark.parametrize("name", sorted(PATTERN_CONSTRUCTORS))
 def test_truncation_at_extent_five_is_below_1e6_of_phi00(name):
     a = 1.73
-    spec = RydbergSpec.from_rc(C6=26.1, r_c=0.1 * a, alpha_bar=0.004, eta=6)
+    spec = RydbergSpec(C6=26.1, r_c=0.1 * a, alpha_bar=0.004, eta=6)
     m5, m8 = (effective_interaction(PATTERN_CONSTRUCTORS[name](a, 100.0, 0.6, 0.2823, extent=n),
                                     spec, a) for n in (5, 8))
     for d in m8.values:

@@ -63,6 +63,9 @@ RUNS = {
     # a finer grid than the default: the contour's full-precision bytes over many segments
     "phase-fine-json": ["--format", "json", "phase", "--v0-steps", "41", "--lam-steps", "61"],
     "phonon-json": ["--format", "json", "phonon", "--pattern", "crossed"],
+    # with figures (offset-parallel) and phonon-holstein-b, every pattern's phonon_modes.json
+    "phonon-json-rotated": ["--format", "json", "phonon", "--pattern", "offset-parallel-rotated"],
+    "phonon-json-bipartite": ["--format", "json", "phonon", "--pattern", "bipartite-parallel"],
     "phonon-holstein-b": ["phonon", "--pattern", "holstein", "--b", "0.3"],
     "phi-map-rotated": ["phi-map", "--pattern", "offset-parallel-rotated",
                         "--b-over-aprime", "0.3"],
