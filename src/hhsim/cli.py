@@ -197,7 +197,6 @@ def cmd_phonon(args, sink):
         "modes": [{"omega_rad_s": m.frequency,
                    "freq_Hz": m.frequency / (2 * math.pi),
                    "polarization": list(m.polarization)} for m in modes],
-        "two_spot_closed_form_rad_s": lattice.two_spot_frequency(V0_ph, w_ph, D, M_RB87),
     })
     xs = np.linspace(-w_ph, w_ph, steps)
     points = pattern.centers[k] + np.stack([xs, np.zeros_like(xs)], axis=-1)
@@ -268,8 +267,8 @@ def cmd_pair(args, sink):
     rows = []
     for V in np.linspace(*_bounds(args, "v", args.v_min, args.v_max), _steps(args)):
         U = args.U if args.U is not None else float(V)
-        for s in pairs.pair_energies(pairs.UVModel.diagonal(U, float(V), tp)):
-            rows.append((U, float(V), s.branch, s.E))
+        for branch, s in enumerate(pairs.pair_energies(pairs.UVModel.diagonal(U, float(V), tp))):
+            rows.append((U, float(V), branch, s.E))
     sink.emit_table("pair_energies", ["U", "V", "branch", "E"], rows)
 
 

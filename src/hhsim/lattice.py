@@ -63,9 +63,10 @@ _YHAT = np.array([0.0, 1.0])
 
 def _grid(a, extent):
     """Integer (i, j) of every |i|, |j| <= extent, (n, 2), row-major with i outer."""
-    if not (math.isfinite(a) and a > 0) or operator.index(extent) < 0:  # float extent: TypeError
-        raise ValueError(f"lattice constant a must be finite and positive and extent "
-                         f"an integer >= 0, got a={a}, extent={extent}")
+    require_finite(a=a)
+    require_positive(a=a)
+    if operator.index(extent) < 0:  # float extent: TypeError
+        raise ValueError(f"extent must be an integer >= 0, got {extent}")
     span = np.arange(-extent, extent + 1)
     return np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
 
@@ -221,6 +222,8 @@ def phonon_modes(matrix, M):
     anything more negative means an unstable site.  Modes are returned
     in descending frequency.
     """
+    require_finite(M=M)
+    require_positive(M=M)
     matrix = np.asarray(matrix, dtype=float)
     if not np.allclose(matrix, matrix.T):
         raise ValueError("dynamical matrix must be symmetric")
@@ -245,6 +248,8 @@ def two_spot_frequency(V0_ph, w_ph, D, M):
     V0_ph in nK and lengths in um; vanishes at D = w/2 where the
     curvature at the midpoint flattens out.
     """
+    require_finite(V0_ph=V0_ph, w_ph=w_ph, D=D, M=M)
+    require_positive(V0_ph=V0_ph, w_ph=w_ph, M=M)
     if not (0.0 <= D <= w_ph / 2.0):
         raise ValueError("D must satisfy 0 <= D <= w_ph/2")
     V0_J = V0_ph * 1e-9 * K_B

@@ -138,8 +138,9 @@ class UVModel:
 
 @dataclass
 class PairState:
+    """A pair energy; its index in the ascending list that holds it is its branch."""
+
     E: float
-    branch: int
     immobile: bool = False
 
 
@@ -197,12 +198,6 @@ def det_full(E, U, V1, V2, t_prime):
     E may be a scalar or an array of energies.
     """
     return _orbit_det(greens_M_table(E, t_prime), "full", (U, V1, V2))
-
-
-def _determinant_for(model):
-    if model.variant == "diagonal":
-        return lambda E: det_diagonal(E, model.U, model.V2, model.t_prime)
-    return lambda E: det_full(E, model.U, model.V1, model.V2, model.t_prime)
 
 
 def _search_bracket_depth(model):
@@ -327,7 +322,8 @@ def pair_energies(model):
     values from ``_SCAN_M``, a table at t' = 1 built once at import up
     to s = 3.09; a deeper bracket gets its remaining points from one
     ``greens_M_table`` call.  ``_scan_roots`` then polishes each sign
-    change in E, each call evaluating an interpolated root and a
+    change in E through ``det_diagonal`` or ``det_full`` with the same
+    potentials, each call evaluating an interpolated root and a
     geometric cluster of energies around it, until each root's bracket
     is at most 1e-12 t' wide; a root-bearing solve usually takes one or
     two polish calls, and a solve without roots none.
@@ -336,9 +332,10 @@ def pair_energies(model):
     s_hi = math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)
     x, M = _scan_table(s_hi)
     potentials = tuple(getattr(model, field) for field, _ in _ORBITS[model.variant])
-    roots = _scan_roots(_determinant_for(model), tp * x, _orbit_det(M / tp, model.variant, potentials),
-                        _ROOT_TOL * tp)
-    return [PairState(E=E, branch=i) for i, E in enumerate(roots.tolist())]
+    det = det_diagonal if model.variant == "diagonal" else det_full
+    roots = _scan_roots(lambda E: det(E, *potentials, tp), tp * x,
+                        _orbit_det(M / tp, model.variant, potentials), _ROOT_TOL * tp)
+    return [PairState(E=E) for E in roots.tolist()]
 
 
 def threshold_diagonal(V, t_prime):
@@ -449,7 +446,7 @@ def threshold_physical_poles(t, renormalized):
 
 
 def pair_dispersion_strong_coupling(U, V, t_prime, k):
-    """Three strong-coupling pair branches at momentum k = (kx, ky).
+    """Three strong-coupling pair branches at momentum k = (kx, ky), ascending in E.
 
     E = V (an immobile intersite pair, excluded from mass estimates) and
     E = (U+V)/2 +/- sqrt((U-V)^2/4 + t'^2 (cos^2(kx a/2) + cos^2(ky a/2))),
@@ -459,15 +456,8 @@ def pair_dispersion_strong_coupling(U, V, t_prime, k):
     csq = math.cos(0.5 * kx) ** 2 + math.cos(0.5 * ky) ** 2
     root = math.sqrt(0.25 * (U - V) ** 2 + t_prime * t_prime * csq)
     mid = 0.5 * (U + V)
-    states = [
-        PairState(E=mid - root, branch=0),
-        PairState(E=V, branch=1, immobile=True),
-        PairState(E=mid + root, branch=2),
-    ]
-    states.sort(key=lambda s: s.E)
-    for i, s in enumerate(states):
-        s.branch = i
-    return states
+    return sorted([PairState(E=mid - root), PairState(E=V, immobile=True), PairState(E=mid + root)],
+                  key=lambda s: s.E)
 
 
 def pair_mass(U, V, t_prime):

@@ -128,8 +128,8 @@ def effective_interaction(pattern, spec, a):
     pattern extent of 5a, the truncation error of the site sum is below
     1e-6 of Phi_00 (the tail falls off as the 14th power of distance).
     """
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"lattice constant a must be finite and positive, got {a}")
+    require_finite(a=a)
+    require_positive(a=a)
     # one row per (site, polarization), in site order
     centers = np.repeat(pattern.centers, pattern.polarizations.shape[1], axis=0)
     zetas = pattern.polarizations.reshape(-1, 2)
@@ -148,6 +148,8 @@ def nnn_ratio_estimate(b, a, eta=6):
     b^(eta+1) / (a*sqrt(2) - b)^(eta+1) for a phonon site offset b
     along the diagonal, valid for r_c << b < a/sqrt(2).
     """
+    require_finite(b=b, a=a)
+    require_positive(b=b, a=a)
     return b ** (eta + 1) / (a * math.sqrt(2.0) - b) ** (eta + 1)
 
 

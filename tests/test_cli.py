@@ -251,6 +251,15 @@ def test_phonon_subcommand(tmp_path):
     assert all(m["omega_rad_s"] >= 0.0 for m in rec["modes"])
 
 
+@pytest.mark.parametrize("name", sorted(PATTERN_CONSTRUCTORS))
+def test_phonon_record_holds_only_the_pattern_and_its_modes(tmp_path, name):
+    # a two-spot closed form beside the modes would repeat them, and is
+    # wrong for the four-spot crossed site
+    out = tmp_path / "ph"
+    assert main(["--out", str(out), "phonon", "--pattern", name, "--steps", "2"]) == 0
+    assert set(json.loads((out / "phonon_modes.json").read_text())) == {"pattern", "modes"}
+
+
 def test_pattern_choices_are_the_registry():
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -84,9 +84,10 @@ def test_pattern_equality_is_identity():
 def test_constructors_reject_bad_grid_arguments(name):
     ctor = PATTERN_CONSTRUCTORS[name]
     for a in (0.0, -1.73, math.nan, math.inf):
-        with pytest.raises(ValueError, match="lattice constant"):
+        rule = "positive" if math.isfinite(a) else "finite"
+        with pytest.raises(ValueError, match=f"^a must be {rule}, got {a}$"):
             ctor(a, 250.0, 0.6, 0.25, extent=1)
-    with pytest.raises(ValueError, match="extent"):
+    with pytest.raises(ValueError, match="^extent must be an integer >= 0, got -1$"):
         ctor(1.73, 250.0, 0.6, 0.25, extent=-1)
     with pytest.raises(TypeError):
         ctor(1.73, 250.0, 0.6, 0.25, extent=1.5)

@@ -124,7 +124,8 @@ def test_crossed_map_equals_sum_of_rotated_parallels():
 def test_effective_interaction_rejects_bad_lattice_constant(a):
     spec = RydbergSpec(C6=26.1, r_c=0.173, alpha_bar=0.004)
     pat = offset_parallel(1.73, 250.0, 0.6, 0.2823, extent=1)
-    with pytest.raises(ValueError, match="lattice constant"):
+    rule = "positive" if math.isfinite(a) else "finite"
+    with pytest.raises(ValueError, match=f"^a must be {rule}, got {a}$"):
         effective_interaction(pat, spec, a)
 
 
