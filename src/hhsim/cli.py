@@ -9,8 +9,9 @@ every file with its SHA-256 digest.
 
 The physical defaults (``DEFAULTS``) are set by ``--config`` alone and
 resolved once per run; every value error (a non-finite ``--config``
-value included) and every file-system error end the run with one JSON
-line ``{"error": ...}`` on stderr and exit status 1.
+value, or a non-positive one of a key that must be positive, included)
+and every file-system error end the run with one JSON line
+``{"error": ...}`` on stderr and exit status 1, and write no file.
 """
 
 import argparse
@@ -42,23 +43,28 @@ DEFAULTS = {
     "prefactor": (1.0, "Stark-shift intensity prefactor in nK"),
     "omega_ratio": (18.52, "pinned phonon quantum in units of the hopping"),
 }
+# the keys that must be positive; the library calls that take the others
+# check their domains
+_POSITIVE = ("a", "r_c_over_a", "n_B", "alpha_bar", "w_ph", "V0_ph_scale", "omega_ratio")
 
 
 class OutputSink:
-    """Writes named CSV/JSON artifacts to a directory or stdout.
+    """Collects named CSV/JSON artifacts; ``finish`` writes them to a
+    directory, with a manifest, or to stdout.  A run that fails before
+    ``finish`` writes nothing.
 
     Every file name gets ``suffix`` appended to its stem; ``suffixed``
-    gives a view with another suffix that shares the manifest.
+    gives a view with another suffix that shares the payloads.
     """
 
-    def __init__(self, out_dir=None, fmt="csv", suffix="", manifest=None):
+    def __init__(self, out_dir=None, fmt="csv", suffix="", payloads=None):
         self.out_dir = Path(out_dir) if out_dir else None
         self.fmt = fmt
         self.suffix = suffix
-        self.manifest = {} if manifest is None else manifest   # file -> sha256
+        self.payloads = {} if payloads is None else payloads   # file -> text, in emit order
 
     def suffixed(self, suffix):
-        return OutputSink(self.out_dir, self.fmt, suffix, self.manifest)
+        return OutputSink(self.out_dir, self.fmt, suffix, self.payloads)
 
     def emit_table(self, name, header, rows):
         if self.fmt == "json":
@@ -74,30 +80,24 @@ class OutputSink:
                 w.writerow([_fmt_cell(x) for x in r])
             payload = buf.getvalue()
             ext = "csv"
-        self._write(f"{name}{self.suffix}.{ext}", payload)
+        self.payloads[f"{name}{self.suffix}.{ext}"] = payload
 
     def emit_record(self, name, record):
         payload = json.dumps(record, indent=2, sort_keys=True) + "\n"
-        self._write(f"{name}{self.suffix}.json", payload)
-
-    def _write(self, fname, payload):
-        if self.out_dir:
-            # made at the first write, so an error raised before it leaves no directory
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            (self.out_dir / fname).write_text(payload)
-            self.manifest[fname] = hashlib.sha256(payload.encode()).hexdigest()
-        else:
-            sys.stdout.write(f"# --- {fname} ---\n{payload}")
+        self.payloads[f"{name}{self.suffix}.json"] = payload
 
     def finish(self):
-        if self.out_dir and self.manifest:
-            manifest = {
-                "version": __version__,
-                "files": [{"file": f, "sha256": self.manifest[f]} for f in sorted(self.manifest)],
-            }
-            (self.out_dir / "manifest.json").write_text(
-                json.dumps(manifest, indent=2) + "\n"
-            )
+        if not self.out_dir:
+            for fname, payload in self.payloads.items():
+                sys.stdout.write(f"# --- {fname} ---\n{payload}")
+        elif self.payloads:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            for fname, payload in self.payloads.items():
+                (self.out_dir / fname).write_text(payload)
+            files = [{"file": f, "sha256": hashlib.sha256(self.payloads[f].encode()).hexdigest()}
+                     for f in sorted(self.payloads)]
+            manifest = {"version": __version__, "files": files}
+            (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _fmt_cell(x):
@@ -130,7 +130,10 @@ def _settings(path):
             raise ValueError(f"config {path}: unknown key {key!r}; known: {sorted(DEFAULTS)}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"config {path}: {key} must be a number, got {value!r}")
-        require_finite(**{f"config {path}: {key}": value})
+        named = {f"config {path}: {key}": value}
+        require_finite(**named)
+        if key in _POSITIVE:
+            require_positive(**named)
     settings.update(data)
     return settings
 

@@ -141,7 +141,6 @@ class PairState:
     """A pair energy; its index in the ascending list that holds it is its branch."""
 
     E: float
-    immobile: bool = False
 
 
 @dataclass
@@ -402,7 +401,7 @@ def lf_map_physical(params: LFParams):
 def threshold_physical(lam, t, renormalized):
     """Critical couplings of the physical case as a function of lam.
 
-    Returns a dict with t', the critical on-site potential U_cr
+    Returns a dict with the critical on-site potential U_cr
     (rational function with coefficients 0.1133, 2.9440, 0.5451,
     0.0142), and the corresponding critical Feshbach interaction
     U_Fesh_cr = U_cr + 8 t lam.
@@ -424,7 +423,6 @@ def threshold_physical(lam, t, renormalized):
     pole = den == 0.0
     U_cr = math.inf if pole else num / den
     return {
-        "t_prime": tp,
         "U_cr": U_cr,
         "U_fesh_cr": U_cr + 8.0 * t * lam,
         "pole": pole,
@@ -456,7 +454,7 @@ def pair_dispersion_strong_coupling(U, V, t_prime, k):
     csq = math.cos(0.5 * kx) ** 2 + math.cos(0.5 * ky) ** 2
     root = math.sqrt(0.25 * (U - V) ** 2 + t_prime * t_prime * csq)
     mid = 0.5 * (U + V)
-    return sorted([PairState(E=mid - root), PairState(E=V, immobile=True), PairState(E=mid + root)],
+    return sorted([PairState(E=mid - root), PairState(E=V), PairState(E=mid + root)],
                   key=lambda s: s.E)
 
 

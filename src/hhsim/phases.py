@@ -70,11 +70,8 @@ def classify(T, T_pair_, T_bkt_):
 
 @dataclass(eq=False)
 class PhaseGrid:
-    V0_axis: np.ndarray     # (nV0,), nK
     lam_axis: np.ndarray    # (nlambda,)
-    t_Hz: np.ndarray        # (nV0,)
-    t_prime_Hz: np.ndarray
-    T_pair: np.ndarray      # nK
+    T_pair: np.ndarray      # (nV0, nlambda), nK
     T_bkt: np.ndarray       # nK
     label: np.ndarray       # str
     contour: np.ndarray     # (n_segments, 2, 2): segment, end, (V0, lam)
@@ -146,6 +143,5 @@ def phase_grid(V0_axis, lam_axis, T, family):
     Tp = t_pair(W, lam, t_prime)
     m2 = pair_mass_onsite(W * H_PLANCK, lam, t_prime * H_PLANCK, family.a * 1e-6, HBAR)
     Tb = t_bkt(family.n_B, m2, family.a)
-    return PhaseGrid(V0_axis=V0, lam_axis=lam, t_Hz=t, t_prime_Hz=t_prime,
-                     T_pair=Tp, T_bkt=Tb, label=classify(T, Tp, Tb),
+    return PhaseGrid(lam_axis=lam, T_pair=Tp, T_bkt=Tb, label=classify(T, Tp, Tb),
                      contour=delta_t_contour(V0, lam, Tb - Tp))

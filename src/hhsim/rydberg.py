@@ -146,11 +146,15 @@ def nnn_ratio_estimate(b, a, eta=6):
     """Analytic estimate of the NNN-to-onsite interaction ratio |Phi_NNN|/|Phi_00|.
 
     b^(eta+1) / (a*sqrt(2) - b)^(eta+1) for a phonon site offset b
-    along the diagonal, valid for r_c << b < a/sqrt(2).
+    along the diagonal.  It is defined for 0 < b < a*sqrt(2), the offsets
+    a pattern accepts, and accurate for r_c << b < a/sqrt(2).
     """
     require_finite(b=b, a=a)
     require_positive(b=b, a=a)
-    return b ** (eta + 1) / (a * math.sqrt(2.0) - b) ** (eta + 1)
+    nnn = a * math.sqrt(2.0)   # the distance to the NNN fermion site
+    if not b < nnn:
+        raise ValueError(f"b must be below a*sqrt(2) = {nnn}, got {b}")
+    return b ** (eta + 1) / (nnn - b) ** (eta + 1)
 
 
 def lambda_dimensionless(phi00, W, M, omega_ph):

@@ -11,9 +11,10 @@ Each line enters with its own dipole strength.  The two-level shift of
 line i is hbar Gamma_i^2 I / (8 I_sat,i Delta_i) with
 I_sat,i = hbar omega_i^3 Gamma_i / (12 pi c^2), so lines of different
 linewidth and frequency do not share one saturation intensity: relative
-to the D2 line, whose I_sat is tabulated, the D1 weight Gamma_1^2 becomes
-Gamma_1 Gamma_2 (omega_2/omega_1)^3.  Equivalently, the ground-state
-scalar polarizability is proportional to
+to the D2 line, whose saturation intensity the intensity prefactor
+absorbs, the D1 weight Gamma_1^2 becomes Gamma_1 Gamma_2 (omega_2/omega_1)^3:
+the weights come from the line widths and frequencies alone.
+Equivalently, the ground-state scalar polarizability is proportional to
 sum_i (2J'+1) (Gamma_i/omega_i^3) omega_i/(omega_i^2 - omega^2), whose
 factors (2J'+1) are the 1 : 2 of the D1 : D2 terms.  That form also
 holds the counter-rotating term 1/(omega + omega_i) of each line, which
@@ -33,14 +34,9 @@ from .constants import require_finite, require_positive, wavelength_nm_to_angula
 
 @dataclass(frozen=True)
 class AtomLineData:
-    """D1/D2 line constants of one alkali species.
-
-    `I_sat` is the saturation intensity of the D2 line; the D1 value is
-    scaled from it by Gamma_1 omega_1^3 / (Gamma_2 omega_2^3).
-    """
+    """D1/D2 line wavelengths and widths of one alkali species."""
 
     species_name: str
-    I_sat: float        # W/m^2, D2 line
     lambda_D1: float    # nm
     lambda_D2: float    # nm
     Gamma_1: float      # rad/s, D1 linewidth
@@ -58,7 +54,6 @@ class AtomLineData:
 # tabulations sometimes mislabel it with the D1 symbol.
 K40 = AtomLineData(
     species_name="K-40",
-    I_sat=17.5,
     lambda_D1=770.1,
     lambda_D2=766.7,
     Gamma_1=2.0 * math.pi * 5.95e6,
@@ -67,7 +62,6 @@ K40 = AtomLineData(
 
 RB87 = AtomLineData(
     species_name="Rb-87",
-    I_sat=16.7,
     lambda_D1=795.0,
     lambda_D2=780.2,
     Gamma_1=2.0 * math.pi * 5.74e6,
@@ -106,9 +100,8 @@ def ac_stark_shift(atom, laser_wavelength, cfg):
               - g_F m_F sqrt(1 - eps^2) (w1 v1 - w2 v2) ]
     with the line weights
         w1 = Gamma_1 Gamma_2 (omega_2/omega_1)^3,   w2 = Gamma_2^2,
-    i.e. Gamma_i^2 I_sat/I_sat,i with I_sat,i proportional to
-    Gamma_i omega_i^3 and the tabulated I_sat that of D2, and the
-    detuning factors
+    which come from the widths and frequencies alone (Gamma_i^2 I_sat,2/I_sat,i
+    with I_sat,i proportional to Gamma_i omega_i^3), and the detuning factors
         s_i = 1/d_i - 1/(omega_las + omega_i),
         v_i = 1/d_i + 1/(omega_las + omega_i),
     where d_i = omega_las - omega_i in rad/s.  The second term of each is

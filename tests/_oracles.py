@@ -365,7 +365,7 @@ def phi_sum_scalar(pattern, spec, a, displacements):
 
 
 def phase_point_scalar(V0, lam, T, family):
-    """One point of the phase map: (t, t', T_pair, T_bkt, label), Hz and nK.
+    """One point of the phase map: (T_pair, T_bkt, label), in nK.
 
     T_pair = max(0, 2 W lam - 8 t'), m** = hbar^2 sqrt((W lam)^2 + 2 t'^2)
     / (t'^2 a^2) in SI, T_BKT = 4 pi hbar^2 n_B / (a^2 k_B 2 m** lnln(4/n_B)),
@@ -386,7 +386,7 @@ def phase_point_scalar(V0, lam, T, family):
         label = "PreformedPairs"
     else:
         label = "Normal"
-    return t, t_prime, T_pair, T_bkt, label
+    return T_pair, T_bkt, label
 
 
 

@@ -123,9 +123,6 @@ def test_config_keys_and_values_are_checked_before_any_output(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("config, message", [
-    ("r_c_over_a: 0\n", "r_c must be positive, got 0.0"),
-    ("r_c_over_a: -0.1\n", f"r_c must be positive, got {-0.1 * DEFAULTS['a'][0]}"),
-    ("alpha_bar: 0\n", "alpha_bar must be positive, got 0"),
     # positive, but r_c^6 overflows, r_c^6 underflows, or alpha_bar^4 C6 underflows
     ("r_c_over_a: 1.0e+60\n", "r_c**eta must be finite, got inf"),
     ("r_c_over_a: 1.0e-60\n", "r_c**eta must be positive, got 0.0"),
@@ -155,6 +152,26 @@ def test_non_finite_config_value_is_rejected_before_any_output(tmp_path, capsys,
     cfg.write_text(f"{key}: .{value}\n")
     message = _error(capsys, tmp_path / "fig", ["--config", str(cfg), "figures"])
     assert message == f"config {cfg}: {key} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("key", ["a", "r_c_over_a", "n_B", "alpha_bar", "w_ph", "V0_ph_scale",
+                                 "omega_ratio"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_non_positive_config_value_is_rejected_by_its_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"{key}: {value}\n")
+    message = _error(capsys, tmp_path / "fig", ["--config", str(cfg), "figures"])
+    assert message == f"config {cfg}: {key} must be positive, got {value}"
+
+
+@pytest.mark.parametrize("config, message", [
+    ("n_ryd: 26\n", "n_ryd must lie in [27, 32]"),   # raised after the Stark bundles
+    ("n_B: 2\n", "need 0 < n_B < 1"),                 # raised by the last bundle
+])
+def test_failed_figures_run_writes_no_file(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    assert message in _error(capsys, tmp_path / "fig", ["--config", str(cfg), "figures"])
 
 
 def test_config_integer_beyond_the_float_range_is_rejected_before_any_output(tmp_path, capsys):

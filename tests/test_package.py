@@ -36,6 +36,13 @@ UNSET_ALLOWED = {
     "PhaseFamily.phi_nn_ratio": "ROADMAP item 6 plans its setter",
 }
 
+# Dataclass fields that no statement in src/hhsim reads, each with the reader
+# outside it.
+FIELD_UNREAD_ALLOWED = {
+    "oracle.TwoBodySpectrum.bound_count": "acceptance criterion 05",
+    "phases.PhaseGrid.lam_axis": "acceptance criterion 11",
+}
+
 
 def _names(node):
     """Every name a subtree reads: bare names and attribute names."""
@@ -61,6 +68,11 @@ def test_every_public_name_in_src_has_a_reader_in_src_or_an_allowlisted_one():
     assert not extra, f"public names that nothing in src/hhsim reads: {extra}"
     # an allowlisted name that gained a reader in src, or was deleted, leaves the list
     assert sorted(UNREAD_ALLOWED) == [name for name in unread if name in UNREAD_ALLOWED]
+
+
+def _is_dataclass(stmt):
+    return isinstance(stmt, ast.ClassDef) and any("dataclass" in _names(d)
+                                                  for d in stmt.decorator_list)
 
 
 def _defaulted_parameters(fn, bound):
@@ -108,7 +120,7 @@ def _public_signatures(tree):
             signatures[stmt.name] = _defaulted_parameters(stmt, 0)
         elif isinstance(stmt, ast.ClassDef):
             methods = {m.name: m for m in stmt.body if isinstance(m, ast.FunctionDef)}
-            if any("dataclass" in _names(d) for d in stmt.decorator_list):
+            if _is_dataclass(stmt):
                 signatures[stmt.name] = _dataclass_fields(stmt)
             elif "__init__" in methods:
                 signatures[stmt.name] = _defaulted_parameters(methods["__init__"], 1)
@@ -194,3 +206,40 @@ def test_every_default_in_src_is_set_by_a_call_in_src_or_allowlisted():
 def test_unset_defaults_reads_positions_keywords_classes_and_registries(tmp_path, source, unset):
     (tmp_path / "m.py").write_text(source)
     assert unset_defaults(tmp_path) == unset
+
+
+def unread_fields(src):
+    """Sorted ``module.Class.field`` of each field of a public dataclass in
+    src/*.py that no statement in src reads as an attribute (``x.field``);
+    a read in the class's own ``__post_init__`` counts."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{module}.{cls.name}.{stmt.target.id}"
+                  for module, tree in trees.items() for cls in tree.body
+                  if _is_dataclass(cls) and not cls.name.startswith("_")
+                  for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read)
+
+
+def test_every_dataclass_field_in_src_is_read_in_src_or_allowlisted():
+    unread = unread_fields(SRC)
+    extra = [name for name in unread if name not in FIELD_UNREAD_ALLOWED]
+    assert not extra, f"dataclass fields that nothing in src/hhsim reads: {extra}"
+    # an allowlisted field that gained a reader in src, or was deleted, leaves the list
+    assert sorted(FIELD_UNREAD_ALLOWED) == [name for name in unread if name in FIELD_UNREAD_ALLOWED]
+
+
+@pytest.mark.parametrize("source, unread", [
+    ("@dataclass\nclass C:\n    x: int\nC(1).x", []),
+    ("@dataclass\nclass C:\n    x: int\n    y: int = 0\nC(1).x", ["m.C.y"]),
+    ("@dataclass\nclass C:\n    x: int\nc = C(1)\nc.x = 2", ["m.C.x"]),   # a write is no read
+    ("@dataclass\nclass C:\n    x: int\n    y: int = field(init=False)\n"
+     "    def __post_init__(self): self.y = 2 * self.x\nC(1).y", []),
+    ("@dataclass\nclass _C:\n    x: int", []),                        # private class
+    ("class C:\n    x: int = 0", []),                                   # not a dataclass
+])
+def test_unread_fields_counts_attribute_reads_of_public_dataclass_fields(tmp_path, source, unread):
+    (tmp_path / "m.py").write_text(source)
+    assert unread_fields(tmp_path) == unread

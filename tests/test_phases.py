@@ -78,8 +78,7 @@ def test_pair_mass_increases_with_coupling():
 
 def test_one_point_grid_fields():
     grid = phase_grid([400.0], [2.0], 20.0, PhaseFamily())
-    assert grid.t_Hz.shape == (1,) and grid.T_bkt.shape == (1, 1)
-    assert grid.t_Hz[0] > grid.t_prime_Hz[0, 0] > 0.0
+    assert grid.T_bkt.shape == (1, 1)
     assert grid.label[0, 0] in LABELS
     assert grid.T_pair[0, 0] >= 0.0 and grid.T_bkt[0, 0] > 0.0
 
@@ -124,16 +123,16 @@ def test_contour_is_the_cell_loop_bit_for_bit(grid):
 
 
 def test_default_map_contour_is_the_cell_loop_bit_for_bit():
-    grid = phase_grid(np.linspace(100.0, 600.0, 21), np.linspace(0.05, 5.0, 26), 20.0,
-                      PhaseFamily())
+    V0s = np.linspace(100.0, 600.0, 21)
+    grid = phase_grid(V0s, np.linspace(0.05, 5.0, 26), 20.0, PhaseFamily())
     dT = grid.T_bkt - grid.T_pair
-    _assert_same_segments(grid.contour, delta_t_contour_loop(grid.V0_axis, grid.lam_axis, dT))
+    _assert_same_segments(grid.contour, delta_t_contour_loop(V0s, grid.lam_axis, dT))
 
 
 def test_phase_grid_structure():
     grid = phase_grid([300.0, 400.0, 500.0], [0.5, 1.5, 2.5, 3.5], 20.0, PhaseFamily())
-    assert grid.V0_axis.shape == grid.t_Hz.shape == (3,) and grid.lam_axis.shape == (4,)
-    for arr in (grid.t_prime_Hz, grid.T_pair, grid.T_bkt, grid.label):
+    assert grid.lam_axis.shape == (4,)
+    for arr in (grid.T_pair, grid.T_bkt, grid.label):
         assert arr.shape == (3, 4)
     assert set(grid.label.ravel().tolist()) <= set(LABELS)
 
@@ -153,10 +152,8 @@ def test_grid_matches_scalar_reference(family, V0s, lams, T):
     grid = phase_grid(V0s, lams, T, family)
     for i, V0 in enumerate(V0s):
         for j, lam in enumerate(lams):
-            t, t_prime, T_pair_, T_bkt_, label = phase_point_scalar(V0, lam, T, family)
-            assert grid.t_Hz[i] == t
-            for got, ref in ((grid.t_prime_Hz, t_prime), (grid.T_pair, T_pair_),
-                             (grid.T_bkt, T_bkt_)):
+            T_pair_, T_bkt_, label = phase_point_scalar(V0, lam, T, family)
+            for got, ref in ((grid.T_pair, T_pair_), (grid.T_bkt, T_bkt_)):
                 assert abs(got[i, j] - ref) <= 1e-12 * abs(ref)
             assert grid.label[i, j] == label
 

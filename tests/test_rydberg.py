@@ -185,6 +185,15 @@ def test_nnn_estimate_validity_window():
     assert est == pytest.approx((b / (a * math.sqrt(2.0) - b)) ** 7, rel=1e-14)
 
 
+@pytest.mark.parametrize("b_over_a", [math.sqrt(2.0), 2.0])
+def test_nnn_estimate_rejects_offsets_past_the_nnn_site(b_over_a):
+    # the formula is defined for 0 < b < a*sqrt(2): at b = a*sqrt(2) it divides
+    # by zero, and beyond it an odd power turns the ratio negative
+    a = 1.73
+    with pytest.raises(ValueError, match=r"^b must be below a\*sqrt\(2\) = "):
+        nnn_ratio_estimate(b_over_a * a, a)
+
+
 def test_lambda_dimensionless_scalings():
     lam = lambda_dimensionless(1.0, 500.0, M_RB87, 2 * math.pi * 1e4)
     assert lam > 0.0

@@ -25,13 +25,13 @@ def test_species_registry():
 
 def test_line_data_validation():
     with pytest.raises(ValueError):
-        AtomLineData("bad", 10.0, 700.0, 750.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="^I_sat must be positive, got -1.0$"):
-        AtomLineData("bad", -1.0, 770.0, 766.0, 1.0, 1.0)
+        AtomLineData("bad", 700.0, 750.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^Gamma_1 must be positive, got -1.0$"):
+        AtomLineData("bad", 770.0, 766.0, -1.0, 1.0)
     with pytest.raises(ValueError, match="^Gamma_2 must be finite, got nan$"):
-        AtomLineData("bad", 10.0, 770.0, 766.0, 1.0, math.nan)
+        AtomLineData("bad", 770.0, 766.0, 1.0, math.nan)
     with pytest.raises(ValueError, match="^lambda_D1 must be finite, got inf$"):
-        AtomLineData("bad", 10.0, math.inf, 766.0, 1.0, 1.0)
+        AtomLineData("bad", math.inf, 766.0, 1.0, 1.0)
 
 
 def test_config_validation():
