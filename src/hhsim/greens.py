@@ -34,8 +34,12 @@ from .elliptic import elliptic_KE_kprime
 
 SUPPORTED_NL = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
 
-# Constants appearing in the binding condition of the both-diagonals
-# UV model.
+# C_nl = lim M_00 - M_nl as E -> -8t', in units of 1/t', by SUPPORTED_NL
+EDGE_C = (0.0, 1.0 / 8.0, 1.0 / (2.0 * math.pi), (math.pi - 2.0) / (2.0 * math.pi),
+          (8.0 - math.pi) / (8.0 * math.pi), 2.0 / (3.0 * math.pi))
+
+# Closed forms of three band-edge coefficients of the full model, which
+# ``pairs`` derives from its orbit table; criterion 02 and the tests check them.
 GAMMA1 = (32.0 - 9.0 * math.pi) / (12.0 * math.pi)
 GAMMA2 = (16.0 - 3.0 * math.pi) / (3.0 * math.pi)
 GAMMA3 = (64.0 - 18.0 * math.pi) / (3.0 * math.pi)

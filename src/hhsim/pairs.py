@@ -14,20 +14,21 @@ over the symmetric amplitudes, one row and column per orbit; entry
 (i, j) sums the lattice Green's integrals M_nl from the first member of
 orbit i to every member of orbit j.  The oracle reads the same table
 through ``UVModel.shells()`` and ``UVModel.point_group()``.  Binding
-thresholds follow from the E -> -8t' limit where M_00 diverges
-logarithmically and only the coefficient multiplying it needs to
-vanish.  The module also carries the Lang--Firsov parameter maps that
+thresholds are read off the same determinant at E -> -8t', where M_00
+diverges logarithmically and only its coefficient needs to vanish.  The
+module also carries the Lang--Firsov parameter maps that
 turn a phonon-coupled model into a UV model, the strong-coupling pair
 dispersion, and the pair effective mass.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import require_finite, require_positive
-from .greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_M_table
+from .greens import EDGE_C, SUPPORTED_NL, greens_M_table
 
 _EDGE_EPS = 1e-10   # offset of the search bracket from the band edge, in t'
 _ROOT_TOL = 1e-12   # root bracket width in energy, in t'
@@ -59,7 +60,7 @@ def _orbit_counts(r, orbits):
     M_nl is even in each component and symmetric in (n, l), so the type
     of a displacement is its sorted absolute components.
     """
-    counts = np.zeros((len(SUPPORTED_NL), len(orbits)))
+    counts = np.zeros((len(SUPPORTED_NL), len(orbits)), dtype=int)
     for j, (_, members) in enumerate(orbits):
         for sx, sy in members:
             nl = tuple(sorted((abs(r[0] - sx), abs(r[1] - sy)), reverse=True))
@@ -175,7 +176,7 @@ def _orbit_det(M, variant, potentials):
     # a C-ordered M gives a C-ordered B, so the reshape below is a view
     M = np.ascontiguousarray(M)
     B = np.einsum("kij,k...->ij...", N * potentials, M)
-    B.reshape((n * n,) + M.shape[1:])[::n + 1] += 1.0   # the identity, on the strided diagonal
+    B.reshape((n * n,) + M.shape[1:])[::n + 1] += 1   # the identity; an int keeps int tables exact
     if n == 2:
         (a, b), (c, d) = B
         return a * d - b * c
@@ -321,11 +322,10 @@ def pair_energies(model):
     values from ``_SCAN_M``, a table at t' = 1 built once at import up
     to s = 3.09; a deeper bracket gets its remaining points from one
     ``greens_M_table`` call.  ``_scan_roots`` then polishes each sign
-    change in E through ``det_diagonal`` or ``det_full`` with the same
-    potentials, each call evaluating an interpolated root and a
-    geometric cluster of energies around it, until each root's bracket
-    is at most 1e-12 t' wide; a root-bearing solve usually takes one or
-    two polish calls, and a solve without roots none.
+    change through ``det_diagonal`` or ``det_full`` until its bracket is
+    at most 1e-12 t' wide, in one or two calls per root-bearing solve.
+    A pair bound by less than 1e-10 t' is missed, above the scan's first
+    point: ``UVModel.full(-0.4, 0, 0, 1)`` binds (U < U_cr = 0) but has no root.
     """
     tp = model.t_prime
     s_hi = math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)
@@ -337,32 +337,53 @@ def pair_energies(model):
     return [PairState(E=E) for E in roots.tolist()]
 
 
-def threshold_diagonal(V, t_prime):
-    """Critical U below which the single-diagonal model binds a pair.
+@functools.cache
+def _edge_factor(variant):
+    """Coefficients a_S of F(x) = sum_S a_S prod_{j in S} x_j, the factor of
+    M_00 in the variant's determinant as E -> -8t' (x_j: orbit j's potential
+    over t'), by S[0] (the on-site orbit in S) and then the others' 0/1 flags.
 
-    U_cr = -2 V t' / (t' + 4V/3pi).  The denominator vanishes at
-    V = -3 pi t'/4, reported via the pole flag.
+    There M_nl = M_00 - C_nl/t' (``EDGE_C``), so the matrix is A + M_00 1 s^T
+    (every orbit member has some type) and F is its determinant's slope in
+    M_00.  Each column is linear in its own potential, so F is multilinear:
+    differences of its values at the corners x in {0, 1}^n give the a_S.  The
+    table is taken times D = 2^60, which makes each C_nl an integer, so these
+    are exact: integer sums of D^|S| a_S, each a_S rounded once.
     """
-    _check_couplings(t_prime, V=V)
-    denom = t_prime + 4.0 * V / (3.0 * math.pi)
-    if denom == 0.0:
+    n, D = len(_ORBITS[variant]), 2 ** 60
+    M = np.array([[-int(c * D), D - int(c * D)] for c in EDGE_C], dtype=object)   # M_00 = 0, 1
+    F = np.reshape([np.diff(_orbit_det(M, variant, x)) for x in np.ndindex((2,) * n)], (2,) * n)
+    for axis in range(n):
+        F = np.diff(F, axis=axis, prepend=0)
+    return np.reshape([F[S] / D ** sum(S) for S in np.ndindex(F.shape)], (2, -1)).tolist()
+
+
+def _edge_threshold(variant, potentials, t_prime):
+    """U_cr = -t' Q/P, the zero in U of the variant's band-edge factor F = Q + P U/t'."""
+    monomials = [1.0]   # prod_{j in S} x_j in the C order of the 0/1 flags S
+    for v in reversed(potentials):
+        monomials += [m * (v / t_prime) for m in monomials]
+    Q_row, P_row = _edge_factor(variant)
+    P_terms = [a * m for a, m in zip(P_row, monomials)]
+    P = sum(P_terms)
+    # P sums at most four terms a_S prod x_j: quotients x_j = v_j/t', products and sums
+    # round at most 7 times by eps/2 relative to the sum of the terms' magnitudes, and each
+    # a_S is within an ulp of its closed form (tested).  P within 16 eps of that sum is 0.
+    if abs(P) <= 16.0 * math.ulp(1.0) * sum(map(abs, P_terms)):
         return BindingThreshold(U_cr=math.inf, pole=True)
-    return BindingThreshold(U_cr=-2.0 * V * t_prime / denom)
+    return BindingThreshold(U_cr=-t_prime * sum([a * m for a, m in zip(Q_row, monomials)]) / P)
+
+
+def threshold_diagonal(V, t_prime):
+    """Critical U below which the single-diagonal model binds a pair (a pole at V = -3 pi t'/4)."""
+    _check_couplings(t_prime, V=V)
+    return _edge_threshold("diagonal", (V,), t_prime)
 
 
 def threshold_full(V1, V2, t_prime):
-    """Critical U for the both-diagonals model.
-
-    U_cr = -(g3 t' V1 V2 + 4 t'^2 (V1 + V2))
-           / (g1 V1 V2 + t' V1 / 2 + g2 t' V2 + t'^2).
-    """
+    """Critical U below which the both-diagonals model binds a pair, read off the orbit table."""
     _check_couplings(t_prime, V1=V1, V2=V2)
-    tp = t_prime
-    num = GAMMA3 * tp * V1 * V2 + 4.0 * tp * tp * (V1 + V2)
-    den = GAMMA1 * V1 * V2 + 0.5 * tp * V1 + GAMMA2 * tp * V2 + tp * tp
-    if den == 0.0:
-        return BindingThreshold(U_cr=math.inf, pole=True)
-    return BindingThreshold(U_cr=-num / den)
+    return _edge_threshold("full", (V1, V2), t_prime)
 
 
 def lf_map_main(params: LFParams):
@@ -406,12 +427,12 @@ def threshold_physical(lam, t, renormalized):
     0.0142), and the corresponding critical Feshbach interaction
     U_Fesh_cr = U_cr + 8 t lam.
 
-    This is the printed form of ``threshold_full`` composed with
-    ``lf_map_physical``, its coefficients rounded to 4 decimals:
-    g3*0.16*0.896 = 0.11334, 4*(0.896 - 0.16) = 2.944,
-    0.5*(-0.16) + g2*0.896 = 0.54510 and g1*0.16*0.896 = 0.01417.  The
-    renormalized pole of the composition lies at lam = 1.0774, the
-    printed one at lam = 1.0769.
+    This is ``threshold_full`` composed with ``lf_map_physical``: the
+    derived ``full`` band-edge coefficients (g1-g3: GAMMA1-GAMMA3) times
+    -0.16 and 0.896, rounded to 4 decimals: g3*0.16*0.896 = 0.11334,
+    4*(0.896 - 0.16) = 2.944, 0.5*(-0.16) + g2*0.896 = 0.54510 and
+    g1*0.16*0.896 = 0.01417.  The renormalized pole of the composition
+    lies at lam = 1.0774, the printed one at lam = 1.0769.
     """
     require_finite(lam=lam, t=t)
     require_positive(t=t)

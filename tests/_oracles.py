@@ -10,7 +10,9 @@ determinants and the band-edge binding condition are written out by
 hand; they take M_nl from ``hhsim.greens`` and the band-edge C_nl
 limits from ``greens_C_threshold`` below, and check how ``hhsim.pairs``
 assembles them; the orbit determinant is also taken the general way,
-by a matrix product and an LU determinant per energy.  The Phi map is
+by a matrix product and an LU determinant per energy.  The binding
+thresholds are the hand-derived rational forms in GAMMA1-GAMMA3, which
+``hhsim.pairs`` reads off its orbit table instead.  The Phi map is
 summed by a scalar double loop over
 the scalar coupling constant, and a phase-map point is computed alone
 in scalar floats, its pair mass written out in SI units; the Delta T
@@ -27,8 +29,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from hhsim.constants import HBAR, HZ_TO_NK, H_PLANCK, K_B, M_K40, nk_to_hz
-from hhsim.greens import SUPPORTED_NL, greens_M_table
+from hhsim.greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_M_table
 from hhsim.hubbard import hopping_t, recoil_energy
+from hhsim.pairs import BindingThreshold, _check_couplings
 
 
 def quad_M(E, t_prime, rel_tol=1e-10, n_start=64, n_max=16384):
@@ -330,6 +333,34 @@ def binding_condition_full(U, V1, V2, t_prime):
             + 2.0 * c11 * c22 + c20 * c22
         )
     )
+
+
+def threshold_diagonal_closed_form(V, t_prime):
+    """Critical U below which the single-diagonal model binds a pair.
+
+    U_cr = -2 V t' / (t' + 4V/3pi).  The denominator vanishes at
+    V = -3 pi t'/4, reported via the pole flag.
+    """
+    _check_couplings(t_prime, V=V)
+    denom = t_prime + 4.0 * V / (3.0 * math.pi)
+    if denom == 0.0:
+        return BindingThreshold(U_cr=math.inf, pole=True)
+    return BindingThreshold(U_cr=-2.0 * V * t_prime / denom)
+
+
+def threshold_full_closed_form(V1, V2, t_prime):
+    """Critical U for the both-diagonals model.
+
+    U_cr = -(g3 t' V1 V2 + 4 t'^2 (V1 + V2))
+           / (g1 V1 V2 + t' V1 / 2 + g2 t' V2 + t'^2).
+    """
+    _check_couplings(t_prime, V1=V1, V2=V2)
+    tp = t_prime
+    num = GAMMA3 * tp * V1 * V2 + 4.0 * tp * tp * (V1 + V2)
+    den = GAMMA1 * V1 * V2 + 0.5 * tp * V1 + GAMMA2 * tp * V2 + tp * tp
+    if den == 0.0:
+        return BindingThreshold(U_cr=math.inf, pole=True)
+    return BindingThreshold(U_cr=-num / den)
 
 
 def coupling_f_scalar(fermion_site, phonon_site, polarization, spec):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hhsim.greens import (
+    EDGE_C,
     GAMMA1,
     GAMMA2,
     GAMMA3,
@@ -71,6 +72,13 @@ def test_threshold_table_rational_pi_values():
     assert greens_C_threshold(2, 0, tp) == pytest.approx((math.pi - 2.0) / (2.0 * math.pi * tp), abs=1e-15)
     assert greens_C_threshold(2, 1, tp) == pytest.approx((8.0 - math.pi) / (8.0 * math.pi * tp), abs=1e-15)
     assert greens_C_threshold(2, 2, tp) == pytest.approx(2.0 / (3.0 * math.pi * tp), abs=1e-15)
+
+
+def test_edge_C_is_the_threshold_table():
+    # the band-edge limits that pairs reads its thresholds off are the
+    # ones criterion 02 checks
+    for nl, c in zip(SUPPORTED_NL, EDGE_C, strict=True):
+        assert c == greens_C_threshold(*nl, 1.0), nl
 
 
 def test_threshold_linear_constraints():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhsim import pairs
-from hhsim.greens import GAMMA1, GAMMA2, greens_M_table
+from hhsim.greens import GAMMA1, GAMMA2, GAMMA3, greens_M_table
 from hhsim.pairs import (
     LFParams,
     UVModel,
@@ -35,6 +35,8 @@ from _oracles import (
     det_full_by_hand,
     fd_second_derivative,
     orbit_det_lu,
+    threshold_diagonal_closed_form,
+    threshold_full_closed_form,
 )
 
 
@@ -456,12 +458,59 @@ def test_scan_roots_falls_back_quietly_on_flat_pieces():
     assert len(roots) == 1 and abs(roots[0] - 0.3) <= 1e-12
 
 
-def test_threshold_diagonal_asymptote_and_pole():
-    th = threshold_diagonal(1e6, 1.0)
-    assert th.U_cr == pytest.approx(-1.5 * math.pi, abs=1e-3)
-    pole = threshold_diagonal(-3.0 * math.pi / 4.0, 1.0)
+@pytest.mark.parametrize("tp", [0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 2.9])
+def test_threshold_diagonal_asymptote_and_pole(tp):
+    th = threshold_diagonal(1e6 * tp, tp)
+    assert th.U_cr == pytest.approx(-1.5 * math.pi * tp, abs=1e-3 * tp)
+    V_pole = -3.0 * math.pi * tp / 4.0
+    pole = threshold_diagonal(V_pole, tp)
     assert pole.pole and math.isinf(pole.U_cr)
-    assert threshold_diagonal(0.0, 1.0).U_cr == 0.0
+    # the full model's pole at V1 = -2t', V2 = 0 is exact in floats
+    full = threshold_full(-2.0 * tp, 0.0, tp)
+    assert full.pole and math.isinf(full.U_cr)
+    # U_cr crosses the pole through infinity, from one sign to the other
+    below, above = (threshold_diagonal(V_pole * (1.0 + d), tp) for d in (-1e-6, 1e-6))
+    assert not below.pole and not above.pole
+    assert math.isfinite(below.U_cr) and math.isfinite(above.U_cr)
+    assert below.U_cr * above.U_cr < 0.0
+    assert threshold_diagonal(0.0, tp).U_cr == 0.0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(tp=st.floats(0.3, 3.0), v1=st.floats(-10.0, 4.0), v2=st.floats(-10.0, 4.0))
+def test_thresholds_equal_the_closed_forms(tp, v1, v2):
+    V1, V2 = v1 * tp, v2 * tp
+    # each threshold with the terms of its closed form's denominator
+    for got, ref, den_terms in (
+            (threshold_diagonal(V2, tp), threshold_diagonal_closed_form(V2, tp),
+             (tp, 4.0 * V2 / (3.0 * math.pi))),
+            (threshold_full(V1, V2, tp), threshold_full_closed_form(V1, V2, tp),
+             (GAMMA1 * V1 * V2, 0.5 * tp * V1, GAMMA2 * tp * V2, tp * tp))):
+        assert got.pole == ref.pole
+        if abs(sum(den_terms)) > 1e-6 * sum(map(abs, den_terms)):
+            assert abs(got.U_cr - ref.U_cr) <= 1e-10 * abs(ref.U_cr)
+
+
+def test_derived_band_edge_coefficients_are_the_closed_forms():
+    # rows: U absent, present; columns: the other orbits' 0/1 flags in C order
+    expected = {
+        "diagonal": [[0.0, 2.0], [1.0, 4.0 / (3.0 * math.pi)]],
+        "full": [[0.0, 4.0, 4.0, GAMMA3], [1.0, GAMMA2, 0.5, GAMMA1]],
+    }
+    for variant, rows in expected.items():
+        derived = pairs._edge_factor(variant)
+        assert np.all(np.abs(np.subtract(derived, rows)) <= 2e-15), variant
+        # the determinants are exact integers, so each coefficient is rounded
+        # once; in floats GAMMA1 came out 31 ulps off
+        assert all(abs(a - r) <= math.ulp(r) for a, r in zip(np.ravel(derived), np.ravel(rows)))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: pair_energies misses binding shallower "
+                   "than its 1e-10 t' band-edge window")
+def test_a_pair_below_threshold_has_a_root():
+    model = UVModel.full(-0.4, 0.0, 0.0, 1.0)
+    assert model.U < threshold_full(model.V1, model.V2, model.t_prime).U_cr
+    assert pair_energies(model)
 
 
 @pytest.mark.parametrize("t_prime", [0.0, -1.0, -1e-300])
@@ -499,8 +548,6 @@ def test_threshold_full_matches_long_form_binding_condition():
 
 
 def test_binding_condition_equals_reduced_polynomial():
-    from hhsim.greens import GAMMA3
-
     rng = random.Random(11)
     for _ in range(8):
         U = rng.uniform(-10.0, 5.0)

@@ -39,6 +39,11 @@ RUNS = {
     "figures-json": ["--format", "json", "figures"],
     "figures-config": ["--config", "config.yaml", "figures"],
     "binding-full": ["binding", "--model", "full"],
+    # the thresholds at full precision (the CSV prints 10 digits): a diagonal sweep that
+    # straddles the pole at V = -3 pi/4, and the full model's default sweep
+    "binding-diagonal-pole-json": ["--format", "json", "binding", "--v-min", "-5", "--v-max",
+                                   "-0.5", "--steps", "46"],
+    "binding-full-json": ["--format", "json", "binding", "--model", "full"],
     "binding-physical": ["binding", "--model", "physical", "--renormalized"],
     "pair": ["pair", "--U", "-6"],
     # the diagonal model's determinant roots at full precision (the CSV prints 10 digits)
