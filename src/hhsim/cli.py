@@ -54,7 +54,8 @@ class OutputSink:
     ``finish`` writes nothing.
 
     Every file name gets ``suffix`` appended to its stem; ``suffixed``
-    gives a view with another suffix that shares the payloads.
+    gives a view with another suffix that shares the payloads.  JSON
+    payloads write a non-finite float as null.
     """
 
     def __init__(self, out_dir=None, fmt="csv", suffix="", payloads=None):
@@ -69,8 +70,8 @@ class OutputSink:
     def emit_table(self, name, header, rows):
         if self.fmt == "json":
             payload = json.dumps(
-                [dict(zip(header, r)) for r in rows], indent=2, sort_keys=True
-            ) + "\n"
+                _json_ready([dict(zip(header, r)) for r in rows]), indent=2, sort_keys=True,
+                allow_nan=False) + "\n"
             ext = "json"
         else:
             buf = io.StringIO()
@@ -83,7 +84,7 @@ class OutputSink:
         self.payloads[f"{name}{self.suffix}.{ext}"] = payload
 
     def emit_record(self, name, record):
-        payload = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(_json_ready(record), indent=2, sort_keys=True, allow_nan=False) + "\n"
         self.payloads[f"{name}{self.suffix}.json"] = payload
 
     def finish(self):
@@ -97,7 +98,20 @@ class OutputSink:
             files = [{"file": f, "sha256": hashlib.sha256(self.payloads[f].encode()).hexdigest()}
                      for f in sorted(self.payloads)]
             manifest = {"version": __version__, "files": files}
-            (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+            (self.out_dir / "manifest.json").write_text(
+                json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+
+
+def _json_ready(value):
+    """value with each non-finite float (U_cr at a pole) as None, written
+    as null: RFC 8259 JSON has no Infinity or NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    return value
 
 
 def _fmt_cell(x):
@@ -447,7 +461,7 @@ def main(argv=None):
         args.func(args, sink)
         sink.finish()
     except (ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        print(json.dumps({"error": str(exc)}, allow_nan=False), file=sys.stderr)
         return 1
     return 0
 

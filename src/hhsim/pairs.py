@@ -42,6 +42,9 @@ _NEAR = np.arange(-1, 3)   # a bracket's four known points, from the point left 
 _CLUSTER = np.concatenate([-0.25 * 4.0 ** np.arange(_CLUSTER_SIDE - 1, -1, -1), [0.0],
                            0.25 * 4.0 ** np.arange(_CLUSTER_SIDE)])
 _OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])   # row k: the points other than k
+_STENCIL_POINTS = 12   # grid points of the first estimate's interpolant
+_NEWTON_STEPS = 8   # at most, in the stencil's index space
+_NEWTON_TOL = 1e-9  # a Newton step this short leaves the next one at rounding level
 
 # The orbits of each variant, in determinant order: the UVModel field
 # that carries the potential, and the displacements that carry it.
@@ -237,6 +240,54 @@ def _inverse_cubic(x, y):
     return np.einsum("ik,ik->i", x, (others / (others - y[:, :, None])).prod(axis=2))
 
 
+@functools.cache
+def _stencil_weights(m):
+    """Barycentric weights (-1)^j C(m - 1, j) of the degree-(m - 1)
+    interpolant on m equispaced points (Berrut and Trefethen, SIAM Rev.
+    46, 501 (2004))."""
+    return np.array([(-1) ** j * math.comb(m - 1, j) for j in range(m)], dtype=float)
+
+
+@np.errstate(all="ignore")
+def _stencil_zeros(xs, vals, k):
+    """First estimate of the root in each scan bracket [xs[k], xs[k+1]].
+
+    In index space t, vals on the 12 grid points j around the bracket (all
+    of them on a shorter grid) define the barycentric interpolant
+    p(t) = N/D, N = sum_j q_j vals_j, D = sum_j q_j, q_j = w_j/(t - j).
+    Newton steps on p start from the inverse cubic through the bracket's
+    four nearest points, else from the linear zero, and stop at
+    convergence; the same interpolant of xs maps the zero t to x.  A step
+    that leaves the bracket is clipped onto its end, a grid point, where
+    the interpolant is not finite: that bracket has no estimate, and the
+    others' steps go on.  Raises no floating-point warning.
+    """
+    n = xs.size
+    m = min(n, _STENCIL_POINTS)
+    w = _stencil_weights(m)
+    lo = np.minimum(np.maximum(k - (m // 2 - 1), 0), n - m)
+    i = k - lo   # the bracket is [i, i + 1] in the stencil's index t
+    points = lo[:, None] + np.arange(m)
+    F = vals[points]
+    nodes = np.arange(m, dtype=float)
+    near = np.minimum(np.maximum(k[:, None] + _NEAR, 0), n - 1)   # columns 1, 2: the bracket's ends
+    y = vals[near]
+    t = _inverse_cubic(near - lo[:, None], y)
+    t = np.where((i < t) & (t < i + 1), t, i + y[:, 1] / (y[:, 1] - y[:, 2]))
+    for _ in range(_NEWTON_STEPS):
+        r = 1.0 / (t[:, None] - nodes)
+        q = w * r
+        N = np.einsum("ij,ij->i", q, F)
+        p = N / np.add.reduce(q, axis=1)
+        # p' = sum_j q_j r_j (p - F_j) / D, so the Newton step p/p' is N over that sum
+        step = N / np.einsum("ij,ij->i", q * r, p[:, None] - F)
+        t = np.minimum(np.maximum(t - step, i), i + 1)
+        if not (abs(step) > _NEWTON_TOL).any():   # a nan step: clipped, finished
+            break
+    q = w / (t[:, None] - nodes)
+    return np.einsum("ij,ij->i", q, xs[points]) / np.add.reduce(q, axis=1)
+
+
 def _scan_roots(f, xs, vals, tol):
     """Ascending roots x of f, from its values vals on the monotone grid xs.
 
@@ -247,10 +298,15 @@ def _scan_roots(f, xs, vals, tol):
     one f call, in x, on a (brackets still wider than tol) x
     (2 _CLUSTER_SIDE + 1) array: per bracket an estimate c and the
     geometric cluster c +/- (tol/4) 4^j, all clipped to stay tol/4
-    inside the bracket.  c is the inverse cubic interpolant through the
-    four known points nearest the bracket (its grid neighbours, then its
-    cluster neighbours), else the secant point, else the midpoint,
-    whichever first is finite and inside the bracket.
+    inside the bracket.  c is, on the first step only, the zero of the
+    degree-11 interpolant of vals on the 12 grid points around the
+    bracket (``_stencil_zeros``); then the inverse cubic interpolant
+    through the four known points nearest the bracket (its grid
+    neighbours, then its cluster neighbours), else the secant point, else
+    the midpoint, whichever first is finite and inside the bracket.
+    Where the scan values place the root within tol of the first estimate
+    (a sampled polynomial of degree <= 11 in the index, or the pair
+    determinant, analytic in s), the first step closes the bracket.
     The new bracket is the sign change nearest c; an exact zero closes it
     onto itself.  A step that does not halve a bracket is followed by one
     with c at the midpoint, so every two steps at least halve it.  A root
@@ -270,13 +326,18 @@ def _scan_roots(f, xs, vals, tol):
     cols = offsets.size + 2   # the cluster between the bracket's two ends
     bisect = np.zeros(len(k), dtype=bool)   # the last step did not halve the bracket
     live = np.flatnonzero(px[:, 2] - px[:, 1] > tol)
+    first_step = True
     while live.size:
         x4, f4 = px[live], pf[live]
         a, b, fa, fb = x4[:, 1], x4[:, 2], f4[:, 1], f4[:, 2]
         c = 0.5 * (a + b)
         interpolate = ~bisect[live]
         with np.errstate(all="ignore"):   # flat pieces make the estimates inf or nan
-            for estimate in (b - fb * (b - a) / (fb - fa), _inverse_cubic(x4, f4)):
+            estimates = [b - fb * (b - a) / (fb - fa), _inverse_cubic(x4, f4)]
+            if first_step:
+                estimates.append(_stencil_zeros(xs, vals, k[live]))
+                first_step = False
+            for estimate in estimates:
                 c = np.where((a < estimate) & (estimate < b) & interpolate, estimate, c)
         first, last = (a + 0.25 * tol)[:, None], (b - 0.25 * tol)[:, None]
         c = np.minimum(np.maximum(c[:, None], first), last)
@@ -323,7 +384,10 @@ def pair_energies(model):
     to s = 3.09; a deeper bracket gets its remaining points from one
     ``greens_M_table`` call.  ``_scan_roots`` then polishes each sign
     change through ``det_diagonal`` or ``det_full`` until its bracket is
-    at most 1e-12 t' wide, in one or two calls per root-bearing solve.
+    at most 1e-12 t' wide.  Its first estimate interpolates the 12 scan
+    values around each bracket, and the determinant is analytic in s, so
+    a root-bearing solve usually makes one polish call for all its roots,
+    and a second where the estimate misses a root by more than 1e-12 t'.
     A pair bound by less than 1e-10 t' is missed, above the scan's first
     point: ``UVModel.full(-0.4, 0, 0, 1)`` binds (U < U_cr = 0) but has no root.
     """

@@ -247,6 +247,19 @@ def test_json_format(tmp_path):
     assert isinstance(data, list) and {"V", "U_cr", "pole"} <= set(data[0])
 
 
+def test_json_format_writes_a_pole_as_null(tmp_path):
+    # U_cr is infinite at the pole V = -3 pi t'/4; RFC 8259 has no Infinity
+    out = tmp_path / "j"
+    assert main(["--out", str(out), "--format", "json", "binding", "--v-min", "-2.356194490192345",
+                 "--v-max", "-2", "--steps", "2"]) == 0
+
+    def no_constants(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    rows = json.loads((out / "threshold_diagonal.json").read_text(), parse_constant=no_constants)
+    assert [(r["pole"], r["U_cr"] is None) for r in rows] == [(1, True), (0, False)]
+
+
 def test_config_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump({"a": 2.0}))

@@ -244,22 +244,27 @@ def _counting(f):
     return counted, calls
 
 
-def test_root_bearing_solve_takes_at_most_two_greens_tables(monkeypatch):
-    # the scan reads the import-time table, then two polish calls: an
-    # interpolated estimate with its cluster, and one more that closes
-    # the bracket
+def test_root_bearing_solve_inside_the_scan_takes_one_greens_table(monkeypatch):
+    # the scan reads the import-time table; the first estimate, from the
+    # 12 scan values around a bracket, lies within tol of its root, so one
+    # polish call closes every bracket at once
     assert max(pairs._search_bracket_depth(m) / m.t_prime for m in SEEDED_MODELS) \
         < 8.0 * (1.0 + math.exp(pairs._SCAN_S[-1]))
     counted, calls = _counting(greens_M_table)
     monkeypatch.setattr(pairs, "greens_M_table", counted)
-    worst = 0
+    inside = 0
     for model in SEEDED_MODELS:
         calls[0] = 0
-        if pair_energies(model):
-            worst = max(worst, calls[0])
-        else:
+        roots, (_, xs, vals, _) = _recorded_scan(model)
+        k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        if not roots:
             assert calls[0] == 0, model
-    assert 0 < worst <= 2
+        elif k.min() >= 6 and k.max() + 1 <= xs.size - 7:
+            assert calls[0] == 1, model
+            inside += 1
+        else:
+            assert 0 < calls[0] <= 2, model
+    assert inside >= 180
 
 
 def _pair_scan_models(seed):
@@ -371,6 +376,53 @@ def test_inverse_cubic_is_the_zero_of_the_cubic_through_four_points():
     assert np.allclose(zeros[1::2], c[1::2, 0], rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("grid", ["uniform", "scan"])
+def test_stencil_estimate_is_the_zero_of_a_polynomial_of_degree_up_to_11(grid):
+    # a polynomial of degree <= 11 in the grid index (in x on a uniform
+    # grid, in s on the pair scan's) is its own 12-point interpolant, so
+    # the estimate is its zero, at any bracket, the grid's ends included
+    rng = np.random.default_rng(17)
+    j = np.arange(60)
+    u, xs = (1.0 + j / 59.0,) * 2 if grid == "uniform" else pairs._scan_grid(j)
+    h = u[1] - u[0]
+    for degree in list(range(1, 12)) * 4:
+        r = rng.uniform(u[0], u[-1])
+        # the other roots lie at least two grid steps from r
+        others = r + rng.choice([-1.0, 1.0], degree - 1) * rng.uniform(2.0, 30.0, degree - 1) * h
+        vals = (u - r) * np.prod(u[:, None] - others, axis=1)
+        k = np.array([int((r - u[0]) // h)])
+        assert vals[k] * vals[k + 1] < 0.0
+        zero = r if grid == "uniform" else -8.0 * (1.0 + math.exp(r))
+        assert abs(pairs._stencil_zeros(xs, vals, k)[0] - zero) <= 1e-13 * abs(zero), (degree, r)
+
+
+def test_stencil_estimate_goes_on_past_a_clipped_bracket():
+    # the Newton start in [24, 25] heads for the close roots 25.55 and
+    # 25.65 and is clipped onto a grid point, so that bracket has no
+    # estimate; [34, 35] needs four steps, which it still takes
+    xs = np.arange(40.0)
+    vals = (xs - 24.5) * (xs - 25.55) * (xs - 25.65) * (xs - 34.4)
+    k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    assert list(k) == [24, 34]
+    estimates = pairs._stencil_zeros(xs, vals, k)
+    assert not np.isfinite(estimates[0])
+    assert abs(estimates[1] - 34.4) <= 1e-13 * 34.4
+
+
+@pytest.mark.parametrize("f", [lambda x: np.clip(x - 0.3, -1e-3, 1e-3),
+                               lambda x: np.tanh(1e6 * (x - 0.3))], ids=["clipped-line", "tanh-step"])
+def test_stencil_estimate_falls_back_quietly_on_flat_pieces(f):
+    # the bracket's four nearest points share f values, so the inverse
+    # cubic divides by zero and Newton starts from the linear zero; a
+    # RuntimeWarning fails the test
+    xs = -1.0 + 2.0 * np.arange(240) / 239
+    vals = f(xs)
+    k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    assert k.size == 1 and np.all(vals[k[0] - 1:k[0] + 1] == vals[k[0]])
+    estimate = pairs._stencil_zeros(xs, vals, k)[0]
+    assert xs[k[0]] < estimate < xs[k[0] + 1]
+
+
 def _scan(f, lo, hi, n, tol):
     """_scan_roots on an n-point grid over [lo, hi], sampled by f itself,
     so a counting f counts the scan as one call."""
@@ -399,10 +451,11 @@ def test_scan_roots_halves_a_bracket_wider_than_the_cluster_every_two_calls():
     assert len(roots) == 1 and abs(roots[0] - c) <= tol
 
 
-def test_scan_roots_closes_a_straight_line_in_three_calls():
+def test_scan_roots_closes_a_straight_line_in_two_calls():
+    # the scan, then one polish call around the stencil's exact zero
     f, calls = _counting(lambda x: 2.5 * (x - 0.3))
     roots = _scan(f, -1.0, 1.0, 240, 1e-12)
-    assert calls[0] <= 3
+    assert calls[0] <= 2
     assert len(roots) == 1 and abs(roots[0] - 0.3) <= 1e-12
 
 
@@ -439,11 +492,13 @@ def test_scan_roots_closes_on_a_zero_at_a_cluster_point():
 
 def test_scan_roots_polishes_two_roots_in_adjacent_brackets():
     # scan brackets [0.2, 0.3] and [0.3, 0.4], polished in the same calls;
-    # f is equal at 0.2 and 0.4, so the first inverse cubic of either
-    # bracket divides by zero and falls back to a secant point far off
+    # f is equal at 0.2 and 0.4, so the inverse cubic of either bracket
+    # divides by zero, and Newton on the stencil (all 11 points) starts
+    # from the linear zero: the quadratic's exact roots close both
+    # brackets in one polish call
     f, calls = _counting(lambda x: (x - 0.27) * (x - 0.33))
     roots = _scan(f, 0.0, 1.0, 11, 1e-12)
-    assert calls[0] <= 6
+    assert calls[0] <= 2
     assert np.all(np.abs(roots - [0.27, 0.33]) <= 1e-12)
 
 

@@ -56,6 +56,9 @@ RUNS = {
     # the full model's determinant root at full precision, in oracle_summary.json
     "oracle-full-compare": ["oracle", "--model", "full", "--U", "-10", "--V1", "-1", "--V2", "-1",
                             "--sizes", "8,12,16", "--compare"],
+    # two determinant roots, -13.978 and -9.165, polished in the same calls
+    "oracle-full-two-roots": ["oracle", "--model", "full", "--U", "-10", "--V1", "-7", "--V2", "-7",
+                              "--sizes", "8,12,16", "--compare"],
     # sectors of 153, 325 and 561 states: both sides of oracle._DENSE_MAX
     "oracle-straddle": ["oracle", "--model", "full", "--U", "-10", "--V1", "-1", "--V2", "-1",
                         "--sizes", "32,48,64"],
@@ -115,4 +118,4 @@ if __name__ == "__main__":
         report = changed(artifact_hashes(sys.argv[1]), artifact_hashes(sys.argv[2]))
     else:
         sys.exit("usage: artifact_hashes.py SRC | artifact_hashes.py OLD_SRC NEW_SRC")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
