@@ -5,7 +5,10 @@ and the pairing/BKT phase map, validated against an exact finite-lattice
 two-body solver.
 
 Submodules load on first attribute access (PEP 562), so ``import hhsim``
-pulls in no numerics, and scipy loads only with ``hhsim.oracle``.
+pulls in no numerics, and scipy loads only with ``hhsim.oracle``.  The
+command line imports per subcommand: ``hhsim binding`` loads ``pairs``,
+``greens`` and ``elliptic``, ``hhsim stark`` loads ``stark`` alone, and
+OpenSSL loads only with ``--out``, for the manifest's digests.
 """
 
 import importlib

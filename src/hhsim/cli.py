@@ -7,6 +7,9 @@ phase map.  Output is deterministic: CSV tables (or JSON records) with
 no embedded timestamps; when writing to a directory, a manifest lists
 every file with its SHA-256 digest.
 
+A run imports only what its subcommand calls: each ``cmd_*`` imports its
+hhsim modules, and each subcommand's flags are added when it is parsed.
+
 The physical defaults (``DEFAULTS``) are set by ``--config`` alone and
 resolved once per run; every value error (a non-finite ``--config``
 value, or a non-positive one of a key that must be positive, included)
@@ -16,7 +19,6 @@ and every file-system error end the run with one JSON line
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, hubbard, lattice, pairs, phases, rydberg, stark
+from . import __version__
 from .constants import A_BOHR, M_RB87, require_finite, require_positive
 
 # name -> (value, note) of each default a --config file may override
@@ -92,6 +94,8 @@ class OutputSink:
             for fname, payload in self.payloads.items():
                 sys.stdout.write(f"# --- {fname} ---\n{payload}")
         elif self.payloads:
+            import hashlib   # OpenSSL: loaded only by a run that writes a manifest
+
             self.out_dir.mkdir(parents=True, exist_ok=True)
             for fname, payload in self.payloads.items():
                 (self.out_dir / fname).write_text(payload)
@@ -153,6 +157,8 @@ def _settings(path):
 
 
 def _rydberg_spec(s):
+    from . import rydberg
+
     return rydberg.RydbergSpec(C6=rydberg.c6_interpolated(s["n_ryd"]),
                                r_c=s["r_c_over_a"] * s["a"],
                                alpha_bar=s["alpha_bar"], eta=s["eta"])
@@ -177,6 +183,8 @@ def _bounds(args, flag, lo, hi):
 # ---------------------------------------------------------------- subcommands
 
 def cmd_stark(args, sink):
+    from . import stark
+
     atom = stark.SPECIES[args.species]
     cfg = stark.StarkConfig(g_F=args.gf, m_F=args.mf, ellipticity=args.ellipticity,
                             intensity_prefactor=args.settings["prefactor"])
@@ -203,6 +211,8 @@ def cmd_stark(args, sink):
 
 
 def cmd_phonon(args, sink):
+    from . import lattice
+
     steps = _steps(args)
     s, V0_ph = args.settings, args.v0_ph
     w_ph, D = s["w_ph"], s["D"]
@@ -223,6 +233,8 @@ def cmd_phonon(args, sink):
 
 
 def cmd_phi_map(args, sink):
+    from . import lattice, rydberg
+
     s = args.settings
     a, w_ph, D = s["a"], s["w_ph"], s["D"]
     spec = _rydberg_spec(s)
@@ -243,6 +255,8 @@ def cmd_phi_map(args, sink):
 
 
 def cmd_params(args, sink):
+    from . import hubbard, lattice, rydberg
+
     steps = _steps(args)
     s = args.settings
     a, w_ph, D = s["a"], s["w_ph"], s["D"]
@@ -259,6 +273,8 @@ def cmd_params(args, sink):
 
 
 def cmd_binding(args, sink):
+    from . import pairs
+
     tp = args.t_prime
     sweep = np.linspace(*_bounds(args, "v", args.v_min, args.v_max), _steps(args))
     rows = []
@@ -280,6 +296,8 @@ def cmd_binding(args, sink):
 
 
 def cmd_pair(args, sink):
+    from . import pairs
+
     tp = args.t_prime
     rows = []
     for V in np.linspace(*_bounds(args, "v", args.v_min, args.v_max), _steps(args)):
@@ -290,7 +308,7 @@ def cmd_pair(args, sink):
 
 
 def cmd_oracle(args, sink):
-    from . import oracle   # the one scipy user; kept off the import path of the other commands
+    from . import oracle, pairs
 
     if args.model == "diagonal":
         if args.V2:
@@ -322,6 +340,8 @@ def cmd_oracle(args, sink):
 
 
 def cmd_phase(args, sink):
+    from . import phases
+
     s = args.settings
     family = phases.PhaseFamily(a=s["a"], n_B=s["n_B"], omega_ratio=s["omega_ratio"])
     V0s = np.linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), _steps(args, "v0-steps"))
@@ -358,18 +378,28 @@ def cmd_figures(args, sink):
         bundle.func(bundle, sink.suffixed(suffix))
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="hhsim",
-                                description="Painted-lattice Hubbard-Holstein "
-                                            "simulator design toolkit")
-    p.add_argument("--config", help="YAML file that overrides --explain-defaults values")
-    p.add_argument("--out", help="output directory (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--explain-defaults", action="store_true",
-                   help="print the built-in physical defaults and exit")
-    sub = p.add_subparsers(dest="cmd")
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its flags on its first parse.
 
-    s = sub.add_parser("stark", help="AC Stark shift sweep and zero crossings")
+    ``flags(parser)`` adds them, importing the module whose registry gives
+    a flag's choices, so building the parser imports no such module; a
+    run imports only those of the subcommand it parses.
+    """
+
+    def __init__(self, flags=None, **kwargs):
+        super().__init__(**kwargs)
+        self._flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        flags, self._flags = self._flags, None
+        if flags is not None:
+            flags(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _stark_flags(s):
+    from . import stark
+
     s.add_argument("--species", choices=sorted(stark.SPECIES), default="K-40")
     s.add_argument("--wl-min", type=float)
     s.add_argument("--wl-max", type=float)
@@ -377,29 +407,35 @@ def build_parser():
     s.add_argument("--gf", type=float, default=0.0)
     s.add_argument("--mf", type=float, default=0.0)
     s.add_argument("--ellipticity", type=float, default=0.0)
-    s.set_defaults(func=cmd_stark)
 
-    patterns = sorted(lattice.PATTERN_CONSTRUCTORS)
-    s = sub.add_parser("phonon", help="phonon-site potential and normal modes")
-    s.add_argument("--pattern", choices=patterns, default="offset-parallel")
+
+def _pattern_flag(s):
+    from . import lattice
+
+    s.add_argument("--pattern", choices=sorted(lattice.PATTERN_CONSTRUCTORS),
+                   default="offset-parallel")
+
+
+def _phonon_flags(s):
+    _pattern_flag(s)
     s.add_argument("--v0-ph", type=float, default=250.0)
     s.add_argument("--b", type=float)
     s.add_argument("--steps", type=int, default=101)
-    s.set_defaults(func=cmd_phonon)
 
-    s = sub.add_parser("phi-map", help="effective interaction map")
-    s.add_argument("--pattern", choices=patterns, default="offset-parallel")
+
+def _phi_map_flags(s):
+    _pattern_flag(s)
     s.add_argument("--b-over-aprime", type=float)
     s.add_argument("--sweep-b", action="store_true")
-    s.set_defaults(func=cmd_phi_map)
 
-    s = sub.add_parser("params", help="t, U, W*lambda vs lattice depth")
+
+def _params_flags(s):
     s.add_argument("--v0-min", type=float, default=100.0)
     s.add_argument("--v0-max", type=float, default=600.0)
     s.add_argument("--steps", type=int, default=26)
-    s.set_defaults(func=cmd_params)
 
-    s = sub.add_parser("binding", help="pairing threshold curves")
+
+def _binding_flags(s):
     s.add_argument("--model", choices=("diagonal", "full", "physical"), default="diagonal")
     s.add_argument("--t-prime", type=float, default=1.0)
     s.add_argument("--t", type=float, default=1.0)
@@ -407,17 +443,17 @@ def build_parser():
     s.add_argument("--v-min", type=float, default=0.0)
     s.add_argument("--v-max", type=float, default=20.0)
     s.add_argument("--steps", type=int, default=41)
-    s.set_defaults(func=cmd_binding)
 
-    s = sub.add_parser("pair", help="bound pair energies along a V sweep")
+
+def _pair_flags(s):
     s.add_argument("--U", type=float)
     s.add_argument("--t-prime", type=float, default=1.0)
     s.add_argument("--v-min", type=float, default=-10.0)
     s.add_argument("--v-max", type=float, default=0.0)
     s.add_argument("--steps", type=int, default=21)
-    s.set_defaults(func=cmd_pair)
 
-    s = sub.add_parser("oracle", help="finite-lattice exact two-body energies")
+
+def _oracle_flags(s):
     s.add_argument("--model", choices=("diagonal", "full"), default="diagonal")
     s.add_argument("--U", type=float, required=True)
     s.add_argument("--V1", type=float, default=0.0,
@@ -428,9 +464,9 @@ def build_parser():
     s.add_argument("--n-states", type=int, default=4)
     s.add_argument("--compare", action="store_true",
                    help="also report determinant-equation roots")
-    s.set_defaults(func=cmd_oracle)
 
-    s = sub.add_parser("phase", help="pairing/BKT phase map")
+
+def _phase_flags(s):
     s.add_argument("--T", type=float, default=20.0)
     s.add_argument("--v0-min", type=float, default=100.0)
     s.add_argument("--v0-max", type=float, default=600.0)
@@ -438,10 +474,36 @@ def build_parser():
     s.add_argument("--lam-min", type=float, default=0.05)
     s.add_argument("--lam-max", type=float, default=5.0)
     s.add_argument("--lam-steps", type=int, default=26)
-    s.set_defaults(func=cmd_phase)
 
-    s = sub.add_parser("figures", help="emit all reproduction bundles")
-    s.set_defaults(func=cmd_figures, parser=p)
+
+def build_parser():
+    p = argparse.ArgumentParser(prog="hhsim",
+                                description="Painted-lattice Hubbard-Holstein "
+                                            "simulator design toolkit")
+    p.add_argument("--config", help="YAML file that overrides --explain-defaults values")
+    p.add_argument("--out", help="output directory (default: stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--explain-defaults", action="store_true",
+                   help="print the built-in physical defaults and exit")
+    sub = p.add_subparsers(dest="cmd", parser_class=_Subcommand)
+    sub.add_parser("stark", help="AC Stark shift sweep and zero crossings",
+                   flags=_stark_flags).set_defaults(func=cmd_stark)
+    sub.add_parser("phonon", help="phonon-site potential and normal modes",
+                   flags=_phonon_flags).set_defaults(func=cmd_phonon)
+    sub.add_parser("phi-map", help="effective interaction map",
+                   flags=_phi_map_flags).set_defaults(func=cmd_phi_map)
+    sub.add_parser("params", help="t, U, W*lambda vs lattice depth",
+                   flags=_params_flags).set_defaults(func=cmd_params)
+    sub.add_parser("binding", help="pairing threshold curves",
+                   flags=_binding_flags).set_defaults(func=cmd_binding)
+    sub.add_parser("pair", help="bound pair energies along a V sweep",
+                   flags=_pair_flags).set_defaults(func=cmd_pair)
+    sub.add_parser("oracle", help="finite-lattice exact two-body energies",
+                   flags=_oracle_flags).set_defaults(func=cmd_oracle)
+    sub.add_parser("phase", help="pairing/BKT phase map",
+                   flags=_phase_flags).set_defaults(func=cmd_phase)
+    sub.add_parser("figures", help="emit all reproduction bundles").set_defaults(
+        func=cmd_figures, parser=p)
     return p
 
 

@@ -91,8 +91,8 @@ def _pattern(pattern_id, V0_ph, w_ph, D, centers, spots, axes):
                           displacements=np.broadcast_to(spots, (n, *np.shape(spots)[-2:])),
                           polarizations=np.broadcast_to(axes, (n, *np.shape(axes)[-2:])))
     if not (0.0 <= D <= w_ph / 2.0):
-        raise ValueError("spot half-separation must satisfy 0 <= D <= w_ph/2 "
-                         "(larger D forms a double well)")
+        raise ValueError(f"D must lie in [0, w_ph/2] = [0, {w_ph / 2.0}] "
+                         f"(a larger D forms a double well), got {D}")
     return pattern
 
 

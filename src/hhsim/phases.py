@@ -39,8 +39,10 @@ def t_bkt(n_B, m_star_star, a):
     T = 4 pi hbar^2 n_B / (a^2 k_B 2 m** lnln(4/n_B)), valid in the
     dilute limit where lnln(4/n_B) > 0.  m** may be an array.
     """
-    if not (0.0 < n_B < 1.0) or not np.all(np.asarray(m_star_star) > 0.0):
-        raise ValueError("need 0 < n_B < 1 and positive mass")
+    if not 0.0 < n_B < 1.0:
+        raise ValueError(f"n_B must lie in (0, 1), got {n_B}")
+    if not np.all(np.asarray(m_star_star) > 0.0):
+        raise ValueError("m_star_star must be a positive mass")
     require_finite(a=a)
     require_positive(a=a)
     inner = math.log(4.0 / n_B)

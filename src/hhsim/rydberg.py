@@ -39,7 +39,7 @@ def c6_interpolated(n_ryd):
     interpolating approximation, and values outside [27, 32] raise.
     """
     if not (_C6_N_LO <= n_ryd <= _C6_N_HI):
-        raise ValueError(f"n_ryd must lie in [{_C6_N_LO}, {_C6_N_HI}]")
+        raise ValueError(f"n_ryd must lie in [{_C6_N_LO}, {_C6_N_HI}], got {n_ryd}")
     frac = (n_ryd - _C6_N_LO) / (_C6_N_HI - _C6_N_LO)
     return _C6_LO * (_C6_HI / _C6_LO) ** frac
 
@@ -56,7 +56,7 @@ class RydbergSpec:
 
     def __post_init__(self):
         if self.eta not in (3, 6):
-            raise ValueError("eta must be 3 or 6")
+            raise ValueError(f"eta must be 3 or 6, got {self.eta}")
         require_finite(C6=self.C6, r_c=self.r_c, alpha_bar=self.alpha_bar)
         require_positive(C6=self.C6, r_c=self.r_c, alpha_bar=self.alpha_bar)
         try:

@@ -86,7 +86,8 @@ class StarkConfig:
         if abs(self.ellipticity) > 1.0:
             raise ValueError("|ellipticity| must not exceed 1")
         if self.intensity_prefactor < 0.0:
-            raise ValueError("intensity prefactor must be nonnegative")
+            raise ValueError(
+                f"intensity_prefactor must be nonnegative, got {self.intensity_prefactor}")
 
 
 class ResonanceError(ValueError):

@@ -164,14 +164,18 @@ def test_non_positive_config_value_is_rejected_by_its_key(tmp_path, capsys, key,
     assert message == f"config {cfg}: {key} must be positive, got {value}"
 
 
+# the domains of the keys that the library calls check, each named with its value
 @pytest.mark.parametrize("config, message", [
-    ("n_ryd: 26\n", "n_ryd must lie in [27, 32]"),   # raised after the Stark bundles
-    ("n_B: 2\n", "need 0 < n_B < 1"),                 # raised by the last bundle
+    ("prefactor: -1\n", "intensity_prefactor must be nonnegative, got -1"),   # the first bundle
+    ("D: -1\n", "D must lie in [0, w_ph/2] = [0, 0.3] (a larger D forms a double well), got -1"),
+    ("n_ryd: 26\n", "n_ryd must lie in [27, 32], got 26"),   # raised after the Stark bundles
+    ("eta: 0\n", "eta must be 3 or 6, got 0"),
+    ("n_B: 2\n", "n_B must lie in (0, 1), got 2"),           # raised by the last bundle
 ])
 def test_failed_figures_run_writes_no_file(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(config)
-    assert message in _error(capsys, tmp_path / "fig", ["--config", str(cfg), "figures"])
+    assert _error(capsys, tmp_path / "fig", ["--config", str(cfg), "figures"]) == message
 
 
 def test_config_integer_beyond_the_float_range_is_rejected_before_any_output(tmp_path, capsys):
@@ -208,12 +212,42 @@ def _fresh_python(script):
                           env={**os.environ, "PYTHONPATH": path}, check=True).stdout
 
 
-@pytest.mark.parametrize("module", ["hhsim.pairs", "hhsim.cli"])
-def test_import_loads_neither_scipy_nor_yaml(module):
-    assert _fresh_python(
-        f"import sys, {module}; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))"
-    ) == "[]\n"
+_PAIRS = ("elliptic", "greens", "pairs")
+
+
+# Each run in a new interpreter: the hhsim modules it loads beyond hhsim,
+# hhsim.cli and hhsim.constants, and which of OpenSSL (_hashlib), scipy and
+# PyYAML it loads.  "{tmp}" in argv is a fresh directory holding cfg.yaml.
+@pytest.mark.parametrize("argv, modules, extras", [
+    pytest.param(None, (), (), id="import"),
+    pytest.param(["stark", "--steps", "3"], ("stark",), (), id="stark"),
+    pytest.param(["phonon", "--steps", "3"], ("lattice",), (), id="phonon"),
+    pytest.param(["phi-map", "--pattern", "holstein"], ("lattice", "rydberg"), (), id="phi-map"),
+    pytest.param(["params", "--steps", "2"], ("hubbard", "lattice", "rydberg"), (), id="params"),
+    pytest.param(["binding", "--steps", "3"], _PAIRS, (), id="binding"),
+    pytest.param(["--out", "{tmp}/out", "binding", "--steps", "3"], _PAIRS, ("_hashlib",),
+                 id="binding-out"),
+    pytest.param(["--config", "{tmp}/cfg.yaml", "binding", "--steps", "3"], _PAIRS, ("yaml",),
+                 id="binding-config"),
+    pytest.param(["pair", "--U", "-6", "--steps", "2"], _PAIRS, (), id="pair"),
+    pytest.param(["--out", "{tmp}/out", "oracle", "--U", "-8", "--sizes", "4"],
+                 _PAIRS + ("oracle",), ("_hashlib", "scipy"), id="oracle"),
+    pytest.param(["phase", "--v0-steps", "2", "--lam-steps", "2"],
+                 _PAIRS + ("hubbard", "phases"), (), id="phase"),
+    pytest.param(["figures"], _PAIRS + ("hubbard", "lattice", "phases", "rydberg", "stark"), (),
+                 id="figures"),
+])
+def test_each_run_loads_only_the_modules_it_calls(tmp_path, argv, modules, extras):
+    (tmp_path / "cfg.yaml").write_text("a: 1.73\n")
+    run = "" if argv is None else (
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({[arg.format(tmp=tmp_path) for arg in argv]!r}) == 0\n")
+    loaded = _fresh_python(
+        "import contextlib, io, json, sys\nfrom hhsim.cli import main\n" + run
+        + "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'hhsim'),"
+        " sorted({m.split('.')[0] for m in sys.modules} & {'_hashlib', 'scipy', 'yaml'})]))")
+    expected = sorted(["hhsim", "hhsim.cli", "hhsim.constants"] + [f"hhsim.{m}" for m in modules])
+    assert json.loads(loaded) == [expected, sorted(extras)]
 
 
 def test_package_loads_submodules_on_attribute_access():
@@ -294,6 +328,7 @@ def test_pattern_choices_are_the_registry():
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for cmd in ("phonon", "phi-map"):
+        parser.parse_args([cmd])   # a subcommand's flags are added when it is first parsed
         action = next(a for a in commands.choices[cmd]._actions if a.dest == "pattern")
         assert list(action.choices) == sorted(PATTERN_CONSTRUCTORS)
     with pytest.raises(SystemExit):
@@ -509,6 +544,9 @@ def test_no_subcommand_flag_shadows_a_default():
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for name, sub in commands.choices.items():
+        # a subcommand's flags are added when it is first parsed; oracle requires --U
+        parser.parse_args([name] + (["--U", "0"] if name == "oracle" else []))
+        assert len(sub._actions) > 1 or name == "figures", name
         assert not {a.dest for a in sub._actions} & set(DEFAULTS), name
     assert not {a.dest for a in parser._actions} & set(DEFAULTS)
 
@@ -526,12 +564,3 @@ def test_plain_phase_is_the_library_map_of_the_default_family(tmp_path):
     segments = json.loads((out / "phase_contour.json").read_text())
     assert [[s["V0_a"], s["lambda_a"], s["V0_b"], s["lambda_b"]] for s in segments] == (
         grid.contour.reshape(-1, 4).tolist())
-
-
-def test_binding_without_config_loads_neither_scipy_nor_yaml():
-    assert _fresh_python(
-        "import contextlib, io, sys; from hhsim.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['binding', '--steps', '3']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))"
-    ) == "[]\n"

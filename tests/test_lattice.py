@@ -33,7 +33,8 @@ def test_pattern_validation():
     with pytest.raises(ValueError, match="^V0_ph must be positive, got -1.0$"):
         SpotPattern("x", V0_ph=-1.0, w_ph=0.6, **ONE_SITE)
     for ctor in PATTERN_CONSTRUCTORS.values():   # D > w/2: double well
-        with pytest.raises(ValueError, match="^spot half-separation must satisfy"):
+        with pytest.raises(ValueError, match=r"^D must lie in \[0, w_ph/2\] = \[0, 0.3\] "
+                                             r"\(a larger D forms a double well\), got 0.4$"):
             ctor(1.73, 100.0, 0.6, 0.4, extent=0)
 
 

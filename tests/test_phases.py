@@ -35,13 +35,13 @@ def test_t_bkt_formula_and_domain():
     ) * 1e9
     assert t_bkt(n_B, m, a) == pytest.approx(expect, rel=1e-12)
     assert t_bkt(n_B, np.array([m, 2 * m]), a).tolist() == [t_bkt(n_B, m, a), t_bkt(n_B, 2 * m, a)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_B must lie in \(0, 1\), got 0.0$"):
         t_bkt(0.0, m, a)
     with pytest.raises(ValueError):
         t_bkt(3.9, m, a)  # lnln argument <= 1
     with pytest.raises(ValueError):
         t_bkt(n_B, np.array([m, 0.0]), a)
-    with pytest.raises(ValueError, match="positive mass"):
+    with pytest.raises(ValueError, match="^m_star_star must be a positive mass$"):
         t_bkt(n_B, np.array([math.nan]), a)
     with pytest.raises(ValueError, match="^a must be finite"):
         t_bkt(n_B, m, math.nan)

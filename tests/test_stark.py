@@ -37,7 +37,7 @@ def test_line_data_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         StarkConfig(ellipticity=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^intensity_prefactor must be nonnegative, got -1.0$"):
         StarkConfig(intensity_prefactor=-1.0)
 
 

@@ -4,13 +4,13 @@
 
 runs each command line of ``RUNS`` as ``python -m hhsim.cli`` with
 ``PYTHONPATH=SRC``, in a fresh temporary directory, and prints
-``{run: {"exit": status, "stderr": text, "files": {name: sha256}}}``,
-manifests included.  Two source trees are compared by
+``{run: {"exit": status, "stderr": text, "stdout": sha256, "files":
+{name: sha256}}}``, manifests included.  Two source trees are compared by
 
     python tools/artifact_hashes.py OLD/src src
 
-which runs both and prints only what differs: per run, the exit status
-and stderr as ``{"old": ..., "new": ...}`` where they differ, and under
+which runs both and prints only what differs: per run, the exit status,
+stderr and stdout hash as ``{"old": ..., "new": ...}`` where they differ, and under
 ``"files"`` each file whose hash differs (null where a tree wrote no
 such file).  ``{}`` means every run wrote the same bytes.
 
@@ -77,6 +77,14 @@ RUNS = {
     "phonon-holstein-b": ["phonon", "--pattern", "holstein", "--b", "0.3"],
     "phi-map-rotated": ["phi-map", "--pattern", "offset-parallel-rotated",
                         "--b-over-aprime", "0.3"],
+    # help, usage and choice errors on stdout and stderr: the parser adds a
+    # subcommand's flags, and imports their registries, only when it parses it
+    "help": ["--help"],
+    "stark-help": ["stark", "--help"],
+    "phonon-help": ["phonon", "--help"],
+    "phi-map-help": ["phi-map", "--help"],
+    "stark-unknown-species": ["stark", "--species", "Na-23"],
+    "phi-map-unknown-pattern": ["phi-map", "--pattern", "no-such-pattern"],
 }
 
 
@@ -91,7 +99,8 @@ def artifact_hashes(src):
             out = Path(tmp, name)
             files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                      for p in sorted(out.iterdir())} if out.is_dir() else {}
-        report[name] = {"exit": proc.returncode, "stderr": proc.stderr, "files": files}
+        report[name] = {"exit": proc.returncode, "stderr": proc.stderr,
+                        "stdout": hashlib.sha256(proc.stdout.encode()).hexdigest(), "files": files}
     return report
 
 
@@ -100,7 +109,8 @@ def changed(old, new):
     diff = {}
     for name in RUNS:
         o, n = old[name], new[name]
-        entry = {key: {"old": o[key], "new": n[key]} for key in ("exit", "stderr") if o[key] != n[key]}
+        entry = {key: {"old": o[key], "new": n[key]}
+                 for key in ("exit", "stderr", "stdout") if o[key] != n[key]}
         files = {f: {"old": o["files"].get(f), "new": n["files"].get(f)}
                  for f in sorted(o["files"].keys() | n["files"].keys())
                  if o["files"].get(f) != n["files"].get(f)}
