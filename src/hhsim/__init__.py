@@ -6,9 +6,9 @@ two-body solver.
 
 Submodules load on first attribute access (PEP 562), so ``import hhsim``
 pulls in no numerics, and scipy loads only with ``hhsim.oracle``.  The
-command line imports per subcommand: ``hhsim binding`` loads ``pairs``,
-``greens`` and ``elliptic``, ``hhsim stark`` loads ``stark`` alone, and
-OpenSSL loads only with ``--out``, for the manifest's digests.
+command line imports per subcommand: ``hhsim binding`` loads ``orbits``
+alone and ``hhsim stark`` loads ``stark`` alone, neither of which imports
+numpy, and OpenSSL loads only with ``--out``, for the manifest's digests.
 """
 
 import importlib
@@ -22,6 +22,7 @@ _SUBMODULES = frozenset({
     "hubbard",
     "lattice",
     "oracle",
+    "orbits",
     "pairs",
     "phases",
     "rydberg",

@@ -9,6 +9,9 @@ every file with its SHA-256 digest.
 
 A run imports only what its subcommand calls: each ``cmd_*`` imports its
 hhsim modules, and each subcommand's flags are added when it is parsed.
+The module imports no numpy (its sweep grids come from ``_linspace``),
+nor do ``stark`` and ``orbits``, so ``hhsim stark``, ``hhsim binding``
+and ``--explain-defaults`` load none.
 
 The physical defaults (``DEFAULTS``) are set by ``--config`` alone and
 resolved once per run; every value error (a non-finite ``--config``
@@ -24,8 +27,6 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .constants import A_BOHR, M_RB87, require_finite, require_positive
@@ -173,6 +174,19 @@ def _steps(args, flag="steps"):
     return steps
 
 
+def _linspace(lo, hi, n):
+    """n >= 2 evenly spaced floats from lo to hi, both included, with the bits
+    of ``numpy.linspace(lo, hi, n)``: i step + lo, the last point hi; where the
+    step (hi - lo)/(n - 1) is 0, (i/(n - 1)) (hi - lo) + lo."""
+    step = (hi - lo) / (n - 1)
+    if step == 0.0:   # numpy's branch for a zero or subnormal step
+        points = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
+
+
 def _bounds(args, flag, lo, hi):
     """The sweep bounds ``lo``, ``hi`` of ``--<flag>-min/max``, checked as finite
     before any grid is built."""
@@ -211,6 +225,8 @@ def cmd_stark(args, sink):
 
 
 def cmd_phonon(args, sink):
+    import numpy as np
+
     from . import lattice
 
     steps = _steps(args)
@@ -225,7 +241,7 @@ def cmd_phonon(args, sink):
                    "freq_Hz": m.frequency / (2 * math.pi),
                    "polarization": list(m.polarization)} for m in modes],
     })
-    xs = np.linspace(-w_ph, w_ph, steps)
+    xs = np.asarray(_linspace(-w_ph, w_ph, steps))
     points = pattern.centers[k] + np.stack([xs, np.zeros_like(xs)], axis=-1)
     rows = [(float(x), float(v))
             for x, v in zip(xs, lattice.site_potential(pattern, k, points))]
@@ -245,12 +261,12 @@ def cmd_phi_map(args, sink):
     sink.emit_table("phi_map", ["dx", "dy", "phi_ratio"], rows)
     if args.sweep_b:
         sweep = []
-        for frac in np.linspace(0.25, 0.45, 9):
+        for frac in _linspace(0.25, 0.45, 9):
             bb = frac * a * math.sqrt(2.0)
             pat = lattice.offset_parallel(a, 100.0, w_ph, D, bb)
             m = rydberg.effective_interaction(pat, spec, a)
             est = rydberg.nnn_ratio_estimate(bb, a, spec.eta)
-            sweep.append((float(frac), abs(m.values[(1, 1)]), est))
+            sweep.append((frac, abs(m.values[(1, 1)]), est))
         sink.emit_table("phi_nnn_sweep", ["b_over_aprime", "numeric", "estimate"], sweep)
 
 
@@ -262,7 +278,7 @@ def cmd_params(args, sink):
     a, w_ph, D = s["a"], s["w_ph"], s["D"]
     emap = rydberg.effective_interaction(lattice.holstein_reference(a, 100.0, w_ph, D),
                                          _rydberg_spec(s), a)
-    V0s = [float(V0) for V0 in np.linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), steps)]
+    V0s = _linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), steps)
     rows = []
     for r in hubbard.parameter_sweep(V0s, a, a_s_um=s["a_s0"] * A_BOHR * 1e6):
         W = 4.0 * r["t_Hz"]
@@ -273,25 +289,25 @@ def cmd_params(args, sink):
 
 
 def cmd_binding(args, sink):
-    from . import pairs
+    from . import orbits
 
     tp = args.t_prime
-    sweep = np.linspace(*_bounds(args, "v", args.v_min, args.v_max), _steps(args))
+    sweep = _linspace(*_bounds(args, "v", args.v_min, args.v_max), _steps(args))
     rows = []
     if args.model == "diagonal":
         for V in sweep:
-            th = pairs.threshold_diagonal(float(V), tp)
-            rows.append((float(V), th.U_cr, int(th.pole)))
+            th = orbits.threshold_diagonal(V, tp)
+            rows.append((V, th.U_cr, int(th.pole)))
         sink.emit_table("threshold_diagonal", ["V", "U_cr", "pole"], rows)
     elif args.model == "physical":
         for lam in sweep:
-            res = pairs.threshold_physical(float(lam), args.t, args.renormalized)
-            rows.append((float(lam), res["U_cr"], res["U_fesh_cr"], int(res["pole"])))
+            res = orbits.threshold_physical(lam, args.t, args.renormalized)
+            rows.append((lam, res["U_cr"], res["U_fesh_cr"], int(res["pole"])))
         sink.emit_table("threshold_physical", ["lambda", "U_cr", "U_fesh_cr", "pole"], rows)
     else:
         for V in sweep:
-            th = pairs.threshold_full(float(V), float(V), tp)
-            rows.append((float(V), th.U_cr, int(th.pole)))
+            th = orbits.threshold_full(V, V, tp)
+            rows.append((V, th.U_cr, int(th.pole)))
         sink.emit_table("threshold_full", ["V1=V2", "U_cr", "pole"], rows)
 
 
@@ -300,10 +316,10 @@ def cmd_pair(args, sink):
 
     tp = args.t_prime
     rows = []
-    for V in np.linspace(*_bounds(args, "v", args.v_min, args.v_max), _steps(args)):
-        U = args.U if args.U is not None else float(V)
-        for branch, s in enumerate(pairs.pair_energies(pairs.UVModel.diagonal(U, float(V), tp))):
-            rows.append((U, float(V), branch, s.E))
+    for V in _linspace(*_bounds(args, "v", args.v_min, args.v_max), _steps(args)):
+        U = args.U if args.U is not None else V
+        for branch, s in enumerate(pairs.pair_energies(pairs.UVModel.diagonal(U, V, tp))):
+            rows.append((U, V, branch, s.E))
     sink.emit_table("pair_energies", ["U", "V", "branch", "E"], rows)
 
 
@@ -340,12 +356,16 @@ def cmd_oracle(args, sink):
 
 
 def cmd_phase(args, sink):
+    import numpy as np
+
     from . import phases
 
     s = args.settings
     family = phases.PhaseFamily(a=s["a"], n_B=s["n_B"], omega_ratio=s["omega_ratio"])
-    V0s = np.linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), _steps(args, "v0-steps"))
-    lams = np.linspace(*_bounds(args, "lam", args.lam_min, args.lam_max), _steps(args, "lam-steps"))
+    V0s = np.asarray(_linspace(*_bounds(args, "v0", args.v0_min, args.v0_max),
+                               _steps(args, "v0-steps")))
+    lams = np.asarray(_linspace(*_bounds(args, "lam", args.lam_min, args.lam_max),
+                                _steps(args, "lam-steps")))
     grid = phases.phase_grid(V0s, lams, args.T, family)
     columns = (*np.meshgrid(V0s, lams, indexing="ij"), grid.T_pair, grid.T_bkt, grid.label)
     rows = list(zip(*(c.ravel().tolist() for c in columns)))

@@ -10,7 +10,8 @@ two-particle band bottom.  The six combinations needed here,
 (n,l) in {00, 10, 11, 20, 21, 22}, are evaluated together, in float and
 element-wise over an array of energies, by :func:`greens_M_table`, the
 one energy-dependent function of the module; callers index its rows by
-the order of SUPPORTED_NL.  With the elliptic modulus kappa = 2W'/|E|,
+the order of SUPPORTED_NL, which ``orbits`` defines beside the integrals'
+band-edge limits ``EDGE_C``.  With the elliptic modulus kappa = 2W'/|E|,
 W' = 4t', the table uses two methods:
 
 * kappa < 0.7: the moment series |E| M_nl = sum_k (W'/|E|)^k c_k,nl,
@@ -31,15 +32,10 @@ import numpy as np
 
 from .constants import require_positive
 from .elliptic import elliptic_KE_kprime
-
-SUPPORTED_NL = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
-
-# C_nl = lim M_00 - M_nl as E -> -8t', in units of 1/t', by SUPPORTED_NL
-EDGE_C = (0.0, 1.0 / 8.0, 1.0 / (2.0 * math.pi), (math.pi - 2.0) / (2.0 * math.pi),
-          (8.0 - math.pi) / (8.0 * math.pi), 2.0 / (3.0 * math.pi))
+from .orbits import SUPPORTED_NL
 
 # Closed forms of three band-edge coefficients of the full model, which
-# ``pairs`` derives from its orbit table; criterion 02 and the tests check them.
+# ``orbits`` derives from its orbit table; criterion 02 and the tests check them.
 GAMMA1 = (32.0 - 9.0 * math.pi) / (12.0 * math.pi)
 GAMMA2 = (16.0 - 3.0 * math.pi) / (3.0 * math.pi)
 GAMMA3 = (64.0 - 18.0 * math.pi) / (3.0 * math.pi)

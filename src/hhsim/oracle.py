@@ -152,12 +152,14 @@ def ground_energies(model, L, n_states=4):
     """Lowest n_states eigenvalues in the A1 sector of the model's point
     group, ascending.
 
-    At most dim - 2 of the sector's dim states may be asked for.  A dense
-    sector block is solved by eigvalsh, a sparse one by eigsh.  A state
-    counts as bound if E < -8t' - 5/L^2 * t' (the margin absorbs the
-    finite-size shift of the band edge).
+    n_states is a positive integer, at most dim - 2 of the sector's dim
+    states.  A dense sector block is solved by eigvalsh, a sparse one by
+    eigsh.  A state counts as bound if E < -8t' - 5/L^2 * t' (the margin
+    absorbs the finite-size shift of the band edge).
     """
     L = FiniteLattice(L).L
+    if isinstance(n_states, bool) or not isinstance(n_states, numbers.Integral):
+        raise ValueError(f"n_states must be an integer, got {n_states!r}")
     require_positive(n_states=n_states)
     H = _sector_hamiltonian(model, L, False)
     dim = H.shape[0]

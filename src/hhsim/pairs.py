@@ -1,23 +1,15 @@
 """Two-body bound states of the effective UV models.
 
-Two interaction layouts are treated on the square lattice, both at zero
-total pair momentum:
-
-* ``diagonal``: on-site U plus potential V on the two next-nearest
-  vectors +/-(x+y) (a single diagonal),
-* ``full``: on-site U, V1 on the four nearest-neighbor vectors and V2 on
-  the four next-nearest (both diagonals).
-
-Both layouts are one table of orbits: the sets of relative displacements
-that carry one potential.  Pair energies are the roots of det(I + G V)
-over the symmetric amplitudes, one row and column per orbit; entry
-(i, j) sums the lattice Green's integrals M_nl from the first member of
-orbit i to every member of orbit j.  The oracle reads the same table
-through ``UVModel.shells()`` and ``UVModel.point_group()``.  Binding
-thresholds are read off the same determinant at E -> -8t', where M_00
-diverges logarithmically and only its coefficient needs to vanish.  The
-module also carries the Lang--Firsov parameter maps that
-turn a phonon-coupled model into a UV model, the strong-coupling pair
+The two interaction layouts, ``diagonal`` and ``full``, are the orbit
+tables of ``orbits``.  Pair energies are the roots of det(I + G V) over
+the symmetric amplitudes, one row and column per orbit, built in float
+over arrays of energies from the count table ``orbits._COUNTS`` and the
+Green's table of ``greens``.  The oracle reads the same orbits through
+``UVModel.shells()`` and ``UVModel.point_group()``.  The binding
+thresholds are read off the same table at the band edge, in ``orbits``,
+which loads no numpy.  This module also carries the Lang--Firsov
+parameter maps that turn a phonon-coupled model into a UV model, the
+poles of the physical case's threshold, the strong-coupling pair
 dispersion, and the pair effective mass.
 """
 
@@ -27,8 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import require_finite, require_positive
-from .greens import EDGE_C, SUPPORTED_NL, greens_M_table
+from .greens import greens_M_table
+from .orbits import _COUNTS as _INT_COUNTS
+from .orbits import _ORBITS, _POINT_GROUPS, _check_couplings, _cofactor_det, threshold_physical
+# re-bound for a reader outside the package: the pair-scan set-up of
+# benchmarks/workload.py places its models near pairs.threshold_diagonal/full's U_cr
+from .orbits import threshold_diagonal, threshold_full
 
 _EDGE_EPS = 1e-10   # offset of the search bracket from the band edge, in t'
 _ROOT_TOL = 1e-12   # root bracket width in energy, in t'
@@ -46,50 +42,8 @@ _STENCIL_POINTS = 12   # grid points of the first estimate's interpolant
 _NEWTON_STEPS = 8   # at most, in the stencil's index space
 _NEWTON_TOL = 1e-9  # a Newton step this short leaves the next one at rounding level
 
-# The orbits of each variant, in determinant order: the UVModel field
-# that carries the potential, and the displacements that carry it.
-_ORBITS = {
-    "diagonal": (("U", ((0, 0),)),
-                 ("V2", ((1, 1), (-1, -1)))),
-    "full": (("U", ((0, 0),)),
-             ("V1", ((1, 0), (-1, 0), (0, 1), (0, -1))),
-             ("V2", ((1, 1), (1, -1), (-1, 1), (-1, -1)))),
-}
-
-
-def _orbit_counts(r, orbits):
-    """counts[k, j]: members s of orbit j with r - s of type SUPPORTED_NL[k].
-
-    M_nl is even in each component and symmetric in (n, l), so the type
-    of a displacement is its sorted absolute components.
-    """
-    counts = np.zeros((len(SUPPORTED_NL), len(orbits)), dtype=int)
-    for j, (_, members) in enumerate(orbits):
-        for sx, sy in members:
-            nl = tuple(sorted((abs(r[0] - sx), abs(r[1] - sy)), reverse=True))
-            counts[SUPPORTED_NL.index(nl), j] += 1
-    return counts
-
-
-# N[k, i, j] of each variant, with row i taken at the first member of orbit i
-_COUNTS = {variant: np.stack([_orbit_counts(members[0], orbits) for _, members in orbits], axis=1)
-           for variant, orbits in _ORBITS.items()}
-
-# the square lattice's point group: (a, b, c, d) maps (x, y) to (ax + by, cx + dy)
-_SQUARE_GROUP = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
-                 (1, 0, 0, -1), (-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, -1, 0))
-
-# the operations of _SQUARE_GROUP that map every orbit of each variant onto itself
-_POINT_GROUPS = {variant: tuple((a, b, c, d) for a, b, c, d in _SQUARE_GROUP
-                                if all({(a * x + b * y, c * x + d * y) for x, y in members}
-                                       == set(members) for _, members in orbits))
-                 for variant, orbits in _ORBITS.items()}
-
-
-def _check_couplings(t_prime, **couplings):
-    """Raise ValueError unless t_prime and every coupling are finite and t_prime > 0."""
-    require_finite(t_prime=t_prime, **couplings)
-    require_positive(t_prime=t_prime)
+# the count table N[k, i, j] of each variant as an array, for the determinant's einsum
+_COUNTS = {variant: np.array(N) for variant, N in _INT_COUNTS.items()}
 
 
 @dataclass
@@ -148,12 +102,6 @@ class PairState:
 
 
 @dataclass
-class BindingThreshold:
-    U_cr: float
-    pole: bool = False
-
-
-@dataclass
 class LFParams:
     """Inputs of the Lang--Firsov parameter map."""
 
@@ -172,7 +120,8 @@ def _orbit_det(M, variant, potentials):
     One ``einsum``, in numpy's own loops, builds the matrix with the
     energies trailing, shape (n, n) + energies; the determinant is the
     explicit 2x2 (``diagonal``) or 3x3 (``full``) cofactor expansion
-    along the first row.  Neither makes a BLAS or LAPACK call.
+    along the first row (``orbits._cofactor_det``).  Neither makes a BLAS
+    or LAPACK call.
     """
     N = _COUNTS[variant]
     n = N.shape[1]
@@ -180,11 +129,7 @@ def _orbit_det(M, variant, potentials):
     M = np.ascontiguousarray(M)
     B = np.einsum("kij,k...->ij...", N * potentials, M)
     B.reshape((n * n,) + M.shape[1:])[::n + 1] += 1   # the identity; an int keeps int tables exact
-    if n == 2:
-        (a, b), (c, d) = B
-        return a * d - b * c
-    (a, b, c), (d, e, f), (g, h, i) = B
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return _cofactor_det(B)
 
 
 def det_diagonal(E, U, V, t_prime):
@@ -401,55 +346,6 @@ def pair_energies(model):
     return [PairState(E=E) for E in roots.tolist()]
 
 
-@functools.cache
-def _edge_factor(variant):
-    """Coefficients a_S of F(x) = sum_S a_S prod_{j in S} x_j, the factor of
-    M_00 in the variant's determinant as E -> -8t' (x_j: orbit j's potential
-    over t'), by S[0] (the on-site orbit in S) and then the others' 0/1 flags.
-
-    There M_nl = M_00 - C_nl/t' (``EDGE_C``), so the matrix is A + M_00 1 s^T
-    (every orbit member has some type) and F is its determinant's slope in
-    M_00.  Each column is linear in its own potential, so F is multilinear:
-    differences of its values at the corners x in {0, 1}^n give the a_S.  The
-    table is taken times D = 2^60, which makes each C_nl an integer, so these
-    are exact: integer sums of D^|S| a_S, each a_S rounded once.
-    """
-    n, D = len(_ORBITS[variant]), 2 ** 60
-    M = np.array([[-int(c * D), D - int(c * D)] for c in EDGE_C], dtype=object)   # M_00 = 0, 1
-    F = np.reshape([np.diff(_orbit_det(M, variant, x)) for x in np.ndindex((2,) * n)], (2,) * n)
-    for axis in range(n):
-        F = np.diff(F, axis=axis, prepend=0)
-    return np.reshape([F[S] / D ** sum(S) for S in np.ndindex(F.shape)], (2, -1)).tolist()
-
-
-def _edge_threshold(variant, potentials, t_prime):
-    """U_cr = -t' Q/P, the zero in U of the variant's band-edge factor F = Q + P U/t'."""
-    monomials = [1.0]   # prod_{j in S} x_j in the C order of the 0/1 flags S
-    for v in reversed(potentials):
-        monomials += [m * (v / t_prime) for m in monomials]
-    Q_row, P_row = _edge_factor(variant)
-    P_terms = [a * m for a, m in zip(P_row, monomials)]
-    P = sum(P_terms)
-    # P sums at most four terms a_S prod x_j: quotients x_j = v_j/t', products and sums
-    # round at most 7 times by eps/2 relative to the sum of the terms' magnitudes, and each
-    # a_S is within an ulp of its closed form (tested).  P within 16 eps of that sum is 0.
-    if abs(P) <= 16.0 * math.ulp(1.0) * sum(map(abs, P_terms)):
-        return BindingThreshold(U_cr=math.inf, pole=True)
-    return BindingThreshold(U_cr=-t_prime * sum([a * m for a, m in zip(Q_row, monomials)]) / P)
-
-
-def threshold_diagonal(V, t_prime):
-    """Critical U below which the single-diagonal model binds a pair (a pole at V = -3 pi t'/4)."""
-    _check_couplings(t_prime, V=V)
-    return _edge_threshold("diagonal", (V,), t_prime)
-
-
-def threshold_full(V1, V2, t_prime):
-    """Critical U below which the both-diagonals model binds a pair, read off the orbit table."""
-    _check_couplings(t_prime, V1=V1, V2=V2)
-    return _edge_threshold("full", (V1, V2), t_prime)
-
-
 def lf_map_main(params: LFParams):
     """Lang--Firsov map, phonon-frequency-resolved hopping variant.
 
@@ -481,38 +377,6 @@ def lf_map_physical(params: LFParams):
         V2=0.896 * lam * t,
         t_prime=t_prime,
     )
-
-
-def threshold_physical(lam, t, renormalized):
-    """Critical couplings of the physical case as a function of lam.
-
-    Returns a dict with the critical on-site potential U_cr
-    (rational function with coefficients 0.1133, 2.9440, 0.5451,
-    0.0142), and the corresponding critical Feshbach interaction
-    U_Fesh_cr = U_cr + 8 t lam.
-
-    This is ``threshold_full`` composed with ``lf_map_physical``: the
-    derived ``full`` band-edge coefficients (g1-g3: GAMMA1-GAMMA3) times
-    -0.16 and 0.896, rounded to 4 decimals: g3*0.16*0.896 = 0.11334,
-    4*(0.896 - 0.16) = 2.944, 0.5*(-0.16) + g2*0.896 = 0.54510 and
-    g1*0.16*0.896 = 0.01417.  The renormalized pole of the composition
-    lies at lam = 1.0774, the printed one at lam = 1.0769.
-    """
-    require_finite(lam=lam, t=t)
-    require_positive(t=t)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    tp = t * math.exp(-4.0 * (1.0 - 0.16) * lam) if renormalized else t
-    num = 0.1133 * t * t * tp * lam * lam - 2.9440 * t * tp * tp * lam
-    den = tp * tp + 0.5451 * t * tp * lam - 0.0142 * t * t * lam * lam
-    pole = den == 0.0
-    U_cr = math.inf if pole else num / den
-    return {
-        "U_cr": U_cr,
-        "U_fesh_cr": U_cr + 8.0 * t * lam,
-        "pole": pole,
-        "denominator": den,
-    }
 
 
 def threshold_physical_poles(t, renormalized):

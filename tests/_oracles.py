@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from hhsim.constants import HBAR, HZ_TO_NK, H_PLANCK, K_B, M_K40, nk_to_hz
 from hhsim.greens import GAMMA1, GAMMA2, GAMMA3, SUPPORTED_NL, greens_M_table
 from hhsim.hubbard import hopping_t, recoil_energy
-from hhsim.pairs import BindingThreshold, _check_couplings
+from hhsim.orbits import BindingThreshold, _check_couplings
 
 
 def quad_M(E, t_prime, rel_tol=1e-10, n_start=64, n_max=16384):

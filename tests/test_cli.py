@@ -13,7 +13,7 @@ import yaml
 
 import hhsim
 from hhsim import hubbard, lattice, phases, rydberg
-from hhsim.cli import DEFAULTS, FIGURES, build_parser, main
+from hhsim.cli import DEFAULTS, FIGURES, _linspace, build_parser, main
 from hhsim.constants import A_BOHR, H_PLANCK, M_RB87
 from hhsim.lattice import PATTERN_CONSTRUCTORS
 
@@ -212,30 +212,38 @@ def _fresh_python(script):
                           env={**os.environ, "PYTHONPATH": path}, check=True).stdout
 
 
-_PAIRS = ("elliptic", "greens", "pairs")
+_PAIRS = ("elliptic", "greens", "orbits", "pairs")
 
 
 # Each run in a new interpreter: the hhsim modules it loads beyond hhsim,
-# hhsim.cli and hhsim.constants, and which of OpenSSL (_hashlib), scipy and
-# PyYAML it loads.  "{tmp}" in argv is a fresh directory holding cfg.yaml.
+# hhsim.cli and hhsim.constants, and which of OpenSSL (_hashlib), numpy,
+# scipy and PyYAML it loads.  "{tmp}" in argv is a fresh directory holding
+# cfg.yaml.
 @pytest.mark.parametrize("argv, modules, extras", [
     pytest.param(None, (), (), id="import"),
+    pytest.param(["--explain-defaults"], (), (), id="explain-defaults"),
     pytest.param(["stark", "--steps", "3"], ("stark",), (), id="stark"),
-    pytest.param(["phonon", "--steps", "3"], ("lattice",), (), id="phonon"),
-    pytest.param(["phi-map", "--pattern", "holstein"], ("lattice", "rydberg"), (), id="phi-map"),
-    pytest.param(["params", "--steps", "2"], ("hubbard", "lattice", "rydberg"), (), id="params"),
-    pytest.param(["binding", "--steps", "3"], _PAIRS, (), id="binding"),
-    pytest.param(["--out", "{tmp}/out", "binding", "--steps", "3"], _PAIRS, ("_hashlib",),
+    pytest.param(["phonon", "--steps", "3"], ("lattice",), ("numpy",), id="phonon"),
+    pytest.param(["phi-map", "--pattern", "holstein"], ("lattice", "rydberg"), ("numpy",),
+                 id="phi-map"),
+    pytest.param(["params", "--steps", "2"], ("hubbard", "lattice", "rydberg"), ("numpy",),
+                 id="params"),
+    pytest.param(["binding", "--steps", "3"], ("orbits",), (), id="binding"),
+    pytest.param(["binding", "--model", "full", "--steps", "3"], ("orbits",), (),
+                 id="binding-full"),
+    pytest.param(["binding", "--model", "physical", "--steps", "3"], ("orbits",), (),
+                 id="binding-physical"),
+    pytest.param(["--out", "{tmp}/out", "binding", "--steps", "3"], ("orbits",), ("_hashlib",),
                  id="binding-out"),
-    pytest.param(["--config", "{tmp}/cfg.yaml", "binding", "--steps", "3"], _PAIRS, ("yaml",),
+    pytest.param(["--config", "{tmp}/cfg.yaml", "binding", "--steps", "3"], ("orbits",), ("yaml",),
                  id="binding-config"),
-    pytest.param(["pair", "--U", "-6", "--steps", "2"], _PAIRS, (), id="pair"),
+    pytest.param(["pair", "--U", "-6", "--steps", "2"], _PAIRS, ("numpy",), id="pair"),
     pytest.param(["--out", "{tmp}/out", "oracle", "--U", "-8", "--sizes", "4"],
-                 _PAIRS + ("oracle",), ("_hashlib", "scipy"), id="oracle"),
+                 _PAIRS + ("oracle",), ("_hashlib", "numpy", "scipy"), id="oracle"),
     pytest.param(["phase", "--v0-steps", "2", "--lam-steps", "2"],
-                 _PAIRS + ("hubbard", "phases"), (), id="phase"),
-    pytest.param(["figures"], _PAIRS + ("hubbard", "lattice", "phases", "rydberg", "stark"), (),
-                 id="figures"),
+                 _PAIRS + ("hubbard", "phases"), ("numpy",), id="phase"),
+    pytest.param(["figures"], _PAIRS + ("hubbard", "lattice", "phases", "rydberg", "stark"),
+                 ("numpy",), id="figures"),
 ])
 def test_each_run_loads_only_the_modules_it_calls(tmp_path, argv, modules, extras):
     (tmp_path / "cfg.yaml").write_text("a: 1.73\n")
@@ -245,9 +253,30 @@ def test_each_run_loads_only_the_modules_it_calls(tmp_path, argv, modules, extra
     loaded = _fresh_python(
         "import contextlib, io, json, sys\nfrom hhsim.cli import main\n" + run
         + "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'hhsim'),"
-        " sorted({m.split('.')[0] for m in sys.modules} & {'_hashlib', 'scipy', 'yaml'})]))")
+        " sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'_hashlib', 'numpy', 'scipy', 'yaml'})]))")
     expected = sorted(["hhsim", "hhsim.cli", "hhsim.constants"] + [f"hhsim.{m}" for m in modules])
     assert json.loads(loaded) == [expected, sorted(extras)]
+
+
+_SEEDED = np.random.default_rng(29).uniform(-50.0, 50.0, (4, 2)).tolist()
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    *[(lo, hi, n) for (lo, hi), n in zip(_SEEDED, (2, 7, 41, 401))],
+    (20.0, -3.3, 17),                       # reversed bounds
+    (2.0, 2.0, 3),                          # a zero step
+    (0.0, 3 * 5e-324, 4),                   # three subnormals, one per step
+    (-5e-324, 2 * 5e-324, 9),               # three subnormals over 8 steps: the step rounds to 0
+    (1.0, 1.0 + 2.0**-52, 5),               # one ulp over 4 steps
+    (-0.1, 0.1, 2),
+    (-1.7e308, 1.7e308, 5),                 # hi - lo overflows: a nan first point
+])
+def test_linspace_has_the_bits_of_numpy_linspace(lo, hi, n):
+    with np.errstate(all="ignore"):
+        expected = np.linspace(lo, hi, n)
+    assert np.array(_linspace(lo, hi, n)).view(np.uint64).tolist() == \
+        expected.view(np.uint64).tolist()
 
 
 def test_package_loads_submodules_on_attribute_access():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hhsim.greens import (
-    EDGE_C,
     GAMMA1,
     GAMMA2,
     GAMMA3,
@@ -12,6 +11,7 @@ from hhsim.greens import (
     SUPPORTED_NL,
     greens_M_table,
 )
+from hhsim.orbits import EDGE_C
 
 from _oracles import closed_form_M, greens_C_threshold, quad_M
 
@@ -75,7 +75,7 @@ def test_threshold_table_rational_pi_values():
 
 
 def test_edge_C_is_the_threshold_table():
-    # the band-edge limits that pairs reads its thresholds off are the
+    # the band-edge limits that orbits reads its thresholds off are the
     # ones criterion 02 checks
     for nl, c in zip(SUPPORTED_NL, EDGE_C, strict=True):
         assert c == greens_C_threshold(*nl, 1.0), nl

@@ -210,6 +210,14 @@ def test_n_states_must_be_positive(solve, L, n_states):
         solve(UVModel.diagonal(-5.0, 0.0, 1.0), L, n_states=n_states)
 
 
+@pytest.mark.parametrize("L", [16, 64])
+@pytest.mark.parametrize("n_states", [2.5, 2.0, True, "2"])
+def test_n_states_must_be_an_integer(L, n_states):
+    # unchecked, a float reaches ARPACK (SystemError at L = 64) or the dense slice (TypeError)
+    with pytest.raises(ValueError, match=f"^n_states must be an integer, got {n_states!r}$"):
+        ground_energies(UVModel.diagonal(-5.0, 0.0, 1.0), L, n_states=n_states)
+
+
 def test_n_states_is_at_most_the_sector_dimension_minus_two():
     # the diagonal model's 4 x 4 A1 sector has one state per orbit
     model = UVModel.diagonal(-8.0, 0.0, 1.0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhsim import pairs
+from hhsim import orbits, pairs
 from hhsim.greens import GAMMA1, GAMMA2, GAMMA3, greens_M_table
 from hhsim.pairs import (
     LFParams,
@@ -22,11 +22,9 @@ from hhsim.pairs import (
     pair_energies,
     pair_mass,
     pair_mass_onsite,
-    threshold_diagonal,
-    threshold_full,
-    threshold_physical,
     threshold_physical_poles,
 )
+from hhsim.orbits import threshold_diagonal, threshold_full, threshold_physical
 
 from _oracles import (
     binding_condition_full,
@@ -72,15 +70,15 @@ def test_shells_are_the_literal_tables():
         ((1, 1), -0.5), ((1, -1), -0.5), ((-1, 1), -0.5), ((-1, -1), -0.5)]
 
 
-@pytest.mark.parametrize("variant", sorted(pairs._ORBITS))
+@pytest.mark.parametrize("variant", sorted(orbits._ORBITS))
 def test_every_orbit_member_has_the_count_row_of_the_first(variant):
     # the determinant takes row i at the first member of orbit i, which
     # is exact only if every member sees the same M_nl counts
-    orbits = pairs._ORBITS[variant]
-    for i, (_, members) in enumerate(orbits):
+    table = orbits._ORBITS[variant]
+    for i, (_, members) in enumerate(table):
         for r in members:
-            assert np.array_equal(pairs._orbit_counts(r, orbits),
-                                  pairs._COUNTS[variant][:, i, :]), (i, r)
+            assert np.array_equal(orbits._orbit_counts(r, table),
+                                  np.array(orbits._COUNTS[variant])[:, i, :]), (i, r)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -117,7 +115,7 @@ def _largest_cofactor_term(B):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(variant=st.sampled_from(sorted(pairs._ORBITS)), tp=st.floats(0.3, 3.0),
+@given(variant=st.sampled_from(sorted(orbits._ORBITS)), tp=st.floats(0.3, 3.0),
        depths=st.lists(st.floats(-10.0, 2.5), min_size=1, max_size=8),
        potentials=st.lists(st.floats(-40.0, 40.0), min_size=3, max_size=3))
 def test_orbit_det_equals_the_lu_determinant(variant, tp, depths, potentials):
@@ -126,7 +124,7 @@ def test_orbit_det_equals_the_lu_determinant(variant, tp, depths, potentials):
     # each draw adds one energy within 1e-9 t' of the edge and one past
     # the switch.  The tolerance is relative to the largest term of the
     # cofactor sum, since near a root the determinant cancels to 0
-    N = pairs._COUNTS[variant]
+    N = np.array(orbits._COUNTS[variant])
     v = tuple(p * tp for p in potentials[:N.shape[1]])
     E = tp * (-8.0 - 10.0 ** np.array(depths + [-9.5, 1.0]))
     for M in (greens_M_table(E, tp), greens_M_table(E[0], tp)):
@@ -553,11 +551,22 @@ def test_derived_band_edge_coefficients_are_the_closed_forms():
         "full": [[0.0, 4.0, 4.0, GAMMA3], [1.0, GAMMA2, 0.5, GAMMA1]],
     }
     for variant, rows in expected.items():
-        derived = pairs._edge_factor(variant)
+        derived = orbits._edge_factor(variant)
         assert np.all(np.abs(np.subtract(derived, rows)) <= 2e-15), variant
         # the determinants are exact integers, so each coefficient is rounded
         # once; in floats GAMMA1 came out 31 ulps off
         assert all(abs(a - r) <= math.ulp(r) for a, r in zip(np.ravel(derived), np.ravel(rows)))
+
+
+@pytest.mark.parametrize("variant", sorted(orbits._ORBITS))
+def test_band_edge_determinant_in_integers_is_the_orbit_determinant(variant):
+    # orbits' pure-Python matrix and pairs' einsum read one count table: on
+    # the integer band-edge tables, as an object array, they agree exactly
+    tables = np.array(orbits._EDGE_TABLES, dtype=object).T   # (6, 2): M_00 = 0 and 1
+    for corner in itertools.product((0, 1), repeat=len(orbits._ORBITS[variant])):
+        exact = [orbits._table_det(M, variant, corner) for M in orbits._EDGE_TABLES]
+        assert all(type(d) is int for d in exact)
+        assert pairs._orbit_det(tables, variant, corner).tolist() == exact, corner
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: pair_energies misses binding shallower "
@@ -693,7 +702,7 @@ def test_threshold_physical_bare_is_smooth():
         if prev is not None:
             assert abs(res["U_cr"] - prev) < 0.2
         prev = res["U_cr"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lam must be nonnegative, got -0.1$"):
         threshold_physical(-0.1, 1.0, renormalized=False)
 
 

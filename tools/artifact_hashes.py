@@ -45,6 +45,11 @@ RUNS = {
                                    "-0.5", "--steps", "46"],
     "binding-full-json": ["--format", "json", "binding", "--model", "full"],
     "binding-physical": ["binding", "--model", "physical", "--renormalized"],
+    # the physical thresholds at full precision
+    "binding-physical-json": ["--format", "json", "binding", "--model", "physical",
+                              "--renormalized"],
+    # a zero-width sweep: the sweep grid's zero-step branch
+    "binding-zero-step": ["binding", "--v-min", "2", "--v-max", "2", "--steps", "3"],
     "pair": ["pair", "--U", "-6"],
     # the diagonal model's determinant roots at full precision (the CSV prints 10 digits)
     "pair-json": ["--format", "json", "pair", "--U", "-6"],
