@@ -188,9 +188,11 @@ def _linspace(lo, hi, n):
 
 
 def _bounds(args, flag, lo, hi):
-    """The sweep bounds ``lo``, ``hi`` of ``--<flag>-min/max``, checked as finite
-    before any grid is built."""
-    require_finite(**{f"{args.cmd} --{flag}-min": lo, f"{args.cmd} --{flag}-max": hi})
+    """The sweep bounds ``lo``, ``hi`` of ``--<flag>-min/max``, checked as finite,
+    and close enough that hi - lo is finite, before any grid is built."""
+    low, high = f"{args.cmd} --{flag}-min", f"{args.cmd} --{flag}-max"
+    require_finite(**{low: lo, high: hi})
+    require_finite(**{f"{high} minus --{flag}-min": hi - lo})
     return lo, hi
 
 

@@ -98,9 +98,10 @@ def _pattern(pattern_id, V0_ph, w_ph, D, centers, spots, axes):
 
 def _offset(pattern_id, axis, a, V0_ph, w_ph, D, b, extent):
     ij = _grid(a, extent)
-    b = 0.5 * a * math.sqrt(2.0) if b is None else b
-    if not (0.0 < b < a * math.sqrt(2.0)):
-        raise ValueError("offset must satisfy 0 < b < a*sqrt(2)")
+    bound = a * math.sqrt(2.0)
+    b = 0.5 * bound if b is None else b
+    if not (0.0 < b < bound):
+        raise ValueError(f"b must lie in (0, a*sqrt(2)) = (0, {bound:.5g}), got {b:.5g}")
     return _pattern(pattern_id, V0_ph, w_ph, D, ij * a + b * axis, _two_spots(axis), [axis])
 
 

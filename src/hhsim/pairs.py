@@ -33,11 +33,9 @@ _SCAN_STEP = 0.1    # sign-scan grid step in s = ln(|E|/8t' - 1)
 _SCAN_TABLE_POINTS = 283  # scan points in the import-time Green's table: s <= 3.09, |E| <= 184.6 t'
 _POLE_SCAN = (0.0, 2.0, 4001)  # lam range and grid points of the pole scan
 _POLE_TOL = 1e-12   # root bracket width of a pole, in lam
-_NEAR = np.arange(-1, 3)   # a bracket's four known points, from the point left of its lower end
 # the polish cluster's offsets from its estimate c, in units of tol
 _CLUSTER = np.concatenate([-0.25 * 4.0 ** np.arange(_CLUSTER_SIDE - 1, -1, -1), [0.0],
                            0.25 * 4.0 ** np.arange(_CLUSTER_SIDE)])
-_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])   # row k: the points other than k
 _STENCIL_POINTS = 12   # grid points of the first estimate's interpolant
 _NEWTON_STEPS = 8   # at most, in the stencil's index space
 _NEWTON_TOL = 1e-9  # a Newton step this short leaves the next one at rounding level
@@ -177,14 +175,6 @@ def _scan_table(s_hi):
     return x[:m], M[:, :m]
 
 
-def _inverse_cubic(x, y):
-    """Zero of the cubic x(y) through the four points (x[:, k], y[:, k]) of
-    each row; not finite where two y of a row are equal."""
-    # Lagrange weight of point k at y = 0: prod over m != k of y_m / (y_m - y_k)
-    others = y[:, _OTHERS]
-    return np.einsum("ik,ik->i", x, (others / (others - y[:, :, None])).prod(axis=2))
-
-
 @functools.cache
 def _stencil_weights(m):
     """Barycentric weights (-1)^j C(m - 1, j) of the degree-(m - 1)
@@ -200,8 +190,8 @@ def _stencil_zeros(xs, vals, k):
     In index space t, vals on the 12 grid points j around the bracket (all
     of them on a shorter grid) define the barycentric interpolant
     p(t) = N/D, N = sum_j q_j vals_j, D = sum_j q_j, q_j = w_j/(t - j).
-    Newton steps on p start from the inverse cubic through the bracket's
-    four nearest points, else from the linear zero, and stop at
+    Newton steps on p start from the bracket's linear zero
+    i + vals_k/(vals_k - vals_{k+1}), which lies inside it, and stop at
     convergence; the same interpolant of xs maps the zero t to x.  A step
     that leaves the bracket is clipped onto its end, a grid point, where
     the interpolant is not finite: that bracket has no estimate, and the
@@ -215,10 +205,7 @@ def _stencil_zeros(xs, vals, k):
     points = lo[:, None] + np.arange(m)
     F = vals[points]
     nodes = np.arange(m, dtype=float)
-    near = np.minimum(np.maximum(k[:, None] + _NEAR, 0), n - 1)   # columns 1, 2: the bracket's ends
-    y = vals[near]
-    t = _inverse_cubic(near - lo[:, None], y)
-    t = np.where((i < t) & (t < i + 1), t, i + y[:, 1] / (y[:, 1] - y[:, 2]))
+    t = i + vals[k] / (vals[k] - vals[k + 1])   # the linear zero, inside the bracket
     for _ in range(_NEWTON_STEPS):
         r = 1.0 / (t[:, None] - nodes)
         q = w * r
@@ -243,12 +230,12 @@ def _scan_roots(f, xs, vals, tol):
     one f call, in x, on a (brackets still wider than tol) x
     (2 _CLUSTER_SIDE + 1) array: per bracket an estimate c and the
     geometric cluster c +/- (tol/4) 4^j, all clipped to stay tol/4
-    inside the bracket.  c is, on the first step only, the zero of the
-    degree-11 interpolant of vals on the 12 grid points around the
-    bracket (``_stencil_zeros``); then the inverse cubic interpolant
-    through the four known points nearest the bracket (its grid
-    neighbours, then its cluster neighbours), else the secant point, else
-    the midpoint, whichever first is finite and inside the bracket.
+    inside the bracket.  Each bracket carries only its two ends and f
+    there.  c is, on the first step, the zero of the degree-11
+    interpolant of vals on the 12 grid points around the bracket
+    (``_stencil_zeros``), else the secant point through the bracket's
+    ends, else the midpoint; on every later step the secant point, else
+    the midpoint; whichever first is finite and inside the bracket.
     Where the scan values place the root within tol of the first estimate
     (a sampled polynomial of degree <= 11 in the index, or the pair
     determinant, analytic in s), the first step closes the bracket.
@@ -257,33 +244,29 @@ def _scan_roots(f, xs, vals, tol):
     with c at the midpoint, so every two steps at least halve it.  A root
     is the midpoint of its final bracket.
     """
-    n = xs.size
     exact = xs[:-1][vals[:-1] == 0.0]
     k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     if not k.size:
         return np.sort(exact)
-    # four known points per bracket, ascending in x, its ends in columns 1 and 2
-    near = np.minimum(np.maximum(k[:, None] + _NEAR, 0), n - 1)
-    if xs[-1] < xs[0]:
-        near = near[:, ::-1]
-    px, pf = xs[near], vals[near]
+    # each bracket's two ends, ascending in x
+    ends = np.stack([k, k + 1], axis=1) if xs[0] < xs[-1] else np.stack([k + 1, k], axis=1)
+    px, pf = xs[ends], vals[ends]
     offsets = tol * _CLUSTER
     cols = offsets.size + 2   # the cluster between the bracket's two ends
     bisect = np.zeros(len(k), dtype=bool)   # the last step did not halve the bracket
-    live = np.flatnonzero(px[:, 2] - px[:, 1] > tol)
+    live = np.flatnonzero(px[:, 1] - px[:, 0] > tol)
     first_step = True
     while live.size:
-        x4, f4 = px[live], pf[live]
-        a, b, fa, fb = x4[:, 1], x4[:, 2], f4[:, 1], f4[:, 2]
-        c = 0.5 * (a + b)
-        interpolate = ~bisect[live]
-        with np.errstate(all="ignore"):   # flat pieces make the estimates inf or nan
-            estimates = [b - fb * (b - a) / (fb - fa), _inverse_cubic(x4, f4)]
-            if first_step:
-                estimates.append(_stencil_zeros(xs, vals, k[live]))
-                first_step = False
-            for estimate in estimates:
-                c = np.where((a < estimate) & (estimate < b) & interpolate, estimate, c)
+        (a, b), (fa, fb) = px[live].T, pf[live].T
+        # fa and fb differ in sign, so only values near the float range
+        # overflow the secant point to inf or nan
+        with np.errstate(all="ignore"):
+            secant = b - fb * (b - a) / (fb - fa)
+        c = np.where((a < secant) & (secant < b) & ~bisect[live], secant, 0.5 * (a + b))
+        if first_step:
+            stencil = _stencil_zeros(xs, vals, k[live])
+            c = np.where((a < stencil) & (stencil < b), stencil, c)
+            first_step = False
         first, last = (a + 0.25 * tol)[:, None], (b - 0.25 * tol)[:, None]
         c = np.minimum(np.maximum(c[:, None], first), last)
         X, F = np.empty((live.size, cols)), np.empty((live.size, cols))
@@ -297,19 +280,15 @@ def _scan_roots(f, xs, vals, tol):
             np.where(F == 0.0, abs(X - c), np.inf)], axis=1)
         j = distance.argmin(axis=1)
         closed = j >= cols - 1
-        any_closed = closed.any()
-        if any_closed:
-            j[closed] -= cols - 1
-        rows = np.arange(live.size)[:, None]
-        near = np.minimum(np.maximum(j[:, None] + _NEAR, 0), cols - 1)
-        x4, f4 = X[rows, near], F[rows, near]
-        if any_closed:
-            x4[closed, 1:3] = X[closed, j[closed]][:, None]
-        px[live], pf[live] = x4, f4
-        width = x4[:, 2] - x4[:, 1]
+        j[closed] -= cols - 1
+        # the new bracket's ends, [j, j + 1], or an exact zero's point twice
+        rows, ends = np.arange(live.size)[:, None], np.stack([j, j + ~closed], axis=1)
+        x2 = X[rows, ends]
+        px[live], pf[live] = x2, F[rows, ends]
+        width = x2[:, 1] - x2[:, 0]
         bisect[live] = width > 0.5 * (b - a)
         live = live[width > tol]
-    return np.sort(np.concatenate([exact, 0.5 * (px[:, 1] + px[:, 2])]))
+    return np.sort(np.concatenate([exact, 0.5 * (px[:, 0] + px[:, 1])]))
 
 
 def pair_energies(model):
@@ -331,8 +310,9 @@ def pair_energies(model):
     change through ``det_diagonal`` or ``det_full`` until its bracket is
     at most 1e-12 t' wide.  Its first estimate interpolates the 12 scan
     values around each bracket, and the determinant is analytic in s, so
-    a root-bearing solve usually makes one polish call for all its roots,
-    and a second where the estimate misses a root by more than 1e-12 t'.
+    a root-bearing solve usually makes one polish call for all its roots.
+    Where that estimate misses a root by more than 1e-12 t', the later
+    calls take the secant point through the bracket's two ends.
     A pair bound by less than 1e-10 t' is missed, above the scan's first
     point: ``UVModel.full(-0.4, 0, 0, 1)`` binds (U < U_cr = 0) but has no root.
     """

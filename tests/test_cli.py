@@ -106,6 +106,15 @@ def test_binding_rejects_bad_t_prime_before_any_output(tmp_path, capsys, argv, m
     (["stark", "--wl-max", "inf"], "stark --wl-max must be finite, got inf"),
     # a zero bound is used as given, not replaced by the default
     (["stark", "--wl-min", "0"], "wavelength must be positive"),
+    # finite bounds whose difference overflows
+    (["binding", "--v-min=-1.7e308", "--v-max", "1.7e308"],
+     "binding --v-max minus --v-min must be finite, got inf"),
+    (["pair", "--v-min", "1.7e308", "--v-max=-1.7e308"],
+     "pair --v-max minus --v-min must be finite, got -inf"),
+    (["params", "--v0-min=-1.7e308", "--v0-max", "1.7e308"],
+     "params --v0-max minus --v0-min must be finite, got inf"),
+    (["stark", "--wl-min=-1.7e308", "--wl-max", "1.7e308"],
+     "stark --wl-max minus --wl-min must be finite, got inf"),
 ])
 def test_sweep_bounds_are_checked_before_any_output(tmp_path, capsys, argv, message):
     # the whole of stderr is the JSON error: no numpy warning before it
@@ -364,14 +373,22 @@ def test_pattern_choices_are_the_registry():
         main(["phi-map", "--pattern", "no-such-pattern"])
 
 
-@pytest.mark.parametrize("argv", [
-    ["phi-map", "--pattern", "crossed", "--b-over-aprime", "0.3"],
-    ["phi-map", "--pattern", "bipartite-parallel", "--b-over-aprime", "0.5"],
-    ["phonon", "--pattern", "crossed", "--b", "0.5"],
-    ["phonon", "--pattern", "bipartite-parallel", "--b", "0.2"],
+# b/a' = 1.5 and b = -1 lie outside an offset pattern's range, 0 < b < a sqrt(2)
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["phi-map", "--pattern", "crossed", "--b-over-aprime", "0.3"], "plaquette",
+                 id="argv0"),
+    pytest.param(["phi-map", "--pattern", "bipartite-parallel", "--b-over-aprime", "0.5"],
+                 "plaquette", id="argv1"),
+    pytest.param(["phonon", "--pattern", "crossed", "--b", "0.5"], "plaquette", id="argv2"),
+    pytest.param(["phonon", "--pattern", "bipartite-parallel", "--b", "0.2"], "plaquette",
+                 id="argv3"),
+    pytest.param(["phi-map", "--b-over-aprime", "1.5"],
+                 "b must lie in (0, a*sqrt(2)) = (0, 2.4466), got 3.6699", id="phi-map-b-too-far"),
+    pytest.param(["phonon", "--b", "-1"], "b must lie in (0, a*sqrt(2)) = (0, 2.4466), got -1",
+                 id="phonon-b-negative"),
 ])
-def test_offset_on_plaquette_centred_pattern_is_an_error(tmp_path, argv, capsys):
-    assert "plaquette" in _error(capsys, tmp_path / "out", argv)
+def test_offset_on_plaquette_centred_pattern_is_an_error(tmp_path, argv, message, capsys):
+    assert message in _error(capsys, tmp_path / "out", argv)
 
 
 def test_oracle_subcommand_with_compare(tmp_path):
@@ -458,16 +475,17 @@ def test_phase_steps_need_two_before_any_output(tmp_path, capsys, flag, steps):
     assert message.startswith(f"phase {flag} must be at least 2")
 
 
-@pytest.mark.parametrize("flag, value", [
-    pytest.param("--v0-min", "nan", id="v0-min-nan"),
-    pytest.param("--v0-max", "inf", id="v0-max-inf"),
-    pytest.param("--lam-min", "inf", id="lam-min-inf"),
-    pytest.param("--lam-max", "nan", id="lam-max-nan"),
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--v0-min", "nan"], "phase --v0-min must be finite, got nan", id="v0-min-nan"),
+    pytest.param(["--v0-max", "inf"], "phase --v0-max must be finite, got inf", id="v0-max-inf"),
+    pytest.param(["--lam-min", "inf"], "phase --lam-min must be finite, got inf", id="lam-min-inf"),
+    pytest.param(["--lam-max", "nan"], "phase --lam-max must be finite, got nan", id="lam-max-nan"),
+    pytest.param(["--v0-min=-1.7e308", "--v0-max", "1.7e308"],
+                 "phase --v0-max minus --v0-min must be finite, got inf", id="v0-span-overflows"),
 ])
-def test_phase_bounds_are_checked_before_any_output(tmp_path, capsys, flag, value):
-    # the whole of stderr is the JSON error, and it names the flag
-    message = _error(capsys, tmp_path / "phase", ["phase", flag, value])
-    assert message == f"phase {flag} must be finite, got {value}"
+def test_phase_bounds_are_checked_before_any_output(tmp_path, capsys, argv, message):
+    # the whole of stderr is the JSON error, and it names the flags
+    assert _error(capsys, tmp_path / "phase", ["phase"] + argv) == message
 
 
 def test_params_t_and_U_come_from_parameter_sweep(tmp_path):

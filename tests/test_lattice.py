@@ -186,7 +186,8 @@ def test_holstein_offset_default():
 
 
 def test_offset_parallel_bounds():
-    with pytest.raises(ValueError):
+    message = r"^b must lie in \(0, a\*sqrt\(2\)\) = \(0, 1.4142\), got 1.5$"
+    with pytest.raises(ValueError, match=message):
         offset_parallel(1.0, 250.0, 0.6, 0.25, b=1.5)  # b > a*sqrt(2)
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -294,10 +295,61 @@ DEEP_MODELS = [UVModel.full(-2000.0, -1.0, -1.0, 1.0), UVModel.diagonal(-2000.0,
                UVModel.full(-600.0, -3.0, 2.0, 0.4)]
 
 
+def _rng5_models():
+    """ROADMAP item 13's test set: 400 models from numpy's default_rng(5),
+    alternating diagonal and full, with t' in [0.3, 3], U in [-40, 10] t'
+    and V in [-10, 4] t'.  None lies past the scan table."""
+    rng = np.random.default_rng(5)
+    models = []
+    for i in range(400):
+        tp = rng.uniform(0.3, 3.0)
+        U = rng.uniform(-40.0, 10.0) * tp
+        if i % 2 == 0:
+            models.append(UVModel.diagonal(U, rng.uniform(-10.0, 4.0) * tp, tp))
+        else:
+            models.append(UVModel.full(U, rng.uniform(-10.0, 4.0) * tp,
+                                       rng.uniform(-10.0, 4.0) * tp, tp))
+    return models
+
+
+@functools.cache
+def _rng5_greens_calls():
+    """The _rng5_models() and the greens_M_table calls of each one's solve."""
+    counted, calls = _counting(greens_M_table)
+    models, per_model = _rng5_models(), []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairs, "greens_M_table", counted)
+        for model in models:
+            calls[0] = 0
+            pair_energies(model)
+            per_model.append(calls[0])
+    return models, per_model
+
+
+def _stencil_misses():
+    """The _rng5_models() whose solve makes more than one Green's-table
+    call: a stencil estimate misses a root by more than tol, so secant
+    steps polish it."""
+    models, calls = _rng5_greens_calls()
+    return [model for model, n in zip(models, calls) if n > 1]
+
+
+def test_rng5_models_take_at_most_396_greens_tables():
+    # 374 root-bearing solves: 352 close every bracket in one polish
+    # call, 22 (the stencil misses) in two
+    models, calls = _rng5_greens_calls()
+    assert sum(calls) <= 396
+    assert len(_stencil_misses()) >= 20
+
+
+# the stencil misses are a callable: their solves are counted when the test runs
 @pytest.mark.parametrize("models", [SEEDED_MODELS] + [_pair_scan_models(seed) for seed in (1, 2, 3)]
-                         + [DEEP_MODELS],
-                         ids=["seeded", "pair-scan-1", "pair-scan-2", "pair-scan-3", "deep"])
+                         + [DEEP_MODELS, _stencil_misses],
+                         ids=["seeded", "pair-scan-1", "pair-scan-2", "pair-scan-3", "deep",
+                              "stencil-misses"])
 def test_pair_energies_equal_a_reference_bisection_on_the_same_scan(models):
+    if callable(models):
+        models = models()
     for model in models:
         roots, args = _recorded_scan(model)
         reference = bisection_roots(*args)
@@ -356,24 +408,6 @@ def test_every_scan_grid_is_finer_than_the_240_point_scan_and_reaches_the_bracke
         assert s[-2] < s_hi <= s[-1], model
 
 
-def test_inverse_cubic_is_the_zero_of_the_cubic_through_four_points():
-    # rows of x = c0 + c1 y + c2 y^2 + c3 y^3 at four distinct y: the
-    # interpolant is the cubic itself, so its zero is x(0) = c0, found
-    # with no division by zero (a RuntimeWarning fails the test)
-    rng = np.random.default_rng(7)
-    c = rng.uniform(-2.0, 2.0, size=(50, 4))
-    y = np.sort(rng.uniform(-1.0, 1.0, size=(50, 4)), axis=1)
-    y[:, 1:] += 0.1 * np.arange(1, 4)   # at least 0.1 apart
-    x = c[:, :1] + c[:, 1:2] * y + c[:, 2:3] * y**2 + c[:, 3:] * y**3
-    assert np.allclose(pairs._inverse_cubic(x, y), c[:, 0], rtol=0.0, atol=1e-9)
-    # two equal y in a row leave that row's zero undefined, and only it
-    y[::2, 2] = y[::2, 1]
-    with np.errstate(all="ignore"):
-        zeros = pairs._inverse_cubic(x, y)
-    assert not np.any(np.isfinite(zeros[::2]))
-    assert np.allclose(zeros[1::2], c[1::2, 0], rtol=0.0, atol=1e-9)
-
-
 @pytest.mark.parametrize("grid", ["uniform", "scan"])
 def test_stencil_estimate_is_the_zero_of_a_polynomial_of_degree_up_to_11(grid):
     # a polynomial of degree <= 11 in the grid index (in x on a uniform
@@ -410,8 +444,9 @@ def test_stencil_estimate_goes_on_past_a_clipped_bracket():
 @pytest.mark.parametrize("f", [lambda x: np.clip(x - 0.3, -1e-3, 1e-3),
                                lambda x: np.tanh(1e6 * (x - 0.3))], ids=["clipped-line", "tanh-step"])
 def test_stencil_estimate_falls_back_quietly_on_flat_pieces(f):
-    # the bracket's four nearest points share f values, so the inverse
-    # cubic divides by zero and Newton starts from the linear zero; a
+    # each end of the bracket shares its f value with its outer grid
+    # neighbour, so the 12 values are a step; Newton starts from the linear
+    # zero, the midpoint, and stays inside the bracket, and a
     # RuntimeWarning fails the test
     xs = -1.0 + 2.0 * np.arange(240) / 239
     vals = f(xs)
@@ -490,10 +525,9 @@ def test_scan_roots_closes_on_a_zero_at_a_cluster_point():
 
 def test_scan_roots_polishes_two_roots_in_adjacent_brackets():
     # scan brackets [0.2, 0.3] and [0.3, 0.4], polished in the same calls;
-    # f is equal at 0.2 and 0.4, so the inverse cubic of either bracket
-    # divides by zero, and Newton on the stencil (all 11 points) starts
-    # from the linear zero: the quadratic's exact roots close both
-    # brackets in one polish call
+    # the stencil spans all 11 points, so its interpolant is the quadratic
+    # itself, and Newton from each bracket's linear zero reaches the exact
+    # root: one polish call closes both brackets
     f, calls = _counting(lambda x: (x - 0.27) * (x - 0.33))
     roots = _scan(f, 0.0, 1.0, 11, 1e-12)
     assert calls[0] <= 2
@@ -501,8 +535,9 @@ def test_scan_roots_polishes_two_roots_in_adjacent_brackets():
 
 
 def test_scan_roots_falls_back_quietly_on_flat_pieces():
-    # the clipped line is flat beyond 1e-3 of its root, so the known
-    # points share f values and the inverse cubic divides by zero
+    # the clipped line is flat beyond 1e-3 of its root, so the stencil's
+    # estimate is the scan bracket's midpoint; the secant steps through
+    # the later brackets' two ends close it, with no RuntimeWarning
     f, calls = _counting(lambda x: np.clip(x - 0.3, -1e-3, 1e-3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

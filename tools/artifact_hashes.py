@@ -53,6 +53,10 @@ RUNS = {
     "pair": ["pair", "--U", "-6"],
     # the diagonal model's determinant roots at full precision (the CSV prints 10 digits)
     "pair-json": ["--format", "json", "pair", "--U", "-6"],
+    # four solves whose first polish estimate misses a root by more than 1e-12 t', so each
+    # takes a second, secant, polish step: their roots at full precision
+    "pair-second-step-json": ["--format", "json", "pair", "--U", "-28", "--v-min", "-12",
+                              "--v-max", "-9", "--steps", "4"],
     # search brackets down to s = ln(|E|/8t' - 1) = 5.6, past the end of pairs' scan table
     "pair-deep": ["pair", "--U", "-2000", "--steps", "5"],
     "oracle-compare": ["oracle", "--U", "-10", "--V1", "-1", "--compare"],
