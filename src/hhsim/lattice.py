@@ -109,11 +109,15 @@ def holstein_reference(a, V0_ph, w_ph, D, b=None, extent=5):
     """Phonon site adjacent to each fermion site (near-local coupling).
 
     Each fermion site (i, j)a carries a two-spot phonon site displaced
-    by b along x (default b = 0.1a), soft axis x.
+    by b along x (default b = 0.1a), soft axis x.  b lies in [0, a):
+    short of the next fermion site along x, and b = 0 is the on-site
+    (Holstein) limit.
     """
     ij = _grid(a, extent)
     b = 0.1 * a if b is None else b
     require_finite(b=b)
+    if not (0.0 <= b < a):
+        raise ValueError(f"b must lie in [0, a) = [0, {a:.5g}), got {b:.5g}")
     return _pattern("HolsteinReference", V0_ph, w_ph, D, ij * a + [b, 0.0],
                     _two_spots(_XHAT), [_XHAT])
 

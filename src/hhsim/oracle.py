@@ -8,8 +8,17 @@ point group is kept: the vectors fixed by every operation of
 ``UVModel.point_group()``, the square-lattice operations that map each
 orbit of the model onto itself (all 8 for the full variant, 4 for the
 diagonal one).  That is the fully symmetric (s-wave, spin-singlet)
-sector the determinant solves.  Sectors of up to ``_DENSE_MAX`` states
-are solved by dense ``numpy.linalg.eigvalsh``, larger ones by ``eigsh``.
+sector the determinant solves.  Sectors of up to ``_BANDED_MAX`` states
+are solved in band form by LAPACK's selected-eigenvalue driver
+(``scipy.linalg.eig_banded``, dsbevx: Schwarz's band-to-tridiagonal
+reduction, Numer. Math. 12, 231 (1968), then bisection for the lowest
+levels only), larger ones by ``eigsh``.  The band comes from ordering
+the sector's orbits by torus shell, the Manhattan distance
+d = min(x, L - x) + min(y, L - y) of their lead site: every point-group
+operation keeps d, and on an even torus a hop changes it by exactly
+one, so in that order the hopping block is block-tridiagonal, its
+bandwidth at most the largest size of two adjacent shells, minus one
+(13 at L = 48 for the full model, against about L/2 in lead order).
 
 A brute force on the full two-particle space of tiny lattices validates
 the reduction itself.  It keeps the A1 sector of the group generated by
@@ -24,7 +33,8 @@ Both solvers read one cached sector builder, ``_sector``: per lattice
 size, group and space it holds the orbit-basis projection of the
 hopping and the weights that map the shell potential of
 ``UVModel.shells()`` to the sector diagonal, so a call only scales the
-one and adds the other.
+one and adds the other.  ``_shell_band`` keeps, per lattice size and
+group, the shell order and the hopping block's upper band in it.
 """
 
 import functools
@@ -34,12 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eig_banded
 from scipy.sparse.linalg import eigsh
 
 from .constants import require_positive
 
 _BOUND_MARGIN = 5.0   # band-edge margin of a bound state, in t' / L^2
-_DENSE_MAX = 300      # sectors of up to this many states are solved densely
+_BANDED_MAX = 450     # relative-coordinate sectors of up to this many states are solved banded
 
 
 @dataclass
@@ -125,15 +136,42 @@ def _sector(L, group, pair):
     return K, W
 
 
+@functools.lru_cache(maxsize=32)
+def _shell_band(L, group):
+    """Shell order and hopping band of the relative-coordinate sector.
+
+    perm lists the sector's columns (``_symmetric_basis`` order) by the
+    torus Manhattan distance of their orbit's lead site, ties by lead
+    index.  band is the upper band of K[perm][:, perm], K from
+    ``_sector``, as ``eig_banded`` reads it: band[u + i - j, j] holds
+    entry (i, j), j - u <= i <= j, for bandwidth u.  Cached per process
+    and shared by every call: both are read-only.
+    """
+    K, _ = _sector(L, group, False)
+    lead = np.flatnonzero(_site_images(L, group).min(axis=0) >= np.arange(L * L))
+    x, y = np.divmod(lead, L)
+    perm = np.argsort(np.minimum(x, L - x) + np.minimum(y, L - y), kind="stable")
+    order = np.empty_like(perm)
+    order[perm] = np.arange(perm.size)
+    Kp = K.tocoo()
+    i, j = order[Kp.row], order[Kp.col]
+    upper = i <= j
+    u = int((j - i).max())
+    band = np.zeros((u + 1, perm.size))
+    band[u + i[upper] - j[upper], j[upper]] = Kp.data[upper]
+    perm.flags.writeable = band.flags.writeable = False
+    return perm, band
+
+
 def _sector_hamiltonian(model, L, pair):
     """-c t' K + diag(W @ pot) in the model's ``_sector``: c = 2 for the
     relative coordinate (each particle's hopping adds at K = 0), 1 for the
-    pair.  Dense where the sector is solved densely (every pair sector,
-    relative ones of up to ``_DENSE_MAX`` states), sparse otherwise."""
+    pair.  Dense for the pair, which is solved densely, sparse for the
+    relative coordinate."""
     K, W = _sector(L, model.point_group(), pair)
     hop = -(1.0 if pair else 2.0) * model.t_prime
     diagonal = W @ _shell_potential(model, L)
-    if not pair and K.shape[0] > _DENSE_MAX:
+    if not pair:
         return (hop * K + sp.diags(diagonal)).tocsr()
     H = K.toarray()
     H *= hop
@@ -153,24 +191,32 @@ def ground_energies(model, L, n_states=4):
     group, ascending.
 
     n_states is a positive integer, at most dim - 2 of the sector's dim
-    states.  A dense sector block is solved by eigvalsh, a sparse one by
-    eigsh.  A state counts as bound if E < -8t' - 5/L^2 * t' (the margin
-    absorbs the finite-size shift of the band edge).
+    states.  A sector of up to ``_BANDED_MAX`` states is solved in shell
+    order by ``eig_banded``, which computes only the n_states lowest
+    levels; a larger one by eigsh.  A state counts as bound if
+    E < -8t' - 5/L^2 * t' (the margin absorbs the finite-size shift of
+    the band edge).
     """
     L = FiniteLattice(L).L
     if isinstance(n_states, bool) or not isinstance(n_states, numbers.Integral):
         raise ValueError(f"n_states must be an integer, got {n_states!r}")
     require_positive(n_states=n_states)
-    H = _sector_hamiltonian(model, L, False)
-    dim = H.shape[0]
+    group = model.point_group()
+    K, W = _sector(L, group, False)
+    dim = K.shape[0]
     if n_states > dim - 2:
         raise ValueError(f"n_states must be at most {dim - 2} in the {dim}-state "
                          f"symmetric sector, got {n_states}")
-    if sp.issparse(H):
-        v0 = np.ones(dim) / math.sqrt(dim)
-        vals = eigsh(H, k=n_states, which="SA", v0=v0, tol=1e-12, return_eigenvectors=False)
+    if dim <= _BANDED_MAX:
+        perm, band = _shell_band(L, group)
+        H = -2.0 * model.t_prime * band
+        H[-1] += (W @ _shell_potential(model, L))[perm]
+        vals = eig_banded(H, eigvals_only=True, overwrite_a_band=True, select="i",
+                          select_range=(0, n_states - 1))
     else:
-        vals = np.linalg.eigvalsh(H)[:n_states]
+        v0 = np.ones(dim) / math.sqrt(dim)
+        vals = eigsh(_sector_hamiltonian(model, L, False), k=n_states, which="SA", v0=v0,
+                     tol=1e-12, return_eigenvectors=False)
     energies = sorted(float(v) for v in vals)
     edge = -8.0 * model.t_prime - _BOUND_MARGIN / L**2 * model.t_prime
     bound = sum(1 for e in energies if e < edge)

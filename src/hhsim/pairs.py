@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import require_finite
 from .greens import greens_M_table
 from .orbits import _COUNTS as _INT_COUNTS
 from .orbits import _ORBITS, _POINT_GROUPS, _check_couplings, _cofactor_det, threshold_physical
@@ -64,6 +65,8 @@ class UVModel:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "diagonal" and self.V1 != 0.0:
             raise ValueError(f"the diagonal variant has no V1 (its V is V2), got V1 = {self.V1}")
+        # finite couplings can still overflow the pair search's scan grid
+        require_finite(**{"search depth |U| + 8|V1| + 8|V2| + 12t'": _search_bracket_depth(self)})
 
     @classmethod
     def diagonal(cls, U, V, t_prime):
@@ -241,8 +244,11 @@ def _scan_roots(f, xs, vals, tol):
     determinant, analytic in s), the first step closes the bracket.
     The new bracket is the sign change nearest c; an exact zero closes it
     onto itself.  A step that does not halve a bracket is followed by one
-    with c at the midpoint, so every two steps at least halve it.  A root
-    is the midpoint of its final bracket.
+    with c at the midpoint, so every two steps at least halve it.  A
+    bracket also closes when its ends are adjacent floats, as it can where
+    the float spacing exceeds tol (in the pair search, from |E| between
+    4,096 t' and 8,192 t' on, as t' sets); such a root is within one float
+    spacing.  A root is the midpoint of its final bracket.
     """
     exact = xs[:-1][vals[:-1] == 0.0]
     k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
@@ -287,7 +293,7 @@ def _scan_roots(f, xs, vals, tol):
         px[live], pf[live] = x2, F[rows, ends]
         width = x2[:, 1] - x2[:, 0]
         bisect[live] = width > 0.5 * (b - a)
-        live = live[width > tol]
+        live = live[(width > tol) & (x2[:, 1] > np.nextafter(x2[:, 0], np.inf))]
     return np.sort(np.concatenate([exact, 0.5 * (px[:, 0] + px[:, 1])]))
 
 

@@ -222,14 +222,17 @@ def bisection_roots(f, xs, vals, tol):
     """Ascending roots of f by bisection, with the arguments of
     ``pairs._scan_roots``: the sign changes of f's values vals on the
     monotone grid xs bracket the roots, a grid point where vals is zero
-    is a root, and every bracket is halved until it is at most tol wide.
-    A root is the midpoint of its final bracket.
+    is a root, and every bracket is halved until it is at most tol wide or
+    its ends are adjacent floats.  A root is the midpoint of its final
+    bracket.
     """
     roots = list(xs[:-1][vals[:-1] == 0.0])
     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
         a, b, fa = xs[i], xs[i + 1], vals[i]
         while abs(b - a) > tol:
             m = 0.5 * (a + b)
+            if m in (a, b):
+                break
             fm = f(np.array([m]))[0]
             if fm == 0.0:
                 a = b = m

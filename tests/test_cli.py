@@ -115,6 +115,8 @@ def test_binding_rejects_bad_t_prime_before_any_output(tmp_path, capsys, argv, m
      "params --v0-max minus --v0-min must be finite, got inf"),
     (["stark", "--wl-min=-1.7e308", "--wl-max", "1.7e308"],
      "stark --wl-max minus --wl-min must be finite, got inf"),
+    # finite bounds whose pair search depth overflows
+    (["pair", "--v-min=-1e308"], "search depth |U| + 8|V1| + 8|V2| + 12t' must be finite, got inf"),
 ])
 def test_sweep_bounds_are_checked_before_any_output(tmp_path, capsys, argv, message):
     # the whole of stderr is the JSON error: no numpy warning before it
@@ -386,6 +388,11 @@ def test_pattern_choices_are_the_registry():
                  "b must lie in (0, a*sqrt(2)) = (0, 2.4466), got 3.6699", id="phi-map-b-too-far"),
     pytest.param(["phonon", "--b", "-1"], "b must lie in (0, a*sqrt(2)) = (0, 2.4466), got -1",
                  id="phonon-b-negative"),
+    # the holstein pattern's phonon site lies short of the next fermion site, 0 <= b < a
+    pytest.param(["phonon", "--pattern", "holstein", "--b", "100"],
+                 "b must lie in [0, a) = [0, 1.73), got 100", id="phonon-holstein-b-too-far"),
+    pytest.param(["phi-map", "--pattern", "holstein", "--b-over-aprime", "-1"],
+                 "b must lie in [0, a) = [0, 1.73), got -2.4466", id="phi-map-holstein-b-negative"),
 ])
 def test_offset_on_plaquette_centred_pattern_is_an_error(tmp_path, argv, message, capsys):
     assert message in _error(capsys, tmp_path / "out", argv)

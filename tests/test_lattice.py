@@ -185,6 +185,14 @@ def test_holstein_offset_default():
     assert np.array_equal(pat.polarizations, np.tile([[1.0, 0.0]], (121, 1, 1)))
 
 
+@pytest.mark.parametrize("b", [-0.1, 1.0, 100.0])
+def test_holstein_offset_bounds(b):
+    # b = 0 is the on-site limit; b = a puts the phonon site on the next fermion site
+    with pytest.raises(ValueError, match=rf"^b must lie in \[0, a\) = \[0, 1\), got {b:.5g}$"):
+        holstein_reference(1.0, 250.0, 0.6, 0.25, b=b, extent=0)
+    assert holstein_reference(1.0, 250.0, 0.6, 0.25, b=0.0, extent=0).centers.tolist() == [[0.0, 0.0]]
+
+
 def test_offset_parallel_bounds():
     message = r"^b must lie in \(0, a\*sqrt\(2\)\) = \(0, 1.4142\), got 1.5$"
     with pytest.raises(ValueError, match=message):

@@ -181,9 +181,15 @@ def test_cached_blocks_are_read_only_and_every_call_matches_a_fresh_one():
         for values in (K.data, W.data):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
+    for L in (16, 48):
+        for values in oracle._shell_band(L, group):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1
     models = [UVModel.full(-10.0, -1.5, -1.2, 1.0), UVModel.full(-6.0, 2.0, -3.0, 0.6),
               UVModel.diagonal(-9.0, -1.0, 1.7)]
 
+    # below oracle._BANDED_MAX, banded: the full sectors of 45 and 325 states and
+    # the diagonal one of 73; above it, eigsh: the diagonal L = 48 sector of 601
     def solve(model):
         return ([ground_energies(model, L).energies for L in (16, 48)],
                 brute_force_two_body(model, 6))
@@ -192,8 +198,52 @@ def test_cached_blocks_are_read_only_and_every_call_matches_a_fresh_one():
     fresh = []
     for model in models + models[::-1]:
         oracle._sector.cache_clear()
+        oracle._shell_band.cache_clear()
         fresh.append(solve(model))
     assert alternating == fresh
+
+
+@pytest.mark.parametrize("L", [4, 6, 16, 48])
+@pytest.mark.parametrize("variant", ["full", "diagonal"])
+def test_shell_band_is_k_in_shell_order_within_the_adjacent_shell_bound(variant, L):
+    group = (UVModel.full(-8.0, -1.0, -0.5, 1.0) if variant == "full"
+             else UVModel.diagonal(-8.0, -1.0, 1.0)).point_group()
+    K, _ = oracle._sector(L, group, False)
+    perm, band = oracle._shell_band(L, group)
+    # the lead (smallest site index) of each column's orbit, in column order
+    P = oracle._symmetric_basis(oracle._site_images(L, group)).tocsc()
+    lead = P.indices[P.indptr[:-1]]
+    x, y = np.divmod(lead[perm], L)
+    d = np.minimum(x, L - x) + np.minimum(y, L - y)   # the torus shell of each lead
+    assert np.all(np.diff(d) >= 0) and np.all(np.diff(lead[perm])[np.diff(d) == 0] > 0)
+    # the band, written back into a full matrix, is K in that order, bit for bit
+    u, n = band.shape[0] - 1, perm.size
+    full = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - u), j + 1):
+            full[i, j] = full[j, i] = band[u + i - j, j]
+    assert np.array_equal(full, K.toarray()[np.ix_(perm, perm)])
+    sizes = np.bincount(d)
+    assert u <= max(sizes[:-1] + sizes[1:]) - 1
+
+
+@pytest.mark.parametrize("model, L", [
+    (UVModel.full(-10.5, -1.2, -1.8, 0.7), 48),        # 325 states, banded
+    (UVModel.full(-10.5, -1.2, -1.8, 0.7), 64),        # 561 states, eigsh
+    (UVModel.diagonal(-15.0, -2.5, 1.6), 32),          # 273 states, banded
+    (UVModel.diagonal(-15.0, -2.5, 1.6), 48),          # 601 states, eigsh
+])
+@pytest.mark.parametrize("n_states", [1, 4, "dim - 2"])
+def test_ground_energies_equal_the_dense_spectrum_of_the_same_block(model, L, n_states):
+    # both sides of oracle._BANDED_MAX, down to the deepest n_states allowed
+    H = oracle._sector_hamiltonian(model, L, False)
+    assert (H.shape[0] <= oracle._BANDED_MAX) == (L < {"full": 64, "diagonal": 48}[model.variant])
+    k = H.shape[0] - 2 if n_states == "dim - 2" else n_states
+    dense = np.linalg.eigvalsh(H.toarray())[:k]
+    got = ground_energies(model, L, n_states=k)
+    assert np.allclose(got.energies, dense, rtol=0.0, atol=1e-12 * model.t_prime)
+    edge = -8.0 * model.t_prime - oracle._BOUND_MARGIN / L**2 * model.t_prime
+    assert got.bound_count == np.sum(dense < edge) > 0
 
 
 def test_brute_force_size_guard():
@@ -210,10 +260,11 @@ def test_n_states_must_be_positive(solve, L, n_states):
         solve(UVModel.diagonal(-5.0, 0.0, 1.0), L, n_states=n_states)
 
 
-@pytest.mark.parametrize("L", [16, 64])
+@pytest.mark.parametrize("L", [16, 64])   # one each side of oracle._BANDED_MAX
 @pytest.mark.parametrize("n_states", [2.5, 2.0, True, "2"])
 def test_n_states_must_be_an_integer(L, n_states):
-    # unchecked, a float reaches ARPACK (SystemError at L = 64) or the dense slice (TypeError)
+    # unchecked, a float reaches ARPACK (SystemError at L = 64), and True
+    # passes eig_banded's integer range as 1 (L = 16)
     with pytest.raises(ValueError, match=f"^n_states must be an integer, got {n_states!r}$"):
         ground_energies(UVModel.diagonal(-5.0, 0.0, 1.0), L, n_states=n_states)
 
@@ -257,19 +308,18 @@ def test_a1_basis_is_one_invariant_orthonormal_column_per_orbit(model):
         ground_energies(model, L, n_states=dim - 1)
 
 
-@pytest.mark.parametrize("L", [16, 48])   # one each side of oracle._DENSE_MAX
+@pytest.mark.parametrize("L", [16, 64])   # one each side of oracle._BANDED_MAX
 @pytest.mark.parametrize("model", [
     UVModel.full(0.0, -12.0, 0.0, 1.0),
     UVModel.diagonal(-10.0, -1.5, 1.0),
 ])
 def test_ground_energies_equal_the_dense_spectrum_of_the_a1_block(model, L):
     _, orbits = symmetric_orbits(L, SHELLS[model.variant])
-    P = np.zeros((L * L, len(orbits)))
-    for k, orbit in enumerate(orbits):
-        for x, y in orbit:
-            P[x * L + y, k] = 1.0 / np.sqrt(len(orbit))
-    H = relative_hamiltonian(model, L).toarray()
-    dense = np.linalg.eigvalsh(P.T @ H @ P)[:4]
+    entries = [(x * L + y, k, 1.0 / np.sqrt(len(orbit)))
+               for k, orbit in enumerate(orbits) for x, y in orbit]
+    rows, cols, values = zip(*entries)
+    P = sp.csr_matrix((values, (rows, cols)), shape=(L * L, len(orbits)))
+    dense = np.linalg.eigvalsh((P.T @ relative_hamiltonian(model, L) @ P).toarray())[:4]
     assert np.allclose(ground_energies(model, L).energies, dense, rtol=0.0, atol=1e-10)
 
 
@@ -287,7 +337,7 @@ def _l64_models():
 @pytest.mark.parametrize("model", _l64_models())
 def test_eigsh_at_l64_equals_the_dense_spectrum_of_the_same_block(model):
     # L = 64 sectors hold 561 (full) and 1,057 (diagonal) states, above
-    # oracle._DENSE_MAX, so ground_energies runs eigsh from v0 = ones
+    # oracle._BANDED_MAX, so ground_energies runs eigsh from v0 = ones
     H = oracle._sector_hamiltonian(model, 64, False)
     assert sp.issparse(H) and H.shape[0] in (561, 1057)
     dense = np.linalg.eigvalsh(H.toarray())[:4]

@@ -47,6 +47,21 @@ def test_uvmodel_validation():
     assert UVModel.diagonal(-4.0, -2.0, 1.0).V2 == -2.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: UVModel.diagonal(-1e308, -1e308, 1.0),
+    lambda: UVModel.full(-1.0, 1e308, -1e308, 1.0),
+    lambda: UVModel.full(-1.7e308, 0.0, 0.0, 1e307),
+])
+def test_uvmodel_rejects_a_search_depth_that_overflows(make):
+    # finite fields whose |U| + 8|V1| + 8|V2| + 12t' is inf: the scan grid
+    # to that depth cannot be counted
+    with pytest.raises(ValueError, match=r"^search depth \|U\| \+ 8\|V1\| \+ 8\|V2\| \+ 12t' "
+                                         r"must be finite, got inf$"):
+        make()
+    # a deep but finite search still solves
+    assert len(pair_energies(UVModel.diagonal(-1e20, -1.0, 1.0))) == 1
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["t_prime", "U", "V1", "V2"])
 def test_uvmodel_rejects_non_finite_fields(field, bad):
@@ -372,6 +387,47 @@ def test_deep_models_lie_past_the_scan_table_and_take_one_more_greens_table(monk
         assert pair_energies(model)
         dets = counted["det_diagonal"][1][0] + counted["det_full"][1][0]
         assert counted["greens_M_table"][1][0] == 1 + dets, model
+
+
+def _float_spaced_models():
+    """Solves whose brackets can end as two adjacent floats: beyond
+    |E| = 8,192 t' the float spacing of E exceeds the 1e-12 t' stop
+    width.  UVModel.diagonal(-20000, 0, 1) once never returned; the rest
+    draw U log-uniformly from -2e4 t' to -1e6 t', alternating variants."""
+    rng = random.Random(23)
+    models = [UVModel.diagonal(-20000.0, 0.0, 1.0)]
+    for i in range(40):
+        tp = rng.uniform(0.5, 2.0)
+        U = -(10.0 ** rng.uniform(math.log10(2e4), 6.0)) * tp
+        V1, V2 = rng.uniform(-5.0, 2.0) * tp, rng.uniform(-5.0, 2.0) * tp
+        models.append(UVModel.diagonal(U, V2, tp) if i % 2 else UVModel.full(U, V1, V2, tp))
+    return models
+
+
+def test_deep_roots_close_within_one_float_spacing_of_a_reference_bisection(monkeypatch):
+    # at most four polish calls per solve; a fifth fails the test where a
+    # bracket that never closes would loop for ever
+    scan, calls, args = pairs._scan_roots, [0], []
+
+    def counting(f, xs, vals, tol):
+        def counted(E):
+            calls[0] += 1
+            assert calls[0] <= 4, "more than four polish calls"
+            return f(E)
+        args.append((f, xs, vals, tol))
+        return scan(counted, xs, vals, tol)
+
+    monkeypatch.setattr(pairs, "_scan_roots", counting)
+    for model in _float_spaced_models():
+        calls[0] = 0
+        args.clear()
+        roots = [s.E for s in pair_energies(model)]
+        assert roots, model
+        reference = bisection_roots(*args[0])
+        assert len(roots) == len(reference), model
+        # one float spacing where it exceeds the stop width, else the width
+        bound = np.maximum(np.spacing(np.abs(reference)), args[0][3])
+        assert np.all(np.abs(np.subtract(roots, reference)) <= bound), model
 
 
 @pytest.mark.parametrize("t_prime", [0.3, 1.0, 1.7])

@@ -12,7 +12,14 @@ runs each command line of ``RUNS`` as ``python -m hhsim.cli`` with
 which runs both and prints only what differs: per run, the exit status,
 stderr and stdout hash as ``{"old": ..., "new": ...}`` where they differ, and under
 ``"files"`` each file whose hash differs (null where a tree wrote no
-such file).  ``{}`` means every run wrote the same bytes.
+such file).  ``{}`` means every run wrote the same bytes.  One tree under
+several values of an environment variable is compared by
+
+    python tools/artifact_hashes.py --env OPENBLAS_NUM_THREADS=1,2 SRC
+
+which runs the list once per value, with the variable set in the runs'
+environment only, and prints the runs that differ in the same form,
+keyed by ``NAME=value`` instead of old and new.
 
 Paths inside a run are relative to its directory, so stderr does not
 depend on where the temporary directory lies.  The package and the
@@ -68,7 +75,7 @@ RUNS = {
     # two determinant roots, -13.978 and -9.165, polished in the same calls
     "oracle-full-two-roots": ["oracle", "--model", "full", "--U", "-10", "--V1", "-7", "--V2", "-7",
                               "--sizes", "8,12,16", "--compare"],
-    # sectors of 153, 325 and 561 states: both sides of oracle._DENSE_MAX
+    # sectors of 153, 325 and 561 states: both sides of oracle._BANDED_MAX
     "oracle-straddle": ["oracle", "--model", "full", "--U", "-10", "--V1", "-1", "--V2", "-1",
                         "--sizes", "32,48,64"],
     # the diagonal model's sectors of 273, 601 and 1,057 states, likewise
@@ -97,8 +104,10 @@ RUNS = {
 }
 
 
-def artifact_hashes(src):
-    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+def artifact_hashes(src, env=None):
+    """The report of every run of RUNS from the tree src, with the
+    variables of env added to the runs' environment."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(Path(src).resolve())}
     report = {}
     for name, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -113,16 +122,18 @@ def artifact_hashes(src):
     return report
 
 
-def changed(old, new):
-    """The runs of two reports that differ, with only their differing entries."""
+def changed(reports):
+    """The runs that differ between reports (label -> report), with only
+    their differing entries, each as {label: value}."""
     diff = {}
     for name in RUNS:
-        o, n = old[name], new[name]
-        entry = {key: {"old": o[key], "new": n[key]}
-                 for key in ("exit", "stderr", "stdout") if o[key] != n[key]}
-        files = {f: {"old": o["files"].get(f), "new": n["files"].get(f)}
-                 for f in sorted(o["files"].keys() | n["files"].keys())
-                 if o["files"].get(f) != n["files"].get(f)}
+        runs = {label: report[name] for label, report in reports.items()}
+        entry = {key: {label: r[key] for label, r in runs.items()}
+                 for key in ("exit", "stderr", "stdout")
+                 if len({r[key] for r in runs.values()}) > 1}
+        names = sorted(set().union(*(r["files"] for r in runs.values())))
+        files = {f: {label: r["files"].get(f) for label, r in runs.items()} for f in names}
+        files = {f: hashes for f, hashes in files.items() if len(set(hashes.values())) > 1}
         if files:
             entry["files"] = files
         if entry:
@@ -131,10 +142,16 @@ def changed(old, new):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 2:
-        report = artifact_hashes(sys.argv[1])
-    elif len(sys.argv) == 3:
-        report = changed(artifact_hashes(sys.argv[1]), artifact_hashes(sys.argv[2]))
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--env" and "=" in args[1]:
+        name, values = args[1].split("=", 1)
+        report = changed({f"{name}={v}": artifact_hashes(args[2], {name: v})
+                          for v in values.split(",")})
+    elif len(args) == 1:
+        report = artifact_hashes(args[0])
+    elif len(args) == 2:
+        report = changed({"old": artifact_hashes(args[0]), "new": artifact_hashes(args[1])})
     else:
-        sys.exit("usage: artifact_hashes.py SRC | artifact_hashes.py OLD_SRC NEW_SRC")
+        sys.exit("usage: artifact_hashes.py SRC | artifact_hashes.py OLD_SRC NEW_SRC | "
+                 "artifact_hashes.py --env NAME=V1,V2[,...] SRC")
     print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
