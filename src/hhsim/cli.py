@@ -216,6 +216,11 @@ def cmd_stark(args, sink):
         except stark.ResonanceError:
             continue
         rows.append((wl, v))
+    # finite flags can still overflow the shift: g_F m_F scales its vector part
+    for wl, v in rows:
+        if not math.isfinite(v):
+            raise ValueError(f"stark --gf {args.gf} and --mf {args.mf} (prefactor "
+                             f"{cfg.intensity_prefactor}) give a shift of {v} nK at {wl} nm")
     sink.emit_table("stark_sweep", ["wavelength_nm", "V_nK"], rows)
     summary = {"species": atom.species_name}
     try:
@@ -368,7 +373,11 @@ def cmd_phase(args, sink):
                                _steps(args, "v0-steps")))
     lams = np.asarray(_linspace(*_bounds(args, "lam", args.lam_min, args.lam_max),
                                 _steps(args, "lam-steps")))
-    grid = phases.phase_grid(V0s, lams, args.T, family)
+    try:
+        grid = phases.phase_grid(V0s, lams, args.T, family)
+    except OverflowError as exc:
+        raise ValueError(f"phase --v0-min {args.v0_min} to --v0-max {args.v0_max}, --lam-min "
+                         f"{args.lam_min} to --lam-max {args.lam_max}: {exc}") from None
     columns = (*np.meshgrid(V0s, lams, indexing="ij"), grid.T_pair, grid.T_bkt, grid.label)
     rows = list(zip(*(c.ravel().tolist() for c in columns)))
     sink.emit_table("phase_grid", ["V0_nK", "lambda", "T_pair_nK", "T_bkt_nK", "label"], rows)

@@ -8,17 +8,33 @@ point group is kept: the vectors fixed by every operation of
 ``UVModel.point_group()``, the square-lattice operations that map each
 orbit of the model onto itself (all 8 for the full variant, 4 for the
 diagonal one).  That is the fully symmetric (s-wave, spin-singlet)
-sector the determinant solves.  Sectors of up to ``_BANDED_MAX`` states
-are solved in band form by LAPACK's selected-eigenvalue driver
-(``scipy.linalg.eig_banded``, dsbevx: Schwarz's band-to-tridiagonal
-reduction, Numer. Math. 12, 231 (1968), then bisection for the lowest
-levels only), larger ones by ``eigsh``.  The band comes from ordering
-the sector's orbits by torus shell, the Manhattan distance
+sector the determinant solves.  Both solvers read the sector's
+Hamiltonian in band form.  The band comes from ordering the sector's
+orbits by torus shell, the Manhattan distance
 d = min(x, L - x) + min(y, L - y) of their lead site: every point-group
 operation keeps d, and on an even torus a hop changes it by exactly
 one, so in that order the hopping block is block-tridiagonal, its
 bandwidth at most the largest size of two adjacent shells, minus one
 (13 at L = 48 for the full model, against about L/2 in lead order).
+
+Sectors of up to ``_BANDED_MAX`` states are solved by LAPACK's
+selected-eigenvalue driver (``scipy.linalg.eig_banded``, dsbevx:
+Schwarz's band-to-tridiagonal reduction, Numer. Math. 12, 231 (1968),
+then bisection for the lowest levels only).  Larger ones are solved by
+the spectral transformation (Ericsson and Ruhe, Math. Comp. 35, 1251
+(1980)): ``eigsh`` finds the largest eigenvalues mu of (H - sigma)^-1,
+applied by a banded Cholesky solve (LAPACK dpbtrf, then dpbtrs), and
+lambda = sigma + 1/mu.  The shift sigma = min_i(H_ii - R_i) - t', R_i
+the Gershgorin radius of row i, lies at least t' below the spectrum.
+The factorization certifies it: it succeeds only if H - sigma is
+positive definite.  The lowest levels are then the best separated mu,
+which ARPACK finds in far fewer products than in regular mode, where
+the continuum levels near -8t' lie only ~0.02 t' apart at L = 64.  The
+levels come out to a relative accuracy tol in mu, an error of about
+tol * (lambda - sigma) in lambda.  So a coupling deep enough to put
+sigma more than ``_SHIFT_SPAN`` t' below zero, where the continuum
+levels would lose digits (measured: ~1e-11 t' at sigma = -1000 t'),
+sends a large sector to ``eig_banded`` as well.
 
 A brute force on the full two-particle space of tiny lattices validates
 the reduction itself.  It keeps the A1 sector of the group generated by
@@ -34,7 +50,8 @@ size, group and space it holds the orbit-basis projection of the
 hopping and the weights that map the shell potential of
 ``UVModel.shells()`` to the sector diagonal, so a call only scales the
 one and adds the other.  ``_shell_band`` keeps, per lattice size and
-group, the shell order and the hopping block's upper band in it.
+group, the shell order, the hopping block's upper band in it and the
+block's Gershgorin radii.
 """
 
 import functools
@@ -45,12 +62,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eig_banded
-from scipy.sparse.linalg import eigsh
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .constants import require_positive
 
 _BOUND_MARGIN = 5.0   # band-edge margin of a bound state, in t' / L^2
-_BANDED_MAX = 450     # relative-coordinate sectors of up to this many states are solved banded
+_BANDED_MAX = 450     # relative sectors of up to this many states: eig_banded; above, shift-invert eigsh
+_SHIFT_SPAN = 100.0   # a shift more than this many t' below zero costs shift-invert digits: eig_banded
 
 
 @dataclass
@@ -138,14 +157,16 @@ def _sector(L, group, pair):
 
 @functools.lru_cache(maxsize=32)
 def _shell_band(L, group):
-    """Shell order and hopping band of the relative-coordinate sector.
+    """Shell order, hopping band and Gershgorin radii of the
+    relative-coordinate sector.
 
     perm lists the sector's columns (``_symmetric_basis`` order) by the
     torus Manhattan distance of their orbit's lead site, ties by lead
     index.  band is the upper band of K[perm][:, perm], K from
-    ``_sector``, as ``eig_banded`` reads it: band[u + i - j, j] holds
-    entry (i, j), j - u <= i <= j, for bandwidth u.  Cached per process
-    and shared by every call: both are read-only.
+    ``_sector``, as ``eig_banded`` and dpbtrf read it: band[u + i - j, j]
+    holds entry (i, j), j - u <= i <= j, for bandwidth u.  radius[i] is
+    the off-diagonal sum of |K| over row i of that matrix.  Cached per
+    process and shared by every call: all three are read-only.
     """
     K, _ = _sector(L, group, False)
     lead = np.flatnonzero(_site_images(L, group).min(axis=0) >= np.arange(L * L))
@@ -157,26 +178,26 @@ def _shell_band(L, group):
     i, j = order[Kp.row], order[Kp.col]
     upper = i <= j
     u = int((j - i).max())
-    band = np.zeros((u + 1, perm.size))
+    band = np.zeros((u + 1, perm.size), order="F")   # LAPACK's layout: no copy per call
     band[u + i[upper] - j[upper], j[upper]] = Kp.data[upper]
-    perm.flags.writeable = band.flags.writeable = False
-    return perm, band
+    radius = np.bincount(i, weights=np.where(i != j, abs(Kp.data), 0.0), minlength=perm.size)
+    perm.flags.writeable = band.flags.writeable = radius.flags.writeable = False
+    return perm, band, radius
 
 
-def _sector_hamiltonian(model, L, pair):
-    """-c t' K + diag(W @ pot) in the model's ``_sector``: c = 2 for the
-    relative coordinate (each particle's hopping adds at K = 0), 1 for the
-    pair.  Dense for the pair, which is solved densely, sparse for the
-    relative coordinate."""
-    K, W = _sector(L, model.point_group(), pair)
-    hop = -(1.0 if pair else 2.0) * model.t_prime
-    diagonal = W @ _shell_potential(model, L)
-    if not pair:
-        return (hop * K + sp.diags(diagonal)).tocsr()
-    H = K.toarray()
-    H *= hop
-    H.flat[::H.shape[0] + 1] += diagonal
-    return H
+def _relative_band(model, L):
+    """H = -2t' K + diag(W @ pot) of the model's relative-coordinate
+    ``_sector`` in shell order, as the upper band of ``_shell_band``, and
+    the shift sigma = min_i(H_ii - R_i) - t' with R_i = 2t' radius_i.  By
+    Gershgorin's theorem every eigenvalue of H is at least sigma + t'.
+    Each particle's hopping adds at K = 0, hence the 2t'.
+    """
+    group = model.point_group()
+    perm, band, radius = _shell_band(L, group)
+    _, W = _sector(L, group, False)
+    H = -2.0 * model.t_prime * band
+    H[-1] += (W @ _shell_potential(model, L))[perm]
+    return H, float(np.min(H[-1] - 2.0 * model.t_prime * radius)) - model.t_prime
 
 
 @dataclass
@@ -193,7 +214,13 @@ def ground_energies(model, L, n_states=4):
     n_states is a positive integer, at most dim - 2 of the sector's dim
     states.  A sector of up to ``_BANDED_MAX`` states is solved in shell
     order by ``eig_banded``, which computes only the n_states lowest
-    levels; a larger one by eigsh.  A state counts as bound if
+    levels.  A larger one is solved by eigsh on (H - sigma)^-1, the shift
+    sigma at least t' below the spectrum (see ``_relative_band``), from
+    the start vector ones/sqrt(dim) with tol = 1e-12: the Cholesky
+    factorization of H - sigma certifies sigma, and a level's error is
+    about tol * (E - sigma).  Where sigma < -``_SHIFT_SPAN`` t', that
+    error would grow past 1e-12 t', and ``eig_banded`` solves the large
+    sector too.  A state counts as bound if
     E < -8t' - 5/L^2 * t' (the margin absorbs the finite-size shift of
     the band edge).
     """
@@ -201,22 +228,23 @@ def ground_energies(model, L, n_states=4):
     if isinstance(n_states, bool) or not isinstance(n_states, numbers.Integral):
         raise ValueError(f"n_states must be an integer, got {n_states!r}")
     require_positive(n_states=n_states)
-    group = model.point_group()
-    K, W = _sector(L, group, False)
-    dim = K.shape[0]
+    dim = _sector(L, model.point_group(), False)[0].shape[0]
     if n_states > dim - 2:
         raise ValueError(f"n_states must be at most {dim - 2} in the {dim}-state "
                          f"symmetric sector, got {n_states}")
-    if dim <= _BANDED_MAX:
-        perm, band = _shell_band(L, group)
-        H = -2.0 * model.t_prime * band
-        H[-1] += (W @ _shell_potential(model, L))[perm]
+    H, sigma = _relative_band(model, L)
+    if dim <= _BANDED_MAX or sigma < -_SHIFT_SPAN * model.t_prime:
         vals = eig_banded(H, eigvals_only=True, overwrite_a_band=True, select="i",
                           select_range=(0, n_states - 1))
     else:
-        v0 = np.ones(dim) / math.sqrt(dim)
-        vals = eigsh(_sector_hamiltonian(model, L, False), k=n_states, which="SA", v0=v0,
-                     tol=1e-12, return_eigenvectors=False)
+        H[-1] -= sigma
+        chol, info = dpbtrf(H, overwrite_ab=True)
+        if info != 0:
+            raise ArithmeticError(f"H - sigma is not positive definite at sigma = {sigma!r}")
+        inverse = LinearOperator((dim, dim), matvec=lambda x: dpbtrs(chol, x)[0], dtype=float)
+        mu = eigsh(inverse, k=n_states, which="LA", v0=np.ones(dim) / math.sqrt(dim),
+                   tol=1e-12, return_eigenvectors=False)
+        vals = sigma + 1.0 / mu
     energies = sorted(float(v) for v in vals)
     edge = -8.0 * model.t_prime - _BOUND_MARGIN / L**2 * model.t_prime
     bound = sum(1 for e in energies if e < edge)
@@ -237,7 +265,11 @@ def brute_force_two_body(model, L):
     L = FiniteLattice(L).L
     if L > 8:
         raise ValueError("brute force is for tiny lattices only")
-    return np.linalg.eigvalsh(_sector_hamiltonian(model, L, True)).tolist()
+    K, W = _sector(L, model.point_group(), True)
+    H = K.toarray()
+    H *= -model.t_prime
+    H.flat[::H.shape[0] + 1] += W @ _shell_potential(model, L)
+    return np.linalg.eigvalsh(H).tolist()
 
 
 @dataclass

@@ -223,6 +223,13 @@ def _stencil_zeros(xs, vals, k):
     return np.einsum("ij,ij->i", q, xs[points]) / np.add.reduce(q, axis=1)
 
 
+def _opposite_signs(a, b):
+    """Where a and b are nonzero and of opposite sign.  Compares the signs
+    alone: their product is exact, where a * b can overflow to inf (with a
+    warning) or underflow to -0.0 (missing the sign change)."""
+    return np.sign(a) * np.sign(b) < 0.0
+
+
 def _scan_roots(f, xs, vals, tol):
     """Ascending roots x of f, from its values vals on the monotone grid xs.
 
@@ -251,7 +258,7 @@ def _scan_roots(f, xs, vals, tol):
     spacing.  A root is the midpoint of its final bracket.
     """
     exact = xs[:-1][vals[:-1] == 0.0]
-    k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    k = np.flatnonzero(_opposite_signs(vals[:-1], vals[1:]))
     if not k.size:
         return np.sort(exact)
     # each bracket's two ends, ascending in x
@@ -281,7 +288,7 @@ def _scan_roots(f, xs, vals, tol):
         F[:, 1:-1] = f(X[:, 1:-1])
         # distance from c of each sign change of the row, then of each exact zero
         distance = np.concatenate([
-            np.where(F[:, :-1] * F[:, 1:] < 0.0,
+            np.where(_opposite_signs(F[:, :-1], F[:, 1:]),
                      np.maximum(X[:, :-1], c) - np.minimum(X[:, 1:], c), np.inf),
             np.where(F == 0.0, abs(X - c), np.inf)], axis=1)
         j = distance.argmin(axis=1)

@@ -126,7 +126,10 @@ def phase_grid(V0_axis, lam_axis, T, family):
     """Fully populated PhaseGrid of ``family`` with the Delta T = 0 contour.
 
     V0 (nK), lambda and the probe temperature T (nK) must be finite, and
-    lambda and T nonnegative.
+    lambda and T nonnegative.  Raises OverflowError, naming the first
+    such grid point, where T_pair or the on-site pair mass leaves the
+    float range: T_pair for a large lambda, the mass where t' is so small
+    (a deep lattice, a large lambda) that t'^2 in joules underflows.
     """
     V0 = np.asarray(V0_axis, dtype=float)
     lam = np.asarray(lam_axis, dtype=float)
@@ -141,9 +144,14 @@ def phase_grid(V0_axis, lam_axis, T, family):
     t_col = t[:, None]
     W = 4.0 * t_col
     hbar_omega = family.omega_ratio * t_col
-    t_prime = t_col * np.exp(-W * lam * (1.0 - family.phi_nn_ratio) / hbar_omega)
-    Tp = t_pair(W, lam, t_prime)
-    m2 = pair_mass_onsite(W * H_PLANCK, lam, t_prime * H_PLANCK, family.a * 1e-6, HBAR)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t_prime = t_col * np.exp(-W * lam * (1.0 - family.phi_nn_ratio) / hbar_omega)
+        Tp = t_pair(W, lam, t_prime)
+        m2 = pair_mass_onsite(W * H_PLANCK, lam, t_prime * H_PLANCK, family.a * 1e-6, HBAR)
+    for name, value in (("T_pair", Tp), ("the on-site pair mass", m2)):
+        if not np.isfinite(value).all():
+            i, j = np.argwhere(~np.isfinite(value))[0]
+            raise OverflowError(f"{name} is not finite at V0 = {V0[i]} nK, lambda = {lam[j]}")
     Tb = t_bkt(family.n_B, m2, family.a)
     return PhaseGrid(lam_axis=lam, T_pair=Tp, T_bkt=Tb, label=classify(T, Tp, Tb),
                      contour=delta_t_contour(V0, lam, Tb - Tp))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,21 @@ def test_config_integer_beyond_the_float_range_is_rejected_before_any_output(tmp
 def test_stark_rejects_non_finite_state_before_any_output(tmp_path, capsys, argv, field):
     message = _error(capsys, tmp_path / "stark", ["stark"] + argv)
     assert message == f"{field} must be finite, got nan"
+
+
+@pytest.mark.parametrize("argv, flags", [
+    pytest.param(["--format", "json", "phase", "--T", "2", "--v0-max", "1e6"], ["--v0-max 1000000.0"],
+                 id="phase-deep-lattice"),
+    pytest.param(["phase", "--lam-max", "1e308"], ["--lam-max 1e+308"], id="phase-t-pair-overflows"),
+    pytest.param(["stark", "--gf=-1e308", "--mf", "5"], ["--gf -1e+308", "--mf 5.0"],
+                 id="stark-shift-overflows"),
+])
+def test_finite_flags_whose_results_overflow_are_rejected_by_name(tmp_path, capsys, argv, flags):
+    # exit 1 with one JSON line on stderr, no warning before it, and no file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = _error(capsys, tmp_path / "out", argv)
+    assert all(flag in message for flag in flags)
 
 
 def test_out_naming_a_file_is_a_json_error(tmp_path, capsys):

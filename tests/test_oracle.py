@@ -117,6 +117,18 @@ def test_reduction_matches_brute_force(model):
         assert red == pytest.approx(full, abs=1e-9)
 
 
+def _sector_block(model, L, pair):
+    """Dense -c t' K + diag(W @ pot) from the model's ``oracle._sector``:
+    c = 1 for the pair, 2 for the relative coordinate (each particle's
+    hopping adds at K = 0), pot the shell potential on the L x L
+    relative displacements."""
+    K, W = oracle._sector(L, model.point_group(), pair)
+    pot = np.zeros(L * L)
+    for (dx, dy), v in model.shells().items():
+        pot[(dx % L) * L + dy % L] = v
+    return -(1.0 if pair else 2.0) * model.t_prime * K.toarray() + np.diag(W @ pot)
+
+
 def _projected_block(model, L, pair):
     """P^T H P of the full-space reference H on the torus-enumerated orbits
     of the model's sector (relative coordinate, or the exchange-symmetric pair)."""
@@ -139,8 +151,7 @@ def _projected_block(model, L, pair):
     UVModel.diagonal(4.0, -3.0, 1.3),
 ])
 def test_sector_hamiltonian_is_the_projected_full_space_hamiltonian(model, pair, L, dims):
-    Hs = oracle._sector_hamiltonian(model, L, pair)
-    Hs = Hs.toarray() if sp.issparse(Hs) else Hs
+    Hs = _sector_block(model, L, pair)
     assert Hs.shape == (dims[model.variant],) * 2
     assert abs(Hs - _projected_block(model, L, pair)).max() <= 1e-13
 
@@ -189,7 +200,8 @@ def test_cached_blocks_are_read_only_and_every_call_matches_a_fresh_one():
               UVModel.diagonal(-9.0, -1.0, 1.7)]
 
     # below oracle._BANDED_MAX, banded: the full sectors of 45 and 325 states and
-    # the diagonal one of 73; above it, eigsh: the diagonal L = 48 sector of 601
+    # the diagonal one of 73; above it, shift-invert eigsh: the diagonal L = 48
+    # sector of 601
     def solve(model):
         return ([ground_energies(model, L).energies for L in (16, 48)],
                 brute_force_two_body(model, 6))
@@ -209,7 +221,7 @@ def test_shell_band_is_k_in_shell_order_within_the_adjacent_shell_bound(variant,
     group = (UVModel.full(-8.0, -1.0, -0.5, 1.0) if variant == "full"
              else UVModel.diagonal(-8.0, -1.0, 1.0)).point_group()
     K, _ = oracle._sector(L, group, False)
-    perm, band = oracle._shell_band(L, group)
+    perm, band, radius = oracle._shell_band(L, group)
     # the lead (smallest site index) of each column's orbit, in column order
     P = oracle._symmetric_basis(oracle._site_images(L, group)).tocsc()
     lead = P.indices[P.indptr[:-1]]
@@ -223,23 +235,26 @@ def test_shell_band_is_k_in_shell_order_within_the_adjacent_shell_bound(variant,
         for i in range(max(0, j - u), j + 1):
             full[i, j] = full[j, i] = band[u + i - j, j]
     assert np.array_equal(full, K.toarray()[np.ix_(perm, perm)])
+    # radius: the off-diagonal row sums of |K| in that order
+    assert np.allclose(radius, abs(full).sum(axis=1) - abs(np.diag(full)), rtol=0.0, atol=1e-15)
     sizes = np.bincount(d)
     assert u <= max(sizes[:-1] + sizes[1:]) - 1
 
 
 @pytest.mark.parametrize("model, L", [
     (UVModel.full(-10.5, -1.2, -1.8, 0.7), 48),        # 325 states, banded
-    (UVModel.full(-10.5, -1.2, -1.8, 0.7), 64),        # 561 states, eigsh
+    (UVModel.full(-10.5, -1.2, -1.8, 0.7), 64),        # 561 states, shift-invert eigsh
     (UVModel.diagonal(-15.0, -2.5, 1.6), 32),          # 273 states, banded
-    (UVModel.diagonal(-15.0, -2.5, 1.6), 48),          # 601 states, eigsh
+    (UVModel.diagonal(-15.0, -2.5, 1.6), 48),          # 601 states, shift-invert eigsh
+    (UVModel.diagonal(-15.0, -2.5, 1.6), 64),          # 1,057 states, shift-invert eigsh
 ])
 @pytest.mark.parametrize("n_states", [1, 4, "dim - 2"])
 def test_ground_energies_equal_the_dense_spectrum_of_the_same_block(model, L, n_states):
     # both sides of oracle._BANDED_MAX, down to the deepest n_states allowed
-    H = oracle._sector_hamiltonian(model, L, False)
+    H = _sector_block(model, L, False)
     assert (H.shape[0] <= oracle._BANDED_MAX) == (L < {"full": 64, "diagonal": 48}[model.variant])
     k = H.shape[0] - 2 if n_states == "dim - 2" else n_states
-    dense = np.linalg.eigvalsh(H.toarray())[:k]
+    dense = np.linalg.eigvalsh(H)[:k]
     got = ground_energies(model, L, n_states=k)
     assert np.allclose(got.energies, dense, rtol=0.0, atol=1e-12 * model.t_prime)
     edge = -8.0 * model.t_prime - oracle._BOUND_MARGIN / L**2 * model.t_prime
@@ -334,13 +349,43 @@ def _l64_models():
     return models
 
 
+@pytest.mark.parametrize("model, L", [
+    (UVModel.full(-10.5, -1.2, -1.8, 0.7), 64),        # 561 states
+    (UVModel.diagonal(-15.0, -2.5, 1.6), 48),          # 601 states
+    (UVModel.diagonal(-15.0, -2.5, 1.6), 64),          # 1,057 states
+] + [(model, 64) for model in _l64_models()])
+def test_shift_lies_at_least_t_prime_below_the_dense_spectrum(model, L):
+    # the shift-invert sectors: H - sigma >= t', so 1/(H - sigma) is bounded by 1/t'
+    H = _sector_block(model, L, False)
+    assert H.shape[0] > oracle._BANDED_MAX
+    _, sigma = oracle._relative_band(model, L)
+    assert sigma <= np.linalg.eigvalsh(H)[0] - model.t_prime
+
+
+@pytest.mark.parametrize("model, L", [
+    (UVModel.full(-1000.0, -1.0, -1.0, 1.0), 64),      # 561 states
+    (UVModel.diagonal(-2000.0, -3.0, 2.0), 48),        # 601 states
+    (UVModel.diagonal(-1000.0, -1.5, 1.0), 64),        # 1,057 states
+])
+def test_deep_couplings_keep_the_dense_spectrum_above_the_banded_cut(model, L):
+    # sigma ~ U lies far below the continuum near -8t', where shift-invert
+    # would resolve its levels only to ~1e-11 t'
+    _, sigma = oracle._relative_band(model, L)
+    assert sigma < -oracle._SHIFT_SPAN * model.t_prime
+    H = _sector_block(model, L, False)
+    assert H.shape[0] > oracle._BANDED_MAX
+    got = ground_energies(model, L)
+    assert np.allclose(got.energies, np.linalg.eigvalsh(H)[:4], rtol=0.0, atol=1e-12 * model.t_prime)
+
+
 @pytest.mark.parametrize("model", _l64_models())
 def test_eigsh_at_l64_equals_the_dense_spectrum_of_the_same_block(model):
     # L = 64 sectors hold 561 (full) and 1,057 (diagonal) states, above
-    # oracle._BANDED_MAX, so ground_energies runs eigsh from v0 = ones
-    H = oracle._sector_hamiltonian(model, 64, False)
-    assert sp.issparse(H) and H.shape[0] in (561, 1057)
-    dense = np.linalg.eigvalsh(H.toarray())[:4]
+    # oracle._BANDED_MAX, so ground_energies runs eigsh on the inverse of
+    # the shifted band, from v0 = ones
+    H = _sector_block(model, 64, False)
+    assert H.shape[0] in (561, 1057)
+    dense = np.linalg.eigvalsh(H)[:4]
     got = ground_energies(model, 64)
     assert np.allclose(got.energies, dense, rtol=0.0, atol=1e-10 * model.t_prime)
     edge = -8.0 * model.t_prime - oracle._BOUND_MARGIN / 64**2 * model.t_prime

@@ -602,6 +602,24 @@ def test_scan_roots_falls_back_quietly_on_flat_pieces():
     assert len(roots) == 1 and abs(roots[0] - 0.3) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e300])
+def test_scan_roots_brackets_by_sign_not_by_product(scale):
+    # the two ends' product underflows to -0.0 (1e-200) or overflows to
+    # -inf (1e300); either way the ends bracket the root, with no RuntimeWarning
+    f, _ = _counting(lambda x: scale * (x - 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = _scan(f, 0.0, 1.0, 2, 1e-12)
+    assert len(roots) == 1 and abs(roots[0] - 0.3) <= 1e-12
+
+
+def test_huge_couplings_solve_without_an_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = pair_energies(UVModel.full(-1e60, -1e60, -1e60, 1.0))
+    assert [r.E for r in roots] == [pytest.approx(-1e60, rel=1e-12)]
+
+
 @pytest.mark.parametrize("tp", [0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 2.9])
 def test_threshold_diagonal_asymptote_and_pole(tp):
     th = threshold_diagonal(1e6 * tp, tp)

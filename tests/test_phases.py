@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -192,3 +194,15 @@ def test_phase_grid_rejects_negative_coupling_and_temperature(lams, T, message):
         phase_grid([100.0], lams, T, PhaseFamily())
     # zero is a valid coupling and temperature: below T_bkt, with no pairing gap
     assert phase_grid([100.0], [0.0], 0.0, PhaseFamily()).label.tolist() == [["BKTRegime"]]
+
+
+@pytest.mark.parametrize("V0s, lams, message", [
+    # t'^2 in joules underflows, so the pair mass would divide by zero
+    ([100.0, 1e6], [0.05], "the on-site pair mass is not finite at V0 = 1000000.0 nK, lambda = 0.05"),
+    ([100.0], [0.05, 1e308], "T_pair is not finite at V0 = 100.0 nK, lambda = 1e+308"),
+])
+def test_phase_grid_rejects_scales_beyond_the_float_range_without_a_warning(V0s, lams, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            phase_grid(V0s, lams, 2.0, PhaseFamily())

@@ -19,7 +19,14 @@ several values of an environment variable is compared by
 
 which runs the list once per value, with the variable set in the runs'
 environment only, and prints the runs that differ in the same form,
-keyed by ``NAME=value`` instead of old and new.
+keyed by ``NAME=value`` instead of old and new.  An empty value leaves
+the variable unset, as in ``OPENBLAS_CORETYPE=,Prescott``.  Given
+``--env`` more than once, as in
+
+    python tools/artifact_hashes.py --env OPENBLAS_NUM_THREADS=1,2 \
+        --env OPENBLAS_CORETYPE=,Prescott SRC
+
+it runs every combination of the values, keyed ``A=x,B=y``.
 
 Paths inside a run are relative to its directory, so stderr does not
 depend on where the temporary directory lies.  The package and the
@@ -27,6 +34,7 @@ tests do not import this script.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -106,8 +114,12 @@ RUNS = {
 
 def artifact_hashes(src, env=None):
     """The report of every run of RUNS from the tree src, with the
-    variables of env added to the runs' environment."""
-    env = {**os.environ, **(env or {}), "PYTHONPATH": str(Path(src).resolve())}
+    variables of env added to the runs' environment (removed from it
+    where the value is empty)."""
+    env = env or {}
+    unset = {name for name, value in env.items() if not value}
+    env = {**os.environ, **env, "PYTHONPATH": str(Path(src).resolve())}
+    env = {name: value for name, value in env.items() if name not in unset}
     report = {}
     for name, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -143,15 +155,20 @@ def changed(reports):
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    if len(args) == 3 and args[0] == "--env" and "=" in args[1]:
+    axes = []   # per --env flag, its (name, value) pairs
+    while len(args) >= 2 and args[0] == "--env" and "=" in args[1]:
         name, values = args[1].split("=", 1)
-        report = changed({f"{name}={v}": artifact_hashes(args[2], {name: v})
-                          for v in values.split(",")})
+        axes.append([(name, v) for v in values.split(",")])
+        args = args[2:]
+    if axes and len(args) == 1:
+        report = changed({",".join(f"{n}={v}" for n, v in combo):
+                          artifact_hashes(args[0], dict(combo))
+                          for combo in itertools.product(*axes)})
     elif len(args) == 1:
         report = artifact_hashes(args[0])
-    elif len(args) == 2:
+    elif len(args) == 2 and not axes:
         report = changed({"old": artifact_hashes(args[0]), "new": artifact_hashes(args[1])})
     else:
         sys.exit("usage: artifact_hashes.py SRC | artifact_hashes.py OLD_SRC NEW_SRC | "
-                 "artifact_hashes.py --env NAME=V1,V2[,...] SRC")
+                 "artifact_hashes.py --env NAME=V1,V2[,...] [--env NAME=V1,V2[,...]] SRC")
     print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
