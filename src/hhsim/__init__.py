@@ -9,6 +9,9 @@ pulls in no numerics, and scipy loads only with ``hhsim.oracle``.  The
 command line imports per subcommand: ``hhsim binding`` loads ``orbits``
 alone and ``hhsim stark`` loads ``stark`` alone, neither of which imports
 numpy, and OpenSSL loads only with ``--out``, for the manifest's digests.
+The stdlib ``json`` loads only with JSON output, a manifest or an error
+line, and a CSV ``hhsim binding`` loads no ``dataclasses`` (nor the
+``inspect`` it imports).
 """
 
 import importlib

@@ -11,7 +11,10 @@ A run imports only what its subcommand calls: each ``cmd_*`` imports its
 hhsim modules, and each subcommand's flags are added when it is parsed.
 The module imports no numpy (its sweep grids come from ``_linspace``),
 nor do ``stark`` and ``orbits``, so ``hhsim stark``, ``hhsim binding``
-and ``--explain-defaults`` load none.
+and ``--explain-defaults`` load none.  It imports json only to write
+JSON, a manifest or an error line (``_json``), and ``orbits`` defines no
+dataclass, so a CSV ``hhsim binding`` to stdout and ``--explain-defaults``
+load neither json nor dataclasses.
 
 The physical defaults (``DEFAULTS``) are set by ``--config`` alone and
 resolved once per run; every value error (a non-finite ``--config``
@@ -23,9 +26,9 @@ and every file-system error end the run with one JSON line
 import argparse
 import csv
 import io
-import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -72,9 +75,8 @@ class OutputSink:
 
     def emit_table(self, name, header, rows):
         if self.fmt == "json":
-            payload = json.dumps(
-                _json_ready([dict(zip(header, r)) for r in rows]), indent=2, sort_keys=True,
-                allow_nan=False) + "\n"
+            payload = _json(_json_ready([dict(zip(header, r)) for r in rows]),
+                            indent=2, sort_keys=True) + "\n"
             ext = "json"
         else:
             buf = io.StringIO()
@@ -87,7 +89,7 @@ class OutputSink:
         self.payloads[f"{name}{self.suffix}.{ext}"] = payload
 
     def emit_record(self, name, record):
-        payload = json.dumps(_json_ready(record), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        payload = _json(_json_ready(record), indent=2, sort_keys=True) + "\n"
         self.payloads[f"{name}{self.suffix}.json"] = payload
 
     def finish(self):
@@ -103,8 +105,16 @@ class OutputSink:
             files = [{"file": f, "sha256": hashlib.sha256(self.payloads[f].encode()).hexdigest()}
                      for f in sorted(self.payloads)]
             manifest = {"version": __version__, "files": files}
-            (self.out_dir / "manifest.json").write_text(
-                json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+            (self.out_dir / "manifest.json").write_text(_json(manifest, indent=2) + "\n")
+
+
+def _json(value, **options):
+    """``json.dumps(value, allow_nan=False, **options)``.  json is imported
+    here, by a run that writes JSON, a manifest or an error line: a CSV run
+    to stdout loads none of it."""
+    import json
+
+    return json.dumps(value, allow_nan=False, **options)
 
 
 def _json_ready(value):
@@ -241,7 +251,10 @@ def cmd_phonon(args, sink):
     w_ph, D = s["w_ph"], s["D"]
     pattern = lattice.PATTERN_CONSTRUCTORS[args.pattern](s["a"], V0_ph, w_ph, D, b=args.b)
     k = len(pattern.centers) // 2
-    modes = lattice.phonon_modes(lattice.dynamical_matrix(pattern, k), M_RB87)
+    try:
+        modes = lattice.phonon_modes(lattice.dynamical_matrix(pattern, k), M_RB87)
+    except OverflowError as exc:
+        raise ValueError(f"phonon --v0-ph {V0_ph}: {exc}") from None
     sink.emit_record("phonon_modes", {
         "pattern": pattern.pattern_id,
         "modes": [{"omega_rad_s": m.frequency,
@@ -285,13 +298,27 @@ def cmd_params(args, sink):
     a, w_ph, D = s["a"], s["w_ph"], s["D"]
     emap = rydberg.effective_interaction(lattice.holstein_reference(a, 100.0, w_ph, D),
                                          _rydberg_spec(s), a)
-    V0s = _linspace(*_bounds(args, "v0", args.v0_min, args.v0_max), steps)
+    lo, hi = _bounds(args, "v0", args.v0_min, args.v0_max)
+    require_positive(**{"params --v0-min": lo, "params --v0-max": hi})
     rows = []
-    for r in hubbard.parameter_sweep(V0s, a, a_s_um=s["a_s0"] * A_BOHR * 1e6):
-        W = 4.0 * r["t_Hz"]
-        omega = lattice.two_spot_frequency(s["V0_ph_scale"] * r["V0_nK"], w_ph, D, M_RB87)
-        lam = rydberg.lambda_dimensionless(emap.phi00, W, M_RB87, omega)
-        rows.append((r["V0_nK"], r["t_Hz"], r["U_Hz"], W * lam))
+    # hopping_t warns of a shallow lattice; its warnings are shown once every row
+    # is valid, so that a failing run writes its error line alone
+    with warnings.catch_warnings(record=True) as shallow:
+        for V0 in _linspace(lo, hi, steps):
+            try:
+                (r,) = hubbard.parameter_sweep([V0], a, a_s_um=s["a_s0"] * A_BOHR * 1e6)
+                W = 4.0 * r["t_Hz"]
+                omega = lattice.two_spot_frequency(s["V0_ph_scale"] * V0, w_ph, D, M_RB87)
+                W_lambda = W * rydberg.lambda_dimensionless(emap.phi00, W, M_RB87, omega)
+            except (ValueError, ZeroDivisionError):   # t or omega out of the float range
+                W_lambda = math.nan
+            if not math.isfinite(W_lambda):
+                raise ValueError(f"params --v0-min {args.v0_min} to --v0-max {args.v0_max}: at "
+                                 f"V0 = {V0} nK the hopping, the phonon frequency or W lambda "
+                                 "leaves the float range")
+            rows.append((r["V0_nK"], r["t_Hz"], r["U_Hz"], W_lambda))
+    for w in shallow:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     sink.emit_table("params_sweep", ["V0_nK", "t_Hz", "U_Hz", "W_lambda_Hz"], rows)
 
 
@@ -554,7 +581,7 @@ def main(argv=None):
         args.func(args, sink)
         sink.finish()
     except (ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}, allow_nan=False), file=sys.stderr)
+        print(_json({"error": str(exc)}), file=sys.stderr)
         return 1
     return 0
 

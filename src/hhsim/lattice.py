@@ -196,7 +196,8 @@ def dynamical_matrix(pattern, k):
     adds V_s (16 r r^T/w^4 - 4 I/w^2) to the Hessian and -4 V_s r/w^2 to
     the gradient; the center must be a stationary point (gradient below
     _STATIONARY_TOL * V0_ph / w_ph).  A sum of elementwise products,
-    symmetric by construction.
+    symmetric by construction.  Raises OverflowError, with no numpy
+    warning, where the Hessian leaves the float range.
     """
     w2 = pattern.w_ph**2
     r = -pattern.displacements[k]   # (N_S, 2)
@@ -205,7 +206,11 @@ def dynamical_matrix(pattern, k):
     if math.hypot(gx, gy) > _STATIONARY_TOL * pattern.V0_ph / pattern.w_ph:
         raise ValueError("site center is not a stationary point of the potential")
     terms = 16.0 * r[:, :, None] * r[:, None, :] / w2**2 - 4.0 * np.eye(2) / w2
-    return (V_s[:, None, None] * terms).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hessian = (V_s[:, None, None] * terms).sum(axis=0)
+    if not np.isfinite(hessian).all():
+        raise OverflowError(f"the Hessian of site {k} is not finite at V0_ph = {pattern.V0_ph} nK")
+    return hessian
 
 
 @dataclass
@@ -225,7 +230,8 @@ def phonon_modes(matrix, M):
     omega = sqrt(eigenvalue/M) after converting curvature to SI; tiny
     negative eigenvalues within -_CLAMP_TOL * max|eig| are clamped to zero,
     anything more negative means an unstable site.  Modes are returned
-    in descending frequency.
+    in descending frequency.  Raises OverflowError where a frequency
+    leaves the float range.
     """
     require_finite(M=M)
     require_positive(M=M)
@@ -241,7 +247,11 @@ def phonon_modes(matrix, M):
         # deterministic sign: first nonzero component positive
         if vec[np.argmax(np.abs(vec) > 1e-12)] < 0:
             vec = -vec
-        modes.append(PhononMode(frequency=math.sqrt(max(ev, 0.0) * _CURV_SI / M), polarization=vec))
+        # in Python floats, which overflow to inf without a numpy warning
+        frequency = math.sqrt(max(float(ev), 0.0) * _CURV_SI / M)
+        if not math.isfinite(frequency):
+            raise OverflowError(f"a mode frequency is not finite at curvature {ev} nK/um^2")
+        modes.append(PhononMode(frequency=frequency, polarization=vec))
     modes.sort(key=lambda m: -m.frequency)
     return modes
 

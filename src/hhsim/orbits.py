@@ -16,13 +16,17 @@ through ``UVModel.shells()`` and ``UVModel.point_group()``.
 Binding thresholds are read off the same determinant at E -> -8t',
 where M_00 diverges logarithmically and only its coefficient needs to
 vanish.  That coefficient is taken in exact integers, in plain Python:
-this module imports no numpy, so ``hhsim binding`` loads none.
+this module imports no numpy, so ``hhsim binding`` loads none, and no
+dataclasses (``BindingThreshold`` is a namedtuple), whose import of
+inspect would cost a cold ``hhsim binding`` more than its computation.
+Couplings whose monomials (V/t')^k overflow, from |V|/t' ~ 1e154 on, are
+scaled by a power of two (``_edge_monomials``) rather than read as a pole.
 """
 
+import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .constants import require_finite, require_positive
 
@@ -77,10 +81,8 @@ _EDGE_SCALE = 2 ** 60
 _EDGE_TABLES = tuple(tuple(m * _EDGE_SCALE - int(c * _EDGE_SCALE) for c in EDGE_C) for m in (0, 1))
 
 
-@dataclass
-class BindingThreshold:
-    U_cr: float
-    pole: bool = False
+# a namedtuple, not a dataclass: see the module docstring
+BindingThreshold = collections.namedtuple("BindingThreshold", "U_cr pole", defaults=(False,))
 
 
 def _check_couplings(t_prime, **couplings):
@@ -136,20 +138,53 @@ def _edge_factor(variant):
     return tuple(a[:len(a) // 2]), tuple(a[len(a) // 2:])
 
 
+def _monomials(factors):
+    """prod_{j in S} f_j over the 0/1 flags S in C order: the last factor's flag fastest."""
+    monomials = [1.0]
+    for f in reversed(factors):
+        monomials += [m * f for m in monomials]
+    return monomials
+
+
+def _edge_monomials(potentials, t_prime):
+    """The monomials prod_{j in S} x_j of x_j = v_j/t' in floats; then, for a
+    caller whose sums over them overflowed, the same monomials times one power
+    of two 2^-e that brings the largest nonzero one near 1.
+
+    The second set takes each x_j as the quotient of the frexp mantissas of
+    v_j and t', rounded as v_j/t' is, times a power of two, so no product
+    overflows; a monomial far below the largest may underflow.
+    """
+    yield _monomials([v / t_prime for v in potentials])
+    m_t, e_t = math.frexp(t_prime)
+    parts = [math.frexp(v) for v in potentials]
+    mantissas = _monomials([m / m_t for m, _ in parts])
+    exponents = [sum(e - e_t for (_, e), flag in zip(parts, S) if flag)
+                 for S in itertools.product((0, 1), repeat=len(parts))]
+    top = max(e for m, e in zip(mantissas, exponents) if m)
+    yield [math.ldexp(m, e - top) for m, e in zip(mantissas, exponents)]
+
+
 def _edge_threshold(variant, potentials, t_prime):
-    """U_cr = -t' Q/P, the zero in U of the variant's band-edge factor F = Q + P U/t'."""
-    monomials = [1.0]   # prod_{j in S} x_j in the C order of the 0/1 flags S
-    for v in reversed(potentials):
-        monomials += [m * (v / t_prime) for m in monomials]
+    """U_cr = -t' Q/P, the zero in U of the variant's band-edge factor F = Q + P U/t'.
+
+    Q and P are taken from the monomials of ``_edge_monomials``: as floats,
+    or, where a term or a sum overflows, all times one power of two, which
+    leaves their quotient and the pole test as they are.
+    """
     Q_row, P_row = _edge_factor(variant)
-    P_terms = [a * m for a, m in zip(P_row, monomials)]
-    P = sum(P_terms)
+    for monomials in _edge_monomials(potentials, t_prime):
+        Q = sum([a * m for a, m in zip(Q_row, monomials)])
+        P_terms = [a * m for a, m in zip(P_row, monomials)]
+        P, P_size = sum(P_terms), sum(map(abs, P_terms))
+        if math.isfinite(Q) and math.isfinite(P_size):
+            break
     # P sums at most four terms a_S prod x_j: quotients x_j = v_j/t', products and sums
     # round at most 7 times by eps/2 relative to the sum of the terms' magnitudes, and each
     # a_S is within an ulp of its closed form (tested).  P within 16 eps of that sum is 0.
-    if abs(P) <= 16.0 * math.ulp(1.0) * sum(map(abs, P_terms)):
+    if abs(P) <= 16.0 * math.ulp(1.0) * P_size:
         return BindingThreshold(U_cr=math.inf, pole=True)
-    return BindingThreshold(U_cr=-t_prime * sum([a * m for a, m in zip(Q_row, monomials)]) / P)
+    return BindingThreshold(U_cr=-t_prime * Q / P)
 
 
 def threshold_diagonal(V, t_prime):

@@ -255,7 +255,10 @@ def _scan_roots(f, xs, vals, tol):
     bracket also closes when its ends are adjacent floats, as it can where
     the float spacing exceeds tol (in the pair search, from |E| between
     4,096 t' and 8,192 t' on, as t' sets); such a root is within one float
-    spacing.  A root is the midpoint of its final bracket.
+    spacing.  A root is the midpoint of its final bracket.  A midpoint is
+    a/2 + b/2, with the bits of (a + b)/2 wherever a + b is finite: near
+    the end of the float range a + b overflows, and a bracket bisected
+    onto its own end would never close.
     """
     exact = xs[:-1][vals[:-1] == 0.0]
     k = np.flatnonzero(_opposite_signs(vals[:-1], vals[1:]))
@@ -275,7 +278,7 @@ def _scan_roots(f, xs, vals, tol):
         # overflow the secant point to inf or nan
         with np.errstate(all="ignore"):
             secant = b - fb * (b - a) / (fb - fa)
-        c = np.where((a < secant) & (secant < b) & ~bisect[live], secant, 0.5 * (a + b))
+        c = np.where((a < secant) & (secant < b) & ~bisect[live], secant, 0.5 * a + 0.5 * b)
         if first_step:
             stencil = _stencil_zeros(xs, vals, k[live])
             c = np.where((a < stencil) & (stencil < b), stencil, c)
@@ -301,7 +304,7 @@ def _scan_roots(f, xs, vals, tol):
         width = x2[:, 1] - x2[:, 0]
         bisect[live] = width > 0.5 * (b - a)
         live = live[(width > tol) & (x2[:, 1] > np.nextafter(x2[:, 0], np.inf))]
-    return np.sort(np.concatenate([exact, 0.5 * (px[:, 0] + px[:, 1])]))
+    return np.sort(np.concatenate([exact, 0.5 * px[:, 0] + 0.5 * px[:, 1]]))
 
 
 def pair_energies(model):

@@ -210,6 +210,10 @@ def test_stark_rejects_non_finite_state_before_any_output(tmp_path, capsys, argv
     pytest.param(["phase", "--lam-max", "1e308"], ["--lam-max 1e+308"], id="phase-t-pair-overflows"),
     pytest.param(["stark", "--gf=-1e308", "--mf", "5"], ["--gf -1e+308", "--mf 5.0"],
                  id="stark-shift-overflows"),
+    pytest.param(["phonon", "--v0-ph", "1e308", "--steps", "3"],
+                 ["--v0-ph 1e+308"], id="phonon-hessian-overflows"),
+    pytest.param(["phonon", "--v0-ph", "1e305", "--steps", "3"],
+                 ["--v0-ph 1e+305"], id="phonon-frequency-overflows"),
 ])
 def test_finite_flags_whose_results_overflow_are_rejected_by_name(tmp_path, capsys, argv, flags):
     # exit 1 with one JSON line on stderr, no warning before it, and no file
@@ -217,6 +221,24 @@ def test_finite_flags_whose_results_overflow_are_rejected_by_name(tmp_path, caps
         warnings.simplefilter("error")
         message = _error(capsys, tmp_path / "out", argv)
     assert all(flag in message for flag in flags)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # V0 = 1e-300 nK underflows the phonon frequency to 0, and lies below the recoil
+    # energy, where hopping_t warns: the warning is shown only by a run that succeeds
+    pytest.param(["params", "--v0-min", "1e6", "--v0-max", "1e-300", "--steps", "5"],
+                 "params --v0-min 1000000.0 to --v0-max 1e-300: at V0 = 1e-300 nK the hopping, "
+                 "the phonon frequency or W lambda leaves the float range", id="params-shallow"),
+    pytest.param(["params", "--v0-min", "1", "--v0-max", "2e7", "--steps", "3"],
+                 "params --v0-min 1.0 to --v0-max 20000000.0: at V0 = 10000000.5 nK the hopping, "
+                 "the phonon frequency or W lambda leaves the float range", id="params-deep"),
+])
+def test_params_depths_out_of_the_float_range_end_in_one_error_line_alone(argv, message):
+    # in a new interpreter, with the default warning filters, as a user runs it:
+    # exit 1, and stderr is the JSON line, with no warning before it
+    proc = _python("-m", "hhsim.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == json.dumps({"error": message}) + "\n"
 
 
 def test_out_naming_a_file_is_a_json_error(tmp_path, capsys):
@@ -230,58 +252,77 @@ def test_out_naming_a_file_is_a_json_error(tmp_path, capsys):
     assert out.read_text() == "keep\n"
 
 
-def _fresh_python(script):
-    """stdout of ``script`` in a new interpreter; this one has loaded scipy
-    through other tests."""
+def _python(*args, check=False):
+    """``python *args`` in a new interpreter that imports this hhsim, with
+    stdout and stderr captured; this interpreter has loaded scipy through
+    other tests, and pytest records its warnings."""
     src = str(Path(hhsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=check)
+
+
+def _fresh_python(script):
+    """stdout of ``script`` in a new interpreter."""
+    return _python("-c", script, check=True).stdout
 
 
 _PAIRS = ("elliptic", "greens", "orbits", "pairs")
 
 
 # Each run in a new interpreter: the hhsim modules it loads beyond hhsim,
-# hhsim.cli and hhsim.constants, and which of OpenSSL (_hashlib), numpy,
-# scipy and PyYAML it loads.  "{tmp}" in argv is a fresh directory holding
-# cfg.yaml.
-@pytest.mark.parametrize("argv, modules, extras", [
-    pytest.param(None, (), (), id="import"),
-    pytest.param(["--explain-defaults"], (), (), id="explain-defaults"),
-    pytest.param(["stark", "--steps", "3"], ("stark",), (), id="stark"),
-    pytest.param(["phonon", "--steps", "3"], ("lattice",), ("numpy",), id="phonon"),
-    pytest.param(["phi-map", "--pattern", "holstein"], ("lattice", "rydberg"), ("numpy",),
-                 id="phi-map"),
-    pytest.param(["params", "--steps", "2"], ("hubbard", "lattice", "rydberg"), ("numpy",),
-                 id="params"),
-    pytest.param(["binding", "--steps", "3"], ("orbits",), (), id="binding"),
-    pytest.param(["binding", "--model", "full", "--steps", "3"], ("orbits",), (),
+# hhsim.cli and hhsim.constants, which of OpenSSL (_hashlib), numpy,
+# scipy, PyYAML, json and dataclasses it loads, and main's exit status.
+# "{tmp}" in argv is a fresh directory holding cfg.yaml.  json loads only
+# with JSON output, a manifest or an error line, and dataclasses (which
+# imports inspect) only with a module that defines a dataclass.
+_DATA = ("dataclasses",)
+
+
+@pytest.mark.parametrize("argv, modules, extras, status", [
+    pytest.param(None, (), (), None, id="import"),
+    pytest.param(["--explain-defaults"], (), (), 0, id="explain-defaults"),
+    pytest.param(["stark", "--steps", "3"], ("stark",), _DATA + ("json",), 0, id="stark"),
+    pytest.param(["phonon", "--steps", "3"], ("lattice",), _DATA + ("json", "numpy"), 0,
+                 id="phonon"),
+    pytest.param(["phi-map", "--pattern", "holstein"], ("lattice", "rydberg"),
+                 _DATA + ("numpy",), 0, id="phi-map"),
+    pytest.param(["params", "--steps", "2"], ("hubbard", "lattice", "rydberg"),
+                 _DATA + ("numpy",), 0, id="params"),
+    pytest.param(["binding", "--steps", "3"], ("orbits",), (), 0, id="binding"),
+    pytest.param(["binding", "--model", "full", "--steps", "3"], ("orbits",), (), 0,
                  id="binding-full"),
-    pytest.param(["binding", "--model", "physical", "--steps", "3"], ("orbits",), (),
+    pytest.param(["binding", "--model", "physical", "--steps", "3"], ("orbits",), (), 0,
                  id="binding-physical"),
-    pytest.param(["--out", "{tmp}/out", "binding", "--steps", "3"], ("orbits",), ("_hashlib",),
-                 id="binding-out"),
+    pytest.param(["--format", "json", "binding", "--steps", "3"], ("orbits",), ("json",), 0,
+                 id="binding-json"),
+    pytest.param(["binding", "--steps", "1"], ("orbits",), ("json",), 1, id="binding-error"),
+    pytest.param(["--out", "{tmp}/out", "binding", "--steps", "3"], ("orbits",),
+                 ("_hashlib", "json"), 0, id="binding-out"),
     pytest.param(["--config", "{tmp}/cfg.yaml", "binding", "--steps", "3"], ("orbits",), ("yaml",),
-                 id="binding-config"),
-    pytest.param(["pair", "--U", "-6", "--steps", "2"], _PAIRS, ("numpy",), id="pair"),
+                 0, id="binding-config"),
+    pytest.param(["pair", "--U", "-6", "--steps", "2"], _PAIRS, _DATA + ("numpy",), 0, id="pair"),
     pytest.param(["--out", "{tmp}/out", "oracle", "--U", "-8", "--sizes", "4"],
-                 _PAIRS + ("oracle",), ("_hashlib", "numpy", "scipy"), id="oracle"),
+                 _PAIRS + ("oracle",), _DATA + ("_hashlib", "json", "numpy", "scipy"), 0,
+                 id="oracle"),
     pytest.param(["phase", "--v0-steps", "2", "--lam-steps", "2"],
-                 _PAIRS + ("hubbard", "phases"), ("numpy",), id="phase"),
+                 _PAIRS + ("hubbard", "phases"), _DATA + ("numpy",), 0, id="phase"),
     pytest.param(["figures"], _PAIRS + ("hubbard", "lattice", "phases", "rydberg", "stark"),
-                 ("numpy",), id="figures"),
+                 _DATA + ("json", "numpy"), 0, id="figures"),
 ])
-def test_each_run_loads_only_the_modules_it_calls(tmp_path, argv, modules, extras):
+def test_each_run_loads_only_the_modules_it_calls(tmp_path, argv, modules, extras, status):
     (tmp_path / "cfg.yaml").write_text("a: 1.73\n")
     run = "" if argv is None else (
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({[arg.format(tmp=tmp_path) for arg in argv]!r}) == 0\n")
+        "with contextlib.redirect_stdout(io.StringIO()),"
+        " contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({[arg.format(tmp=tmp_path) for arg in argv]!r}) == {status}\n")
+    # sys.modules is read before the script imports json itself
     loaded = _fresh_python(
-        "import contextlib, io, json, sys\nfrom hhsim.cli import main\n" + run
-        + "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'hhsim'),"
-        " sorted({m.split('.')[0] for m in sys.modules}"
-        " & {'_hashlib', 'numpy', 'scipy', 'yaml'})]))")
+        "import contextlib, io, sys\nfrom hhsim.cli import main\n" + run
+        + "loaded = sorted(sys.modules)\nimport json\n"
+        "print(json.dumps([[m for m in loaded if m.split('.')[0] == 'hhsim'],"
+        " sorted({m.split('.')[0] for m in loaded}"
+        " & {'_hashlib', 'dataclasses', 'json', 'numpy', 'scipy', 'yaml'})]))")
     expected = sorted(["hhsim", "hhsim.cli", "hhsim.constants"] + [f"hhsim.{m}" for m in modules])
     assert json.loads(loaded) == [expected, sorted(extras)]
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from hhsim.pairs import (
     pair_mass_onsite,
     threshold_physical_poles,
 )
-from hhsim.orbits import threshold_diagonal, threshold_full, threshold_physical
+from hhsim.orbits import BindingThreshold, threshold_diagonal, threshold_full, threshold_physical
 
 from _oracles import (
     binding_condition_full,
@@ -430,6 +431,29 @@ def test_deep_roots_close_within_one_float_spacing_of_a_reference_bisection(monk
         assert np.all(np.abs(np.subtract(roots, reference)) <= bound), model
 
 
+@pytest.mark.parametrize("model", [UVModel.diagonal(-1e308, -5.0, 20.0),
+                                   UVModel.full(-1e308, -5.0, -5.0, 20.0),
+                                   UVModel.full(-1.5e308, 0.0, 0.0, 1.0)],
+                         ids=["diagonal", "full", "full-deeper"])
+def test_a_root_near_the_end_of_the_float_range_closes(monkeypatch, model):
+    # a bracket's midpoint (a + b)/2 overflowed to -inf once a + b passed -1.8e308;
+    # clipped onto the bracket's end, it never shrank the bracket, and the solve
+    # polished for ever.  The bisection down to adjacent floats takes about 21
+    # calls; a bound of 40 fails the test where a loop would not end
+    scan, calls = pairs._scan_roots, [0]
+
+    def counting(f, xs, vals, tol):
+        def counted(E):
+            calls[0] += 1
+            assert calls[0] <= 40, "more than 40 polish calls"
+            return f(E)
+        return scan(counted, xs, vals, tol)
+
+    monkeypatch.setattr(pairs, "_scan_roots", counting)
+    roots = [s.E for s in pair_energies(model)]
+    assert roots == [pytest.approx(model.U, rel=1e-12)]
+
+
 @pytest.mark.parametrize("t_prime", [0.3, 1.0, 1.7])
 def test_scan_table_is_the_greens_table_at_unit_t_prime(t_prime):
     # M(E, t') = M(E/t', 1)/t'.  x t' is rounded to a float E, so each
@@ -651,6 +675,48 @@ def test_thresholds_equal_the_closed_forms(tp, v1, v2):
         assert got.pole == ref.pole
         if abs(sum(den_terms)) > 1e-6 * sum(map(abs, den_terms)):
             assert abs(got.U_cr - ref.U_cr) <= 1e-10 * abs(ref.U_cr)
+
+
+def _closed_form_in_range(closed_form, couplings, t_prime):
+    """closed_form at the couplings and t' divided by one power of two 2^k,
+    its U_cr times 2^k.  U_cr is homogeneous of degree 1 in them, and k, the
+    mean of the binary exponents of max |V| and t', brings V/2^k and t'/2^k
+    to about sqrt(|V|/t') and its inverse, so no product of the closed form
+    overflows, however far |V|/t' lies from 1."""
+    k = (math.frexp(max(map(abs, couplings)))[1] + math.frexp(t_prime)[1]) // 2
+    th = closed_form(*(math.ldexp(v, -k) for v in couplings), math.ldexp(t_prime, -k))
+    return BindingThreshold(math.ldexp(th.U_cr, k), th.pole)
+
+
+@pytest.mark.parametrize("tp", [1.0, 0.37])
+def test_thresholds_equal_the_closed_forms_out_to_the_end_of_the_float_range(tp):
+    # |V|/t' from 1e-300 to 1e308 in half decades, and the largest float: a
+    # monomial x1 x2 of x_j = V_j/t' overflowed from |V|/t' = 1.3e154 on, which
+    # read threshold_full(1e155, 1e155, 1) as a pole and threshold_diagonal(1e308, 1)
+    # as -inf; no point lies within 5% of a pole.  With V2 = -V1 the full model's
+    # U_cr ~ GAMMA3 V^2/t' is subnormal below |V|/t' = 1e-160: two ulps of 0 apart
+    sizes = [10.0 ** (j / 2) * tp for j in range(-600, 617)] + [sys.float_info.max]
+    for size in sizes:
+        for V in (size, -size):
+            for got, ref in (
+                    (threshold_diagonal(V, tp),
+                     _closed_form_in_range(threshold_diagonal_closed_form, (V,), tp)),
+                    (threshold_full(V, V, tp),
+                     _closed_form_in_range(threshold_full_closed_form, (V, V), tp)),
+                    (threshold_full(V, -V, tp),
+                     _closed_form_in_range(threshold_full_closed_form, (V, -V), tp))):
+                assert not got.pole and not ref.pole, (V, tp)
+                assert abs(got.U_cr - ref.U_cr) <= 1e-10 * abs(ref.U_cr) + 2 * math.ulp(0.0), \
+                    (V, tp, got, ref)
+
+
+def test_binding_threshold_is_a_pair_of_U_cr_and_a_pole_flag_that_defaults_to_false():
+    assert BindingThreshold._fields == ("U_cr", "pole")
+    assert BindingThreshold(-2.5) == BindingThreshold(U_cr=-2.5, pole=False)
+    assert repr(BindingThreshold(-2.5)) == "BindingThreshold(U_cr=-2.5, pole=False)"
+    pole = threshold_diagonal(-3.0 * math.pi / 4.0, 1.0)
+    assert tuple(pole) == (math.inf, True)
+    assert repr(pole) == "BindingThreshold(U_cr=inf, pole=True)"
 
 
 def test_derived_band_edge_coefficients_are_the_closed_forms():

@@ -109,6 +109,10 @@ RUNS = {
     "phi-map-help": ["phi-map", "--help"],
     "stark-unknown-species": ["stark", "--species", "Na-23"],
     "phi-map-unknown-pattern": ["phi-map", "--pattern", "no-such-pattern"],
+    # the numpy-free paths: the defaults table on stdout, and a value error's JSON
+    # line on stderr, whose json module the CLI imports only to write it
+    "explain-defaults": ["--explain-defaults"],
+    "binding-error": ["binding", "--steps", "1"],
 }
 
 
