@@ -19,8 +19,9 @@ vanish.  That coefficient is taken in exact integers, in plain Python:
 this module imports no numpy, so ``hhsim binding`` loads none, and no
 dataclasses (``BindingThreshold`` is a namedtuple), whose import of
 inspect would cost a cold ``hhsim binding`` more than its computation.
-Couplings whose monomials (V/t')^k overflow, from |V|/t' ~ 1e154 on, are
-scaled by a power of two (``_edge_monomials``) rather than read as a pole.
+Every coupling lies within 2^128 t' of zero (``_check_couplings``, which
+``UVModel`` and both thresholds call), so no monomial (V/t')^k here reaches
+2^256, and no scan determinant of ``pairs`` leaves the float range.
 """
 
 import collections
@@ -81,14 +82,23 @@ _EDGE_SCALE = 2 ** 60
 _EDGE_TABLES = tuple(tuple(m * _EDGE_SCALE - int(c * _EDGE_SCALE) for c in EDGE_C) for m in (0, 1))
 
 
+# the largest |coupling|/t' accepted: about 3.4e38, far past any physical model
+_COUPLING_RANGE = 2.0 ** 128
+
 # a namedtuple, not a dataclass: see the module docstring
 BindingThreshold = collections.namedtuple("BindingThreshold", "U_cr pole", defaults=(False,))
 
 
 def _check_couplings(t_prime, **couplings):
-    """Raise ValueError unless t_prime and every coupling are finite and t_prime > 0."""
+    """Raise ValueError unless t_prime and every coupling are finite, t_prime > 0
+    and every |coupling| <= 2^128 t', a product that is exact or inf."""
     require_finite(t_prime=t_prime, **couplings)
     require_positive(t_prime=t_prime)
+    bound = _COUPLING_RANGE * t_prime
+    for name, value in couplings.items():
+        if abs(value) > bound:
+            raise ValueError(f"{name} must lie in [-2^128 t', 2^128 t'] = "
+                             f"[{-bound:.6g}, {bound:.6g}], got {value}")
 
 
 def _cofactor_det(B):
@@ -146,39 +156,13 @@ def _monomials(factors):
     return monomials
 
 
-def _edge_monomials(potentials, t_prime):
-    """The monomials prod_{j in S} x_j of x_j = v_j/t' in floats; then, for a
-    caller whose sums over them overflowed, the same monomials times one power
-    of two 2^-e that brings the largest nonzero one near 1.
-
-    The second set takes each x_j as the quotient of the frexp mantissas of
-    v_j and t', rounded as v_j/t' is, times a power of two, so no product
-    overflows; a monomial far below the largest may underflow.
-    """
-    yield _monomials([v / t_prime for v in potentials])
-    m_t, e_t = math.frexp(t_prime)
-    parts = [math.frexp(v) for v in potentials]
-    mantissas = _monomials([m / m_t for m, _ in parts])
-    exponents = [sum(e - e_t for (_, e), flag in zip(parts, S) if flag)
-                 for S in itertools.product((0, 1), repeat=len(parts))]
-    top = max(e for m, e in zip(mantissas, exponents) if m)
-    yield [math.ldexp(m, e - top) for m, e in zip(mantissas, exponents)]
-
-
 def _edge_threshold(variant, potentials, t_prime):
-    """U_cr = -t' Q/P, the zero in U of the variant's band-edge factor F = Q + P U/t'.
-
-    Q and P are taken from the monomials of ``_edge_monomials``: as floats,
-    or, where a term or a sum overflows, all times one power of two, which
-    leaves their quotient and the pole test as they are.
-    """
+    """U_cr = -t' Q/P, the zero in U of the variant's band-edge factor F = Q + P U/t'."""
     Q_row, P_row = _edge_factor(variant)
-    for monomials in _edge_monomials(potentials, t_prime):
-        Q = sum([a * m for a, m in zip(Q_row, monomials)])
-        P_terms = [a * m for a, m in zip(P_row, monomials)]
-        P, P_size = sum(P_terms), sum(map(abs, P_terms))
-        if math.isfinite(Q) and math.isfinite(P_size):
-            break
+    monomials = _monomials([v / t_prime for v in potentials])
+    Q = sum([a * m for a, m in zip(Q_row, monomials)])
+    P_terms = [a * m for a, m in zip(P_row, monomials)]
+    P, P_size = sum(P_terms), sum(map(abs, P_terms))
     # P sums at most four terms a_S prod x_j: quotients x_j = v_j/t', products and sums
     # round at most 7 times by eps/2 relative to the sum of the terms' magnitudes, and each
     # a_S is within an ulp of its closed form (tested).  P within 16 eps of that sum is 0.
@@ -188,13 +172,19 @@ def _edge_threshold(variant, potentials, t_prime):
 
 
 def threshold_diagonal(V, t_prime):
-    """Critical U below which the single-diagonal model binds a pair (a pole at V = -3 pi t'/4)."""
+    """Critical U below which the single-diagonal model binds a pair (a pole at V = -3 pi t'/4).
+
+    |V| may be at most 2^128 t'; beyond it, ValueError names V.
+    """
     _check_couplings(t_prime, V=V)
     return _edge_threshold("diagonal", (V,), t_prime)
 
 
 def threshold_full(V1, V2, t_prime):
-    """Critical U below which the both-diagonals model binds a pair, read off the orbit table."""
+    """Critical U below which the both-diagonals model binds a pair, read off the orbit table.
+
+    |V1| and |V2| may be at most 2^128 t'; beyond it, ValueError names the coupling.
+    """
     _check_couplings(t_prime, V1=V1, V2=V2)
     return _edge_threshold("full", (V1, V2), t_prime)
 

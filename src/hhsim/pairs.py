@@ -50,7 +50,8 @@ class UVModel:
     """Parameters of an effective two-body UV model.
 
     variant "diagonal" carries its V in V2 (the two +/-(x+y) neighbors);
-    variant "full" uses V1 (four NN) and V2 (four NNN).
+    variant "full" uses V1 (four NN) and V2 (four NNN).  |U|, |V1| and |V2|
+    may be at most 2^128 t'.
     """
 
     t_prime: float
@@ -65,7 +66,7 @@ class UVModel:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "diagonal" and self.V1 != 0.0:
             raise ValueError(f"the diagonal variant has no V1 (its V is V2), got V1 = {self.V1}")
-        # finite couplings can still overflow the pair search's scan grid
+        # couplings in range can still overflow the scan grid of a huge t'
         require_finite(**{"search depth |U| + 8|V1| + 8|V2| + 12t'": _search_bracket_depth(self)})
 
     @classmethod

@@ -62,11 +62,12 @@ def classify(T, T_pair_, T_bkt_):
     T_bkt with pairing only setting in there (T < T_bkt, T_pair < T_bkt).
     Scalars give a str, arrays a str array of their broadcast shape.
     """
+    normal, preformed, condensed, regime = LABELS
     below_bkt = np.less(T, T_bkt_)
     labels = np.select(
         [below_bkt & np.less(T_pair_, T_bkt_), below_bkt,
          np.less(T_bkt_, T) & np.less(T, T_pair_)],
-        ["BKTRegime", "BKTCondensedPairs", "PreformedPairs"], default="Normal")
+        [regime, condensed, preformed], default=normal)
     return labels[()]
 
 

@@ -116,8 +116,16 @@ def test_binding_rejects_bad_t_prime_before_any_output(tmp_path, capsys, argv, m
      "params --v0-max minus --v0-min must be finite, got inf"),
     (["stark", "--wl-min=-1.7e308", "--wl-max", "1.7e308"],
      "stark --wl-max minus --wl-min must be finite, got inf"),
-    # finite bounds whose pair search depth overflows
-    (["pair", "--v-min=-1e308"], "search depth |U| + 8|V1| + 8|V2| + 12t' must be finite, got inf"),
+    # a coupling beyond 2^128 t': U defaults to each V, and is checked first
+    (["pair", "--v-min=-1e308"],
+     "U must lie in [-2^128 t', 2^128 t'] = [-3.40282e+38, 3.40282e+38], got -1e+308"),
+    (["pair", "--U", "-1", "--v-min=-1e308"],
+     "V2 must lie in [-2^128 t', 2^128 t'] = [-3.40282e+38, 3.40282e+38], got -1e+308"),
+    # the determinant entries of this scan overflowed with numpy warnings
+    (["pair", "--U=1e308", "--t-prime=2", "--v-max=0.5"],
+     "U must lie in [-2^128 t', 2^128 t'] = [-6.80565e+38, 6.80565e+38], got 1e+308"),
+    (["binding", "--v-max", "1e300"],
+     "V must lie in [-2^128 t', 2^128 t'] = [-3.40282e+38, 3.40282e+38], got 5e+299"),
 ])
 def test_sweep_bounds_are_checked_before_any_output(tmp_path, capsys, argv, message):
     # the whole of stderr is the JSON error: no numpy warning before it

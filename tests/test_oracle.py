@@ -398,6 +398,28 @@ def test_bound_count_equals_the_determinant_root_count():
     assert ground_energies(model, 32).bound_count == len(pair_energies(model)) == 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: near |E| = 60t' one scan step spans "
+                   "about 5t', so two roots 0.38t' apart show no sign change")
+def test_pair_energies_find_every_bound_state_of_a_deep_model():
+    # ED at L = 32 binds -60.453734 and -60.078277 (diagonal), and -205.676612,
+    # -200.020006 and -194.363398 (full); the determinant finds none and one
+    for model in (UVModel.diagonal(-60.0, -60.0, 1.0), UVModel.full(-200.0, -200.0, -200.0, 1.0)):
+        assert len(pair_energies(model)) == ground_energies(model, 32).bound_count, model
+
+
+@pytest.mark.parametrize("L", [16, 24, 32, 48, 64])
+@pytest.mark.parametrize("make", [lambda U: UVModel.diagonal(U, -1.0, 1.0),
+                                  lambda U: UVModel.full(U, -1.0, -1.0, 1.0)],
+                         ids=["diagonal", "full"])
+def test_continuum_at_the_largest_coupling_equals_the_continuum_at_a_deep_one(make, L):
+    # U = -2^128 t', the end of the accepted range, against -2^60 t': the bound
+    # level follows U and the continuum near -8t' stays put.  At U = -1e100 t'
+    # the banded solve put the full model's continuum 16 t' off
+    largest, deep = (ground_energies(make(U), L).energies for U in (-2.0**128, -2.0**60))
+    assert largest[0] == pytest.approx(-2.0**128, rel=1e-12)
+    assert np.max(np.abs(np.subtract(largest[1:], deep[1:]))) <= 1e-12
+
+
 def test_bound_count_deep_vs_free():
     deep = ground_energies(UVModel.diagonal(-12.0, 0.0, 1.0), 12)
     assert deep.bound_count >= 1

@@ -8,7 +8,11 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "hhsim"
 
 # Public names that no code in src/hhsim reads, each with the reader outside it.
+_GAMMA = "acceptance criterion 02 and tests/_oracles.threshold_full_closed_form"
 UNREAD_ALLOWED = {
+    "greens.GAMMA1": _GAMMA,
+    "greens.GAMMA2": _GAMMA,
+    "greens.GAMMA3": _GAMMA,
     "oracle.brute_force_two_body": "benchmark workload oracle-validate",
     "pairs.lf_map_main": "ROADMAP item 6 plans its caller",
     "pairs.lf_map_physical": "ROADMAP item 6 plans its caller",
@@ -50,16 +54,27 @@ def _names(node):
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _defined(stmt):
+    """The names a top-level statement binds: a def's or class's, or those an
+    assignment stores."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def unread_public_names(src):
-    """Sorted ``module.name`` of each public top-level def or class in
-    src/*.py that no other top-level statement of any module in src reads."""
+    """Sorted ``module.name`` of each public top-level def, class or assigned
+    name in src/*.py that no other top-level statement of any module in src
+    reads."""
     statements = [(p.stem, stmt) for p in sorted(src.glob("*.py"))
                   for stmt in ast.parse(p.read_text()).body]
     read = [_names(stmt) for _, stmt in statements]
-    return sorted(f"{module}.{stmt.name}" for i, (module, stmt) in enumerate(statements)
-                  if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                  and not stmt.name.startswith("_")
-                  and not any(stmt.name in names for j, names in enumerate(read) if j != i))
+    return sorted(f"{module}.{name}" for i, (module, stmt) in enumerate(statements)
+                  for name in _defined(stmt) if not name.startswith("_")
+                  and not any(name in names for j, names in enumerate(read) if j != i))
 
 
 def test_every_public_name_in_src_has_a_reader_in_src_or_an_allowlisted_one():
@@ -68,6 +83,19 @@ def test_every_public_name_in_src_has_a_reader_in_src_or_an_allowlisted_one():
     assert not extra, f"public names that nothing in src/hhsim reads: {extra}"
     # an allowlisted name that gained a reader in src, or was deleted, leaves the list
     assert sorted(UNREAD_ALLOWED) == [name for name in unread if name in UNREAD_ALLOWED]
+
+
+@pytest.mark.parametrize("source, unread", [
+    ("def f(): pass\nclass C: pass\nf(C)", []),
+    ("def f(): pass\ndef _g(): pass", ["m.f"]),                   # a private name is not counted
+    ("X = 1\nY: int = 2\nA, (B, _c) = 3, (4, 5)\nprint(Y, B)", ["m.A", "m.X"]),
+    ("X = 1\ndef f(): return X\nf()", []),                      # read inside a def
+    ("X = [1]\nX[0] = 2", []),                                    # a store into X reads X
+    ("def f(): return f\nX = X if 0 else 1", ["m.X", "m.f"]),     # its own statement does not count
+])
+def test_unread_public_names_counts_defs_classes_and_assigned_names(tmp_path, source, unread):
+    (tmp_path / "m.py").write_text(source)
+    assert unread_public_names(tmp_path) == unread
 
 
 def _is_dataclass(stmt):

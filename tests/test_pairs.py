@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -49,13 +50,12 @@ def test_uvmodel_validation():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: UVModel.diagonal(-1e308, -1e308, 1.0),
-    lambda: UVModel.full(-1.0, 1e308, -1e308, 1.0),
     lambda: UVModel.full(-1.7e308, 0.0, 0.0, 1e307),
+    lambda: UVModel.diagonal(-1e308, -1e308, 1e300),
 ])
 def test_uvmodel_rejects_a_search_depth_that_overflows(make):
-    # finite fields whose |U| + 8|V1| + 8|V2| + 12t' is inf: the scan grid
-    # to that depth cannot be counted
+    # couplings within 2^128 t' of a huge t' whose |U| + 8|V1| + 8|V2| + 12t'
+    # is inf: the scan grid to that depth cannot be counted
     with pytest.raises(ValueError, match=r"^search depth \|U\| \+ 8\|V1\| \+ 8\|V2\| \+ 12t' "
                                          r"must be finite, got inf$"):
         make()
@@ -431,15 +431,17 @@ def test_deep_roots_close_within_one_float_spacing_of_a_reference_bisection(monk
         assert np.all(np.abs(np.subtract(roots, reference)) <= bound), model
 
 
-@pytest.mark.parametrize("model", [UVModel.diagonal(-1e308, -5.0, 20.0),
-                                   UVModel.full(-1e308, -5.0, -5.0, 20.0),
-                                   UVModel.full(-1.5e308, 0.0, 0.0, 1.0)],
+@pytest.mark.parametrize("model, unit", [
+    (UVModel.diagonal(-1e308, -5e305, 1e306), UVModel.diagonal(-100.0, -0.5, 1.0)),
+    (UVModel.full(-1e308, -5e305, -5e305, 1e306), UVModel.full(-100.0, -0.5, -0.5, 1.0)),
+    (UVModel.full(-1.5e308, 0.0, 0.0, 1e306), UVModel.full(-150.0, 0.0, 0.0, 1.0))],
                          ids=["diagonal", "full", "full-deeper"])
-def test_a_root_near_the_end_of_the_float_range_closes(monkeypatch, model):
+def test_a_root_near_the_end_of_the_float_range_closes(monkeypatch, model, unit):
     # a bracket's midpoint (a + b)/2 overflowed to -inf once a + b passed -1.8e308;
     # clipped onto the bracket's end, it never shrank the bracket, and the solve
     # polished for ever.  The bisection down to adjacent floats takes about 21
-    # calls; a bound of 40 fails the test where a loop would not end
+    # calls; a bound of 40 fails the test where a loop would not end.  t' = 1e306
+    # keeps the couplings within 2^128 t' and the roots near the end of the float range
     scan, calls = pairs._scan_roots, [0]
 
     def counting(f, xs, vals, tol):
@@ -451,7 +453,8 @@ def test_a_root_near_the_end_of_the_float_range_closes(monkeypatch, model):
 
     monkeypatch.setattr(pairs, "_scan_roots", counting)
     roots = [s.E for s in pair_energies(model)]
-    assert roots == [pytest.approx(model.U, rel=1e-12)]
+    # E is homogeneous of degree 1 in the couplings and t'
+    assert roots == [pytest.approx(model.t_prime * s.E, rel=1e-12) for s in pair_energies(unit)]
 
 
 @pytest.mark.parametrize("t_prime", [0.3, 1.0, 1.7])
@@ -638,10 +641,11 @@ def test_scan_roots_brackets_by_sign_not_by_product(scale):
 
 
 def test_huge_couplings_solve_without_an_overflow_warning():
+    # the largest model accepted: every coupling at -2^128 t'
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = pair_energies(UVModel.full(-1e60, -1e60, -1e60, 1.0))
-    assert [r.E for r in roots] == [pytest.approx(-1e60, rel=1e-12)]
+        roots = pair_energies(UVModel.full(-2**128, -2**128, -2**128, 1.0))
+    assert [r.E for r in roots] == [pytest.approx(-2.0**128, rel=1e-12)]
 
 
 @pytest.mark.parametrize("tp", [0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 2.9])
@@ -688,26 +692,86 @@ def _closed_form_in_range(closed_form, couplings, t_prime):
     return BindingThreshold(math.ldexp(th.U_cr, k), th.pole)
 
 
+_RANGE = 2.0 ** 128   # the largest |coupling|/t' accepted
+_RANGE_MESSAGE = r" must lie in \[-2\^128 t', 2\^128 t'\] = \[.+\], got "
+
+
 @pytest.mark.parametrize("tp", [1.0, 0.37])
 def test_thresholds_equal_the_closed_forms_out_to_the_end_of_the_float_range(tp):
-    # |V|/t' from 1e-300 to 1e308 in half decades, and the largest float: a
-    # monomial x1 x2 of x_j = V_j/t' overflowed from |V|/t' = 1.3e154 on, which
-    # read threshold_full(1e155, 1e155, 1) as a pole and threshold_diagonal(1e308, 1)
-    # as -inf; no point lies within 5% of a pole.  With V2 = -V1 the full model's
-    # U_cr ~ GAMMA3 V^2/t' is subnormal below |V|/t' = 1e-160: two ulps of 0 apart
-    sizes = [10.0 ** (j / 2) * tp for j in range(-600, 617)] + [sys.float_info.max]
+    # |V|/t' from 1e-300 to 2^128 in half decades, and 2^128 itself; no point lies
+    # within 5% of a pole.  With V2 = -V1 the full model's U_cr ~ GAMMA3 V^2/t' is
+    # subnormal below |V|/t' = 1e-160: two ulps of 0 apart.  Every half decade
+    # beyond 2^128 t', and the largest float, is rejected with the coupling's name
+    bound = _RANGE * tp
+    sizes = [10.0 ** (j / 2) * tp for j in range(-600, 617)] + [bound, sys.float_info.max]
     for size in sizes:
         for V in (size, -size):
-            for got, ref in (
-                    (threshold_diagonal(V, tp),
-                     _closed_form_in_range(threshold_diagonal_closed_form, (V,), tp)),
-                    (threshold_full(V, V, tp),
-                     _closed_form_in_range(threshold_full_closed_form, (V, V), tp)),
-                    (threshold_full(V, -V, tp),
-                     _closed_form_in_range(threshold_full_closed_form, (V, -V), tp))):
+            for threshold, couplings, closed_form in (
+                    (threshold_diagonal, (V,), threshold_diagonal_closed_form),
+                    (threshold_full, (V, V), threshold_full_closed_form),
+                    (threshold_full, (V, -V), threshold_full_closed_form)):
+                if size > bound:
+                    with pytest.raises(ValueError, match="^V1?" + _RANGE_MESSAGE):
+                        threshold(*couplings, tp)
+                    continue
+                got = threshold(*couplings, tp)
+                ref = _closed_form_in_range(closed_form, couplings, tp)
                 assert not got.pole and not ref.pole, (V, tp)
                 assert abs(got.U_cr - ref.U_cr) <= 1e-10 * abs(ref.U_cr) + 2 * math.ulp(0.0), \
                     (V, tp, got, ref)
+
+
+@pytest.mark.parametrize("tp", [1.0, 0.37, 3.0])
+def test_every_entry_point_accepts_a_coupling_of_2_to_the_128_t_prime(tp):
+    # 2^128 t' is exact, so the bound itself is in range; there the thresholds
+    # equal the closed forms, and a pair solve raises no warning
+    for V in (_RANGE * tp, -_RANGE * tp):
+        for got, couplings, closed_form in (
+                (threshold_diagonal(V, tp), (V,), threshold_diagonal_closed_form),
+                (threshold_full(V, 0.0, tp), (V, 0.0), threshold_full_closed_form),
+                (threshold_full(0.0, V, tp), (0.0, V), threshold_full_closed_form),
+                (threshold_full(V, V, tp), (V, V), threshold_full_closed_form)):
+            ref = _closed_form_in_range(closed_form, couplings, tp)
+            assert not got.pole and not ref.pole, (couplings, tp)
+            assert abs(got.U_cr - ref.U_cr) <= 1e-10 * abs(ref.U_cr), (couplings, tp, got, ref)
+        for model in (UVModel.diagonal(V, 0.0, tp), UVModel.diagonal(0.0, V, tp),
+                      UVModel.full(V, 0.0, 0.0, tp), UVModel.full(0.0, V, 0.0, tp),
+                      UVModel.full(0.0, 0.0, V, tp)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                roots = [s.E for s in pair_energies(model)]
+            # one deep pair on the orbit that carries V, none if V repels
+            assert roots == ([pytest.approx(V, rel=1e-12)] if V < 0 else []), model
+
+
+@pytest.mark.parametrize("tp", [1.0, 0.37, 3.0])
+@pytest.mark.parametrize("make, field", [
+    (lambda v, tp: UVModel.diagonal(v, 0.0, tp), "U"),
+    (lambda v, tp: UVModel.diagonal(0.0, v, tp), "V2"),
+    (lambda v, tp: UVModel.full(v, 0.0, 0.0, tp), "U"),
+    (lambda v, tp: UVModel.full(0.0, v, 0.0, tp), "V1"),
+    (lambda v, tp: UVModel.full(0.0, 0.0, v, tp), "V2"),
+    (lambda v, tp: threshold_diagonal(v, tp), "V"),
+    (lambda v, tp: threshold_full(v, 0.0, tp), "V1"),
+    (lambda v, tp: threshold_full(0.0, v, tp), "V2"),
+], ids=["diagonal-U", "diagonal-V", "full-U", "full-V1", "full-V2",
+        "threshold_diagonal-V", "threshold_full-V1", "threshold_full-V2"])
+def test_a_coupling_one_float_beyond_2_to_the_128_t_prime_is_rejected_by_name(make, field, tp):
+    for v in (math.nextafter(_RANGE * tp, math.inf), math.nextafter(-_RANGE * tp, -math.inf)):
+        with pytest.raises(ValueError, match=f"^{field}{_RANGE_MESSAGE}{re.escape(str(v))}$"):
+            make(v, tp)
+
+
+@pytest.mark.parametrize("make", [lambda: UVModel.diagonal(-1.7e308, 0.0, 1.0),
+                                  lambda: UVModel.full(-1e100, -1.0, -1.0, 1.0)],
+                         ids=["diagonal", "full"])
+def test_couplings_far_beyond_the_range_stop_at_construction_without_a_warning(make):
+    # the first overflowed the scan grid's last point with a numpy warning; the
+    # second gave continuum levels 16 t' off in the oracle's banded solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^U" + _RANGE_MESSAGE):
+            make()
 
 
 def test_binding_threshold_is_a_pair_of_U_cr_and_a_pole_flag_that_defaults_to_false():

@@ -113,6 +113,10 @@ RUNS = {
     # line on stderr, whose json module the CLI imports only to write it
     "explain-defaults": ["--explain-defaults"],
     "binding-error": ["binding", "--steps", "1"],
+    # a coupling beyond 2^128 t': one JSON error line on stderr, no numpy warning before it
+    "pair-coupling-range-error": ["pair", "--U=1e308", "--t-prime=2", "--v-max=0.5",
+                                  "--steps", "2"],
+    "binding-coupling-range-error": ["binding", "--v-max", "1e300", "--steps", "2"],
 }
 
 
