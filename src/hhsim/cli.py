@@ -396,15 +396,20 @@ def cmd_phase(args, sink):
 
     s = args.settings
     family = phases.PhaseFamily(a=s["a"], n_B=s["n_B"], omega_ratio=s["omega_ratio"])
-    V0s = np.asarray(_linspace(*_bounds(args, "v0", args.v0_min, args.v0_max),
-                               _steps(args, "v0-steps")))
+    lo, hi = _bounds(args, "v0", args.v0_min, args.v0_max)
+    require_positive(**{"phase --v0-min": lo, "phase --v0-max": hi})
+    V0s = np.asarray(_linspace(lo, hi, _steps(args, "v0-steps")))
     lams = np.asarray(_linspace(*_bounds(args, "lam", args.lam_min, args.lam_max),
                                 _steps(args, "lam-steps")))
-    try:
-        grid = phases.phase_grid(V0s, lams, args.T, family)
-    except OverflowError as exc:
-        raise ValueError(f"phase --v0-min {args.v0_min} to --v0-max {args.v0_max}, --lam-min "
-                         f"{args.lam_min} to --lam-max {args.lam_max}: {exc}") from None
+    # hopping_t's shallow-lattice warnings are shown only by a run that succeeds
+    with warnings.catch_warnings(record=True) as shallow:
+        try:
+            grid = phases.phase_grid(V0s, lams, args.T, family)
+        except OverflowError as exc:
+            raise ValueError(f"phase --v0-min {args.v0_min} to --v0-max {args.v0_max}, --lam-min "
+                             f"{args.lam_min} to --lam-max {args.lam_max}: {exc}") from None
+    for w in shallow:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     columns = (*np.meshgrid(V0s, lams, indexing="ij"), grid.T_pair, grid.T_bkt, grid.label)
     rows = list(zip(*(c.ravel().tolist() for c in columns)))
     sink.emit_table("phase_grid", ["V0_nK", "lambda", "T_pair_nK", "T_bkt_nK", "label"], rows)

@@ -4,13 +4,15 @@ The two interaction layouts, ``diagonal`` and ``full``, are the orbit
 tables of ``orbits``.  Pair energies are the roots of det(I + G V) over
 the symmetric amplitudes, one row and column per orbit, built in float
 over arrays of energies from the count table ``orbits._COUNTS`` and the
-Green's table of ``greens``.  The oracle reads the same orbits through
-``UVModel.shells()`` and ``UVModel.point_group()``.  The binding
-thresholds are read off the same table at the band edge, in ``orbits``,
-which loads no numpy.  This module also carries the Lang--Firsov
-parameter maps that turn a phonon-coupled model into a UV model, the
-poles of the physical case's threshold, the strong-coupling pair
-dispersion, and the pair effective mass.
+Green's table of ``greens``.  E/t' depends only on the couplings over
+t', so pairs are solved in units of t', on one scan table that reaches
+every model in the coupling range of ``orbits``.  The oracle reads the
+same orbits through ``UVModel.shells()`` and ``UVModel.point_group()``.
+The binding thresholds are read off the same table at the band edge, in
+``orbits``, which loads no numpy.  This module also carries the
+Lang--Firsov parameter maps that turn a phonon-coupled model into a UV
+model, the poles of the physical case's threshold, the strong-coupling
+pair dispersion, and the pair effective mass.
 """
 
 import functools
@@ -22,19 +24,20 @@ import numpy as np
 from .constants import require_finite
 from .greens import greens_M_table
 from .orbits import _COUNTS as _INT_COUNTS
-from .orbits import _ORBITS, _POINT_GROUPS, _check_couplings, _cofactor_det, threshold_physical
+from .orbits import (_COUPLING_RANGE, _ORBITS, _POINT_GROUPS, _check_couplings, _cofactor_det,
+                     threshold_physical)
 # re-bound for a reader outside the package: the pair-scan set-up of
 # benchmarks/workload.py places its models near pairs.threshold_diagonal/full's U_cr
 from .orbits import threshold_diagonal, threshold_full
 
 _EDGE_EPS = 1e-10   # offset of the search bracket from the band edge, in t'
 _ROOT_TOL = 1e-12   # root bracket width in energy, in t'
-_CLUSTER_SIDE = 22  # polish points on either side of an estimate c: c +/- (tol/4) 4^j, j < 22
+_CLUSTER_SIDE = 22  # polish points on either side of an estimate c: c +/- (unit/4) 4^j, j < 22
 _SCAN_STEP = 0.1    # sign-scan grid step in s = ln(|E|/8t' - 1)
-_SCAN_TABLE_POINTS = 283  # scan points in the import-time Green's table: s <= 3.09, |E| <= 184.6 t'
+_TABLE_CHUNK = 128  # scan points per Green's table while _SCAN_M is built: bounds its temporaries
 _POLE_SCAN = (0.0, 2.0, 4001)  # lam range and grid points of the pole scan
 _POLE_TOL = 1e-12   # root bracket width of a pole, in lam
-# the polish cluster's offsets from its estimate c, in units of tol
+# the polish cluster's offsets from its estimate c, in units of the cluster's unit
 _CLUSTER = np.concatenate([-0.25 * 4.0 ** np.arange(_CLUSTER_SIDE - 1, -1, -1), [0.0],
                            0.25 * 4.0 ** np.arange(_CLUSTER_SIDE)])
 _STENCIL_POINTS = 12   # grid points of the first estimate's interpolant
@@ -51,7 +54,9 @@ class UVModel:
 
     variant "diagonal" carries its V in V2 (the two +/-(x+y) neighbors);
     variant "full" uses V1 (four NN) and V2 (four NNN).  |U|, |V1| and |V2|
-    may be at most 2^128 t'.
+    may be at most 2^128 t', and the search depth |U| + 8|V1| + 8|V2| + 12t'
+    must be finite, so that every scan point x (in units of t') of
+    ``pair_energies`` gives a finite energy t' x.
     """
 
     t_prime: float
@@ -66,7 +71,7 @@ class UVModel:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "diagonal" and self.V1 != 0.0:
             raise ValueError(f"the diagonal variant has no V1 (its V is V2), got V1 = {self.V1}")
-        # couplings in range can still overflow the scan grid of a huge t'
+        # couplings in range can still overflow t' times the scan grid of a huge t'
         require_finite(**{"search depth |U| + 8|V1| + 8|V2| + 12t'": _search_bracket_depth(self)})
 
     @classmethod
@@ -160,23 +165,14 @@ def _scan_grid(j):
     return s, -8.0 * (1.0 + np.exp(s))
 
 
-# s, E/t' and the six M_nl at t' = 1 of the first scan grid points, built
-# once: M(E, t') = M(E/t', 1)/t', so every model's scan reads them
-_SCAN_S, _SCAN_X = _scan_grid(np.arange(_SCAN_TABLE_POINTS))
-_SCAN_M = greens_M_table(_SCAN_X, 1.0)
-
-
-def _scan_table(s_hi):
-    """E/t' and the six M_nl at t' = 1 of the scan grid points up to the
-    first at or beyond s_hi.  Past the table's end the remaining points,
-    on the same step, come from one ``greens_M_table`` call."""
-    s, x, M = _SCAN_S, _SCAN_X, _SCAN_M
-    if s_hi > s[-1]:
-        s_more, x_more = _scan_grid(np.arange(s.size, math.ceil((s_hi - s[0]) / _SCAN_STEP) + 2))
-        s, x = np.concatenate([s, s_more]), np.concatenate([x, x_more])
-        M = np.concatenate([M, greens_M_table(x_more, 1.0)], axis=1)
-    m = np.searchsorted(s, s_hi) + 1
-    return x[:m], M[:, :m]
+# the deepest search bracket in range, every coupling at 2^128 t', in s: 89.48
+_S_DEEPEST = math.log(_search_bracket_depth(UVModel.full(*(_COUPLING_RANGE,) * 3, 1.0)) / 8.0 - 1.0)
+# s, E/t' and the six M_nl at t' = 1 of the scan grid from the band edge to one
+# step past _S_DEEPEST, 1,148 points, built once: every model's scan reads them
+_SCAN_S, _SCAN_X = _scan_grid(np.arange(
+    math.ceil((_S_DEEPEST - math.log(_EDGE_EPS / 8.0)) / _SCAN_STEP) + 2))
+_SCAN_M = np.concatenate([greens_M_table(_SCAN_X[i:i + _TABLE_CHUNK], 1.0)
+                          for i in range(0, _SCAN_X.size, _TABLE_CHUNK)], axis=1)
 
 
 @functools.cache
@@ -240,26 +236,26 @@ def _scan_roots(f, xs, vals, tol):
     ``_SCAN_M``), so f is called only to polish.  Each polishing step is
     one f call, in x, on a (brackets still wider than tol) x
     (2 _CLUSTER_SIDE + 1) array: per bracket an estimate c and the
-    geometric cluster c +/- (tol/4) 4^j, all clipped to stay tol/4
-    inside the bracket.  Each bracket carries only its two ends and f
-    there.  c is, on the first step, the zero of the degree-11
-    interpolant of vals on the 12 grid points around the bracket
-    (``_stencil_zeros``), else the secant point through the bracket's
-    ends, else the midpoint; on every later step the secant point, else
-    the midpoint; whichever first is finite and inside the bracket.
-    Where the scan values place the root within tol of the first estimate
-    (a sampled polynomial of degree <= 11 in the index, or the pair
-    determinant, analytic in s), the first step closes the bracket.
-    The new bracket is the sign change nearest c; an exact zero closes it
-    onto itself.  A step that does not halve a bracket is followed by one
-    with c at the midpoint, so every two steps at least halve it.  A
-    bracket also closes when its ends are adjacent floats, as it can where
-    the float spacing exceeds tol (in the pair search, from |E| between
-    4,096 t' and 8,192 t' on, as t' sets); such a root is within one float
-    spacing.  A root is the midpoint of its final bracket.  A midpoint is
-    a/2 + b/2, with the bits of (a + b)/2 wherever a + b is finite: near
-    the end of the float range a + b overflows, and a bracket bisected
-    onto its own end would never close.
+    geometric cluster c +/- (unit/4) 4^j, all clipped to stay unit/4
+    inside the bracket.  The unit is tol, or four float spacings of the
+    bracket's outer end where that is wider, so that the points of a
+    bracket a few floats wide stay distinct.  Each bracket carries only
+    its two ends and f there.  c is, on the first step, the zero of the
+    degree-11 interpolant of vals on the 12 grid points around the
+    bracket (``_stencil_zeros``), else the secant point through the
+    bracket's ends, else the midpoint; on every later step the secant
+    point, else the midpoint; whichever first is finite and inside the
+    bracket.  Where the scan values place the root within tol of the
+    first estimate (a sampled polynomial of degree <= 11 in the index,
+    or the pair determinant, analytic in s), the first step closes the
+    bracket.  The new bracket is the sign change nearest c; an exact
+    zero closes it onto itself.  A step that does not halve a bracket is
+    followed by one with c at the midpoint, so every two steps at least
+    halve it.  A bracket also closes when its ends are adjacent floats,
+    as it can where the float spacing exceeds tol (in the pair search,
+    from |x| = |E|/t' between 4,096 and 8,192 on); such a root is within
+    one float spacing.  A root is the midpoint of its final bracket,
+    taken as a/2 + b/2, which cannot overflow.
     """
     exact = xs[:-1][vals[:-1] == 0.0]
     k = np.flatnonzero(_opposite_signs(vals[:-1], vals[1:]))
@@ -268,8 +264,7 @@ def _scan_roots(f, xs, vals, tol):
     # each bracket's two ends, ascending in x
     ends = np.stack([k, k + 1], axis=1) if xs[0] < xs[-1] else np.stack([k + 1, k], axis=1)
     px, pf = xs[ends], vals[ends]
-    offsets = tol * _CLUSTER
-    cols = offsets.size + 2   # the cluster between the bracket's two ends
+    cols = _CLUSTER.size + 2   # the cluster between the bracket's two ends
     bisect = np.zeros(len(k), dtype=bool)   # the last step did not halve the bracket
     live = np.flatnonzero(px[:, 1] - px[:, 0] > tol)
     first_step = True
@@ -284,11 +279,12 @@ def _scan_roots(f, xs, vals, tol):
             stencil = _stencil_zeros(xs, vals, k[live])
             c = np.where((a < stencil) & (stencil < b), stencil, c)
             first_step = False
-        first, last = (a + 0.25 * tol)[:, None], (b - 0.25 * tol)[:, None]
+        unit = np.maximum(tol, 4.0 * np.spacing(np.maximum(abs(a), abs(b))))[:, None]
+        first, last = a[:, None] + 0.25 * unit, b[:, None] - 0.25 * unit
         c = np.minimum(np.maximum(c[:, None], first), last)
         X, F = np.empty((live.size, cols)), np.empty((live.size, cols))
         X[:, 0], X[:, -1], F[:, 0], F[:, -1] = a, b, fa, fb
-        X[:, 1:-1] = np.minimum(np.maximum(c + offsets, first), last)
+        X[:, 1:-1] = np.minimum(np.maximum(c + unit * _CLUSTER, first), last)
         F[:, 1:-1] = f(X[:, 1:-1])
         # distance from c of each sign change of the row, then of each exact zero
         distance = np.concatenate([
@@ -317,30 +313,29 @@ def pair_energies(model):
     returned.  For example ``UVModel.full(0, -12, 0, 1)`` gives -14.5849
     only; ED also finds the B1 (d_{x^2-y^2}) state at -12.3543.
 
-    The determinant changes sign across each root.  Its sign scan runs
-    over s = ln(|E|/8t' - 1), which resolves the logarithmic band-edge
-    region, from s = ln(1e-10/8) in steps of 0.1 to the first point at
-    or beyond the search bracket's depth.  The scan reads the Green's
-    values from ``_SCAN_M``, a table at t' = 1 built once at import up
-    to s = 3.09; a deeper bracket gets its remaining points from one
-    ``greens_M_table`` call.  ``_scan_roots`` then polishes each sign
-    change through ``det_diagonal`` or ``det_full`` until its bracket is
-    at most 1e-12 t' wide.  Its first estimate interpolates the 12 scan
-    values around each bracket, and the determinant is analytic in s, so
-    a root-bearing solve usually makes one polish call for all its roots.
-    Where that estimate misses a root by more than 1e-12 t', the later
-    calls take the secant point through the bracket's two ends.
+    The couplings are divided by t' once, and the roots x = E/t' are
+    found at t' = 1.  The determinant changes sign across each root.  Its
+    sign scan runs over s = ln(|x|/8 - 1), which resolves the logarithmic
+    band-edge region, from s = ln(1e-10/8) in steps of 0.1 to the first
+    point at or beyond the search bracket's depth, on the Green's values
+    of ``_SCAN_M``, which reaches every model in range.  ``_scan_roots``
+    then polishes each sign change through ``det_diagonal`` or
+    ``det_full`` at t' = 1 until its bracket is at most 1e-12 wide.  Its
+    first estimate interpolates the 12 scan values around each bracket,
+    and the determinant is analytic in s, so a root-bearing solve usually
+    makes one polish call for all its roots; where that estimate misses a
+    root by more than 1e-12, the later calls take the secant point
+    through the bracket's two ends.  The energies are t' x.
     A pair bound by less than 1e-10 t' is missed, above the scan's first
     point: ``UVModel.full(-0.4, 0, 0, 1)`` binds (U < U_cr = 0) but has no root.
     """
     tp = model.t_prime
-    s_hi = math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)
-    x, M = _scan_table(s_hi)
-    potentials = tuple(getattr(model, field) for field, _ in _ORBITS[model.variant])
+    potentials = tuple(getattr(model, field) / tp for field, _ in _ORBITS[model.variant])
+    m = np.searchsorted(_SCAN_S, math.log(_search_bracket_depth(model) / (8.0 * tp) - 1.0)) + 1
     det = det_diagonal if model.variant == "diagonal" else det_full
-    roots = _scan_roots(lambda E: det(E, *potentials, tp), tp * x,
-                        _orbit_det(M / tp, model.variant, potentials), _ROOT_TOL * tp)
-    return [PairState(E=E) for E in roots.tolist()]
+    roots = _scan_roots(lambda x: det(x, *potentials, 1.0), _SCAN_X[:m],
+                        _orbit_det(_SCAN_M[:, :m], model.variant, potentials), _ROOT_TOL)
+    return [PairState(E=tp * x) for x in roots.tolist()]
 
 
 def lf_map_main(params: LFParams):

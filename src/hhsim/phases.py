@@ -128,9 +128,10 @@ def phase_grid(V0_axis, lam_axis, T, family):
 
     V0 (nK), lambda and the probe temperature T (nK) must be finite, and
     lambda and T nonnegative.  Raises OverflowError, naming the first
-    such grid point, where T_pair or the on-site pair mass leaves the
-    float range: T_pair for a large lambda, the mass where t' is so small
-    (a deep lattice, a large lambda) that t'^2 in joules underflows.
+    such grid point, where V0 in Hz, T_pair or the on-site pair mass
+    leaves the float range: V0 beyond about 8.6e306 nK, T_pair for a
+    large lambda, the mass where t' is so small (a deep lattice, a large
+    lambda) that t'^2 in joules underflows.
     """
     V0 = np.asarray(V0_axis, dtype=float)
     lam = np.asarray(lam_axis, dtype=float)
@@ -141,7 +142,11 @@ def phase_grid(V0_axis, lam_axis, T, family):
         if np.any(value < 0.0):
             raise ValueError(f"{name} must be nonnegative, got {np.min(value)}")
     E_rec = recoil_energy(family.a, M_K40)
-    t = np.array([hopping_t(nk_to_hz(v), E_rec) for v in V0.tolist()])
+    V0_hz = [nk_to_hz(v) for v in V0.tolist()]   # Python floats overflow to inf quietly
+    for v, hz in zip(V0.tolist(), V0_hz):
+        if not math.isfinite(hz):
+            raise OverflowError(f"V0 in Hz is not finite at V0 = {v} nK")
+    t = np.array([hopping_t(hz, E_rec) for hz in V0_hz])
     t_col = t[:, None]
     W = 4.0 * t_col
     hbar_omega = family.omega_ratio * t_col

@@ -249,6 +249,39 @@ def test_params_depths_out_of_the_float_range_end_in_one_error_line_alone(argv, 
     assert proc.stderr == json.dumps({"error": message}) + "\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--v0-max=-1e6"], "phase --v0-max must be positive, got -1000000.0"),
+    (["--v0-min=0"], "phase --v0-min must be positive, got 0.0"),
+])
+def test_phase_depths_must_be_positive_by_flag(tmp_path, capsys, argv, message):
+    # the check once named V0 in Hz, a value no flag holds
+    assert _error(capsys, tmp_path / "phase", ["phase"] + argv) == message
+
+
+_PHASE_RANGES = "phase --v0-min 20.0 to --v0-max {}, --lam-min 0.05 to --lam-max {}: "
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--v0-max=1e308"], _PHASE_RANGES.format("1e+308", "5.0")
+                 + "V0 in Hz is not finite at V0 = 1e+308 nK", id="phase-depth-in-hz"),
+    pytest.param(["--lam-max=1e308"], _PHASE_RANGES.format("600.0", "1e+308")
+                 + "T_pair is not finite at V0 = 20.0 nK, lambda = 1e+308", id="phase-t-pair"),
+])
+def test_phase_failures_past_a_shallow_depth_end_in_one_error_line_alone(argv, message):
+    # V0 = 20 nK lies below the recoil energy, where hopping_t warns; in a new
+    # interpreter, as a user runs it, a failing run prints its JSON line alone
+    proc = _python("-m", "hhsim.cli", "phase", "--v0-min=20", "--v0-steps", "2",
+                   "--lam-steps", "2", *argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == json.dumps({"error": message}) + "\n"
+
+
+def test_a_shallow_phase_run_that_succeeds_shows_the_warning():
+    proc = _python("-m", "hhsim.cli", "phase", "--v0-min=20", "--v0-steps", "2", "--lam-steps", "2")
+    assert proc.returncode == 0
+    assert "UserWarning: hopping_t: V0 < E_rec is outside the deep-lattice regime" in proc.stderr
+
+
 def test_out_naming_a_file_is_a_json_error(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("keep\n")

@@ -222,18 +222,19 @@ SEEDED_MODELS = _seeded_models()
 
 
 def _recorded_scan(model):
-    """The roots of pair_energies(model) and the (f, xs, vals, tol) it
-    passed to _scan_roots."""
-    scan, args = pairs._scan_roots, []
+    """The roots, in units of t', that _scan_roots returned to
+    pair_energies(model), and the (f, xs, vals, tol) it was passed."""
+    scan, calls = pairs._scan_roots, []
 
     def recording(*a):
-        args.append(a)
-        return scan(*a)
+        roots = scan(*a)
+        calls.append((roots.tolist(), a))
+        return roots
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairs, "_scan_roots", recording)
-        roots = [s.E for s in pair_energies(model)]
-    return roots, args[0]
+        pair_energies(model)
+    return calls[0]
 
 
 def test_every_root_is_bracketed_to_tolerance_and_every_scan_bracket_has_one():
@@ -241,7 +242,7 @@ def test_every_root_is_bracketed_to_tolerance_and_every_scan_bracket_has_one():
     for model in SEEDED_MODELS:
         roots, (f, _, scan, _) = _recorded_scan(model)
         assert len(roots) == np.sum(scan[:-1] * scan[1:] < 0.0) + np.sum(scan[:-1] == 0.0)
-        tol = pairs._ROOT_TOL * model.t_prime
+        tol = pairs._ROOT_TOL
         for r in roots:
             below, above = f(np.array([r - tol, r + tol]))
             assert below * above < 0.0, (model, r)
@@ -306,7 +307,7 @@ def _pair_scan_models(seed):
     return models
 
 
-# past the scan table's end: search-bracket depths of 2,028, 2,020 and 1,612 t'
+# search-bracket depths of 2,028, 2,020 and 1,612 t', s = 5.5, 5.5 and 5.3
 DEEP_MODELS = [UVModel.full(-2000.0, -1.0, -1.0, 1.0), UVModel.diagonal(-2000.0, -1.0, 1.0),
                UVModel.full(-600.0, -3.0, 2.0, 0.4)]
 
@@ -314,7 +315,7 @@ DEEP_MODELS = [UVModel.full(-2000.0, -1.0, -1.0, 1.0), UVModel.diagonal(-2000.0,
 def _rng5_models():
     """ROADMAP item 13's test set: 400 models from numpy's default_rng(5),
     alternating diagonal and full, with t' in [0.3, 3], U in [-40, 10] t'
-    and V in [-10, 4] t'.  None lies past the scan table."""
+    and V in [-10, 4] t'."""
     rng = np.random.default_rng(5)
     models = []
     for i in range(400):
@@ -370,34 +371,30 @@ def test_pair_energies_equal_a_reference_bisection_on_the_same_scan(models):
         roots, args = _recorded_scan(model)
         reference = bisection_roots(*args)
         assert len(roots) == len(reference), model
-        assert np.all(np.abs(np.subtract(roots, reference)) <= pairs._ROOT_TOL * model.t_prime), model
+        assert np.all(np.abs(np.subtract(roots, reference)) <= pairs._ROOT_TOL), model
 
 
-def test_deep_models_lie_past_the_scan_table_and_take_one_more_greens_table(monkeypatch):
-    # each polish call is one det_* call and one Green's table; the scan
-    # adds one table, for its grid points past the import-time table
+def test_deep_models_take_one_greens_table_per_polish_call(monkeypatch):
+    # each polish call is one det_* call and one Green's table; the scan,
+    # however deep, reads the import-time table and makes none
     counted = {name: _counting(getattr(pairs, name))
                for name in ("greens_M_table", "det_diagonal", "det_full")}
     for name, (f, _) in counted.items():
         monkeypatch.setattr(pairs, name, f)
     for model in DEEP_MODELS:
-        s_hi = math.log(pairs._search_bracket_depth(model) / (8.0 * model.t_prime) - 1.0)
-        assert s_hi > pairs._SCAN_S[-1] + 1.0
         for _, calls in counted.values():
             calls[0] = 0
         assert pair_energies(model)
         dets = counted["det_diagonal"][1][0] + counted["det_full"][1][0]
-        assert counted["greens_M_table"][1][0] == 1 + dets, model
+        assert counted["greens_M_table"][1][0] == dets >= 1, model
 
 
-def _float_spaced_models():
-    """Solves whose brackets can end as two adjacent floats: beyond
-    |E| = 8,192 t' the float spacing of E exceeds the 1e-12 t' stop
-    width.  UVModel.diagonal(-20000, 0, 1) once never returned; the rest
-    draw U log-uniformly from -2e4 t' to -1e6 t', alternating variants."""
-    rng = random.Random(23)
-    models = [UVModel.diagonal(-20000.0, 0.0, 1.0)]
-    for i in range(40):
+def _float_spaced_draws(seed, n):
+    """n models with U log-uniform from -2e4 t' to -1e6 t', alternating
+    variants, from random.Random(seed)."""
+    rng = random.Random(seed)
+    models = []
+    for i in range(n):
         tp = rng.uniform(0.5, 2.0)
         U = -(10.0 ** rng.uniform(math.log10(2e4), 6.0)) * tp
         V1, V2 = rng.uniform(-5.0, 2.0) * tp, rng.uniform(-5.0, 2.0) * tp
@@ -405,10 +402,21 @@ def _float_spaced_models():
     return models
 
 
+def _float_spaced_models():
+    """Solves whose brackets can end as two adjacent floats: beyond
+    |E|/t' = 8,192 the float spacing of E/t' exceeds the 1e-12 stop
+    width.  UVModel.diagonal(-20000, 0, 1) once never returned; 40 are
+    drawn from random.Random(23); the last two, the 29th draws of
+    random.Random(2) and random.Random(9), took 5 and 6 polish calls
+    while the polish cluster's unit was tol alone."""
+    return ([UVModel.diagonal(-20000.0, 0.0, 1.0)] + _float_spaced_draws(23, 40)
+            + [_float_spaced_draws(seed, 29)[28] for seed in (2, 9)])
+
+
 def test_deep_roots_close_within_one_float_spacing_of_a_reference_bisection(monkeypatch):
     # at most four polish calls per solve; a fifth fails the test where a
     # bracket that never closes would loop for ever
-    scan, calls, args = pairs._scan_roots, [0], []
+    scan, calls, args, found = pairs._scan_roots, [0], [], []
 
     def counting(f, xs, vals, tol):
         def counted(E):
@@ -416,14 +424,16 @@ def test_deep_roots_close_within_one_float_spacing_of_a_reference_bisection(monk
             assert calls[0] <= 4, "more than four polish calls"
             return f(E)
         args.append((f, xs, vals, tol))
-        return scan(counted, xs, vals, tol)
+        found.append(scan(counted, xs, vals, tol))
+        return found[-1]
 
     monkeypatch.setattr(pairs, "_scan_roots", counting)
     for model in _float_spaced_models():
         calls[0] = 0
         args.clear()
-        roots = [s.E for s in pair_energies(model)]
-        assert roots, model
+        found.clear()
+        assert pair_energies(model), model
+        roots = found[0]
         reference = bisection_roots(*args[0])
         assert len(roots) == len(reference), model
         # one float spacing where it exceeds the stop width, else the width
@@ -437,11 +447,10 @@ def test_deep_roots_close_within_one_float_spacing_of_a_reference_bisection(monk
     (UVModel.full(-1.5e308, 0.0, 0.0, 1e306), UVModel.full(-150.0, 0.0, 0.0, 1.0))],
                          ids=["diagonal", "full", "full-deeper"])
 def test_a_root_near_the_end_of_the_float_range_closes(monkeypatch, model, unit):
-    # a bracket's midpoint (a + b)/2 overflowed to -inf once a + b passed -1.8e308;
-    # clipped onto the bracket's end, it never shrank the bracket, and the solve
-    # polished for ever.  The bisection down to adjacent floats takes about 21
-    # calls; a bound of 40 fails the test where a loop would not end.  t' = 1e306
-    # keeps the couplings within 2^128 t' and the roots near the end of the float range
+    # solved in absolute units, a bracket's midpoint (a + b)/2 overflowed to -inf
+    # once a + b passed -1.8e308, and the solve polished for ever; a bound of 40
+    # calls fails the test where a loop would not end.  t' = 1e306 keeps the
+    # couplings within 2^128 t' and the roots near the end of the float range
     scan, calls = pairs._scan_roots, [0]
 
     def counting(f, xs, vals, tol):
@@ -485,7 +494,7 @@ def test_every_scan_grid_is_finer_than_the_240_point_scan_and_reaches_the_bracke
         tp = model.t_prime
         s_hi = math.log(pairs._search_bracket_depth(model) / (8.0 * tp) - 1.0)
         _, (_, xs, _, _) = _recorded_scan(model)
-        s = np.log(-xs / (8.0 * tp) - 1.0)
+        s = np.log(-xs / 8.0 - 1.0)
         assert abs(s[0] - s_lo) < 1e-4, model
         assert np.all(np.diff(s) <= (s_hi - s_lo) / 239), model
         assert s[-2] < s_hi <= s[-1], model
@@ -638,6 +647,32 @@ def test_scan_roots_brackets_by_sign_not_by_product(scale):
         warnings.simplefilter("error")
         roots = _scan(f, 0.0, 1.0, 2, 1e-12)
     assert len(roots) == 1 and abs(roots[0] - 0.3) <= 1e-12
+
+
+@pytest.mark.parametrize("tp", [1e-310, 1e-300, 1e-160, 1e160, 1e300])
+def test_pair_energies_are_t_prime_times_the_roots_at_unit_t_prime(tp):
+    # E/t' depends only on U/t' and V/t'.  Solved at t' itself, the Green's table's
+    # |E|^2 overflowed or underflowed: an EllipticDomainError, a root 5e-8 off, or an
+    # overflow warning and no root at all
+    for make in (lambda t: UVModel.diagonal(-9.0 * t, -t, t),
+                 lambda t: UVModel.full(-9.0 * t, -t, -t, t)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = [s.E for s in pair_energies(make(tp))]
+        expected = [Fraction(s.E) * Fraction(tp) for s in pair_energies(make(1.0))]
+        assert len(roots) == len(expected) >= 1, tp
+        assert all(abs(Fraction(r) - e) <= Fraction(1e-12) * abs(e)
+                   for r, e in zip(roots, expected)), (tp, roots, expected)
+
+
+def test_scan_table_reaches_the_deepest_search_in_the_coupling_range():
+    # every coupling at 2^128 t' sets the deepest search bracket; its first
+    # grid point at or beyond it is the table's last but one
+    R = orbits._COUPLING_RANGE
+    deepest = pairs._search_bracket_depth(UVModel.full(-R, -R, -R, 1.0))
+    s_hi = math.log(deepest / 8.0 - 1.0)
+    assert pairs._SCAN_S[-3] < s_hi <= pairs._SCAN_S[-2]
+    assert pairs._SCAN_X.size == 1148 and pairs._SCAN_M.shape == (6, 1148)
 
 
 def test_huge_couplings_solve_without_an_overflow_warning():

@@ -72,8 +72,13 @@ RUNS = {
     # takes a second, secant, polish step: their roots at full precision
     "pair-second-step-json": ["--format", "json", "pair", "--U", "-28", "--v-min", "-12",
                               "--v-max", "-9", "--steps", "4"],
-    # search brackets down to s = ln(|E|/8t' - 1) = 5.6, past the end of pairs' scan table
+    # search brackets down to s = ln(|E|/8t' - 1) = 5.6, with roots near -2,000 t'
     "pair-deep": ["pair", "--U", "-2000", "--steps", "5"],
+    # the roots of U = -9t', V = -t' and 0 at a tiny and a huge t': E/t' does not depend on t'
+    "pair-tiny-t-prime": ["pair", "--t-prime", "1e-160", "--U=-9e-160", "--v-min=-1e-160",
+                          "--v-max", "0", "--steps", "2"],
+    "pair-huge-t-prime": ["pair", "--t-prime", "1e200", "--U=-9e200", "--v-min=-1e200",
+                          "--v-max", "0", "--steps", "2"],
     "oracle-compare": ["oracle", "--U", "-10", "--V1", "-1", "--compare"],
     "oracle-full": ["oracle", "--model", "full", "--U", "-6", "--V1", "-1", "--V2", "-1",
                     "--sizes", "8,12,16"],
