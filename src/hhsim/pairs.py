@@ -237,18 +237,19 @@ def _scan_roots(f, xs, vals, tol):
     one f call, in x, on a (brackets still wider than tol) x
     (2 _CLUSTER_SIDE + 1) array: per bracket an estimate c and the
     geometric cluster c +/- (unit/4) 4^j, all clipped to stay unit/4
-    inside the bracket.  The unit is tol, or four float spacings of the
-    bracket's outer end where that is wider, so that the points of a
-    bracket a few floats wide stay distinct.  Each bracket carries only
-    its two ends and f there.  c is, on the first step, the zero of the
-    degree-11 interpolant of vals on the 12 grid points around the
-    bracket (``_stencil_zeros``), else the secant point through the
-    bracket's ends, else the midpoint; on every later step the secant
-    point, else the midpoint; whichever first is finite and inside the
-    bracket.  Where the scan values place the root within tol of the
-    first estimate (a sampled polynomial of degree <= 11 in the index,
-    or the pair determinant, analytic in s), the first step closes the
-    bracket.  The new bracket is the sign change nearest c; an exact
+    inside the bracket, or at its midpoint where it is narrower than
+    unit/2 (as one across a power of two can be).  The unit is tol, or
+    four float spacings of the bracket's outer end where that is wider,
+    so that the points of a bracket a few floats wide stay distinct.
+    Each bracket carries only its two ends and f there.  c is, on the
+    first step, the zero of the degree-11 interpolant of vals on the 12
+    grid points around the bracket (``_stencil_zeros``), else the secant
+    point through the bracket's ends, else the midpoint; on every later
+    step the secant point, else the midpoint; whichever first is finite
+    and inside the bracket.  Where the scan values place the root within
+    tol of the first estimate (a sampled polynomial of degree <= 11 in
+    the index, or the pair determinant, analytic in s), the first step
+    closes the bracket.  The new bracket is the sign change nearest c; an exact
     zero closes it onto itself.  A step that does not halve a bracket is
     followed by one with c at the midpoint, so every two steps at least
     halve it.  A bracket also closes when its ends are adjacent floats,
@@ -280,7 +281,8 @@ def _scan_roots(f, xs, vals, tol):
             c = np.where((a < stencil) & (stencil < b), stencil, c)
             first_step = False
         unit = np.maximum(tol, 4.0 * np.spacing(np.maximum(abs(a), abs(b))))[:, None]
-        first, last = a[:, None] + 0.25 * unit, b[:, None] - 0.25 * unit
+        mid = (0.5 * a + 0.5 * b)[:, None]   # caps both: every point lies strictly inside
+        first, last = np.minimum(a[:, None] + 0.25 * unit, mid), np.maximum(b[:, None] - 0.25 * unit, mid)
         c = np.minimum(np.maximum(c[:, None], first), last)
         X, F = np.empty((live.size, cols)), np.empty((live.size, cols))
         X[:, 0], X[:, -1], F[:, 0], F[:, -1] = a, b, fa, fb

@@ -441,31 +441,6 @@ def test_deep_roots_close_within_one_float_spacing_of_a_reference_bisection(monk
         assert np.all(np.abs(np.subtract(roots, reference)) <= bound), model
 
 
-@pytest.mark.parametrize("model, unit", [
-    (UVModel.diagonal(-1e308, -5e305, 1e306), UVModel.diagonal(-100.0, -0.5, 1.0)),
-    (UVModel.full(-1e308, -5e305, -5e305, 1e306), UVModel.full(-100.0, -0.5, -0.5, 1.0)),
-    (UVModel.full(-1.5e308, 0.0, 0.0, 1e306), UVModel.full(-150.0, 0.0, 0.0, 1.0))],
-                         ids=["diagonal", "full", "full-deeper"])
-def test_a_root_near_the_end_of_the_float_range_closes(monkeypatch, model, unit):
-    # solved in absolute units, a bracket's midpoint (a + b)/2 overflowed to -inf
-    # once a + b passed -1.8e308, and the solve polished for ever; a bound of 40
-    # calls fails the test where a loop would not end.  t' = 1e306 keeps the
-    # couplings within 2^128 t' and the roots near the end of the float range
-    scan, calls = pairs._scan_roots, [0]
-
-    def counting(f, xs, vals, tol):
-        def counted(E):
-            calls[0] += 1
-            assert calls[0] <= 40, "more than 40 polish calls"
-            return f(E)
-        return scan(counted, xs, vals, tol)
-
-    monkeypatch.setattr(pairs, "_scan_roots", counting)
-    roots = [s.E for s in pair_energies(model)]
-    # E is homogeneous of degree 1 in the couplings and t'
-    assert roots == [pytest.approx(model.t_prime * s.E, rel=1e-12) for s in pair_energies(unit)]
-
-
 @pytest.mark.parametrize("t_prime", [0.3, 1.0, 1.7])
 def test_scan_table_is_the_greens_table_at_unit_t_prime(t_prime):
     # M(E, t') = M(E/t', 1)/t'.  x t' is rounded to a float E, so each
@@ -649,20 +624,42 @@ def test_scan_roots_brackets_by_sign_not_by_product(scale):
     assert len(roots) == 1 and abs(roots[0] - 0.3) <= 1e-12
 
 
-@pytest.mark.parametrize("tp", [1e-310, 1e-300, 1e-160, 1e160, 1e300])
-def test_pair_energies_are_t_prime_times_the_roots_at_unit_t_prime(tp):
-    # E/t' depends only on U/t' and V/t'.  Solved at t' itself, the Green's table's
-    # |E|^2 overflowed or underflowed: an EllipticDomainError, a root 5e-8 off, or an
-    # overflow warning and no root at all
-    for make in (lambda t: UVModel.diagonal(-9.0 * t, -t, t),
-                 lambda t: UVModel.full(-9.0 * t, -t, -t, t)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            roots = [s.E for s in pair_energies(make(tp))]
-        expected = [Fraction(s.E) * Fraction(tp) for s in pair_energies(make(1.0))]
-        assert len(roots) == len(expected) >= 1, tp
-        assert all(abs(Fraction(r) - e) <= Fraction(1e-12) * abs(e)
-                   for r, e in zip(roots, expected)), (tp, roots, expected)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_scan_roots_closes_a_bracket_across_a_power_of_two(sign):
+    # [-8192, -8192 + 2^-39] holds one float between its ends, the root
+    # -8192 + 2^-40: the spacing is 2^-39 beyond |x| = 8192 and 2^-40 inside,
+    # so the cluster's ends, four outer spacings apart, pass each other and
+    # are capped at the midpoint.  Clipped onto the bracket's ends instead,
+    # the polish never closed: a bound of 10 calls fails the test there
+    r, calls = sign * (-8192.0 + 2.0**-40), [0]
+
+    def f(x):
+        calls[0] += 1
+        assert calls[0] <= 10, "more than ten calls"
+        return x - r
+    roots = _scan(f, sign * -8192.0, sign * (-8192.0 + 2.0**-39), 2, 1e-12)
+    assert roots.tolist() == [r]
+    assert calls[0] == 2
+
+
+@pytest.mark.parametrize("couplings, tp", [
+    *((c, tp) for tp in (1e-310, 1e-300, 1e-160, 1e160, 1e300) for c in ((-9.0, -1.0), (-9.0, -1.0, -1.0))),
+    # roots near the end of the float range, with couplings within 2^128 t'
+    ((-100.0, -0.5), 1e306), ((-100.0, -0.5, -0.5), 1e306), ((-150.0, 0.0, 0.0), 1e306)], ids=str)
+def test_pair_energies_are_t_prime_times_the_roots_at_unit_t_prime(couplings, tp):
+    # E/t' depends only on U/t' and V/t' ((U, V2) make a diagonal model, (U, V1, V2)
+    # a full one).  Solved at t' itself, the Green's table's |E|^2 overflowed or
+    # underflowed: an EllipticDomainError, a root 5e-8 off, or an overflow warning
+    # and no root at all
+    def make(t):
+        return (UVModel.diagonal if len(couplings) == 2 else UVModel.full)(*(c * t for c in couplings), t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = [s.E for s in pair_energies(make(tp))]
+    expected = [Fraction(s.E) * Fraction(tp) for s in pair_energies(make(1.0))]
+    assert len(roots) == len(expected) >= 1, tp
+    assert all(abs(Fraction(r) - e) <= Fraction(1e-12) * abs(e)
+               for r, e in zip(roots, expected)), (tp, roots, expected)
 
 
 def test_scan_table_reaches_the_deepest_search_in_the_coupling_range():
