@@ -24,17 +24,24 @@ then bisection for the lowest levels only).  Larger ones are solved by
 the spectral transformation (Ericsson and Ruhe, Math. Comp. 35, 1251
 (1980)): ``eigsh`` finds the largest eigenvalues mu of (H - sigma)^-1,
 applied by a banded Cholesky solve (LAPACK dpbtrf, then dpbtrs), and
-lambda = sigma + 1/mu.  The shift sigma = min_i(H_ii - R_i) - t', R_i
-the Gershgorin radius of row i, lies at least t' below the spectrum.
-The factorization certifies it: it succeeds only if H - sigma is
-positive definite.  The lowest levels are then the best separated mu,
-which ARPACK finds in far fewer products than in regular mode, where
-the continuum levels near -8t' lie only ~0.02 t' apart at L = 64.  The
-levels come out to a relative accuracy tol in mu, an error of about
-tol * (lambda - sigma) in lambda.  So a coupling deep enough to put
-sigma more than ``_SHIFT_SPAN`` t' below zero, where the continuum
-levels would lose digits (measured: ~1e-11 t' at sigma = -1000 t'),
-sends a large sector to ``eig_banded`` as well.
+lambda = sigma + 1/mu.  The lowest levels are then the best separated
+mu, which ARPACK finds in far fewer products than in regular mode, where
+the continuum levels near -8t' lie only ~0.02 t' apart at L = 64, and
+the closer sigma lies below the ground level, the fewer.  So sigma is
+placed just below it: 0.1t' below u0, the lowest level of the sector's
+leading 40 states in shell order, rounded down to a multiple of 2^-6 t'.
+Those states span a principal submatrix, so u0 >= lambda_0 by Cauchy
+interlacing; where they hold the bound state, u0 lies within far less
+than 0.1t' of it.  The factorization certifies the shift: it succeeds
+only if H - sigma is positive definite.  Where it fails (no bound state
+in the leading shells), the Gershgorin shift
+sigma_G = min_i(H_ii - R_i) - t', R_i the radius of row i, which lies
+at least t' below the spectrum, is taken instead.  The levels come out
+to a relative accuracy tol in mu, an error of about
+tol * (lambda - sigma) in lambda.  So a coupling deep enough to put the
+shift taken more than ``_SHIFT_SPAN`` t' below zero, where the
+continuum levels would lose digits (measured: ~1e-11 t' at
+sigma = -1000 t'), sends a large sector to ``eig_banded`` as well.
 
 A brute force on the full two-particle space of tiny lattices validates
 the reduction itself.  It keeps the A1 sector of the group generated by
@@ -70,6 +77,9 @@ from .constants import require_positive
 _BOUND_MARGIN = 5.0   # band-edge margin of a bound state, in t' / L^2
 _BANDED_MAX = 450     # relative sectors of up to this many states: eig_banded; above, shift-invert eigsh
 _SHIFT_SPAN = 100.0   # a shift more than this many t' below zero costs shift-invert digits: eig_banded
+_LEAD_STATES = 40     # the leading shell-order states whose lowest level places the shift
+_SHIFT_GAP = 0.1      # the shift lies this many t' below that level ...
+_SHIFT_GRID = 2.0**-6  # ... rounded down to a multiple of this many t'
 
 
 @dataclass
@@ -200,6 +210,35 @@ def _relative_band(model, L):
     return H, float(np.min(H[-1] - 2.0 * model.t_prime * radius)) - model.t_prime
 
 
+def _shifted_cholesky(H, sigma_g, t_prime):
+    """Banded Cholesky factor of H - sigma, and the shift sigma.
+
+    H is the band of ``_relative_band`` and sigma_g its Gershgorin shift.
+    The first shift tried lies just below u0, the lowest level of the
+    leading ``_LEAD_STATES`` states in shell order, whose block (the
+    band's leading columns) is a principal submatrix, so u0 >= lambda_0
+    by Cauchy interlacing.  It is
+    u0 - ``_SHIFT_GAP`` t' rounded down to a multiple of ``_SHIFT_GRID``
+    t', so a last-bit change of u0 does not move it.  dpbtrf certifies it:
+    the factorization succeeds only if H - sigma is positive definite.
+    Where it fails (no bound state in the leading shells), sigma_g, which
+    lies at least t' below the spectrum, is used instead.  Returns
+    (None, sigma) for a shift more than ``_SHIFT_SPAN`` t' below zero,
+    where ``eig_banded`` solves the sector.  H is left as it was.
+    """
+    u0 = eig_banded(H[:, :_LEAD_STATES], eigvals_only=True, select="i", select_range=(0, 0))[0]
+    near = math.floor((u0 / t_prime - _SHIFT_GAP) / _SHIFT_GRID) * _SHIFT_GRID * t_prime
+    for sigma in (near, sigma_g):
+        if sigma < -_SHIFT_SPAN * t_prime:
+            return None, sigma
+        shifted = H.copy(order="F")
+        shifted[-1] -= sigma
+        chol, info = dpbtrf(shifted, overwrite_ab=True)
+        if info == 0:
+            return chol, sigma
+    raise ArithmeticError(f"H - sigma is not positive definite at sigma = {sigma_g!r}")
+
+
 @dataclass
 class TwoBodySpectrum:
     L: int
@@ -214,10 +253,13 @@ def ground_energies(model, L, n_states=4):
     n_states is a positive integer, at most dim - 2 of the sector's dim
     states.  A sector of up to ``_BANDED_MAX`` states is solved in shell
     order by ``eig_banded``, which computes only the n_states lowest
-    levels.  A larger one is solved by eigsh on (H - sigma)^-1, the shift
-    sigma at least t' below the spectrum (see ``_relative_band``), from
-    the start vector ones/sqrt(dim) with tol = 1e-12: the Cholesky
-    factorization of H - sigma certifies sigma, and a level's error is
+    levels.  A larger one is solved by eigsh on (H - sigma)^-1, from the
+    start vector ones/sqrt(dim) with tol = 1e-12.  The shift sigma lies
+    just below the ground level, under the lowest level of the leading
+    shells (see ``_shifted_cholesky``), or, where the Cholesky
+    factorization of H - sigma rejects that, at the Gershgorin bound
+    (see ``_relative_band``), at least t' below the spectrum: the
+    factorization certifies the shift taken, and a level's error is
     about tol * (E - sigma).  Where sigma < -``_SHIFT_SPAN`` t', that
     error would grow past 1e-12 t', and ``eig_banded`` solves the large
     sector too.  A state counts as bound if
@@ -233,14 +275,13 @@ def ground_energies(model, L, n_states=4):
         raise ValueError(f"n_states must be at most {dim - 2} in the {dim}-state "
                          f"symmetric sector, got {n_states}")
     H, sigma = _relative_band(model, L)
-    if dim <= _BANDED_MAX or sigma < -_SHIFT_SPAN * model.t_prime:
+    chol = None
+    if dim > _BANDED_MAX:
+        chol, sigma = _shifted_cholesky(H, sigma, model.t_prime)
+    if chol is None:
         vals = eig_banded(H, eigvals_only=True, overwrite_a_band=True, select="i",
                           select_range=(0, n_states - 1))
     else:
-        H[-1] -= sigma
-        chol, info = dpbtrf(H, overwrite_ab=True)
-        if info != 0:
-            raise ArithmeticError(f"H - sigma is not positive definite at sigma = {sigma!r}")
         inverse = LinearOperator((dim, dim), matvec=lambda x: dpbtrs(chol, x)[0], dtype=float)
         mu = eigsh(inverse, k=n_states, which="LA", v0=np.ones(dim) / math.sqrt(dim),
                    tol=1e-12, return_eigenvectors=False)

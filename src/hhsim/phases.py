@@ -126,8 +126,8 @@ def delta_t_contour(V0_axis, lam_axis, dT):
 def phase_grid(V0_axis, lam_axis, T, family):
     """Fully populated PhaseGrid of ``family`` with the Delta T = 0 contour.
 
-    V0 (nK), lambda and the probe temperature T (nK) must be finite, and
-    lambda and T nonnegative.  Raises OverflowError, naming the first
+    V0 (nK), lambda and the probe temperature T (nK) must be finite, V0
+    positive, and lambda and T nonnegative.  Raises OverflowError, naming the first
     such grid point, where V0 in Hz, T_pair or the on-site pair mass
     leaves the float range: V0 beyond about 8.6e306 nK, T_pair for a
     large lambda, the mass where t' is so small (a deep lattice, a large
@@ -141,6 +141,8 @@ def phase_grid(V0_axis, lam_axis, T, family):
     for name, value in (("lambda", lam), ("T", T)):
         if np.any(value < 0.0):
             raise ValueError(f"{name} must be nonnegative, got {np.min(value)}")
+    for v in V0.tolist():
+        require_positive(V0=v)   # in nK, as given: hopping_t would report it in Hz
     E_rec = recoil_energy(family.a, M_K40)
     V0_hz = [nk_to_hz(v) for v in V0.tolist()]   # Python floats overflow to inf quietly
     for v, hz in zip(V0.tolist(), V0_hz):

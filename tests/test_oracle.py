@@ -362,6 +362,69 @@ def test_shift_lies_at_least_t_prime_below_the_dense_spectrum(model, L):
     assert sigma <= np.linalg.eigvalsh(H)[0] - model.t_prime
 
 
+def _gapped_models():
+    # drawn as the oracle-validate benchmark draws its models
+    rng = random.Random(36)
+    models = []
+    for _ in range(2):
+        tp = rng.uniform(0.5, 2.0)
+        models.append(UVModel.full(rng.uniform(-11.0, -9.0) * tp, rng.uniform(-2.0, -1.0) * tp,
+                                   rng.uniform(-2.0, -1.0) * tp, tp))
+        models.append(UVModel.diagonal(rng.uniform(-11.0, -9.0) * tp, rng.uniform(-2.0, -1.0) * tp, tp))
+    return models
+
+
+def _spy_on_the_shift(monkeypatch):
+    """The shifts that ground_energies takes from oracle._shifted_cholesky."""
+    used, real = [], oracle._shifted_cholesky
+
+    def spy(*args):
+        chol, sigma = real(*args)
+        used.append(sigma)
+        return chol, sigma
+
+    monkeypatch.setattr(oracle, "_shifted_cholesky", spy)
+    return used
+
+
+@pytest.mark.parametrize("L", [48, 64])
+@pytest.mark.parametrize("model", _gapped_models())
+def test_shift_lies_between_the_gershgorin_bound_and_the_ground_level(model, L, monkeypatch):
+    # the leading shells hold the bound state, so the certified shift lies
+    # within _SHIFT_GAP + _SHIFT_GRID of it, on the grid; the full model's
+    # 325 states at L = 48 are solved banded, with no shift
+    band, sigma_g = oracle._relative_band(model, L)
+    chol, sigma = oracle._shifted_cholesky(band, sigma_g, model.t_prime)
+    used = _spy_on_the_shift(monkeypatch)
+    H = _sector_block(model, L, False)
+    dense = np.linalg.eigvalsh(H)[:4]
+    assert dense[0] < -9.0 * model.t_prime
+    got = ground_energies(model, L)
+    assert np.allclose(got.energies, dense, rtol=0.0, atol=1e-12 * model.t_prime)
+    assert used == ([sigma] if H.shape[0] > oracle._BANDED_MAX else [])
+    assert chol is not None
+    assert sigma_g < dense[0] - (oracle._SHIFT_GAP + oracle._SHIFT_GRID) * model.t_prime
+    assert dense[0] - (oracle._SHIFT_GAP + oracle._SHIFT_GRID) * model.t_prime <= sigma < dense[0]
+    steps = sigma / (oracle._SHIFT_GRID * model.t_prime)
+    assert steps == pytest.approx(round(steps), abs=1e-9)
+
+
+@pytest.mark.parametrize("model, L", [
+    (UVModel.full(0.0, 0.0, 0.0, 1.0), 64),            # free: lambda_0 = -8t', the band edge
+    (UVModel.diagonal(4.0, 2.0, 1.3), 48),             # repulsive
+])
+def test_a_model_with_no_bound_state_falls_back_to_the_gershgorin_shift(model, L, monkeypatch):
+    # the leading shells' lowest level lies above lambda_0, so dpbtrf
+    # rejects the shift below it and the Gershgorin one is taken
+    used = _spy_on_the_shift(monkeypatch)
+    got = ground_energies(model, L)
+    _, sigma_g = oracle._relative_band(model, L)
+    assert used == [sigma_g]
+    dense = np.linalg.eigvalsh(_sector_block(model, L, False))[:4]
+    assert np.allclose(got.energies, dense, rtol=0.0, atol=1e-12 * model.t_prime)
+    assert got.bound_count == 0
+
+
 @pytest.mark.parametrize("model, L", [
     (UVModel.full(-1000.0, -1.0, -1.0, 1.0), 64),      # 561 states
     (UVModel.diagonal(-2000.0, -3.0, 2.0), 48),        # 601 states

@@ -840,7 +840,7 @@ def test_band_edge_determinant_in_integers_is_the_orbit_determinant(variant):
         assert pairs._orbit_det(tables, variant, corner).tolist() == exact, corner
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: pair_energies misses binding shallower "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 21: pair_energies misses binding shallower "
                    "than its 1e-10 t' band-edge window")
 def test_a_pair_below_threshold_has_a_root():
     model = UVModel.full(-0.4, 0.0, 0.0, 1.0)

@@ -196,6 +196,17 @@ def test_phase_grid_rejects_negative_coupling_and_temperature(lams, T, message):
     assert phase_grid([100.0], [0.0], 0.0, PhaseFamily()).label.tolist() == [["BKTRegime"]]
 
 
+@pytest.mark.parametrize("V0s, message", [
+    ([-1.0, 100.0], "V0 must be positive, got -1.0"),
+    ([100.0, 0.0, -5.0], "V0 must be positive, got 0.0"),
+])
+def test_phase_grid_rejects_a_non_positive_depth_in_nk(V0s, message):
+    # checked where it enters, in the unit it was given: hopping_t would
+    # report it in Hz (-20.8366... for -1 nK)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        phase_grid(np.array(V0s), np.array([0.5]), 20.0, PhaseFamily())
+
+
 @pytest.mark.parametrize("V0s, lams, message", [
     # t'^2 in joules underflows, so the pair mass would divide by zero
     ([100.0, 1e6], [0.05], "the on-site pair mass is not finite at V0 = 1000000.0 nK, lambda = 0.05"),
