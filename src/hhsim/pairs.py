@@ -16,6 +16,7 @@ pair dispersion, and the pair effective mass.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -179,45 +180,63 @@ _SCAN_M = np.concatenate([greens_M_table(_SCAN_X[i:i + _TABLE_CHUNK], 1.0)
 def _stencil_weights(m):
     """Barycentric weights (-1)^j C(m - 1, j) of the degree-(m - 1)
     interpolant on m equispaced points (Berrut and Trefethen, SIAM Rev.
-    46, 501 (2004))."""
-    return np.array([(-1) ** j * math.comb(m - 1, j) for j in range(m)], dtype=float)
+    46, 501 (2004)), as floats."""
+    return tuple(float((-1) ** j * math.comb(m - 1, j)) for j in range(m))
 
 
-@np.errstate(all="ignore")
 def _stencil_zeros(xs, vals, k):
-    """First estimate of the root in each scan bracket [xs[k], xs[k+1]].
+    """First estimate of the root in each scan bracket [xs[k], xs[k+1]],
+    a list of floats.
 
     In index space t, vals on the 12 grid points j around the bracket (all
     of them on a shorter grid) define the barycentric interpolant
     p(t) = N/D, N = sum_j q_j vals_j, D = sum_j q_j, q_j = w_j/(t - j).
     Newton steps on p start from the bracket's linear zero
     i + vals_k/(vals_k - vals_{k+1}), which lies inside it, and stop at
-    convergence; the same interpolant of xs maps the zero t to x.  A step
-    that leaves the bracket is clipped onto its end, a grid point, where
-    the interpolant is not finite: that bracket has no estimate, and the
-    others' steps go on.  Raises no floating-point warning.
+    convergence; the same interpolant of xs maps the zero t to x.  Each
+    bracket's steps run in Python floats on its own 12 values, its sums
+    taken left to right, so no bracket's estimate depends on another's.
+    A step that leaves the open bracket lands on or past a grid point,
+    where the interpolant is not finite: that bracket has no estimate
+    (nan).  Raises no floating-point warning and divides by no zero.
     """
     n = xs.size
     m = min(n, _STENCIL_POINTS)
     w = _stencil_weights(m)
-    lo = np.minimum(np.maximum(k - (m // 2 - 1), 0), n - m)
-    i = k - lo   # the bracket is [i, i + 1] in the stencil's index t
-    points = lo[:, None] + np.arange(m)
-    F = vals[points]
-    nodes = np.arange(m, dtype=float)
-    t = i + vals[k] / (vals[k] - vals[k + 1])   # the linear zero, inside the bracket
-    for _ in range(_NEWTON_STEPS):
-        r = 1.0 / (t[:, None] - nodes)
-        q = w * r
-        N = np.einsum("ij,ij->i", q, F)
-        p = N / np.add.reduce(q, axis=1)
-        # p' = sum_j q_j r_j (p - F_j) / D, so the Newton step p/p' is N over that sum
-        step = N / np.einsum("ij,ij->i", q * r, p[:, None] - F)
-        t = np.minimum(np.maximum(t - step, i), i + 1)
-        if not (abs(step) > _NEWTON_TOL).any():   # a nan step: clipped, finished
-            break
-    q = w / (t[:, None] - nodes)
-    return np.einsum("ij,ij->i", q, xs[points]) / np.add.reduce(q, axis=1)
+    nodes = range(m)
+    estimates = []
+    for k in map(int, k):
+        lo = min(max(k - (m // 2 - 1), 0), n - m)
+        i = k - lo   # the bracket is [i, i + 1] in the stencil's index t
+        F = vals[lo:lo + m].tolist()
+        t = i + F[i] / (F[i] - F[i + 1])   # the linear zero, inside the bracket
+        for _ in range(_NEWTON_STEPS):
+            if not i < t < i + 1:   # on a grid point, or nan
+                break
+            r = [1.0 / (t - j) for j in nodes]
+            N = D = 0.0
+            for wj, rj, Fj in zip(w, r, F):
+                N += wj * rj * Fj
+                D += wj * rj
+            p = N / D if D else math.nan
+            # p' = sum_j q_j r_j (p - F_j) / D, so the Newton step p/p' is N over that sum
+            slope = 0.0
+            for wj, rj, Fj in zip(w, r, F):
+                slope += wj * rj * rj * (p - Fj)
+            step = N / slope if slope else math.nan
+            t -= step
+            if not abs(step) > _NEWTON_TOL:   # converged, or a nan step
+                break
+        estimate = math.nan
+        if i < t < i + 1:
+            N = D = 0.0
+            for wj, j, x in zip(w, nodes, xs[lo:lo + m].tolist()):
+                N += wj / (t - j) * x
+                D += wj / (t - j)
+            if D:
+                estimate = N / D
+        estimates.append(estimate)
+    return estimates
 
 
 def _opposite_signs(a, b):
@@ -225,6 +244,26 @@ def _opposite_signs(a, b):
     alone: their product is exact, where a * b can overflow to inf (with a
     warning) or underflow to -0.0 (missing the sign change)."""
     return np.sign(a) * np.sign(b) < 0.0
+
+
+def _nearest_change(X, F, c):
+    """The ends (j, j + 1) of the sign change of F on the ascending row X
+    nearest c, or (j, j) for an exact zero of F nearer than every sign
+    change; the lowest j among equally near ones, and (0, 1) where F has
+    neither.  A sign change is between two nonzero values of opposite
+    sign, so nan is none."""
+    best, ends = math.inf, (0, 1)
+    for j in range(len(F) - 1):
+        u, v = F[j], F[j + 1]
+        if (u < 0.0 < v) or (v < 0.0 < u):
+            d = max(X[j], c) - min(X[j + 1], c)
+            if d < best:
+                best, ends = d, (j, j + 1)
+    if 0.0 in F:
+        for j, v in enumerate(F):
+            if v == 0.0 and abs(X[j] - c) < best:
+                best, ends = abs(X[j] - c), (j, j)
+    return ends
 
 
 def _scan_roots(f, xs, vals, tol):
@@ -241,16 +280,19 @@ def _scan_roots(f, xs, vals, tol):
     unit/2 (as one across a power of two can be).  The unit is tol, or
     four float spacings of the bracket's outer end where that is wider,
     so that the points of a bracket a few floats wide stay distinct.
-    Each bracket carries only its two ends and f there.  c is, on the
-    first step, the zero of the degree-11 interpolant of vals on the 12
-    grid points around the bracket (``_stencil_zeros``), else the secant
-    point through the bracket's ends, else the midpoint; on every later
-    step the secant point, else the midpoint; whichever first is finite
-    and inside the bracket.  Where the scan values place the root within
-    tol of the first estimate (a sampled polynomial of degree <= 11 in
-    the index, or the pair determinant, analytic in s), the first step
-    closes the bracket.  The new bracket is the sign change nearest c; an exact
-    zero closes it onto itself.  A step that does not halve a bracket is
+    Each bracket carries only its two ends and f there.  Its estimate,
+    unit, cluster ends and next bracket are worked out in Python floats,
+    one bracket at a time; only the cluster, f's one array call per step,
+    is an array.  c is, on the first step, the zero of the degree-11
+    interpolant of vals on the 12 grid points around the bracket
+    (``_stencil_zeros``), else the secant point through the bracket's
+    ends, else the midpoint; on every later step the secant point, else
+    the midpoint; whichever first is finite and inside the bracket.
+    Where the scan values place the root within tol of the first
+    estimate (a sampled polynomial of degree <= 11 in the index, or the
+    pair determinant, analytic in s), the first step closes the bracket.
+    The new bracket is the sign change nearest c (``_nearest_change``); an
+    exact zero closes it onto itself.  A step that does not halve a bracket is
     followed by one with c at the midpoint, so every two steps at least
     halve it.  A bracket also closes when its ends are adjacent floats,
     as it can where the float spacing exceeds tol (in the pair search,
@@ -262,48 +304,42 @@ def _scan_roots(f, xs, vals, tol):
     k = np.flatnonzero(_opposite_signs(vals[:-1], vals[1:]))
     if not k.size:
         return np.sort(exact)
-    # each bracket's two ends, ascending in x
-    ends = np.stack([k, k + 1], axis=1) if xs[0] < xs[-1] else np.stack([k + 1, k], axis=1)
-    px, pf = xs[ends], vals[ends]
-    cols = _CLUSTER.size + 2   # the cluster between the bracket's two ends
-    bisect = np.zeros(len(k), dtype=bool)   # the last step did not halve the bracket
-    live = np.flatnonzero(px[:, 1] - px[:, 0] > tol)
-    first_step = True
-    while live.size:
-        (a, b), (fa, fb) = px[live].T, pf[live].T
-        # fa and fb differ in sign, so only values near the float range
-        # overflow the secant point to inf or nan
-        with np.errstate(all="ignore"):
+    # each bracket's two ends, ascending in x, and f there: (a, b, fa, fb)
+    ends = (k, k + 1) if xs[0] < xs[-1] else (k + 1, k)
+    brackets = list(zip(*(xs[e].tolist() for e in ends), *(vals[e].tolist() for e in ends)))
+    bisect = [False] * len(brackets)   # the last step did not halve the bracket
+    live = [n for n, (a, b, _, _) in enumerate(brackets) if b - a > tol]
+    # the first step's estimates; on every later step nan, which no bracket holds
+    estimates = _stencil_zeros(xs, vals, k[live])
+    while live:
+        rows = []
+        for n, e in zip(live, estimates):
+            a, b, fa, fb = brackets[n]
+            mid = 0.5 * a + 0.5 * b   # caps both cluster ends: every point lies strictly inside
+            # fa and fb differ in sign, so only values near the float range
+            # overflow the secant point to inf or nan
             secant = b - fb * (b - a) / (fb - fa)
-        c = np.where((a < secant) & (secant < b) & ~bisect[live], secant, 0.5 * a + 0.5 * b)
-        if first_step:
-            stencil = _stencil_zeros(xs, vals, k[live])
-            c = np.where((a < stencil) & (stencil < b), stencil, c)
-            first_step = False
-        unit = np.maximum(tol, 4.0 * np.spacing(np.maximum(abs(a), abs(b))))[:, None]
-        mid = (0.5 * a + 0.5 * b)[:, None]   # caps both: every point lies strictly inside
-        first, last = np.minimum(a[:, None] + 0.25 * unit, mid), np.maximum(b[:, None] - 0.25 * unit, mid)
-        c = np.minimum(np.maximum(c[:, None], first), last)
-        X, F = np.empty((live.size, cols)), np.empty((live.size, cols))
-        X[:, 0], X[:, -1], F[:, 0], F[:, -1] = a, b, fa, fb
-        X[:, 1:-1] = np.minimum(np.maximum(c + unit * _CLUSTER, first), last)
-        F[:, 1:-1] = f(X[:, 1:-1])
-        # distance from c of each sign change of the row, then of each exact zero
-        distance = np.concatenate([
-            np.where(_opposite_signs(F[:, :-1], F[:, 1:]),
-                     np.maximum(X[:, :-1], c) - np.minimum(X[:, 1:], c), np.inf),
-            np.where(F == 0.0, abs(X - c), np.inf)], axis=1)
-        j = distance.argmin(axis=1)
-        closed = j >= cols - 1
-        j[closed] -= cols - 1
-        # the new bracket's ends, [j, j + 1], or an exact zero's point twice
-        rows, ends = np.arange(live.size)[:, None], np.stack([j, j + ~closed], axis=1)
-        x2 = X[rows, ends]
-        px[live], pf[live] = x2, F[rows, ends]
-        width = x2[:, 1] - x2[:, 0]
-        bisect[live] = width > 0.5 * (b - a)
-        live = live[(width > tol) & (x2[:, 1] > np.nextafter(x2[:, 0], np.inf))]
-    return np.sort(np.concatenate([exact, 0.5 * px[:, 0] + 0.5 * px[:, 1]]))
+            c = secant if a < secant < b and not bisect[n] else mid
+            if a < e < b:
+                c = e
+            unit = max(tol, 4.0 * math.ulp(max(abs(a), abs(b))))
+            first, last = min(a + 0.25 * unit, mid), max(b - 0.25 * unit, mid)
+            rows.append((min(max(c, first), last), unit, first, last))
+        estimates = itertools.repeat(math.nan)
+        P = np.array(rows)   # per live bracket c, unit, first, last: the cluster in one array
+        X = np.minimum(np.maximum(P[:, :1] + P[:, 1:2] * _CLUSTER, P[:, 2:3]), P[:, 3:])
+        still = []
+        for n, (c, _, _, _), Xr, Fr in zip(live, rows, X.tolist(), f(X).tolist()):
+            a, b, fa, fb = brackets[n]
+            Xr, Fr = [a, *Xr, b], [fa, *Fr, fb]
+            j0, j1 = _nearest_change(Xr, Fr, c)
+            brackets[n] = (Xr[j0], Xr[j1], Fr[j0], Fr[j1])
+            width = Xr[j1] - Xr[j0]
+            bisect[n] = width > 0.5 * (b - a)
+            if width > tol and Xr[j1] > math.nextafter(Xr[j0], math.inf):
+                still.append(n)
+        live = still
+    return np.sort(np.concatenate([exact, [0.5 * a + 0.5 * b for a, b, _, _ in brackets]]))
 
 
 def pair_energies(model):
@@ -327,7 +363,10 @@ def pair_energies(model):
     and the determinant is analytic in s, so a root-bearing solve usually
     makes one polish call for all its roots; where that estimate misses a
     root by more than 1e-12, the later calls take the secant point
-    through the bracket's two ends.  The energies are t' x.
+    through the bracket's two ends.  The per-bracket work of the polish
+    (the estimates, the cluster's ends, the next bracket) runs in Python
+    floats, and the determinant is one array call per polish step on
+    every bracket's cluster.  The energies are t' x.
     A pair bound by less than 1e-10 t' is missed, above the scan's first
     point: ``UVModel.full(-0.4, 0, 0, 1)`` binds (U < U_cr = 0) but has no root.
     """

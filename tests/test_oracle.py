@@ -518,6 +518,20 @@ def test_extrapolated_energy_matches_determinant_root():
         assert ex.E_inf == pytest.approx(roots[branch].E, abs=1e-3)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 27: levels that agree to np.allclose return the smallest "
+                          "lattice's level, E(16), 6.6e-6 t' from the root")
+def test_extrapolation_is_no_farther_from_the_root_than_the_largest_lattice():
+    # a bound level converges exponentially in L: E(32) lies within 1e-11 t' of
+    # the root -9.44324553975, E(24) within 1e-8 t' and E(16) 6.6e-6 t' above it
+    model = UVModel.diagonal(-7.0, -1.0, 1.0)
+    root = pair_energies(model)[0].E
+    Ls = [16, 24, 32]
+    es = [ground_energies(model, L).energies[0] for L in Ls]
+    ex = extrapolate_energy(Ls, es)
+    assert abs(ex.E_inf - root) <= abs(es[-1] - root) + 1e-10
+
+
 @settings(max_examples=10, derandomize=True, deadline=None, database=None)
 @given(tp=st.floats(0.5, 2.0), u=st.floats(-11.0, -9.0), v1=st.floats(-2.0, -1.0),
        v2=st.floats(-2.0, -1.0), diagonal=st.booleans())

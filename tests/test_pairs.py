@@ -601,6 +601,48 @@ def test_scan_roots_polishes_two_roots_in_adjacent_brackets():
     assert np.all(np.abs(roots - [0.27, 0.33]) <= 1e-12)
 
 
+def test_scan_roots_polishes_a_bracket_alone_or_beside_another_to_the_same_bits():
+    # roots 3 and 5.5, 85 grid points apart; each is also polished alone on
+    # the grid cut 30 points past its bracket, where its 12-point stencil and
+    # every cluster are the same.  Each bracket's Newton steps must stop on
+    # their own: going on while the other bracket converges moves the root
+    # at 5.5 by 1.2e-13
+    def f(x):
+        return (x - 3.0) * np.expm1(5.0 * (5.5 - x))
+
+    xs = 1.0 + 7.0 * np.arange(240) / 239
+    vals = f(xs)
+    k = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    assert k.size == 2 and k[1] - k[0] > 60
+    both = pairs._scan_roots(f, xs, vals, 1e-12)
+    first = pairs._scan_roots(f, xs[:k[0] + 30], vals[:k[0] + 30], 1e-12)
+    second = pairs._scan_roots(f, xs[k[1] - 30:], vals[k[1] - 30:], 1e-12)
+    assert both.tolist() == first.tolist() + second.tolist()
+    assert np.all(np.abs(both - [3.0, 5.5]) <= 1e-12)
+
+
+def test_a_stencil_step_onto_a_grid_point_gives_no_estimate_and_the_bracket_still_closes():
+    # on the grid 0, 1, 2 the values 1, -1, 5 are p(t) = 4t^2 - 6t + 1 itself;
+    # Newton from the linear zero 1/2 of [0, 1] steps exactly onto the grid
+    # point 0, where the interpolant is not finite.  That bracket has no
+    # estimate, with no ZeroDivisionError or RuntimeWarning; [1, 2] has its
+    # zero, and the polish closes [0, 1] from its secant points and midpoints
+    def p(t):
+        return 4 * t * t - 6 * t + 1
+
+    half = Fraction(1, 2)
+    assert half - p(half) / (8 * half - 6) == 0
+    xs, vals = np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 5.0])
+    zeros = [(6.0 - math.sqrt(20.0)) / 8.0, (6.0 + math.sqrt(20.0)) / 8.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = pairs._stencil_zeros(xs, vals, np.array([0, 1]))
+        roots = pairs._scan_roots(p, xs, vals, 1e-12)
+    assert math.isnan(estimates[0])
+    assert abs(estimates[1] - zeros[1]) <= 1e-15
+    assert np.all(np.abs(roots - zeros) <= 1e-12)
+
+
 def test_scan_roots_falls_back_quietly_on_flat_pieces():
     # the clipped line is flat beyond 1e-3 of its root, so the stencil's
     # estimate is the scan bracket's midpoint; the secant steps through

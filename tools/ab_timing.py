@@ -11,7 +11,8 @@ workloads ``oracle-validate`` and ``pair-scan`` are supported.
 
 One untimed cycle per side comes first: it warms the caches, counts the
 ARPACK products (the operator applications of every ``eigsh`` call in
-``oracle``) and compares the two sides' levels.  Then ``--cycles``
+``oracle``) and the Green's tables (the ``greens_M_table`` calls that
+``pairs`` makes), and compares the two sides' levels.  Then ``--cycles``
 cycles run with the two sides interleaved operation by operation: each
 operation runs on both sides back to back, and the side that goes first
 alternates from one operation to the next and from one cycle to the
@@ -22,10 +23,10 @@ Reported per side and operation kind (the model variant for
 oracle-validate; above, below or deep for pair-scan; and ``all``): p50
 and p90 in ms, and the change/parent ratio of each with a 95% bootstrap
 interval over whole cycles.  The JSON also records the cycle count, the
-ARPACK products per cycle, the largest level difference between the
-sides in units of t', failed operations, each tree's source hash (the
-``src_sha256`` of ``benchmarks/run.py``), the machine and the thread
-pins.  ``--write BENCH_<label>.json`` writes it; the summary goes to
+ARPACK products and Green's tables per cycle, the largest level
+difference between the sides in units of t', failed operations, each
+tree's source hash (the ``src_sha256`` of ``benchmarks/run.py``), the
+machine and the thread pins.  ``--write BENCH_<label>.json`` writes it; the summary goes to
 stdout.  One tree against itself,
 
     python tools/ab_timing.py src src --workload oracle-validate --seed 1
@@ -89,28 +90,41 @@ def build(cls, pkg, seed, workdir):
 
 
 def counted_cycle(wl, pkg):
-    """Run one cycle untimed; return its outputs and ARPACK product count."""
+    """Run one cycle untimed; return its outputs, its ARPACK product count
+    and its count of ``pairs.greens_M_table`` calls."""
     oracle = sys.modules.get(f"{pkg.__name__}.oracle")
-    products = 0
+    pairs = sys.modules.get(f"{pkg.__name__}.pairs")
+    products = tables = 0
     if oracle is not None:
         from scipy.sparse.linalg import LinearOperator
 
-        real = oracle.eigsh
+        real_eigsh = oracle.eigsh
 
         def eigsh(A, **kw):
             def matvec(x):
                 nonlocal products
                 products += 1
                 return A.matvec(x)
-            return real(LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), **kw)
+            return real_eigsh(LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), **kw)
 
         oracle.eigsh = eigsh
+    if pairs is not None:
+        real_table = pairs.greens_M_table
+
+        def greens_M_table(*args):
+            nonlocal tables
+            tables += 1
+            return real_table(*args)
+
+        pairs.greens_M_table = greens_M_table
     try:
         outs = [wl.call(i) for i in range(len(wl.ops))]
     finally:
         if oracle is not None:
-            oracle.eigsh = real
-    return outs, products
+            oracle.eigsh = real_eigsh
+        if pairs is not None:
+            pairs.greens_M_table = real_table
+    return outs, products, tables
 
 
 def timed(wl, i, prev):
@@ -181,9 +195,9 @@ def main(argv=None):
         wls = {side: build(cls, pkgs[side], args.seed, Path(tmp)) for side in SIDES}
         ops = wls["parent"].ops
         kinds = [KINDS[args.workload](op) for op in ops]
-        products, levels = {}, {}
+        products, tables, levels = {}, {}, {}
         for side in SIDES:
-            outs, products[side] = counted_cycle(wls[side], pkgs[side])
+            outs, products[side], tables[side] = counted_cycle(wls[side], pkgs[side])
             levels[side] = [LEVELS[args.workload](op, out) for op, out in zip(wls[side].ops, outs)]
         diffs = [abs(a - b) / tp for (xs, tp), (ys, _) in zip(levels["parent"], levels["change"])
                  for a, b in zip(xs, ys)]
@@ -218,7 +232,7 @@ def main(argv=None):
     result = {
         "workload": args.workload, "seed": args.seed, "cycles": args.cycles,
         "ops_per_cycle": len(ops), "src_sha256": {"parent": tree_sha256(args.old), "change": tree_sha256(args.new)},
-        "arpack_products_per_cycle": products,
+        "arpack_products_per_cycle": products, "greens_tables_per_cycle": tables,
         "max_level_difference_t_prime": max(diffs, default=0.0) if same_counts else None,
         "failed": failed, "kinds": summary, "thread_pins": THREAD_PINS, "pinned_cpu": pinned_cpu,
         "machine": cpu_model(), "python": platform.python_version(), "numpy": np.__version__,
@@ -228,6 +242,7 @@ def main(argv=None):
         Path(args.write).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"{args.workload} seed {args.seed}: {args.cycles} cycles of {len(ops)} ops; "
           f"ARPACK products per cycle {products['parent']} -> {products['change']}; "
+          f"Green's tables per cycle {tables['parent']} -> {tables['change']}; "
           f"max level difference {result['max_level_difference_t_prime']} t'")
     for kind, row in summary.items():
         print(f"  {kind:9s} p50 {row['parent']['p50_ms']:8.3f} -> {row['change']['p50_ms']:8.3f} ms "
